@@ -380,16 +380,8 @@ let a1_algorithm_and_cache () =
   section "A1" "Ablation: learning algorithm x query cache (TCP)";
   let run algorithm cache =
     let sul = Prognosis_tcp.Tcp_adapter.sul ~seed:1L () in
-    let rng = Prognosis_sul.Rng.create 8L in
-    let eq =
-      Prognosis_learner.Eq_oracle.combine
-        [
-          Prognosis_learner.Eq_oracle.w_method ~extra_states:1 ();
-          Prognosis_learner.Eq_oracle.random_words ~rng ~max_tests:500 ~min_len:1
-            ~max_len:12;
-        ]
-    in
-    Learn.run ~algorithm ~cache ~inputs:Prognosis_tcp.Tcp_alphabet.all ~sul ~eq ()
+    Learn.run ~algorithm ~cache ~inputs:Prognosis_tcp.Tcp_alphabet.all ~sul
+      ~eq:(Tcp_study.eq_oracle ~seed:1L) ()
   in
   let row name algorithm cache =
     let r = run algorithm cache in
@@ -938,8 +930,6 @@ module Library = Prognosis_fingerprint.Library
 module Splitter = Prognosis_fingerprint.Splitter
 module Identify = Prognosis_fingerprint.Identify
 
-let dtls_ttt = lazy (Dtls_study.learn ~seed:4L ())
-
 type f1_endpoint = {
   f_name : string;
   f_kind : Persist.kind;
@@ -948,66 +938,36 @@ type f1_endpoint = {
   f_sul : unit -> (string, string) Prognosis_sul.Sul.t;
 }
 
-let tcp_string_model m =
-  Persist.to_string_model ~input_to_string:Prognosis_tcp.Tcp_alphabet.to_string
-    ~output_to_string:Prognosis_tcp.Tcp_alphabet.output_to_string m
+module Subject = Prognosis_service.Subject
 
-let tcp_string_sul ?server_config seed () =
-  Prognosis_sul.Sul.strings ~symbols:Prognosis_tcp.Tcp_alphabet.all
-    ~to_string:Prognosis_tcp.Tcp_alphabet.to_string
-    ~output_to_string:Prognosis_tcp.Tcp_alphabet.output_to_string
-    (Prognosis_tcp.Tcp_adapter.sul ?server_config ~seed ())
+let subject name =
+  match Subject.of_name name with Ok s -> s | Error e -> failwith e
 
-let f1_endpoints () =
-  let quic_string_model m =
-    Persist.to_string_model
-      ~input_to_string:Prognosis_quic.Quic_alphabet.to_string
-      ~output_to_string:Prognosis_quic.Quic_alphabet.output_to_string m
+(* One endpoint of the population: the subject learned at [seed] (the
+   studies' bench seeds) and probed through fresh SULs seeded
+   [probe_seed]. *)
+let f1_endpoint name ~seed ~probe_seed =
+  let s = subject name in
+  let model, report =
+    s.Subject.learn ~seed ~algorithm:Learn.Ttt_tree ~exec:None
   in
-  let quic_sul profile seed () =
-    Prognosis_sul.Sul.strings ~symbols:Prognosis_quic.Quic_alphabet.all
-      ~to_string:Prognosis_quic.Quic_alphabet.to_string
-      ~output_to_string:Prognosis_quic.Quic_alphabet.output_to_string
-      (Prognosis_quic.Quic_adapter.sul ~profile ~seed ())
-  in
-  let quic name profile (r : Quic_study.result) seed =
-    {
-      f_name = name;
-      f_kind = Persist.Quic_model;
-      f_model = quic_string_model r.Quic_study.model;
-      f_learn_queries = r.Quic_study.report.Report.membership_queries;
-      f_sul = quic_sul profile seed;
-    }
-  in
-  let tcp = Lazy.force tcp_ttt and dtls = Lazy.force dtls_ttt in
-  [
-    {
-      f_name = "tcp";
-      f_kind = Persist.Tcp_model;
-      f_model = tcp_string_model tcp.Tcp_study.model;
-      f_learn_queries = tcp.Tcp_study.report.Report.membership_queries;
-      f_sul = tcp_string_sul 41L;
-    };
-    {
-      f_name = "dtls";
-      f_kind = Persist.Dtls_model;
-      f_model =
-        Persist.to_string_model
-          ~input_to_string:Prognosis_dtls.Dtls_alphabet.to_string
-          ~output_to_string:Prognosis_dtls.Dtls_alphabet.output_to_string
-          dtls.Dtls_study.model;
-      f_learn_queries = dtls.Dtls_study.report.Report.membership_queries;
-      f_sul =
-        (fun () ->
-          Prognosis_sul.Sul.strings ~symbols:Prognosis_dtls.Dtls_alphabet.all
-            ~to_string:Prognosis_dtls.Dtls_alphabet.to_string
-            ~output_to_string:Prognosis_dtls.Dtls_alphabet.output_to_string
-            (Prognosis_dtls.Dtls_adapter.sul ~seed:42L ()));
-    };
-    quic "quic:quiche-like" Profile.quiche_like (Lazy.force quic_quiche) 43L;
-    quic "quic:google-like" Profile.google_like (Lazy.force quic_tolerant) 44L;
-    quic "quic:strict-retry" Profile.strict_retry (Lazy.force quic_strict) 45L;
-  ]
+  {
+    f_name = name;
+    f_kind = s.Subject.kind;
+    f_model = model;
+    f_learn_queries = report.Report.membership_queries;
+    f_sul = (fun () -> s.Subject.factory ~seed:probe_seed ~workers:1 0);
+  }
+
+let f1_endpoints =
+  lazy
+    [
+      f1_endpoint "tcp" ~seed:1L ~probe_seed:41L;
+      f1_endpoint "dtls" ~seed:4L ~probe_seed:42L;
+      f1_endpoint "quic:quiche-like" ~seed:3L ~probe_seed:43L;
+      f1_endpoint "quic:google-like" ~seed:1L ~probe_seed:44L;
+      f1_endpoint "quic:strict-retry" ~seed:2L ~probe_seed:45L;
+    ]
 
 let f1_identify tree sul =
   let engine = Prognosis_exec.Engine.create ~factory:(fun _ -> sul ()) () in
@@ -1017,7 +977,7 @@ let f1_fingerprint () =
   section "F1"
     "Open-world fingerprinting: model library + adaptive classification (new)";
   let module Jsonx = Prognosis_obs.Jsonx in
-  let endpoints = f1_endpoints () in
+  let endpoints = Lazy.force f1_endpoints in
   let entries =
     List.map
       (fun e -> Library.entry_of_model ~name:e.f_name ~kind:e.f_kind e.f_model)
@@ -1083,10 +1043,8 @@ let f1_fingerprint () =
   (* The open-world path: a fault-injected TCP variant absent from the
      library must come back Novel, get learned in full, and extend the
      classification tree so the second encounter is cheap. *)
-  let mutated_config =
-    { Prognosis_tcp.Tcp_server.default_config with challenge_acks = false }
-  in
-  let mutated_sul = tcp_string_sul ~server_config:mutated_config 46L in
+  let mutant = subject "tcp:no-challenge" in
+  let mutated_sul () = mutant.Subject.factory ~seed:46L ~workers:1 0 in
   let tcp_tree = List.assoc Persist.Tcp_model trees in
   let first = f1_identify tcp_tree mutated_sul in
   (match first.Identify.outcome with
@@ -1098,13 +1056,13 @@ let f1_fingerprint () =
         (String.concat " " e.Identify.word)
   | Identify.Known entry ->
       failwith ("F1: mutant misidentified as " ^ entry.Library.name));
-  let mutant =
-    Tcp_study.learn ~seed:46L ~server_config:mutated_config ()
+  let mutant_model, mutant_report =
+    mutant.Subject.learn ~seed:46L ~algorithm:Learn.Ttt_tree ~exec:None
   in
-  let novel_queries = mutant.Tcp_study.report.Report.membership_queries in
+  let novel_queries = mutant_report.Report.membership_queries in
   let mutant_entry =
     Library.entry_of_model ~name:"tcp:no-challenge" ~kind:Persist.Tcp_model
-      (tcp_string_model mutant.Tcp_study.model)
+      mutant_model
   in
   let tcp_tree' =
     match Splitter.insert tcp_tree mutant_entry with
@@ -1139,24 +1097,18 @@ let f1_fingerprint () =
 (* --- F2: fleet identification over a shared, sharded cache --- *)
 
 module Service = Prognosis_service.Service
-module Subject = Prognosis_service.Subject
 
 let f2_fleet () =
   section "F2"
     "Fleet identification: domain-parallel sessions over one shared sharded \
      cache (new)";
   let module Jsonx = Prognosis_obs.Jsonx in
-  let subj name =
-    match Subject.of_name name with
-    | Ok s -> s
-    | Error e -> failwith ("F2: " ^ e)
-  in
   (* the F1 population doubles as an in-memory library: its entry
      names are exactly the service's subject spellings *)
   let entries =
     List.map
       (fun e -> Library.entry_of_model ~name:e.f_name ~kind:e.f_kind e.f_model)
-      (f1_endpoints ())
+      (Lazy.force f1_endpoints)
   in
   let lib = { Library.dir = "(in-memory)"; entries } in
   (* a 12-endpoint mixed population: every library subject appears at
@@ -1171,7 +1123,7 @@ let f2_fleet () =
   in
   let jobs =
     List.map
-      (fun (name, seed) -> Service.job ~seed Service.Identify (subj name))
+      (fun (name, seed) -> Service.job ~seed Service.Identify (subject name))
       population
   in
   let run ~domains jobs =
@@ -1223,27 +1175,23 @@ let f2_fleet () =
   (* a known endpoint behind a lossy, duplicating channel: replica
      voting absorbs the faults and identification still lands Known *)
   let lossy_subject =
-    let base = subj "tcp" in
+    let base = subject "tcp" in
     {
       base with
       Subject.name = "tcp(lossy)";
       factory =
-        (fun ~seed ~workers ->
-          Subject.seeded_factory
-            (fun wseed ->
-              Prognosis_sul.Sul.strings
-                ~symbols:Prognosis_tcp.Tcp_alphabet.all
-                ~to_string:Prognosis_tcp.Tcp_alphabet.to_string
-                ~output_to_string:Prognosis_tcp.Tcp_alphabet.output_to_string
-                (Prognosis_tcp.Tcp_adapter.sul
-                   ~network:
-                     {
-                       Prognosis_sul.Network.loss = 0.01;
-                       duplicate = 0.01;
-                       corrupt = 0.0;
-                     }
-                   ~seed:wseed ()))
-            ~seed ~workers);
+        Prognosis.Pipeline.seeded (fun wseed ->
+            Prognosis_sul.Sul.strings ~symbols:Prognosis_tcp.Tcp_alphabet.all
+              ~to_string:Prognosis_tcp.Tcp_alphabet.to_string
+              ~output_to_string:Prognosis_tcp.Tcp_alphabet.output_to_string
+              (Prognosis_tcp.Tcp_adapter.sul
+                 ~network:
+                   {
+                     Prognosis_sul.Network.loss = 0.01;
+                     duplicate = 0.01;
+                     corrupt = 0.0;
+                   }
+                 ~seed:wseed ()));
     }
   in
   (* 3 replicas vote per word; 6 workers leave an escalation pool for

@@ -7,8 +7,9 @@ open Cmdliner
 module Mealy = Prognosis_automata.Mealy
 module Learn = Prognosis_learner.Learn
 open Prognosis
+module Subject = Prognosis_service.Subject
 
-let profile_of_name = Prognosis_service.Subject.profile_of_name
+let profile_of_name = Subject.profile_of_name
 
 (* --- common options --- *)
 
@@ -210,6 +211,15 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
         | None, None -> assert false
       in
       Prognosis_obs.Trace.set_sink sink);
+  (* report, dot rendering, binary save, canonical text save *)
+  let outputs kind ~to_string ~output_to_string ~dot report model =
+    ( report,
+      dot model,
+      (fun path -> Persist.save ~path kind model),
+      fun path ->
+        Persist.save_text ~path kind ~input_to_string:to_string
+          ~output_to_string model )
+  in
   let report, dot, save, save_text =
     Fun.protect
       ~finally:(fun () -> if tracing then Prognosis_obs.Trace.unset_sink ())
@@ -219,48 +229,32 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
           | `Tcp ->
               let module A = Prognosis_tcp.Tcp_alphabet in
               let r = Tcp_study.learn ~seed ~algorithm ?exec ?checkpoint () in
-              ( r.Tcp_study.report,
-                Tcp_study.model_dot r.Tcp_study.model,
-                (fun path ->
-                  Persist.save ~path Persist.Tcp_model r.Tcp_study.model),
-                fun path ->
-                  Persist.save_text ~path Persist.Tcp_model
-                    ~input_to_string:A.to_string
-                    ~output_to_string:A.output_to_string r.Tcp_study.model )
+              outputs Persist.Tcp_model ~to_string:A.to_string
+                ~output_to_string:A.output_to_string ~dot:Tcp_study.model_dot
+                r.Tcp_study.report r.Tcp_study.model
           | `Quic ->
               let module A = Prognosis_quic.Quic_alphabet in
               let profile = or_die (profile_of_name profile_name) in
               let r =
                 Quic_study.learn ~seed ~algorithm ?exec ?checkpoint ~profile ()
               in
-              ( r.Quic_study.report,
-                Quic_study.model_dot r.Quic_study.model,
-                (fun path ->
-                  Persist.save ~path Persist.Quic_model r.Quic_study.model),
-                fun path ->
-                  Persist.save_text ~path Persist.Quic_model
-                    ~input_to_string:A.to_string
-                    ~output_to_string:A.output_to_string r.Quic_study.model )
+              outputs Persist.Quic_model ~to_string:A.to_string
+                ~output_to_string:A.output_to_string ~dot:Quic_study.model_dot
+                r.Quic_study.report r.Quic_study.model
           | `Dtls ->
               let module A = Prognosis_dtls.Dtls_alphabet in
               let r = Dtls_study.learn ~seed ~algorithm ?exec ?checkpoint () in
-              ( r.Dtls_study.report,
-                Dtls_study.model_dot r.Dtls_study.model,
-                (fun path ->
-                  Persist.save ~path Persist.Dtls_model r.Dtls_study.model),
-                fun path ->
-                  Persist.save_text ~path Persist.Dtls_model
-                    ~input_to_string:A.to_string
-                    ~output_to_string:A.output_to_string r.Dtls_study.model )
+              outputs Persist.Dtls_model ~to_string:A.to_string
+                ~output_to_string:A.output_to_string ~dot:Dtls_study.model_dot
+                r.Dtls_study.report r.Dtls_study.model
         with
-        | Invalid_argument msg
-          when String.length msg >= 5 && String.sub msg 0 5 = "Cache" ->
+        | Prognosis_learner.Cache.Conflict ->
             or_die
               (Error
-                 ("the implementation answered the same query differently \
-                   across runs — learning pauses, as in the paper's \
-                   nondeterminism check (§5). Investigate with `prognosis \
-                   nondet`. Detail: " ^ msg))
+                 "the implementation answered the same query differently \
+                  across runs — learning pauses, as in the paper's \
+                  nondeterminism check (§5). Investigate with `prognosis \
+                  nondet`.")
         | Prognosis_sul.Nondet.Nondeterministic_sul msg ->
             or_die
               (Error
@@ -844,38 +838,23 @@ let replay_cmd =
 
 (* --- ci: the golden-model regression gate --- *)
 
-(* Each target learns one study model and renders it to the string
-   alphabet, so the gate below works uniformly on (string, string)
-   machines whatever the protocol. *)
+(* Each target learns one golden subject at the string level, so the
+   gate below works uniformly on (string, string) machines whatever the
+   protocol. *)
 let ci_targets seed =
-  [
-    ( "tcp",
-      Persist.Tcp_model,
-      "tcp.model",
-      fun () ->
-        let module A = Prognosis_tcp.Tcp_alphabet in
-        Persist.to_string_model ~input_to_string:A.to_string
-          ~output_to_string:A.output_to_string
-          (Tcp_study.learn ~seed ()).Tcp_study.model );
-    ( "quic:quiche-like",
-      Persist.Quic_model,
-      "quic-quiche-like.model",
-      fun () ->
-        let module A = Prognosis_quic.Quic_alphabet in
-        Persist.to_string_model ~input_to_string:A.to_string
-          ~output_to_string:A.output_to_string
-          (Quic_study.learn ~seed
-             ~profile:Prognosis_quic.Quic_profile.quiche_like ())
-            .Quic_study.model );
-    ( "dtls",
-      Persist.Dtls_model,
-      "dtls.model",
-      fun () ->
-        let module A = Prognosis_dtls.Dtls_alphabet in
-        Persist.to_string_model ~input_to_string:A.to_string
-          ~output_to_string:A.output_to_string
-          (Dtls_study.learn ~seed ()).Dtls_study.model );
-  ]
+  List.map
+    (fun (name, file) ->
+      let s = or_die (Subject.of_name name) in
+      ( name,
+        s.Subject.kind,
+        file,
+        fun () ->
+          fst (s.Subject.learn ~seed ~algorithm:Learn.Ttt_tree ~exec:None) ))
+    [
+      ("tcp", "tcp.model");
+      ("quic:quiche-like", "quic-quiche-like.model");
+      ("dtls", "dtls.model");
+    ]
 
 let do_ci () golden_dir seed update summary_out =
   let summary = Buffer.create 256 in
@@ -1241,13 +1220,7 @@ module Library = Prognosis_fingerprint.Library
 module Splitter = Prognosis_fingerprint.Splitter
 module Identify = Prognosis_fingerprint.Identify
 
-(* An identifiable subject — a live endpoint the CLI can both probe
-   (engine worker factory) and, on a Novel verdict, learn in full —
-   now lives in [lib/service] so the fleet scheduler can use it too. *)
-module Subject = Prognosis_service.Subject
 module Service = Prognosis_service.Service
-
-let subject_of_name = Subject.of_name
 
 let library_dir_pos =
   let doc = "Library directory (holds *.model files plus library.json)." in
@@ -1259,7 +1232,7 @@ let do_library_build () dir subjects seed algorithm workers batch parallel
   let exec = exec_of_flags ~workers ~batch ~parallel ~replicas in
   List.iter
     (fun name ->
-      let s = or_die (subject_of_name name) in
+      let s = or_die (Subject.of_name name) in
       Format.printf "learning %s...@." s.Subject.name;
       let model, report = s.Subject.learn ~seed ~algorithm ~exec in
       let entry = Library.entry_of_model ~name:s.Subject.name ~kind:s.Subject.kind model in
@@ -1360,7 +1333,7 @@ let fresh_entry_name lib base =
 let do_identify () dir subject_name name_override seed algorithm workers batch
     parallel replicas no_extend metrics_out trace_out =
   ignore batch;
-  let s = or_die (subject_of_name subject_name) in
+  let s = or_die (Subject.of_name subject_name) in
   let lib = or_die (Library.load ~dir) in
   let forest = or_die (Splitter.of_library lib) in
   let tree =

@@ -19,8 +19,6 @@ type result = {
   client : Prognosis_dtls.Dtls_client.t;
 }
 
-let algorithm_name = function Learn.L_star -> "L*" | Learn.Ttt_tree -> "TTT"
-
 (* The DTLS handshake needs five correct symbols in a row; random
    testing practically never finds that path, so the equivalence oracle
    is seeded with scenario words (the QUIC-Tracker approach) before the
@@ -40,63 +38,34 @@ let scenarios =
       [ Client_hello; Client_key_exchange; Change_cipher_spec; Finished; App_data ];
     ]
 
+let eq_oracle ~symbol ~seed =
+  let rng = Rng.create (Int64.add seed 7L) in
+  Eq_oracle.combine
+    [
+      Eq_oracle.fixed_words (List.map (List.map symbol) scenarios);
+      Eq_oracle.w_method ~extra_states:1 ();
+      Eq_oracle.random_words ~rng ~max_tests:400 ~min_len:1 ~max_len:10;
+    ]
+
 let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?server_config ?exec
     ?checkpoint () =
   let module Metrics = Prognosis_obs.Metrics in
   Metrics.inc
     (Metrics.counter_l Metrics.default "study.learn_runs" [ ("study", "dtls") ]);
-  let adapter, client = Prognosis_dtls.Dtls_adapter.create ?server_config ~seed () in
-  let rng = Rng.create (Int64.add seed 7L) in
-  let eq =
-    Eq_oracle.combine
-      [
-        Eq_oracle.fixed_words scenarios;
-        Eq_oracle.w_method ~extra_states:1 ();
-        Eq_oracle.random_words ~rng ~max_tests:400 ~min_len:1 ~max_len:10;
-      ]
+  let model, report =
+    Pipeline.learn ?exec
+      ?checkpoint:(Option.map (Checkpoint.start ~kind:"dtls") checkpoint)
+      ~subject:"dtls" ~seed ~algorithm ~inputs:Alphabet.all
+      ~factory:
+        (Pipeline.seeded (fun seed ->
+             Prognosis_dtls.Dtls_adapter.sul ?server_config ~seed ()))
+      ~eq:(eq_oracle ~symbol:Fun.id ~seed)
+      ()
   in
-  let ck = Option.map (Checkpoint.start ~kind:"dtls") checkpoint in
-  let result, exec_json =
-    match exec with
-    | None ->
-        let sul = Adapter.to_sul adapter in
-        (Learn.run ~algorithm ?checkpoint:ck ~inputs:Alphabet.all ~sul ~eq (), None)
-    | Some config ->
-        let module Engine = Prognosis_exec.Engine in
-        let master = Rng.create seed in
-        let wseeds =
-          Array.map Rng.next64 (Rng.split_n master config.Engine.workers)
-        in
-        let factory i =
-          Prognosis_dtls.Dtls_adapter.sul ?server_config ~seed:wseeds.(i) ()
-        in
-        let engine =
-          Engine.create ~config ?cache:(Option.map Checkpoint.cache ck) ~factory ()
-        in
-        Option.iter
-          (fun ck ->
-            (match Checkpoint.exec_blob ck with
-            | Some blob -> ( try Engine.thaw engine blob with Invalid_argument _ -> ())
-            | None -> ());
-            Checkpoint.set_exec_state ck (fun () -> Engine.freeze engine))
-          ck;
-        let r =
-          Learn.run_mq ~algorithm ?checkpoint:ck
-            ~cache_stats:(fun () -> Engine.cache_stats engine)
-            ~inputs:Alphabet.all
-            ~mq:(Engine.membership engine)
-            ~eq ()
-        in
-        (r, Some (Engine.stats_json engine))
+  let adapter, client =
+    Prognosis_dtls.Dtls_adapter.create ?server_config ~seed ()
   in
-  {
-    model = result.Learn.model;
-    report =
-      Report.of_learn_result ~subject:"dtls" ~algorithm:(algorithm_name algorithm)
-        ?exec:exec_json result;
-    adapter;
-    client;
-  }
+  { model; report; adapter; client }
 
 let model_dot model =
   Prognosis_analysis.Visualize.model_dot ~name:"dtls"

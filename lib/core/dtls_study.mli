@@ -20,6 +20,16 @@ type result = {
   client : Prognosis_dtls.Dtls_client.t;
 }
 
+val eq_oracle :
+  symbol:(Alphabet.symbol -> 'i) ->
+  seed:int64 ->
+  ('i, 'o) Prognosis_learner.Oracle.equivalence
+(** The study's equivalence oracle: four handshake scenario words
+    (random testing practically never completes the five-symbol
+    handshake), then W-method with one extra state, then 400 seeded
+    random words of length 1–10. [symbol] renders the scenario words
+    in the learner's alphabet ([Fun.id] for the typed one). *)
+
 val learn :
   ?seed:int64 ->
   ?algorithm:Prognosis_learner.Learn.algorithm ->
@@ -28,9 +38,9 @@ val learn :
   ?checkpoint:Prognosis_learner.Checkpoint.spec ->
   unit ->
   result
-(** With [?exec], membership queries run through the query-execution
-    engine pool and the report carries an [exec] stats section. With
-    [?checkpoint], the run snapshots and resumes per the spec; may
-    raise {!Prognosis_learner.Checkpoint.Budget_exhausted}. *)
+(** Learns through {!Pipeline.learn} with {!eq_oracle}. With [?exec],
+    the report carries an [exec] stats section. With [?checkpoint], the
+    run snapshots and resumes per the spec; may raise
+    {!Prognosis_learner.Checkpoint.Budget_exhausted}. *)
 
 val model_dot : model -> string

@@ -25,70 +25,33 @@ type result = {
   client : Prognosis_quic.Quic_client.t;
 }
 
-let algorithm_name = function Learn.L_star -> "L*" | Learn.Ttt_tree -> "TTT"
+let eq_oracle ~seed =
+  let rng = Rng.create (Int64.add seed 7L) in
+  Eq_oracle.combine
+    [
+      Eq_oracle.w_method ~extra_states:1 ();
+      Eq_oracle.random_words ~rng ~max_tests:400 ~min_len:1 ~max_len:10;
+    ]
 
 let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?(alphabet = Alphabet.all)
     ?client_config ?exec ?checkpoint ~profile () =
   let module Metrics = Prognosis_obs.Metrics in
+  let name = profile.Profile.name in
   Metrics.inc
     (Metrics.counter_l Metrics.default "study.learn_runs"
-       [ ("study", "quic"); ("profile", profile.Profile.name) ]);
+       [ ("study", "quic"); ("profile", name) ]);
+  let model, report =
+    Pipeline.learn ?exec
+      ?checkpoint:
+        (Option.map (Checkpoint.start ~kind:("quic-" ^ name)) checkpoint)
+      ~subject:("quic:" ^ name) ~seed ~algorithm ~inputs:alphabet
+      ~factory:
+        (Pipeline.seeded (fun seed ->
+             Quic_adapter.sul ~profile ?client_config ~seed ()))
+      ~eq:(eq_oracle ~seed) ()
+  in
   let adapter, client = Quic_adapter.create ~profile ?client_config ~seed () in
-  let rng = Rng.create (Int64.add seed 7L) in
-  let eq =
-    Eq_oracle.combine
-      [
-        Eq_oracle.w_method ~extra_states:1 ();
-        Eq_oracle.random_words ~rng ~max_tests:400 ~min_len:1 ~max_len:10;
-      ]
-  in
-  let ck =
-    Option.map
-      (Checkpoint.start ~kind:("quic-" ^ profile.Profile.name))
-      checkpoint
-  in
-  let result, exec_json =
-    match exec with
-    | None ->
-        let sul = Adapter.to_sul adapter in
-        (Learn.run ~algorithm ?checkpoint:ck ~inputs:alphabet ~sul ~eq (), None)
-    | Some config ->
-        let module Engine = Prognosis_exec.Engine in
-        let master = Rng.create seed in
-        let wseeds =
-          Array.map Rng.next64 (Rng.split_n master config.Engine.workers)
-        in
-        let factory i =
-          Quic_adapter.sul ~profile ?client_config ~seed:wseeds.(i) ()
-        in
-        let engine =
-          Engine.create ~config ?cache:(Option.map Checkpoint.cache ck) ~factory ()
-        in
-        Option.iter
-          (fun ck ->
-            (match Checkpoint.exec_blob ck with
-            | Some blob -> ( try Engine.thaw engine blob with Invalid_argument _ -> ())
-            | None -> ());
-            Checkpoint.set_exec_state ck (fun () -> Engine.freeze engine))
-          ck;
-        let r =
-          Learn.run_mq ~algorithm ?checkpoint:ck
-            ~cache_stats:(fun () -> Engine.cache_stats engine)
-            ~inputs:alphabet
-            ~mq:(Engine.membership engine)
-            ~eq ()
-        in
-        (r, Some (Engine.stats_json engine))
-  in
-  {
-    model = result.Learn.model;
-    report =
-      Report.of_learn_result
-        ~subject:("quic:" ^ profile.Profile.name)
-        ~algorithm:(algorithm_name algorithm) ?exec:exec_json result;
-    adapter;
-    client;
-  }
+  { model; report; adapter; client }
 
 let compare_profiles ?(seed = 1L) pa pb =
   let a = learn ~seed ~profile:pa () in

@@ -19,6 +19,10 @@ type result = {
   client : Prognosis_quic.Quic_client.t;
 }
 
+val eq_oracle : seed:int64 -> ('i, 'o) Prognosis_learner.Oracle.equivalence
+(** The study's equivalence oracle: W-method with one extra state, then
+    400 seeded random words of length 1–10. *)
+
 val learn :
   ?seed:int64 ->
   ?algorithm:Prognosis_learner.Learn.algorithm ->
@@ -29,15 +33,14 @@ val learn :
   profile:Profile.t ->
   unit ->
   result
-(** [alphabet] defaults to the paper's seven symbols
-    ({!Alphabet.all}); pass {!Alphabet.extended} for the nine-symbol
-    variant used by the alphabet-size ablation. With [?exec],
-    membership queries run through the query-execution engine pool
-    and the report carries an [exec] stats section. With [?checkpoint],
-    the run snapshots and resumes per the spec (the checkpoint kind is
-    profile-qualified, so a snapshot made against one profile refuses
-    to resume another); may raise
-    {!Prognosis_learner.Checkpoint.Budget_exhausted}. *)
+(** Learns through {!Pipeline.learn} with {!eq_oracle}. [alphabet]
+    defaults to the paper's seven symbols ({!Alphabet.all}); pass
+    {!Alphabet.extended} for the nine-symbol variant used by the
+    alphabet-size ablation. With [?exec], the report carries an [exec]
+    stats section. With [?checkpoint], the run snapshots and resumes
+    per the spec (the checkpoint kind is profile-qualified, so a
+    snapshot made against one profile refuses to resume another); may
+    raise {!Prognosis_learner.Checkpoint.Budget_exhausted}. *)
 
 val compare_profiles :
   ?seed:int64 ->

@@ -19,8 +19,6 @@ type result = {
   adapter : (Alphabet.symbol, Alphabet.output, Wire.segment, Wire.segment) Adapter.t;
 }
 
-let algorithm_name = function Learn.L_star -> "L*" | Learn.Ttt_tree -> "TTT"
-
 let eq_oracle ~seed =
   let rng = Rng.create (Int64.add seed 7L) in
   Eq_oracle.combine
@@ -29,61 +27,23 @@ let eq_oracle ~seed =
       Eq_oracle.random_words ~rng ~max_tests:500 ~min_len:1 ~max_len:12;
     ]
 
-let ckpt_kind = "tcp"
-
 let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?server_config ?exec
     ?checkpoint () =
   let module Metrics = Prognosis_obs.Metrics in
   Metrics.inc
     (Metrics.counter_l Metrics.default "study.learn_runs" [ ("study", "tcp") ]);
-  (* The adapter kept in the result records the Oracle Table for
-     synthesis; with an engine the pool workers are separate instances
-     and witness queries replay through this one. *)
-  let adapter = Tcp_adapter.create ?server_config ~seed () in
-  let eq = eq_oracle ~seed in
-  let ck = Option.map (Checkpoint.start ~kind:ckpt_kind) checkpoint in
-  let result, exec_json =
-    match exec with
-    | None ->
-        let sul = Adapter.to_sul adapter in
-        (Learn.run ~algorithm ?checkpoint:ck ~inputs:Alphabet.all ~sul ~eq (), None)
-    | Some config ->
-        let module Engine = Prognosis_exec.Engine in
-        let master = Rng.create seed in
-        let wseeds =
-          Array.map Rng.next64
-            (Rng.split_n master config.Engine.workers)
-        in
-        let factory i = Tcp_adapter.sul ?server_config ~seed:wseeds.(i) () in
-        let engine =
-          Engine.create ~config ?cache:(Option.map Checkpoint.cache ck) ~factory ()
-        in
-        Option.iter
-          (fun ck ->
-            (* A thaw failure only loses advisory robustness bookkeeping
-               (a resumed run with a resized pool starts its strike
-               counters fresh); the query cache is what matters. *)
-            (match Checkpoint.exec_blob ck with
-            | Some blob -> ( try Engine.thaw engine blob with Invalid_argument _ -> ())
-            | None -> ());
-            Checkpoint.set_exec_state ck (fun () -> Engine.freeze engine))
-          ck;
-        let r =
-          Learn.run_mq ~algorithm ?checkpoint:ck
-            ~cache_stats:(fun () -> Engine.cache_stats engine)
-            ~inputs:Alphabet.all
-            ~mq:(Engine.membership engine)
-            ~eq ()
-        in
-        (r, Some (Engine.stats_json engine))
+  let model, report =
+    Pipeline.learn ?exec
+      ?checkpoint:(Option.map (Checkpoint.start ~kind:"tcp") checkpoint)
+      ~subject:"tcp" ~seed ~algorithm ~inputs:Alphabet.all
+      ~factory:
+        (Pipeline.seeded (fun seed -> Tcp_adapter.sul ?server_config ~seed ()))
+      ~eq:(eq_oracle ~seed) ()
   in
-  {
-    model = result.Learn.model;
-    report =
-      Report.of_learn_result ~subject:"tcp" ~algorithm:(algorithm_name algorithm)
-        ?exec:exec_json result;
-    adapter;
-  }
+  (* The pool workers are separate instances: witness queries for
+     synthesis replay through this adapter, whose Oracle Table records
+     them. *)
+  { model; report; adapter = Tcp_adapter.create ?server_config ~seed () }
 
 let input_field_names = [| "seq"; "ack"; "len" |]
 let output_field_names = [| "seq"; "ack" |]

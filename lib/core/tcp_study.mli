@@ -18,6 +18,10 @@ type result = {
     Prognosis_sul.Adapter.t;
 }
 
+val eq_oracle : seed:int64 -> ('i, 'o) Prognosis_learner.Oracle.equivalence
+(** The study's equivalence oracle: W-method with one extra state, then
+    500 seeded random words of length 1–12. *)
+
 val learn :
   ?seed:int64 ->
   ?algorithm:Prognosis_learner.Learn.algorithm ->
@@ -26,14 +30,12 @@ val learn :
   ?checkpoint:Prognosis_learner.Checkpoint.spec ->
   unit ->
   result
-(** Learns through a W-method + random-word equivalence oracle. With
-    [?exec], membership queries run through the query-execution engine
-    ({!Prognosis_exec.Engine}): a pool of [exec.workers] independent
-    adapters (seeds derived by {!Prognosis_sul.Rng.split_n}), batched
-    and prefix-sharing; the report then carries an [exec] stats
-    section. With [?checkpoint], the run snapshots its query cache (and
-    the engine's robustness bookkeeping) into the spec's directory and,
-    when the spec says [resume], restarts from the last snapshot — see
+(** Learns through {!Pipeline.learn} with {!eq_oracle}. [?exec] sizes
+    the query-execution pool (workers seeded by {!Pipeline.seeded});
+    the report then carries an [exec] stats section. With
+    [?checkpoint], the run snapshots its query cache (and the engine's
+    robustness bookkeeping) into the spec's directory and, when the
+    spec says [resume], restarts from the last snapshot — see
     {!Prognosis_learner.Checkpoint}. May raise
     {!Prognosis_learner.Checkpoint.Budget_exhausted} when the spec
     carries a query budget. *)

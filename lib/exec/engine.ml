@@ -28,10 +28,10 @@ let default =
 type ('i, 'o) worker = {
   id : int;
   sul : ('i, 'o) Sul.t;
-  mutable position : 'i list option;
-      (* word replayed since the last reset; [None] = state unknown,
-         the next run must reset. Invariant: a set position is always a
-         cache-inserted word, so its per-step outputs are recoverable. *)
+  mutable position : ('i list * 'o list) option;
+      (* word replayed since the last reset, with the outputs this
+         worker observed; [None] = state unknown, the next run must
+         reset *)
   mutable runs_done : int;
   mutable resets_done : int;
   mutable steps_done : int;
@@ -234,36 +234,32 @@ let step_word acct worker word =
     word
 
 (* Execute [word] on [worker]. With [resume] on, a worker standing at
-   the end of a cached strict prefix of [word] skips the reset and
-   steps only the suffix — the prefix outputs are replayed from the
-   cache. Votes run with [resume] off so replicated answers stay
-   independent of cached material. *)
-let run_word ~resume cache acct worker word =
+   the end of a strict prefix of [word] skips the reset and steps only
+   the suffix — the prefix outputs are the ones it observed getting
+   there. Votes run with [resume] off so replicated answers stay
+   independent of earlier runs. *)
+let run_word ~resume acct worker word =
   acct.a_runs <- acct.a_runs + 1;
   worker.runs_done <- worker.runs_done + 1;
-  let full () =
+  let run prefix_outs suffix =
     worker.position <- None;
-    worker.sul.Sul.reset ();
-    acct.a_resets <- acct.a_resets + 1;
-    worker.resets_done <- worker.resets_done + 1;
-    let outs = step_word acct worker word in
-    worker.position <- Some word;
+    let outs = prefix_outs @ step_word acct worker suffix in
+    worker.position <- Some (word, outs);
     outs
   in
   match worker.position with
-  | Some pos
+  | Some (pos, pos_outs)
     when resume && pos <> []
          && List.length pos < List.length word
-         && Plan.is_prefix pos word -> (
-      match Cache.lookup cache pos with
-      | Some pos_outs ->
-          acct.a_resumed <- acct.a_resumed + 1;
-          worker.position <- None;
-          let souts = step_word acct worker (drop (List.length pos) word) in
-          worker.position <- Some word;
-          pos_outs @ souts
-      | None -> full ())
-  | _ -> full ()
+         && Plan.is_prefix pos word ->
+      acct.a_resumed <- acct.a_resumed + 1;
+      run pos_outs (drop (List.length pos) word)
+  | _ ->
+      worker.position <- None;
+      worker.sul.Sul.reset ();
+      acct.a_resets <- acct.a_resets + 1;
+      worker.resets_done <- worker.resets_done + 1;
+      run [] word
 
 let flush t acct =
   let s = t.stats in
@@ -310,11 +306,9 @@ let sync_saved t =
 let pick_worker t word =
   let score w =
     match w.position with
-    | Some p
-      when p <> []
-           && List.length p < List.length word
-           && Plan.is_prefix p word
-           && Cache.lookup t.cache p <> None ->
+    | Some (p, _)
+      when p <> [] && List.length p < List.length word && Plan.is_prefix p word
+      ->
         List.length p
     | _ -> -1
   in
@@ -381,7 +375,7 @@ let strike t worker =
 let vote t acct word =
   let chosen = pick_replicas t t.config.replicas in
   let answers =
-    List.map (fun w -> (w, run_word ~resume:false t.cache acct w word)) chosen
+    List.map (fun w -> (w, run_word ~resume:false acct w word)) chosen
   in
   t.stats.vote_runs <- t.stats.vote_runs + List.length answers - 1;
   if List.length answers > 1 then
@@ -402,7 +396,7 @@ let vote t acct word =
           (active_workers t)
       in
       let more =
-        List.map (fun w -> (w, run_word ~resume:false t.cache acct w word)) rest
+        List.map (fun w -> (w, run_word ~resume:false acct w word)) rest
       in
       t.stats.vote_runs <- t.stats.vote_runs + List.length more;
       if more <> [] then Metrics.inc ~by:(List.length more) m_vote_runs;
@@ -427,18 +421,15 @@ let exec_word t word =
   let acct = fresh_acct () in
   let outs =
     if t.config.replicas > 1 then vote t acct word
-    else run_word ~resume:true t.cache acct (pick_worker t word) word
+    else run_word ~resume:true acct (pick_worker t word) word
   in
-  Cache.insert t.cache word outs;
   flush t acct;
   outs
 
-(* One domain per worker; slices only read the cache (resume lookups
-   against material from earlier batches) and write their own worker
-   record and a local acct, so the parallel phase is race-free. Cache
+(* One domain per worker; slices write only their own worker record
+   and a local acct, so the parallel phase is race-free. Cache
    inserts, stats and metrics all happen after the join, on the main
-   domain. Runs within a batch are pairwise non-prefix (maximality),
-   so no slice ever needs an output produced by the current batch. *)
+   domain. *)
 let parallel_exec t acct runs =
   let actives = Array.of_list (active_workers t) in
   let n = Array.length actives in
@@ -450,7 +441,7 @@ let parallel_exec t acct runs =
     let worker = actives.(k) in
     let results =
       List.map
-        (fun word -> (word, run_word ~resume:true t.cache local worker word))
+        (fun word -> (word, run_word ~resume:true local worker word))
         slices.(k)
     in
     (results, local)
@@ -510,7 +501,7 @@ let exec_batch t words =
       List.iter
         (fun w ->
           let run () =
-            let outs = run_word ~resume:true t.cache acct (pick_worker t w) w in
+            let outs = run_word ~resume:true acct (pick_worker t w) w in
             Cache.insert t.cache w outs
           in
           if Trace.enabled () then

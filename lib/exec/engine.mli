@@ -15,7 +15,7 @@
       planned runs, each worker tracking the word it has replayed since
       its last reset so a run extending that word resumes mid-replay
       (the reset and the shared prefix's steps are skipped — their
-      outputs come from the engine's cache). Batches optionally run in
+      outputs are the ones the worker observed). Batches optionally run in
       parallel, one OCaml 5 domain per worker, for pure in-process
       substrates;
     - {b robustness} — with [replicas >= 2] every run executes on that
@@ -27,8 +27,8 @@
       {!Prognosis_sul.Nondet.Nondeterministic_sul}: a pool that cannot
       agree is the paper's §5 nondeterminism diagnosis.
 
-    The engine fronts everything with the standard
-    {!Prognosis_learner.Cache}, so {!membership} is a drop-in
+    The engine fronts everything with one
+    {!Prognosis_learner.Cache} view, so {!membership} is a drop-in
     [Oracle.membership] for {!Prognosis_learner.Learn.run_mq}: cache
     misses are exactly the words that reach the pool. *)
 
@@ -65,10 +65,14 @@ val create :
     metric ([exec.worker.*]) this engine registers — fleet sessions
     pass [[("session", ..)]] so concurrently live engines keep
     distinct series instead of clobbering each other's gauges.
-    [?cache] substitutes an external query cache for the engine's
-    fresh one — a checkpoint session's pre-warmed cache
+    [?cache] puts the engine in front of an existing cache view instead
+    of a fresh private trie — a checkpoint session's pre-warmed cache
     ({!Prognosis_learner.Checkpoint.cache}) turns a resumed run's
-    pre-crash queries into hits that never reach the pool.
+    pre-crash queries into hits that never reach the pool; a fleet
+    session's {!Prognosis_learner.Cache.shared} view pools answers
+    with every session probing the same endpoint. Either way each query
+    crosses this one cache, and {!cache_stats} reports the view's own
+    tallies.
     @raise Invalid_argument on a non-positive worker count or
     [replicas] outside [1, workers]. *)
 

@@ -1,271 +1,266 @@
 module Metrics = Prognosis_obs.Metrics
 
-(* Compacted trie over interned symbol ids. Input and output symbols
-   are interned once into dense int ids; the trie itself stores
-   path-compressed edges — an [int array] of symbol ids with the
-   matching output ids alongside — so a chain of single-child nodes
-   costs one node and walking it is an int-array scan, not a hashtable
-   probe per symbol. Children are kept sorted by first edge symbol id
-   for cheap insertion; [dump] re-sorts siblings by the symbols
-   themselves so the checkpoint order is canonical.
+exception Conflict
 
-   [lookup] and [lookup_longest_prefix] never mutate the structure
-   (unknown symbols are a miss, not an interning event), so concurrent
-   read-only probes from the exec pool's worker domains are safe while
-   inserts stay on the main domain — the same discipline the engine
-   already follows. *)
+module Trie = struct
+  (* Compacted trie over interned symbol ids. Input and output symbols
+     are interned once into dense int ids; the trie itself stores
+     path-compressed edges — an [int array] of symbol ids with the
+     matching output ids alongside — so a chain of single-child nodes
+     costs one node and walking it is an int-array scan, not a hashtable
+     probe per symbol. Children are kept sorted by first edge symbol id
+     for cheap insertion; [dump] re-sorts siblings by the symbols
+     themselves so the checkpoint order is canonical.
 
-type node = {
-  path : int array; (* compressed edge into this subtree; immutable
-                       once the node is reachable (see [split]) *)
-  pouts : int array; (* output ids along the edge; same length *)
-  mutable kids : node list; (* sorted by [path.(0)]; first ids distinct *)
-}
+     [lookup] and [lookup_longest_prefix] never mutate the structure
+     (unknown symbols are a miss, not an interning event), so concurrent
+     read-only probes from the exec pool's worker domains are safe while
+     inserts stay on the main domain — the same discipline the engine
+     already follows. *)
 
-type ('i, 'o) t = {
-  sym_ids : ('i, int) Hashtbl.t;
-  mutable syms : 'i array; (* id -> input symbol *)
-  mutable n_syms : int;
-  out_ids : ('o, int) Hashtbl.t;
-  mutable outs : 'o array; (* id -> output symbol *)
-  mutable n_outs : int;
-  root : node;
-  mutable prefixes : int; (* distinct cached non-empty prefixes *)
-  mutable phys : int; (* physical (compacted) nodes, root included *)
-  mutable hits : int;
-  mutable misses : int;
-}
-
-let create () =
-  {
-    sym_ids = Hashtbl.create 16;
-    syms = [||];
-    n_syms = 0;
-    out_ids = Hashtbl.create 16;
-    outs = [||];
-    n_outs = 0;
-    root = { path = [||]; pouts = [||]; kids = [] };
-    prefixes = 0;
-    phys = 1;
-    hits = 0;
-    misses = 0;
+  type node = {
+    path : int array; (* compressed edge into this subtree; immutable
+                         once the node is reachable (see [split]) *)
+    pouts : int array; (* output ids along the edge; same length *)
+    mutable kids : node list; (* sorted by [path.(0)]; first ids distinct *)
   }
 
-let intern_sym t x =
-  match Hashtbl.find_opt t.sym_ids x with
-  | Some id -> id
-  | None ->
-      let id = t.n_syms in
-      let cap = Array.length t.syms in
-      if id >= cap then begin
-        let a = Array.make (max 8 (2 * cap)) x in
-        Array.blit t.syms 0 a 0 t.n_syms;
-        t.syms <- a
-      end;
-      t.syms.(id) <- x;
-      t.n_syms <- id + 1;
-      Hashtbl.add t.sym_ids x id;
-      id
+  type ('i, 'o) t = {
+    sym_ids : ('i, int) Hashtbl.t;
+    mutable syms : 'i array; (* id -> input symbol *)
+    mutable n_syms : int;
+    out_ids : ('o, int) Hashtbl.t;
+    mutable outs : 'o array; (* id -> output symbol *)
+    mutable n_outs : int;
+    root : node;
+    mutable prefixes : int; (* distinct cached non-empty prefixes *)
+    mutable phys : int; (* physical (compacted) nodes, root included *)
+  }
 
-let intern_out t o =
-  match Hashtbl.find_opt t.out_ids o with
-  | Some id -> id
-  | None ->
-      let id = t.n_outs in
-      let cap = Array.length t.outs in
-      if id >= cap then begin
-        let a = Array.make (max 8 (2 * cap)) o in
-        Array.blit t.outs 0 a 0 t.n_outs;
-        t.outs <- a
-      end;
-      t.outs.(id) <- o;
-      t.n_outs <- id + 1;
-      Hashtbl.add t.out_ids o id;
-      id
-
-let conflict () =
-  invalid_arg "Cache.insert: conflicting outputs (nondeterministic SUL?)"
-
-let find_kid kids xi =
-  let rec go = function
-    | [] -> None
-    | k :: rest -> if k.path.(0) = xi then Some k else go rest
-  in
-  go kids
-
-let insert_sorted kid kids =
-  let x = kid.path.(0) in
-  let rec go = function
-    | [] -> [ kid ]
-    | k :: _ as l when x < k.path.(0) -> kid :: l
-    | k :: rest -> k :: go rest
-  in
-  go kids
-
-(* Split [kid]'s edge after its first [j] symbols. Mutation is
-   publication-safe for lock-free concurrent readers ({!Sharded}): a
-   reachable node's [path]/[pouts] arrays are never shrunk or
-   overwritten in place. Instead a fresh head node (carrying the first
-   [j] symbols, with a fresh tail inheriting the rest) replaces [kid]
-   in [parent]'s child list with one pointer write, so a racing lookup
-   sees either the old consistent node or the new consistent pair —
-   never a half-mutated edge. *)
-let split t parent kid j =
-  let len = Array.length kid.path in
-  let tail =
+  let create () =
     {
-      path = Array.sub kid.path j (len - j);
-      pouts = Array.sub kid.pouts j (len - j);
-      kids = kid.kids;
+      sym_ids = Hashtbl.create 16;
+      syms = [||];
+      n_syms = 0;
+      out_ids = Hashtbl.create 16;
+      outs = [||];
+      n_outs = 0;
+      root = { path = [||]; pouts = [||]; kids = [] };
+      prefixes = 0;
+      phys = 1;
     }
-  in
-  let head =
-    {
-      path = Array.sub kid.path 0 j;
-      pouts = Array.sub kid.pouts 0 j;
-      kids = [ tail ];
-    }
-  in
-  parent.kids <- List.map (fun k -> if k == kid then head else k) parent.kids;
-  t.phys <- t.phys + 1;
-  head
 
-let insert t word outputs =
-  if List.length word <> List.length outputs then
-    invalid_arg "Cache.insert: word/outputs length mismatch";
-  let fresh_leaf word outs =
-    let ids = Array.of_list (List.map (intern_sym t) word) in
-    let oids = Array.of_list (List.map (intern_out t) outs) in
+  let intern_sym t x =
+    match Hashtbl.find_opt t.sym_ids x with
+    | Some id -> id
+    | None ->
+        let id = t.n_syms in
+        let cap = Array.length t.syms in
+        if id >= cap then begin
+          let a = Array.make (max 8 (2 * cap)) x in
+          Array.blit t.syms 0 a 0 t.n_syms;
+          t.syms <- a
+        end;
+        t.syms.(id) <- x;
+        t.n_syms <- id + 1;
+        Hashtbl.add t.sym_ids x id;
+        id
+
+  let intern_out t o =
+    match Hashtbl.find_opt t.out_ids o with
+    | Some id -> id
+    | None ->
+        let id = t.n_outs in
+        let cap = Array.length t.outs in
+        if id >= cap then begin
+          let a = Array.make (max 8 (2 * cap)) o in
+          Array.blit t.outs 0 a 0 t.n_outs;
+          t.outs <- a
+        end;
+        t.outs.(id) <- o;
+        t.n_outs <- id + 1;
+        Hashtbl.add t.out_ids o id;
+        id
+
+  let conflict () = raise Conflict
+
+  let find_kid kids xi =
+    let rec go = function
+      | [] -> None
+      | k :: rest -> if k.path.(0) = xi then Some k else go rest
+    in
+    go kids
+
+  let insert_sorted kid kids =
+    let x = kid.path.(0) in
+    let rec go = function
+      | [] -> [ kid ]
+      | k :: _ as l when x < k.path.(0) -> kid :: l
+      | k :: rest -> k :: go rest
+    in
+    go kids
+
+  (* Split [kid]'s edge after its first [j] symbols. Mutation is
+     publication-safe for lock-free concurrent readers ({!Sharded}): a
+     reachable node's [path]/[pouts] arrays are never shrunk or
+     overwritten in place. Instead a fresh head node (carrying the first
+     [j] symbols, with a fresh tail inheriting the rest) replaces [kid]
+     in [parent]'s child list with one pointer write, so a racing lookup
+     sees either the old consistent node or the new consistent pair —
+     never a half-mutated edge. *)
+  let split t parent kid j =
+    let len = Array.length kid.path in
+    let tail =
+      {
+        path = Array.sub kid.path j (len - j);
+        pouts = Array.sub kid.pouts j (len - j);
+        kids = kid.kids;
+      }
+    in
+    let head =
+      {
+        path = Array.sub kid.path 0 j;
+        pouts = Array.sub kid.pouts 0 j;
+        kids = [ tail ];
+      }
+    in
+    parent.kids <- List.map (fun k -> if k == kid then head else k) parent.kids;
     t.phys <- t.phys + 1;
-    t.prefixes <- t.prefixes + Array.length ids;
-    { path = ids; pouts = oids; kids = [] }
-  in
-  let rec at_node node word outs =
-    match word with
-    | [] -> ()
-    | x :: _ -> (
-        let xi = intern_sym t x in
-        match find_kid node.kids xi with
-        | None -> node.kids <- insert_sorted (fresh_leaf word outs) node.kids
-        | Some kid -> in_edge node kid 0 word outs)
-  and in_edge parent kid j word outs =
-    if j = Array.length kid.path then at_node kid word outs
-    else
-      match (word, outs) with
-      | [], [] -> ()
-      | x :: word', o :: outs' ->
+    head
+
+  let insert t word outputs =
+    if List.length word <> List.length outputs then
+      invalid_arg "Cache.insert: word/outputs length mismatch";
+    let fresh_leaf word outs =
+      let ids = Array.of_list (List.map (intern_sym t) word) in
+      let oids = Array.of_list (List.map (intern_out t) outs) in
+      t.phys <- t.phys + 1;
+      t.prefixes <- t.prefixes + Array.length ids;
+      { path = ids; pouts = oids; kids = [] }
+    in
+    let rec at_node node word outs =
+      match word with
+      | [] -> ()
+      | x :: _ -> (
           let xi = intern_sym t x in
-          if xi = kid.path.(j) then begin
-            if intern_out t o <> kid.pouts.(j) then conflict ();
-            in_edge parent kid (j + 1) word' outs'
-          end
-          else begin
-            (* Diverges mid-edge: split, then branch off the head. *)
-            let head = split t parent kid j in
-            head.kids <- insert_sorted (fresh_leaf word outs) head.kids
-          end
-      | _ -> assert false
-  in
-  at_node t.root word outputs
+          match find_kid node.kids xi with
+          | None -> node.kids <- insert_sorted (fresh_leaf word outs) node.kids
+          | Some kid -> in_edge node kid 0 word outs)
+    and in_edge parent kid j word outs =
+      if j = Array.length kid.path then at_node kid word outs
+      else
+        match (word, outs) with
+        | [], [] -> ()
+        | x :: word', o :: outs' ->
+            let xi = intern_sym t x in
+            if xi = kid.path.(j) then begin
+              if intern_out t o <> kid.pouts.(j) then conflict ();
+              in_edge parent kid (j + 1) word' outs'
+            end
+            else begin
+              (* Diverges mid-edge: split, then branch off the head. *)
+              let head = split t parent kid j in
+              head.kids <- insert_sorted (fresh_leaf word outs) head.kids
+            end
+        | _ -> assert false
+    in
+    at_node t.root word outputs
 
-let sym_id_opt t x = Hashtbl.find_opt t.sym_ids x
+  let sym_id_opt t x = Hashtbl.find_opt t.sym_ids x
 
-let lookup t word =
-  let rec at_node node word acc =
-    match word with
-    | [] -> Some (List.rev acc)
-    | x :: _ -> (
-        match sym_id_opt t x with
-        | None -> None
-        | Some xi -> (
-            match find_kid node.kids xi with
-            | None -> None
-            | Some kid -> in_edge kid 0 word acc))
-  and in_edge kid j word acc =
-    if j = Array.length kid.path then at_node kid word acc
-    else
+  let lookup t word =
+    let rec at_node node word acc =
       match word with
       | [] -> Some (List.rev acc)
-      | x :: word' -> (
+      | x :: _ -> (
           match sym_id_opt t x with
-          | Some xi when xi = Array.unsafe_get kid.path j ->
-              in_edge kid (j + 1) word' (t.outs.(Array.unsafe_get kid.pouts j) :: acc)
-          | _ -> None)
-  in
-  at_node t.root word []
+          | None -> None
+          | Some xi -> (
+              match find_kid node.kids xi with
+              | None -> None
+              | Some kid -> in_edge kid 0 word acc))
+    and in_edge kid j word acc =
+      if j = Array.length kid.path then at_node kid word acc
+      else
+        match word with
+        | [] -> Some (List.rev acc)
+        | x :: word' -> (
+            match sym_id_opt t x with
+            | Some xi when xi = Array.unsafe_get kid.path j ->
+                in_edge kid (j + 1) word'
+                  (t.outs.(Array.unsafe_get kid.pouts j) :: acc)
+            | _ -> None)
+    in
+    at_node t.root word []
 
-let lookup_longest_prefix t word =
-  let stop acc_in acc_out =
-    match acc_in with
-    | [] -> None
-    | _ -> Some (List.rev acc_in, List.rev acc_out)
-  in
-  let rec at_node node word acc_in acc_out =
-    match word with
-    | [] -> stop acc_in acc_out
-    | x :: _ -> (
-        match sym_id_opt t x with
-        | None -> stop acc_in acc_out
-        | Some xi -> (
-            match find_kid node.kids xi with
-            | None -> stop acc_in acc_out
-            | Some kid -> in_edge kid 0 word acc_in acc_out))
-  and in_edge kid j word acc_in acc_out =
-    if j = Array.length kid.path then at_node kid word acc_in acc_out
-    else
+  let lookup_longest_prefix t word =
+    let stop acc_in acc_out =
+      match acc_in with
+      | [] -> None
+      | _ -> Some (List.rev acc_in, List.rev acc_out)
+    in
+    let rec at_node node word acc_in acc_out =
       match word with
       | [] -> stop acc_in acc_out
-      | x :: word' -> (
+      | x :: _ -> (
           match sym_id_opt t x with
-          | Some xi when xi = kid.path.(j) ->
-              in_edge kid (j + 1) word' (x :: acc_in)
-                (t.outs.(kid.pouts.(j)) :: acc_out)
-          | _ -> stop acc_in acc_out)
-  in
-  at_node t.root word [] []
+          | None -> stop acc_in acc_out
+          | Some xi -> (
+              match find_kid node.kids xi with
+              | None -> stop acc_in acc_out
+              | Some kid -> in_edge kid 0 word acc_in acc_out))
+    and in_edge kid j word acc_in acc_out =
+      if j = Array.length kid.path then at_node kid word acc_in acc_out
+      else
+        match word with
+        | [] -> stop acc_in acc_out
+        | x :: word' -> (
+            match sym_id_opt t x with
+            | Some xi when xi = kid.path.(j) ->
+                in_edge kid (j + 1) word' (x :: acc_in)
+                  (t.outs.(kid.pouts.(j)) :: acc_out)
+            | _ -> stop acc_in acc_out)
+    in
+    at_node t.root word [] []
 
-let size t = t.prefixes + 1
-let compacted_nodes t = t.phys
-let hits t = t.hits
-let misses t = t.misses
+  let size t = t.prefixes + 1
+  let compacted_nodes t = t.phys
 
-(* Maximal cached words: the trie's leaves. Every inserted word is a
-   prefix of some leaf word (insert fills outputs along the whole
-   path), so re-inserting the leaves rebuilds the trie exactly.
-   Children are sorted, so the order is deterministic for a given
-   insertion history. *)
-(* Canonical order: depth-first with siblings sorted by their actual
-   first symbol, not its interned id — ids depend on insertion history,
-   so sorting by id would make the dump of a restored cache differ from
-   the dump it was restored from. With symbol-order DFS the dump is a
-   function of the cached word set alone, and dump/restore round-trips
-   byte-identically even for dumps written by the pre-compaction
-   implementation in hash-table order. *)
-let dump t =
-  let acc = ref [] in
-  let rec go node rev_in rev_out =
-    match node.kids with
-    | [] -> if rev_in <> [] then acc := (List.rev rev_in, List.rev rev_out) :: !acc
-    | kids ->
-        let kids =
-          List.sort
-            (fun a b -> compare t.syms.(a.path.(0)) t.syms.(b.path.(0)))
+  (* Maximal cached words: the trie's leaves. Every inserted word is a
+     prefix of some leaf word (insert fills outputs along the whole
+     path), so re-inserting the leaves rebuilds the trie exactly. The
+     order is canonical: depth-first with siblings sorted by their
+     actual first symbol, not its interned id (ids depend on insertion
+     history), so the dump is a function of the cached word set alone
+     and dump/restore round-trips byte-identically, even for dumps
+     written by the pre-compaction implementation in hash-table
+     order. *)
+  let dump t =
+    let acc = ref [] in
+    let rec go node rev_in rev_out =
+      match node.kids with
+      | [] ->
+          if rev_in <> [] then
+            acc := (List.rev rev_in, List.rev rev_out) :: !acc
+      | kids ->
+          let kids =
+            List.sort
+              (fun a b -> compare t.syms.(a.path.(0)) t.syms.(b.path.(0)))
+              kids
+          in
+          List.iter
+            (fun k ->
+              let ri = ref rev_in and ro = ref rev_out in
+              for j = 0 to Array.length k.path - 1 do
+                ri := t.syms.(k.path.(j)) :: !ri;
+                ro := t.outs.(k.pouts.(j)) :: !ro
+              done;
+              go k !ri !ro)
             kids
-        in
-        List.iter
-          (fun k ->
-            let ri = ref rev_in and ro = ref rev_out in
-            for j = 0 to Array.length k.path - 1 do
-              ri := t.syms.(k.path.(j)) :: !ri;
-              ro := t.outs.(k.pouts.(j)) :: !ro
-            done;
-            go k !ri !ro)
-          kids
-  in
-  go t.root [] [];
-  List.rev !acc
-
-let restore t words = List.iter (fun (w, outs) -> insert t w outs) words
+    in
+    go t.root [] [];
+    List.rev !acc
+end
 
 let m_hits = Metrics.counter Metrics.default "cache.hits"
 let m_misses = Metrics.counter Metrics.default "cache.misses"
@@ -274,9 +269,160 @@ let m_prefix_symbols = Metrics.counter Metrics.default "cache.prefix_symbols"
 let g_nodes = Metrics.gauge Metrics.default "cache.nodes"
 let g_trie_nodes = Metrics.gauge Metrics.default "cache.trie.nodes"
 
+(* --- Sharded store ---------------------------------------------------
+
+   K tries keyed by the first symbol's hash (see the interface), each
+   with a mutex taken only on insert. Lookups are optimistic: combined
+   with the publication-safe [Trie.insert] above (reachable nodes are
+   never mutated into inconsistent states, and every id a reachable
+   node holds was interned before the node was linked in), a racing
+   reader can at worst observe a stale-but-consistent trie — and the
+   shard's generation check rejects even that before the answer
+   escapes. *)
+
+module Sharded = struct
+  type ('i, 'o) shard = {
+    trie : ('i, 'o) Trie.t;
+    lock : Mutex.t;
+    gen : int Atomic.t; (* odd while an insert is in flight *)
+    g_sh_nodes : float ref; (* cache.shard.nodes{shard=..} *)
+  }
+
+  type ('i, 'o) t = { shards : ('i, 'o) shard array }
+
+  let create ?(shards = 8) () =
+    if shards < 1 then invalid_arg "Cache.Sharded.create: shards must be >= 1";
+    let mk i =
+      let l = [ ("shard", string_of_int i) ] in
+      {
+        trie = Trie.create ();
+        lock = Mutex.create ();
+        gen = Atomic.make 0;
+        g_sh_nodes = Metrics.gauge_l Metrics.default "cache.shard.nodes" l;
+      }
+    in
+    { shards = Array.init shards mk }
+
+  let shards t = Array.length t.shards
+
+  let shard t word =
+    match word with
+    | [] -> t.shards.(0)
+    | x :: _ -> t.shards.(Hashtbl.hash x land max_int mod Array.length t.shards)
+
+  let locked s f =
+    Mutex.lock s.lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
+
+  let insert t word outs =
+    let s = shard t word in
+    locked s (fun () ->
+        Atomic.incr s.gen;
+        Fun.protect
+          ~finally:(fun () -> Atomic.incr s.gen)
+          (fun () -> Trie.insert s.trie word outs);
+        Metrics.set s.g_sh_nodes (float_of_int (Trie.size s.trie)))
+
+  (* Optimistic read: lock-free thanks to publication-safe inserts, but
+     any overlap with a writer (generation moved, or odd at the start)
+     voids the attempt — fall back to the mutex. An exception from [f]
+     propagates: the read section cannot raise on a consistent trie, so
+     one that does is a bug to surface, not a race to retry. *)
+  let read s f =
+    let g = Atomic.get s.gen in
+    if g land 1 = 1 then locked s f
+    else
+      let v = f () in
+      if Atomic.get s.gen = g then v else locked s f
+
+  let lookup t word =
+    let s = shard t word in
+    read s (fun () -> Trie.lookup s.trie word)
+
+  let lookup_longest_prefix t word =
+    let s = shard t word in
+    read s (fun () -> Trie.lookup_longest_prefix s.trie word)
+
+  (* Counts include the root once across all shards, matching the
+     unsharded accounting (each shard's trie counts its own root). *)
+  let total f t = Array.fold_left (fun acc s -> acc + f s.trie - 1) 1 t.shards
+  let size t = total Trie.size t
+  let compacted_nodes t = total Trie.compacted_nodes t
+
+  (* The unsharded canonical dump is a symbol-sorted DFS, i.e. the
+     maximal cached words in lexicographic symbol order; shards
+     partition words by first symbol, so sorting the concatenation of
+     the per-shard canonical dumps restores exactly that order —
+     byte-identical to the dump of one trie holding every word. *)
+  let dump t =
+    Array.to_list t.shards
+    |> List.concat_map (fun s -> Trie.dump s.trie)
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+end
+
+(* --- the store interface --------------------------------------------
+
+   A cache value is a view over one of the two stores: a private trie,
+   or a shared {!Sharded} cache. Hit/miss tallies belong to the view,
+   so a fleet session's counts describe its own traffic even though
+   the answers are pooled. *)
+
+type ('i, 'o) store = Trie of ('i, 'o) Trie.t | Shared of ('i, 'o) Sharded.t
+
+type ('i, 'o) t = {
+  store : ('i, 'o) store;
+  mutable hits : int;
+  mutable misses : int;
+}
+
+let create () = { store = Trie (Trie.create ()); hits = 0; misses = 0 }
+let shared s = { store = Shared s; hits = 0; misses = 0 }
+
+let insert t word outs =
+  match t.store with
+  | Trie x -> Trie.insert x word outs
+  | Shared s -> Sharded.insert s word outs
+
+let lookup t word =
+  match t.store with
+  | Trie x -> Trie.lookup x word
+  | Shared s -> Sharded.lookup s word
+
+let lookup_longest_prefix t word =
+  match t.store with
+  | Trie x -> Trie.lookup_longest_prefix x word
+  | Shared s -> Sharded.lookup_longest_prefix s word
+
+let size t =
+  match t.store with Trie x -> Trie.size x | Shared s -> Sharded.size s
+
+let compacted_nodes t =
+  match t.store with
+  | Trie x -> Trie.compacted_nodes x
+  | Shared s -> Sharded.compacted_nodes s
+
+let dump t =
+  match t.store with Trie x -> Trie.dump x | Shared s -> Sharded.dump s
+
+let restore t words = List.iter (fun (w, outs) -> insert t w outs) words
+let hits t = t.hits
+let misses t = t.misses
+
+let hit t =
+  t.hits <- t.hits + 1;
+  Metrics.inc m_hits
+
+let miss t =
+  t.misses <- t.misses + 1;
+  Metrics.inc m_misses
+
+(* Sharded stores keep per-shard gauges of their own. *)
 let set_gauges t =
-  Metrics.set g_nodes (float_of_int (size t));
-  Metrics.set g_trie_nodes (float_of_int t.phys)
+  match t.store with
+  | Trie x ->
+      Metrics.set g_nodes (float_of_int (Trie.size x));
+      Metrics.set g_trie_nodes (float_of_int (Trie.compacted_nodes x))
+  | Shared _ -> ()
 
 let rec split_at n l =
   if n = 0 then ([], l)
@@ -294,9 +440,7 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
      fresh prefix outputs: an engine-backed oracle uses the same cache
      to resume a worker mid-word, and the fresh/cached comparison
      preserves the nondeterminism detection [insert] would perform. *)
-  let miss word =
-    t.misses <- t.misses + 1;
-    Metrics.inc m_misses;
+  let fetch word =
     let answer =
       match lookup_longest_prefix t word with
       | None -> mq.ask word
@@ -304,9 +448,7 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
           let k = List.length prefix in
           let fresh = mq.ask word in
           let fresh_prefix, fresh_suffix = split_at k fresh in
-          if fresh_prefix <> cached_outs then
-            invalid_arg
-              "Cache.insert: conflicting outputs (nondeterministic SUL?)";
+          if fresh_prefix <> cached_outs then raise Conflict;
           Metrics.inc m_prefix_hits;
           Metrics.inc ~by:k m_prefix_symbols;
           cached_outs @ fresh_suffix
@@ -318,10 +460,11 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
   let ask word =
     match lookup t word with
     | Some answer ->
-        t.hits <- t.hits + 1;
-        Metrics.inc m_hits;
+        hit t;
         answer
-    | None -> miss word
+    | None ->
+        miss t;
+        fetch word
   in
   let ask_batch =
     Option.map
@@ -335,12 +478,10 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
             (fun word ->
               match lookup t word with
               | Some answer ->
-                  t.hits <- t.hits + 1;
-                  Metrics.inc m_hits;
+                  hit t;
                   Either.Left answer
               | None ->
-                  t.misses <- t.misses + 1;
-                  Metrics.inc m_misses;
+                  miss t;
                   Either.Right word)
             words
         in
@@ -369,202 +510,3 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
       mq.Oracle.ask_batch
   in
   { mq with Oracle.ask; ask_batch }
-
-(* --- Sharded facade -------------------------------------------------
-
-   K independent tries, each guarded by a mutex taken only on insert,
-   so fleet sessions on different domains can populate one shared
-   membership cache. Lookups are optimistic and lock-free: each shard
-   carries a seqlock-style generation counter (odd while an insert is
-   in flight), and a lookup that overlaps a write on its shard discards
-   the answer and retries under the shard mutex. Combined with the
-   publication-safe [insert] above (reachable nodes are never mutated
-   into inconsistent states), a racing reader can at worst observe a
-   stale-but-consistent trie — and the generation check rejects even
-   that before the answer escapes.
-
-   Sharding is keyed by the word's first symbol (the root of the
-   interning: per-shard interned ids depend on each shard's insertion
-   history, so the stable equivalent of "hash of the first interned
-   symbols" is a hash of the first symbol's value). Keying on the
-   first symbol alone keeps every prefix of a word in the same shard,
-   which [lookup_longest_prefix] and the canonical [dump] merge rely
-   on. *)
-
-module Sharded = struct
-  type ('i, 'o) shard = {
-    trie : ('i, 'o) t;
-    lock : Mutex.t;
-    gen : int Atomic.t; (* odd while an insert is in flight *)
-    sh_hits : int Atomic.t;
-    sh_misses : int Atomic.t;
-    m_sh_hits : int ref; (* cache.shard.hits{shard=..} *)
-    m_sh_misses : int ref;
-    g_sh_nodes : float ref;
-  }
-
-  type nonrec ('i, 'o) t = { shards : ('i, 'o) shard array }
-
-  let create ?(shards = 8) () =
-    if shards < 1 then invalid_arg "Cache.Sharded.create: shards must be >= 1";
-    let mk i =
-      let l = [ ("shard", string_of_int i) ] in
-      {
-        trie = create ();
-        lock = Mutex.create ();
-        gen = Atomic.make 0;
-        sh_hits = Atomic.make 0;
-        sh_misses = Atomic.make 0;
-        m_sh_hits = Metrics.counter_l Metrics.default "cache.shard.hits" l;
-        m_sh_misses = Metrics.counter_l Metrics.default "cache.shard.misses" l;
-        g_sh_nodes = Metrics.gauge_l Metrics.default "cache.shard.nodes" l;
-      }
-    in
-    { shards = Array.init shards mk }
-
-  let shards t = Array.length t.shards
-
-  let shard_of t word =
-    match word with
-    | [] -> 0
-    | x :: _ -> Hashtbl.hash x land max_int mod Array.length t.shards
-
-  let shard t word = t.shards.(shard_of t word)
-
-  let locked s f =
-    Mutex.lock s.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
-
-  let insert t word outs =
-    let s = shard t word in
-    locked s (fun () ->
-        Atomic.incr s.gen;
-        Fun.protect
-          ~finally:(fun () -> Atomic.incr s.gen)
-          (fun () -> insert s.trie word outs);
-        Metrics.set s.g_sh_nodes (float_of_int (size s.trie)))
-
-  (* Optimistic read: safe to run lock-free thanks to publication-safe
-     inserts, but any overlap with a writer (generation moved, or odd
-     at the start) voids the attempt — fall back to the mutex. *)
-  let read s f =
-    let g = Atomic.get s.gen in
-    if g land 1 = 1 then locked s f
-    else
-      match f () with
-      | v -> if Atomic.get s.gen = g then v else locked s f
-      | exception _ -> locked s f
-
-  let lookup t word =
-    let s = shard t word in
-    read s (fun () -> lookup s.trie word)
-
-  let lookup_longest_prefix t word =
-    let s = shard t word in
-    read s (fun () -> lookup_longest_prefix s.trie word)
-
-  let fold f t init =
-    Array.fold_left (fun acc s -> f acc s) init t.shards
-
-  (* [size] counts the root once across all shards, matching the
-     unsharded accounting (each shard's [size] includes its root). *)
-  let size t = fold (fun acc s -> acc + size s.trie - 1) t 1
-  let compacted_nodes t = fold (fun acc s -> acc + compacted_nodes s.trie - 1) t 1
-  let hits t = fold (fun acc s -> acc + Atomic.get s.sh_hits) t 0
-  let misses t = fold (fun acc s -> acc + Atomic.get s.sh_misses) t 0
-
-  (* The unsharded canonical dump is a symbol-sorted DFS, i.e. the
-     maximal cached words in lexicographic symbol order; shards
-     partition words by first symbol, so sorting the concatenation of
-     the per-shard canonical dumps restores exactly that order —
-     byte-identical to the dump of one trie holding every word. *)
-  let dump t =
-    Array.to_list t.shards
-    |> List.concat_map (fun s -> dump s.trie)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let restore t words = List.iter (fun (w, outs) -> insert t w outs) words
-
-  let record_hit s =
-    Atomic.incr s.sh_hits;
-    Metrics.inc s.m_sh_hits;
-    Metrics.inc m_hits
-
-  let record_miss s =
-    Atomic.incr s.sh_misses;
-    Metrics.inc s.m_sh_misses;
-    Metrics.inc m_misses
-
-  let wrap t (mq : ('i, 'o) Oracle.membership) =
-    (* Same contract as the unsharded {!wrap}: misses replay the full
-       word on the underlying oracle, a cached prefix stands in for
-       the fresh prefix outputs with the replay cross-checked for
-       nondeterminism. Shared across sessions, so hit/miss tallies go
-       through the shard atomics. *)
-    let miss s word =
-      record_miss s;
-      let answer =
-        match lookup_longest_prefix t word with
-        | None -> mq.Oracle.ask word
-        | Some (prefix, cached_outs) ->
-            let k = List.length prefix in
-            let fresh = mq.Oracle.ask word in
-            let fresh_prefix, fresh_suffix = split_at k fresh in
-            if fresh_prefix <> cached_outs then
-              invalid_arg
-                "Cache.insert: conflicting outputs (nondeterministic SUL?)";
-            Metrics.inc m_prefix_hits;
-            Metrics.inc ~by:k m_prefix_symbols;
-            cached_outs @ fresh_suffix
-      in
-      insert t word answer;
-      answer
-    in
-    let ask word =
-      let s = shard t word in
-      match lookup t word with
-      | Some answer ->
-          record_hit s;
-          answer
-      | None -> miss s word
-    in
-    let ask_batch =
-      Option.map
-        (fun batch words ->
-          let tagged =
-            List.map
-              (fun word ->
-                match lookup t word with
-                | Some answer ->
-                    record_hit (shard t word);
-                    Either.Left answer
-                | None ->
-                    record_miss (shard t word);
-                    Either.Right word)
-              words
-          in
-          let missing =
-            List.filter_map
-              (function Either.Right w -> Some w | Either.Left _ -> None)
-              tagged
-          in
-          let answers =
-            match missing with
-            | [] -> []
-            | _ ->
-                let answers = batch missing in
-                List.iter2 (insert t) missing answers;
-                answers
-          in
-          let rec stitch tagged answers =
-            match (tagged, answers) with
-            | [], [] -> []
-            | Either.Left a :: rest, answers -> a :: stitch rest answers
-            | Either.Right _ :: rest, a :: answers -> a :: stitch rest answers
-            | _ -> invalid_arg "Cache.Sharded.wrap: batch answer count mismatch"
-          in
-          stitch tagged answers)
-        mq.Oracle.ask_batch
-    in
-    { mq with Oracle.ask; ask_batch }
-end

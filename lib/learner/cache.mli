@@ -12,16 +12,27 @@
     instead of probing a hashtable per symbol. {!lookup} and
     {!lookup_longest_prefix} never mutate the structure, so read-only
     probes from the exec pool's worker domains are safe while inserts
-    stay on the main domain. *)
+    stay on the main domain.
+
+    A cache value is a {e view} over one of two stores: a private trie
+    ({!create}) or a {!Sharded} cache shared across domains
+    ({!shared}). Every operation below works on either; the view keeps
+    its own hit/miss tallies. *)
+
+exception Conflict
+(** Raised by {!insert} and {!wrap} when the same word is answered
+    with different outputs — the system under learning answered
+    nondeterministically (the paper's §5 check). *)
 
 type ('i, 'o) t
 
 val create : unit -> ('i, 'o) t
+(** A view over a fresh private trie. *)
 
 val insert : ('i, 'o) t -> 'i list -> 'o list -> unit
-(** Records an executed query and its answer. Conflicting outputs for
-    an already-cached prefix raise [Invalid_argument] — that situation
-    means the SUL answered nondeterministically. *)
+(** Records an executed query and its answer.
+    @raise Conflict on conflicting outputs for an already-cached
+    prefix. *)
 
 val lookup : ('i, 'o) t -> 'i list -> 'o list option
 
@@ -42,7 +53,11 @@ val compacted_nodes : ('i, 'o) t -> int
     (exported as the [cache.trie.nodes] gauge). Always ≤ {!size}. *)
 
 val hits : ('i, 'o) t -> int
+(** {!wrap} hits through this view. *)
+
 val misses : ('i, 'o) t -> int
+(** {!wrap} misses through this view: the words it sent on to the
+    underlying oracle. *)
 
 val dump : ('i, 'o) t -> ('i list * 'o list) list
 (** The maximal cached words with their outputs — enough to rebuild the
@@ -59,17 +74,18 @@ val restore : ('i, 'o) t -> ('i list * 'o list) list -> unit
 
 val wrap : ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membership
 (** Caching view of a membership oracle: only cache misses reach the
-    underlying oracle (and are counted in its statistics). When a
-    cached word is a prefix of a missing query, the cached per-step
-    outputs are reused for the prefix and compared against the fresh
-    replay — a mismatch raises the same [Invalid_argument] as a
-    conflicting {!insert} (nondeterministic SUL). If the underlying
-    oracle supports [ask_batch], so does the wrapped one: cached words
-    are answered up front and only the misses are batched down. *)
+    underlying oracle (and are counted in its statistics, so they equal
+    {!misses}). When a cached word is a prefix of a missing query, the
+    cached per-step outputs are reused for the prefix and compared
+    against the fresh replay — a mismatch raises {!Conflict}. If the
+    underlying oracle supports [ask_batch], so does the wrapped one:
+    cached words are answered up front and only the misses are batched
+    down. *)
 
-(** Concurrent sharded facade over K independent tries, for fleet
+(** Concurrent sharded store over K independent tries, for fleet
     sessions that populate one shared membership cache from several
-    domains ({!Prognosis_service}).
+    domains ({!Prognosis_service}). Sessions reach it through their
+    own {!shared} views.
 
     Words are partitioned by a hash of the first symbol's value (the
     stable stand-in for its per-shard interned id, which depends on
@@ -78,8 +94,8 @@ val wrap : ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membershi
     lock-free and optimistic — a shard-level generation counter
     detects an overlapping insert, in which case the answer is
     discarded and the probe retried under the mutex. The per-shard
-    [cache.shard.{hits,misses,nodes}{shard=..}] labelled metrics land
-    in {!Prognosis_obs.Metrics.default}. *)
+    [cache.shard.nodes{shard=..}] labelled gauges land in
+    {!Prognosis_obs.Metrics.default}. *)
 module Sharded : sig
   type ('i, 'o) t
 
@@ -88,37 +104,21 @@ module Sharded : sig
 
   val shards : ('i, 'o) t -> int
 
-  val shard_of : ('i, 'o) t -> 'i list -> int
-  (** Which shard holds a word (deterministic; [0] for the empty
-      word). Exposed for tests and shard-balance diagnostics. *)
-
   val insert : ('i, 'o) t -> 'i list -> 'o list -> unit
-  (** Like the unsharded {!Cache.insert}, serialized per shard.
-      Conflicting outputs raise [Invalid_argument]. *)
+  (** Like {!Cache.insert}, serialized per shard. *)
 
   val lookup : ('i, 'o) t -> 'i list -> 'o list option
   val lookup_longest_prefix : ('i, 'o) t -> 'i list -> ('i list * 'o list) option
-
   val size : ('i, 'o) t -> int
-  val compacted_nodes : ('i, 'o) t -> int
-
-  val hits : ('i, 'o) t -> int
-  (** Aggregate {!wrap} hits across shards (exact: shard tallies are
-      atomic). *)
-
-  val misses : ('i, 'o) t -> int
 
   val dump : ('i, 'o) t -> ('i list * 'o list) list
   (** Canonical merged dump, byte-identical to the unsharded
       {!Cache.dump} of one trie holding the same words: per-shard
       canonical dumps merged back into global lexicographic symbol
       order. Safe only while no insert is in flight. *)
-
-  val restore : ('i, 'o) t -> ('i list * 'o list) list -> unit
-
-  val wrap :
-    ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membership
-  (** Shared caching view, same contract as the unsharded
-      {!Cache.wrap}. Multiple sessions may hold wrapped oracles over
-      the same sharded cache concurrently — that is the point. *)
 end
+
+val shared : ('i, 'o) Sharded.t -> ('i, 'o) t
+(** A fresh view over a shared store, with its own {!hits} and
+    {!misses}. One view per session: a view's tallies are not
+    synchronized, the store underneath is. *)

@@ -52,34 +52,36 @@ let finish_span (r : ('i, 'o) result) =
   Trace.add_attr "cache_hits" (Jsonx.Int r.cache_hits);
   r
 
-(* With a checkpoint session the membership path gains the session's
-   snapshot-or-abort check after every answer, and round boundaries
-   flush pending material; [finish] leaves a snapshot of the completed
-   run behind (a post-success [resume] is then a pure cache replay). *)
-let ckpt_wrap checkpoint mq =
-  match checkpoint with Some ck -> Checkpoint.instrument ck mq | None -> mq
-
-let ckpt_on_round checkpoint =
-  Option.map (fun ck -> Checkpoint.on_round ck) checkpoint
-
-let ckpt_finish checkpoint = Option.iter Checkpoint.finish checkpoint
-
-let run_mq ?(algorithm = Ttt_tree) ?max_rounds ?cache_stats ?checkpoint ~inputs
-    ~mq ~eq () =
-  let cached = Option.is_some cache_stats in
-  learn_span ~algorithm ~subject:"mq" ~cache:cached (fun () ->
+(* The learning loop behind {!run_mq} and {!run}; [subject] only labels
+   the span and the log line. With a checkpoint session the membership
+   path gains the session's snapshot-or-abort check after every answer,
+   and round boundaries flush pending material; [finish] leaves a
+   snapshot of the completed run behind (a post-success [resume] is
+   then a pure cache replay). *)
+let drive ~subject ?(algorithm = Ttt_tree) ?max_rounds ?cache_stats ?checkpoint
+    ~inputs ~mq ~eq () =
+  learn_span ~algorithm ~subject ~cache:(Option.is_some cache_stats) (fun () ->
       let model, rounds =
         dispatch algorithm ?max_rounds
-          ?on_round:(ckpt_on_round checkpoint)
+          ?on_round:(Option.map Checkpoint.on_round checkpoint)
           ~inputs
-          ~mq:(ckpt_wrap checkpoint mq)
+          ~mq:
+            (Option.fold ~none:mq
+               ~some:(fun ck -> Checkpoint.instrument ck mq)
+               checkpoint)
           ~eq ()
       in
-      ckpt_finish checkpoint;
-      log_result "run_mq" model rounds mq.Oracle.stats;
+      Option.iter Checkpoint.finish checkpoint;
+      log_result subject model rounds mq.Oracle.stats;
       let hits, misses =
         match cache_stats with Some f -> f () | None -> (0, 0)
       in
+      (* The cache is the single gate in front of the SUL: the oracle
+         underneath only ever answers cache misses, so the two counts
+         must agree — a violation means some layer double-counted or
+         bypassed the cache (see docs/OBSERVABILITY.md). *)
+      if Option.is_some cache_stats then
+        assert (mq.Oracle.stats.Oracle.membership_queries = misses);
       if hits + misses > 0 then
         Metrics.set g_hit_rate
           (float_of_int hits /. float_of_int (hits + misses));
@@ -92,54 +94,16 @@ let run_mq ?(algorithm = Ttt_tree) ?max_rounds ?cache_stats ?checkpoint ~inputs
           cache_misses = misses;
         })
 
-let run ?(algorithm = Ttt_tree) ?max_rounds ?(cache = true) ?checkpoint ~inputs
-    ~sul ~eq () =
+let run_mq ?algorithm ?max_rounds ?cache_stats ?checkpoint ~inputs ~mq ~eq () =
+  drive ~subject:"mq" ?algorithm ?max_rounds ?cache_stats ?checkpoint ~inputs
+    ~mq ~eq ()
+
+let run ?algorithm ?max_rounds ?(cache = true) ~inputs ~sul ~eq () =
   let subject = sul.Prognosis_sul.Sul.description in
-  let cache = cache || Option.is_some checkpoint in
-  learn_span ~algorithm ~subject ~cache (fun () ->
-      let raw = Oracle.of_sul sul in
-      if cache then begin
-        let c =
-          match checkpoint with
-          | Some ck -> Checkpoint.cache ck
-          | None -> Cache.create ()
-        in
-        let mq = ckpt_wrap checkpoint (Cache.wrap c raw) in
-        let model, rounds =
-          dispatch algorithm ?max_rounds
-            ?on_round:(ckpt_on_round checkpoint)
-            ~inputs ~mq ~eq ()
-        in
-        ckpt_finish checkpoint;
-        log_result subject model rounds raw.Oracle.stats;
-        (* The cache is the single gate in front of the SUL: the raw
-           oracle only ever answers cache misses, so the two counts
-           must agree — a violation means some layer double-counted or
-           bypassed the cache (see docs/OBSERVABILITY.md). *)
-        assert (raw.Oracle.stats.Oracle.membership_queries = Cache.misses c);
-        let hits = Cache.hits c and misses = Cache.misses c in
-        if hits + misses > 0 then
-          Metrics.set g_hit_rate
-            (float_of_int hits /. float_of_int (hits + misses));
-        finish_span
-          {
-            model;
-            rounds;
-            stats = raw.Oracle.stats;
-            cache_hits = hits;
-            cache_misses = misses;
-          }
-      end
-      else begin
-        let model, rounds =
-          dispatch algorithm ?max_rounds ~inputs ~mq:raw ~eq ()
-        in
-        finish_span
-          {
-            model;
-            rounds;
-            stats = raw.Oracle.stats;
-            cache_hits = 0;
-            cache_misses = 0;
-          }
-      end)
+  let raw = Oracle.of_sul sul in
+  if cache then
+    let c = Cache.create () in
+    drive ~subject ?algorithm ?max_rounds
+      ~cache_stats:(fun () -> (Cache.hits c, Cache.misses c))
+      ~inputs ~mq:(Cache.wrap c raw) ~eq ()
+  else drive ~subject ?algorithm ?max_rounds ~inputs ~mq:raw ~eq ()

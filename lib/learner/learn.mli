@@ -18,23 +18,20 @@ val run :
   ?algorithm:algorithm ->
   ?max_rounds:int ->
   ?cache:bool ->
-  ?checkpoint:('i, 'o) Checkpoint.session ->
   inputs:'i array ->
   sul:('i, 'o) Prognosis_sul.Sul.t ->
   eq:('i, 'o) Oracle.equivalence ->
   unit ->
   ('i, 'o) result
-(** Learns a model of [sul]. Defaults: TTT, caching on, 200 rounds.
-    Statistics count the queries that actually reached the SUL (cache
-    hits are reported separately; with caching on, the driver checks
-    [stats.membership_queries = cache_misses]). The whole run executes
-    inside a ["learn"] span when {!Prognosis_obs.Trace} has a sink.
-
-    With [?checkpoint], the session's (possibly pre-warmed) cache
-    replaces the fresh one (caching is forced on), the membership path
-    snapshots the run per the session's policy — and aborts it with
-    {!Checkpoint.Budget_exhausted} when a query budget is set — and a
-    final snapshot is written on success. *)
+(** Learns a model of [sul] directly, one query at a time — the
+    learner-level entry point for tests and ablations (including
+    [~cache:false]); protocol studies learn through
+    [Prognosis.Pipeline.learn] instead. Defaults: TTT, caching on, 200
+    rounds. Statistics count the queries that actually reached the SUL
+    (cache hits are reported separately; with caching on, [run]
+    checks [stats.membership_queries = cache_misses]). The whole run
+    executes inside a ["learn"] span when {!Prognosis_obs.Trace} has a
+    sink. *)
 
 val run_mq :
   ?algorithm:algorithm ->
@@ -49,7 +46,9 @@ val run_mq :
 (** Variant taking a prebuilt membership oracle (no extra caching).
     When [mq] carries its own cache (the query-execution engine does),
     pass [cache_stats] returning its (hits, misses) so the result and
-    the [learn.cache_hit_rate] gauge reflect it. With [?checkpoint],
+    the [learn.cache_hit_rate] gauge reflect it; [run_mq] then checks
+    [mq.stats.membership_queries = misses] (only cache misses may reach
+    the oracle underneath). With [?checkpoint],
     [mq] must answer from the session's cache (build the engine with
     [Engine.create ~cache:(Checkpoint.cache session)]) so snapshots
     see every answered query. *)

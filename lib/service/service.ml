@@ -1,8 +1,6 @@
 module Mealy = Prognosis_automata.Mealy
-module Rng = Prognosis_sul.Rng
 module Learn = Prognosis_learner.Learn
 module Cache = Prognosis_learner.Cache
-module Eq_oracle = Prognosis_learner.Eq_oracle
 module Engine = Prognosis_exec.Engine
 module Library = Prognosis_fingerprint.Library
 module Splitter = Prognosis_fingerprint.Splitter
@@ -138,54 +136,51 @@ let shared_hits t = List.fold_left (fun acc c -> acc + c.hits) 0 t.shared
 
 (* --- sessions --- *)
 
-(* The service learns every subject at the string level (the canonical
-   alphabet of the persisted models), so learn sessions can share the
-   same sharded membership cache identify sessions use. The
-   equivalence oracle mirrors the case studies' staple: W-method with
-   one extra state plus a seeded random-word sweep. *)
-let eq_oracle ~seed =
-  let rng = Rng.create (Int64.add seed 7L) in
-  Eq_oracle.combine
-    [
-      Eq_oracle.w_method ~extra_states:1 ();
-      Eq_oracle.random_words ~rng ~max_tests:500 ~min_len:1 ~max_len:12;
-    ]
-
-let run_learn ~shared ~config ~labels (job : job) =
-  let workers = config.Engine.workers in
-  let engine =
-    Engine.create ~config ~labels
-      ~factory:(job.subject.Subject.factory ~seed:job.seed ~workers)
-      ()
-  in
-  let mq = Cache.Sharded.wrap shared (Engine.membership engine) in
-  let r =
-    Learn.run_mq ~algorithm:job.algorithm
-      ~cache_stats:(fun () -> Engine.cache_stats engine)
-      ~inputs:job.subject.Subject.inputs ~mq ~eq:(eq_oracle ~seed:job.seed) ()
-  in
-  let canonical =
-    Persist.text_of_model ~kind:job.subject.Subject.kind
-      ~input_to_string:Fun.id ~output_to_string:Fun.id r.Learn.model
+(* Both kinds of session probe the endpoint through an engine in front
+   of a view of the endpoint's shared cache, so every query crosses
+   one cache layer and the view's tallies are the session's own. Learn
+   sessions take the one learn path with the protocol study's
+   equivalence oracle, building their SULs from the subject's
+   [factory]. *)
+let run_learn ~cache ~config ~labels (job : job) =
+  let s = job.subject in
+  let model, r =
+    Pipeline.learn ~exec:config ~cache ~labels ~subject:s.Subject.name
+      ~seed:job.seed ~algorithm:job.algorithm ~inputs:s.Subject.inputs
+      ~factory:s.Subject.factory ~eq:(s.Subject.eq ~seed:job.seed) ()
   in
   ( Learned
       {
-        canonical;
-        states = Mealy.size r.Learn.model;
-        transitions = Mealy.transitions r.Learn.model;
-        rounds = r.Learn.rounds;
+        canonical =
+          Persist.text_of_model ~kind:s.Subject.kind ~input_to_string:Fun.id
+            ~output_to_string:Fun.id model;
+        states = r.Report.states;
+        transitions = r.Report.transitions;
+        rounds = r.Report.equivalence_rounds;
       },
-    engine )
+    ( r.Report.membership_queries,
+      r.Report.membership_symbols,
+      r.Report.test_words,
+      r.Report.cache_hits,
+      r.Report.cache_misses ) )
 
-let run_identify ~shared ~tree ~config ~labels (job : job) =
-  let workers = config.Engine.workers in
+let run_identify ~cache ~tree ~config ~labels (job : job) =
   let engine =
-    Engine.create ~config ~labels
-      ~factory:(job.subject.Subject.factory ~seed:job.seed ~workers)
+    Engine.create ~config ~labels ~cache
+      ~factory:
+        (job.subject.Subject.factory ~seed:job.seed
+           ~workers:config.Engine.workers)
       ()
   in
-  let mq = Cache.Sharded.wrap shared (Engine.membership engine) in
-  (Identified (Identify.run ~mq tree), engine)
+  let outcome = Identified (Identify.run ~mq:(Engine.membership engine) tree) in
+  let stats = Engine.oracle_stats engine in
+  let hits, misses = Engine.cache_stats engine in
+  ( outcome,
+    ( stats.Prognosis_learner.Oracle.membership_queries,
+      stats.Prognosis_learner.Oracle.membership_symbols,
+      stats.Prognosis_learner.Oracle.test_words,
+      hits,
+      misses ) )
 
 (* --- the scheduler --- *)
 
@@ -236,18 +231,17 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
       let failures = Array.make n None in
       let next = Atomic.make 0 in
       let run_session i (job : job) =
-        let shared = Hashtbl.find caches job.subject.Subject.name in
+        let cache =
+          Cache.shared (Hashtbl.find caches job.subject.Subject.name)
+        in
         let labels = [ ("session", string_of_int i) ] in
         let t0 = Unix.gettimeofday () in
-        let outcome, engine =
+        let outcome, (queries, symbols, test_words, hits, misses) =
           match job.op with
-          | Learn -> run_learn ~shared ~config ~labels job
+          | Learn -> run_learn ~cache ~config ~labels job
           | Identify ->
-              run_identify ~shared ~tree:(tree_for job) ~config ~labels job
+              run_identify ~cache ~tree:(tree_for job) ~config ~labels job
         in
-        let elapsed_s = Unix.gettimeofday () -. t0 in
-        let stats = Engine.oracle_stats engine in
-        let hits, misses = Engine.cache_stats engine in
         {
           index = i;
           s_op = job.op;
@@ -255,14 +249,12 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
           s_seed = job.seed;
           s_algorithm = job.algorithm;
           outcome;
-          membership_queries =
-            stats.Prognosis_learner.Oracle.membership_queries;
-          membership_symbols =
-            stats.Prognosis_learner.Oracle.membership_symbols;
-          test_words = stats.Prognosis_learner.Oracle.test_words;
+          membership_queries = queries;
+          membership_symbols = symbols;
+          test_words;
           cache_hits = hits;
           cache_misses = misses;
-          elapsed_s;
+          elapsed_s = Unix.gettimeofday () -. t0;
         }
       in
       let worker () =
@@ -312,7 +304,8 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
       in
       let shared =
         (* first-appearance order over distinct endpoints, from the
-           job list (Hashtbl order is not deterministic) *)
+           job list (Hashtbl order is not deterministic); a cache's
+           tallies are the sum of its sessions' views *)
         let seen = Hashtbl.create 8 in
         Array.to_list jobs
         |> List.filter_map (fun j ->
@@ -321,12 +314,17 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
                else begin
                  Hashtbl.add seen name ();
                  let c = Hashtbl.find caches name in
+                 let sum f =
+                   List.fold_left
+                     (fun acc s -> if s.endpoint = name then acc + f s else acc)
+                     0 sessions
+                 in
                  Some
                    {
                      cache_endpoint = name;
                      shard_count = Cache.Sharded.shards c;
-                     hits = Cache.Sharded.hits c;
-                     misses = Cache.Sharded.misses c;
+                     hits = sum (fun s -> s.cache_hits);
+                     misses = sum (fun s -> s.cache_misses);
                      nodes = Cache.Sharded.size c;
                    }
                end)

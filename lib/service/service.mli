@@ -3,10 +3,13 @@
 
     A fleet is a list of jobs — learn or identify, any mix of
     subjects — executed on an OCaml 5 domain pool. Each session owns
-    its own {!Prognosis_exec.Engine} (its own SUL workers, its own
-    internal cache), but every session probing the same endpoint
-    configuration shares one {!Prognosis_learner.Cache.Sharded}
-    membership cache, and identify sessions share one resident
+    its own {!Prognosis_exec.Engine} (its own SUL workers), placed in
+    front of its own {!Prognosis_learner.Cache.shared} view of the one
+    {!Prognosis_learner.Cache.Sharded} cache every session probing the
+    same endpoint configuration shares — so each query crosses exactly
+    one cache. Learn sessions take {!Prognosis.Pipeline.learn} with the
+    subject's study equivalence oracle ({!Subject.t.eq}), exactly like
+    [Subject.learn]; identify sessions share one resident
     {!Prognosis_fingerprint.Splitter} tree per model kind, compiled
     (and its entry models packed) once before fan-out. Answers served
     from the shared cache never touch a SUL, so a fleet identifying a
@@ -70,11 +73,11 @@ type session = {
   s_algorithm : Prognosis_learner.Learn.algorithm;
   outcome : outcome;
   membership_queries : int;
-      (** words that reached this session's engine, i.e. missed the
-          shared cache *)
+      (** words that reached this session's SUL workers, i.e. missed
+          the shared cache *)
   membership_symbols : int;
   test_words : int;
-  cache_hits : int;  (** this session's engine-internal cache *)
+  cache_hits : int;  (** this session's view of the shared cache *)
   cache_misses : int;
   elapsed_s : float;
 }
@@ -82,7 +85,7 @@ type session = {
 type shared_cache = {
   cache_endpoint : string;
   shard_count : int;
-  hits : int;
+  hits : int;  (** summed over the endpoint's sessions *)
   misses : int;
   nodes : int;
 }

@@ -1,13 +1,15 @@
 module Mealy = Prognosis_automata.Mealy
 module Sul = Prognosis_sul.Sul
 module Learn = Prognosis_learner.Learn
+module Oracle = Prognosis_learner.Oracle
 open Prognosis
 
 type t = {
   name : string;
   kind : Persist.kind;
   inputs : string array;
-  factory : seed:int64 -> workers:int -> int -> (string, string) Sul.t;
+  factory : (string, string) Pipeline.factory;
+  eq : seed:int64 -> (string, string) Oracle.equivalence;
   learn :
     seed:int64 ->
     algorithm:Learn.algorithm ->
@@ -26,84 +28,36 @@ let profile_of_name name =
                  (fun p -> p.Prognosis_quic.Quic_profile.name)
                  Prognosis_quic.Quic_profile.all)))
 
-let seeded_factory make ~seed ~workers =
-  let master = Prognosis_sul.Rng.create seed in
-  let wseeds =
-    Array.map Prognosis_sul.Rng.next64 (Prognosis_sul.Rng.split_n master workers)
+let make name kind ~symbols ~to_string ~output_to_string ~eq sul =
+  let inputs = Array.map to_string symbols in
+  let factory =
+    Pipeline.seeded (fun seed ->
+        Sul.strings ~symbols ~to_string ~output_to_string (sul ~seed))
   in
-  fun i -> make wseeds.(i)
+  let learn ~seed ~algorithm ~exec =
+    Pipeline.learn ?exec ~subject:name ~seed ~algorithm ~inputs ~factory
+      ~eq:(eq ~seed) ()
+  in
+  { name; kind; inputs; factory; eq; learn }
 
 let tcp name server_config =
   let module A = Prognosis_tcp.Tcp_alphabet in
-  let wrap =
-    Sul.strings ~symbols:A.all ~to_string:A.to_string
-      ~output_to_string:A.output_to_string
-  in
-  {
-    name;
-    kind = Persist.Tcp_model;
-    inputs = Array.map A.to_string A.all;
-    factory =
-      (fun ~seed ~workers ->
-        seeded_factory
-          (fun wseed ->
-            wrap (Prognosis_tcp.Tcp_adapter.sul ~server_config ~seed:wseed ()))
-          ~seed ~workers);
-    learn =
-      (fun ~seed ~algorithm ~exec ->
-        let r = Tcp_study.learn ~seed ~algorithm ~server_config ?exec () in
-        ( Persist.to_string_model ~input_to_string:A.to_string
-            ~output_to_string:A.output_to_string r.Tcp_study.model,
-          r.Tcp_study.report ));
-  }
+  make name Persist.Tcp_model ~symbols:A.all ~to_string:A.to_string
+    ~output_to_string:A.output_to_string ~eq:Tcp_study.eq_oracle
+    (Prognosis_tcp.Tcp_adapter.sul ~server_config ())
 
 let dtls name server_config =
   let module A = Prognosis_dtls.Dtls_alphabet in
-  let wrap =
-    Sul.strings ~symbols:A.all ~to_string:A.to_string
-      ~output_to_string:A.output_to_string
-  in
-  {
-    name;
-    kind = Persist.Dtls_model;
-    inputs = Array.map A.to_string A.all;
-    factory =
-      (fun ~seed ~workers ->
-        seeded_factory
-          (fun wseed ->
-            wrap (Prognosis_dtls.Dtls_adapter.sul ~server_config ~seed:wseed ()))
-          ~seed ~workers);
-    learn =
-      (fun ~seed ~algorithm ~exec ->
-        let r = Dtls_study.learn ~seed ~algorithm ~server_config ?exec () in
-        ( Persist.to_string_model ~input_to_string:A.to_string
-            ~output_to_string:A.output_to_string r.Dtls_study.model,
-          r.Dtls_study.report ));
-  }
+  make name Persist.Dtls_model ~symbols:A.all ~to_string:A.to_string
+    ~output_to_string:A.output_to_string
+    ~eq:(Dtls_study.eq_oracle ~symbol:A.to_string)
+    (Prognosis_dtls.Dtls_adapter.sul ~server_config ())
 
 let quic name profile =
   let module A = Prognosis_quic.Quic_alphabet in
-  let wrap =
-    Sul.strings ~symbols:A.all ~to_string:A.to_string
-      ~output_to_string:A.output_to_string
-  in
-  {
-    name;
-    kind = Persist.Quic_model;
-    inputs = Array.map A.to_string A.all;
-    factory =
-      (fun ~seed ~workers ->
-        seeded_factory
-          (fun wseed ->
-            wrap (Prognosis_quic.Quic_adapter.sul ~profile ~seed:wseed ()))
-          ~seed ~workers);
-    learn =
-      (fun ~seed ~algorithm ~exec ->
-        let r = Quic_study.learn ~seed ~algorithm ?exec ~profile () in
-        ( Persist.to_string_model ~input_to_string:A.to_string
-            ~output_to_string:A.output_to_string r.Quic_study.model,
-          r.Quic_study.report ));
-  }
+  make name Persist.Quic_model ~symbols:A.all ~to_string:A.to_string
+    ~output_to_string:A.output_to_string ~eq:Quic_study.eq_oracle
+    (Prognosis_quic.Quic_adapter.sul ~profile ())
 
 let names =
   [

@@ -2,28 +2,32 @@
 
     A subject names one live endpoint configuration the toolchain can
     both probe (an {!Prognosis_exec.Engine} worker factory over the
-    string-level SUL view) and learn in full through its case study.
-    This used to live inside the CLI; the fleet scheduler
-    ({!Service}) needs it as a library, and the CLI now reuses it. *)
+    string-level SUL view) and learn in full through
+    {!Prognosis.Pipeline.learn} with its protocol study's equivalence
+    oracle. The fleet scheduler ({!Service}) and the CLI share it. *)
 
 type t = {
   name : string;  (** e.g. ["tcp:no-challenge"] or ["quic:quiche-like"] *)
   kind : Prognosis.Persist.kind;
   inputs : string array;
-      (** string input alphabet, in study order — the alphabet
-          {!Prognosis_learner.Learn.run_mq} learns over when driving
-          the subject through {!factory} workers *)
-  factory :
-    seed:int64 -> workers:int -> int -> (string, string) Prognosis_sul.Sul.t;
+      (** string input alphabet, in study order — the alphabet the
+          subject is learned over *)
+  factory : (string, string) Prognosis.Pipeline.factory;
       (** [factory ~seed ~workers i] is worker [i]'s independent SUL
-          instance (per-worker RNG streams split from [seed]) *)
+          instance (per-worker RNG streams split from [seed] by
+          {!Prognosis.Pipeline.seeded}) *)
+  eq : seed:int64 -> (string, string) Prognosis_learner.Oracle.equivalence;
+      (** the protocol study's equivalence oracle over the string
+          alphabet ({!Prognosis.Tcp_study.eq_oracle},
+          {!Prognosis.Quic_study.eq_oracle},
+          {!Prognosis.Dtls_study.eq_oracle} with its scenario words) *)
   learn :
     seed:int64 ->
     algorithm:Prognosis_learner.Learn.algorithm ->
     exec:Prognosis_exec.Engine.config option ->
     (string, string) Prognosis_automata.Mealy.t * Prognosis.Report.t;
-      (** full typed-study learning run, returning the canonical
-          string-rendered model plus its report *)
+      (** {!Prognosis.Pipeline.learn} over [factory] and [eq], returning
+          the string-level model plus its report *)
 }
 
 val names : string list
@@ -34,8 +38,3 @@ val of_name : string -> (t, string) result
 
 val profile_of_name :
   string -> (Prognosis_quic.Quic_profile.t, string) result
-
-val seeded_factory :
-  (int64 -> 'a) -> seed:int64 -> workers:int -> int -> 'a
-(** [seeded_factory make ~seed ~workers] splits [seed] into [workers]
-    independent streams and builds worker [i] with [make seed_i]. *)

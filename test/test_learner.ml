@@ -112,16 +112,14 @@ let wrap_checks_prefix_replay () =
   let c2 = Cache.create () in
   Cache.insert c2 [ 'a' ] [ 1 ];
   let cached2 = Cache.wrap c2 lying in
-  Alcotest.check_raises "prefix conflict"
-    (Invalid_argument "Cache.insert: conflicting outputs (nondeterministic SUL?)")
-    (fun () -> ignore (cached2.Oracle.ask [ 'a'; 'b' ]))
+  Alcotest.check_raises "prefix conflict" Cache.Conflict (fun () ->
+      ignore (cached2.Oracle.ask [ 'a'; 'b' ]))
 
 let cache_detects_conflict () =
   let c = Cache.create () in
   Cache.insert c [ 'a' ] [ 1 ];
-  Alcotest.check_raises "conflict"
-    (Invalid_argument "Cache.insert: conflicting outputs (nondeterministic SUL?)")
-    (fun () -> Cache.insert c [ 'a'; 'b' ] [ 2; 2 ])
+  Alcotest.check_raises "conflict" Cache.Conflict (fun () ->
+      Cache.insert c [ 'a'; 'b' ] [ 2; 2 ])
 
 let cache_saves_queries () =
   let mq = mq_for counter3 in

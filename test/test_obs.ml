@@ -661,7 +661,8 @@ let no_double_count_with_cache_and_nondet () =
     resets
 
 let learn_run_asserts_cache_consistency () =
-  (* Learn.run's assert must hold on a full study pipeline. *)
+  (* Pipeline.learn's queries = misses check must hold on a full study
+     run. *)
   let r = Tcp_study.learn ~seed:11L () in
   Alcotest.(check int) "report: queries = misses"
     r.Tcp_study.report.Report.cache_misses

@@ -19,8 +19,8 @@ let subject name =
   | Ok s -> s
   | Error e -> Alcotest.failf "subject %s: %s" name e
 
-(* In-memory library of three known endpoints, learned through the
-   typed studies (same canonical bytes as `prognosis library add`). *)
+(* In-memory library of three known endpoints, learned through
+   [Subject.learn] (same canonical bytes as `prognosis library add`). *)
 let library =
   lazy
     (let entry name =
@@ -193,6 +193,96 @@ let service_json_schema () =
       | _ -> Alcotest.fail "shared_caches must be a list")
   | _ -> Alcotest.fail "service block must be an object"
 
+(* One learn path: for every concrete subject, [Subject.learn] and a
+   solo serve session produce byte-identical canonical text — the
+   committed golden where there is one — and, under the service's
+   engine config, spend exactly the same queries. A subject that
+   cannot be learned (mvfst-like answers nondeterministically) must
+   fail the same way on both paths. *)
+let concrete_subjects =
+  List.concat_map
+    (fun name ->
+      if name = "quic:<profile>" then
+        List.map
+          (fun p -> "quic:" ^ p.Prognosis_quic.Quic_profile.name)
+          Prognosis_quic.Quic_profile.all
+      else [ name ])
+    Subject.names
+
+(* `dune runtest` runs from _build/default/test, `dune exec` from the
+   project root. *)
+let golden name =
+  let file =
+    String.map (fun c -> if c = ':' then '-' else c) name ^ ".model"
+  in
+  List.find_map
+    (fun dir ->
+      let path = Filename.concat dir file in
+      if Sys.file_exists path then
+        Some (In_channel.with_open_bin path In_channel.input_all)
+      else None)
+    [ "../examples/golden"; "examples/golden" ]
+
+let canonical (s : Subject.t) model =
+  Prognosis.Persist.text_of_model ~kind:s.Subject.kind ~input_to_string:Fun.id
+    ~output_to_string:Fun.id model
+
+let attempt f = try Ok (f ()) with e -> Error (Printexc.to_string e)
+
+let learn_serve_golden () =
+  List.iter
+    (fun name ->
+      let s = subject name in
+      let learned =
+        attempt (fun () ->
+            canonical s
+              (fst
+                 (s.Subject.learn ~seed:1L ~algorithm:Learn.Ttt_tree
+                    ~exec:None)))
+      in
+      let served =
+        attempt (fun () ->
+            match
+              Service.run ~jobs:[ Service.job ~seed:1L Service.Learn s ] ()
+            with
+            | Ok { Service.sessions = [ session ]; _ } -> session
+            | Ok _ -> Alcotest.failf "%s: expected one session" name
+            | Error e -> Alcotest.failf "%s: %s" name e)
+      in
+      let served_text =
+        Result.map
+          (fun (session : Service.session) ->
+            match session.Service.outcome with
+            | Service.Learned { canonical; _ } -> canonical
+            | Service.Identified _ -> Alcotest.failf "%s: not learned" name)
+          served
+      in
+      Alcotest.(check (result string string))
+        (name ^ ": learn == serve") learned served_text;
+      Option.iter
+        (fun text ->
+          Alcotest.(check (result string string))
+            (name ^ ": learn == golden") (Ok text) learned)
+        (golden name);
+      match served with
+      | Error _ -> ()
+      | Ok session ->
+          let _, report =
+            s.Subject.learn ~seed:1L ~algorithm:Learn.Ttt_tree
+              ~exec:(Some Service.default_config)
+          in
+          let counts mq sym tw =
+            Printf.sprintf "mq %d, sym %d, tw %d" mq sym tw
+          in
+          Alcotest.(check string)
+            (name ^ ": learn counters == serve counters")
+            (counts report.Prognosis.Report.membership_queries
+               report.Prognosis.Report.membership_symbols
+               report.Prognosis.Report.test_words)
+            (counts session.Service.membership_queries
+               session.Service.membership_symbols session.Service.test_words))
+    concrete_subjects
+
 (* The point of the scheduler: >= 2x throughput at 4 domains. Needs
    real cores to show it, so skip (loudly) on smaller boxes — the
    result-identity checks above still run everywhere. *)
@@ -237,6 +327,8 @@ let () =
             shared_cache_saves_queries;
           Alcotest.test_case "throughput scales with domains" `Slow
             throughput_scales;
+          Alcotest.test_case "learn == serve == golden" `Slow
+            learn_serve_golden;
         ] );
       ( "schema",
         [
