@@ -43,18 +43,20 @@ let section id title =
 let bench_seed = 5L
 
 (* Cached learning results: several experiments reuse them. *)
-let tcp_ttt = lazy (Tcp_study.learn ~seed:1L ())
-let tcp_lstar = lazy (Tcp_study.learn ~seed:1L ~algorithm:Learn.L_star ())
-let quic_tolerant = lazy (Quic_study.learn ~seed:1L ~profile:Profile.google_like ())
-let quic_strict = lazy (Quic_study.learn ~seed:2L ~profile:Profile.strict_retry ())
-let quic_quiche = lazy (Quic_study.learn ~seed:3L ~profile:Profile.quiche_like ())
+let tcp = Tcp_study.protocol ()
+let quic = Quic_study.protocol
+let tcp_ttt = lazy (Protocol.learn ~seed:1L tcp)
+let tcp_lstar = lazy (Protocol.learn ~seed:1L ~algorithm:Learn.L_star tcp)
+let quic_tolerant = lazy (Protocol.learn ~seed:1L (quic Profile.google_like))
+let quic_strict = lazy (Protocol.learn ~seed:2L (quic Profile.strict_retry))
+let quic_quiche = lazy (Protocol.learn ~seed:3L (quic Profile.quiche_like))
 
 (* --- E1: learning the TCP implementation (§6.1) --- *)
 
 let e1 () =
   section "E1" "Learning a TCP implementation (paper §6.1, Fig. 3b, App. A.1)";
-  let ttt = (Lazy.force tcp_ttt).Tcp_study.report in
-  let lstar = (Lazy.force tcp_lstar).Tcp_study.report in
+  let ttt = snd (Lazy.force tcp_ttt) in
+  let lstar = snd (Lazy.force tcp_lstar) in
   print_table
     [ "source"; "algorithm"; "states"; "transitions"; "membership queries" ]
     [
@@ -84,9 +86,9 @@ let e1 () =
 
 let e2 () =
   section "E2" "Learning QUIC implementations (paper §6.2.2, App. A.2-3)";
-  let a = (Lazy.force quic_tolerant).Quic_study.report in
-  let b = (Lazy.force quic_strict).Quic_study.report in
-  let c = (Lazy.force quic_quiche).Quic_study.report in
+  let a = snd (Lazy.force quic_tolerant) in
+  let b = snd (Lazy.force quic_strict) in
+  let c = snd (Lazy.force quic_quiche) in
   let row label (r : Report.t) =
     [
       label;
@@ -118,8 +120,8 @@ let e3 () =
   let exhaustive = Mealy.count_words ~alphabet:7 ~max_len:10 in
   let suite m = Testing.w_method ~extra_states:0 m in
   let wp m = Testing.wp_method ~extra_states:0 m in
-  let a = (Lazy.force quic_tolerant).Quic_study.model in
-  let b = (Lazy.force quic_strict).Quic_study.model in
+  let a = fst (Lazy.force quic_tolerant) in
+  let b = fst (Lazy.force quic_strict) in
   print_table
     [ "quantity"; "paper"; "this repo" ]
     [
@@ -140,9 +142,10 @@ let e3 () =
 
 let e4 () =
   section "E4" "Issue 1: RFC imprecision on post-Retry packet-number reset (§6.2.3)";
-  let a = Lazy.force quic_tolerant and b = Lazy.force quic_strict in
   let summary =
-    Model_diff.summarize ~max_witnesses:2 a.Quic_study.model b.Quic_study.model
+    Model_diff.summarize ~max_witnesses:2
+      (fst (Lazy.force quic_tolerant))
+      (fst (Lazy.force quic_strict))
   in
   print_table
     [ "observation"; "paper"; "this repo" ]
@@ -191,17 +194,14 @@ let e5 () =
 
 let e6 () =
   section "E6" "Issue 3: inconsistent port on RETRY in the reference client (§6.2.5)";
-  let healthy = Lazy.force quic_tolerant in
-  let buggy =
-    Quic_study.learn ~seed:4L ~profile:Profile.google_like
-      ~client_config:
-        { Prognosis_quic.Quic_client.retry_port_bug = true; pns_reset_on_retry = true }
-      ()
+  let healthy = fst (Lazy.force quic_tolerant) in
+  let buggy, _ =
+    Protocol.learn ~seed:4L
+      (Quic_study.protocol Profile.google_like
+         ~client_config:
+           { Prognosis_quic.Quic_client.retry_port_bug = true; pns_reset_on_retry = true })
   in
-  let summary =
-    Model_diff.summarize ~max_witnesses:1 healthy.Quic_study.model
-      buggy.Quic_study.model
-  in
+  let summary = Model_diff.summarize ~max_witnesses:1 healthy buggy in
   (* Can the buggy setup ever complete a handshake? Search the model for
      a reachable transition outputting HANDSHAKE_DONE. *)
   let completes model =
@@ -226,10 +226,10 @@ let e6 () =
     [
       [ "healthy reference client";
         string_of_int summary.Model_diff.states_a;
-        string_of_bool (completes healthy.Quic_study.model) ];
+        string_of_bool (completes healthy) ];
       [ "retry-port-bug client (QUIC-Tracker)";
         string_of_int summary.Model_diff.states_b;
-        string_of_bool (completes buggy.Quic_study.model) ];
+        string_of_bool (completes buggy) ];
     ];
   print_newline ();
   Printf.printf
@@ -263,8 +263,9 @@ let sdb_words =
 let e7 () =
   section "E7" "Issue 4: Maximum Stream Data constant 0 in Google QUIC (§6.2.6)";
   let verdict profile seed =
-    let r = Quic_study.learn ~seed ~profile () in
-    match Quic_study.synthesize_sdb r sdb_words with
+    let model, _ = Protocol.learn ~seed (quic profile) in
+    let adapter, _ = Prognosis_quic.Quic_adapter.create ~profile ~seed () in
+    match Protocol.synthesize Quic_study.fields adapter model sdb_words with
     | Error e -> "synthesis failed: " ^ e
     | Ok machine -> (
         match Quic_study.sdb_verdict machine with
@@ -288,7 +289,7 @@ let e7 () =
 
 let e8 () =
   section "E8" "Register synthesis over TCP sequence numbers (§4.3, Fig. 3c/4)";
-  let result = Lazy.force tcp_ttt in
+  let model = fst (Lazy.force tcp_ttt) in
   let words =
     Prognosis_tcp.Tcp_alphabet.
       [
@@ -297,17 +298,21 @@ let e8 () =
         [ Syn; Ack; Fin_ack; Ack ];
       ]
   in
-  match Tcp_study.synthesize result words with
+  let fields = Tcp_study.fields in
+  match
+    Protocol.synthesize fields (Prognosis_tcp.Tcp_adapter.create ~seed:1L ()) model
+      words
+  with
   | Error e -> Printf.printf "synthesis failed: %s\n" e
   | Ok machine ->
       let term_str t =
         match t with
         | None -> "?"
         | Some t ->
-            Term.to_string ~names_in:Tcp_study.input_field_names
-              ~names_out:Tcp_study.output_field_names t
+            Term.to_string ~names_in:fields.Protocol.names_in
+              ~names_out:fields.Protocol.names_out t
       in
-      let initial = Mealy.initial result.Tcp_study.model in
+      let initial = Mealy.initial model in
       print_table
         [ "transition"; "paper pattern"; "synthesized ack term" ]
         [
@@ -381,7 +386,7 @@ let a1_algorithm_and_cache () =
   let run algorithm cache =
     let sul = Prognosis_tcp.Tcp_adapter.sul ~seed:1L () in
     Learn.run ~algorithm ~cache ~inputs:Prognosis_tcp.Tcp_alphabet.all ~sul
-      ~eq:(Tcp_study.eq_oracle ~seed:1L) ()
+      ~eq:(Protocol.eq_oracle tcp ~seed:1L) ()
   in
   let row name algorithm cache =
     let r = run algorithm cache in
@@ -409,7 +414,7 @@ let a1_algorithm_and_cache () =
 let a2_equivalence_oracles () =
   section "A2" "Ablation: equivalence oracle choice (TCP)";
   let module Eq = Prognosis_learner.Eq_oracle in
-  let target = (Lazy.force tcp_ttt).Tcp_study.model in
+  let target = fst (Lazy.force tcp_ttt) in
   let run name eq =
     let sul = Prognosis_tcp.Tcp_adapter.sul ~seed:1L () in
     let r = Learn.run ~inputs:Prognosis_tcp.Tcp_alphabet.all ~sul ~eq () in
@@ -442,17 +447,17 @@ let a2_equivalence_oracles () =
 let a3_tcp_server_config () =
   section "A3" "Ablation: TCP server design choices vs learned model";
   let learn config =
-    Tcp_study.learn ~seed:1L ~server_config:config ()
+    Protocol.learn ~seed:1L (Tcp_study.protocol ~server_config:config ())
   in
   let base = Prognosis_tcp.Tcp_server.default_config in
-  let default_model = (learn base).Tcp_study.model in
+  let default_model = fst (learn base) in
   let row name config =
-    let r = learn config in
+    let model, report = learn config in
     [
       name;
-      string_of_int r.Tcp_study.report.Report.states;
-      string_of_int r.Tcp_study.report.Report.transitions;
-      string_of_bool (Mealy.equivalent r.Tcp_study.model default_model = None);
+      string_of_int report.Report.states;
+      string_of_int report.Report.transitions;
+      string_of_bool (Mealy.equivalent model default_model = None);
     ]
   in
   print_table
@@ -550,10 +555,10 @@ let exec_config =
     batch = true;
   }
 
-let tcp_pooled = lazy (Tcp_study.learn ~seed:1L ~exec:exec_config ())
+let tcp_pooled = lazy (Protocol.learn ~seed:1L ~exec:exec_config tcp)
 
 let quic_pooled =
-  lazy (Quic_study.learn ~seed:3L ~exec:exec_config ~profile:Profile.quiche_like ())
+  lazy (Protocol.learn ~seed:3L ~exec:exec_config (quic Profile.quiche_like))
 
 let exec_field e k =
   let module Jsonx = Prognosis_obs.Jsonx in
@@ -565,8 +570,9 @@ let a7_exec () =
   section "A7"
     "Ablation: query-execution engine (4 workers, batched) vs sequential oracle";
   let rows = ref [] and checks = ref [] in
-  let substrate name (direct : Report.t) direct_model (pooled : Report.t)
-      pooled_model =
+  let substrate name direct pooled =
+    let direct_model, (direct : Report.t) = Lazy.force direct in
+    let pooled_model, (pooled : Report.t) = Lazy.force pooled in
     let e = Option.get pooled.Report.exec in
     let base_r = exec_field e "baseline_resets"
     and base_s = exec_field e "baseline_steps" in
@@ -599,14 +605,8 @@ let a7_exec () =
     assert identical;
     assert saved
   in
-  substrate "tcp" (Lazy.force tcp_ttt).Tcp_study.report
-    (Lazy.force tcp_ttt).Tcp_study.model
-    (Lazy.force tcp_pooled).Tcp_study.report
-    (Lazy.force tcp_pooled).Tcp_study.model;
-  substrate "quic" (Lazy.force quic_quiche).Quic_study.report
-    (Lazy.force quic_quiche).Quic_study.model
-    (Lazy.force quic_pooled).Quic_study.report
-    (Lazy.force quic_pooled).Quic_study.model;
+  substrate "tcp" tcp_ttt tcp_pooled;
+  substrate "quic" quic_quiche quic_pooled;
   print_table
     [ "substrate"; "oracle"; "resets"; "steps"; "resets+steps"; "saved vs no-reuse" ]
     !rows;
@@ -627,7 +627,7 @@ let a7_exec () =
 
 let a9_packed () =
   section "A9" "Ablation: packed automaton stepping vs functional interpreter";
-  let m = (Lazy.force quic_quiche).Quic_study.model in
+  let m = fst (Lazy.force quic_quiche) in
   let suite = Testing.w_method ~extra_states:1 m in
   let words = List.length suite in
   let symbols = List.fold_left (fun acc w -> acc + List.length w) 0 suite in
@@ -671,7 +671,7 @@ let a9_packed () =
 
 let a8_loss_robustness () =
   section "A8" "Ablation: learning through a lossy channel (environmental nondeterminism, §5)";
-  let reference = (Lazy.force tcp_ttt).Tcp_study.model in
+  let reference = fst (Lazy.force tcp_ttt) in
   let attempt ~loss ~runs =
     let sul =
       Prognosis_tcp.Tcp_adapter.sul
@@ -722,11 +722,10 @@ let a6_alphabet_size () =
   section "A6" "Ablation: abstract-alphabet size vs learning cost (§6.2.2)";
   let run alphabet =
     let t0 = Unix.gettimeofday () in
-    let r =
-      Quic_study.learn ~seed:3L ~alphabet ~profile:Profile.quiche_like ()
+    let _, report =
+      Protocol.learn ~seed:3L (Quic_study.protocol ~alphabet Profile.quiche_like)
     in
-    let dt = Unix.gettimeofday () -. t0 in
-    (r.Quic_study.report, dt)
+    (report, Unix.gettimeofday () -. t0)
   in
   let seven, t7 = run Quic_study.Alphabet.all in
   let nine, t9 = run Quic_study.Alphabet.extended in
@@ -754,12 +753,13 @@ let a6_alphabet_size () =
 
 let x1_third_protocol () =
   section "X1" "Reusability: a third protocol through the same engine (contribution 1)";
-  let dtls = Dtls_study.learn ~seed:41L () in
-  let dtls_nocookie =
-    Dtls_study.learn ~seed:43L
-      ~server_config:
-        { Prognosis_dtls.Dtls_server.require_cookie = false; strict_ccs = true }
-      ()
+  let _, dtls = Protocol.learn ~seed:41L (Dtls_study.protocol ()) in
+  let _, dtls_nocookie =
+    Protocol.learn ~seed:43L
+      (Dtls_study.protocol
+         ~server_config:
+           { Prognosis_dtls.Dtls_server.require_cookie = false; strict_ccs = true }
+         ())
   in
   let row (r : Report.t) =
     [
@@ -773,10 +773,10 @@ let x1_third_protocol () =
   print_table
     [ "subject"; "alphabet"; "states"; "transitions"; "SUL queries" ]
     [
-      row (Lazy.force tcp_ttt).Tcp_study.report;
-      row (Lazy.force quic_quiche).Quic_study.report;
-      row { dtls.Dtls_study.report with Report.subject = "dtls (cookie)" };
-      row { dtls_nocookie.Dtls_study.report with Report.subject = "dtls (no cookie)" };
+      row (snd (Lazy.force tcp_ttt));
+      row (snd (Lazy.force quic_quiche));
+      row { dtls with Report.subject = "dtls (cookie)" };
+      row { dtls_nocookie with Report.subject = "dtls (no cookie)" };
     ];
   print_newline ();
   print_endline
@@ -791,9 +791,9 @@ let x4_interop_matrix () =
   let profiles = Profile.[ quiche_like; google_like; strict_retry ] in
   let model_of p =
     match p.Profile.name with
-    | "google-like" -> (Lazy.force quic_tolerant).Quic_study.model
-    | "strict-retry" -> (Lazy.force quic_strict).Quic_study.model
-    | _ -> (Lazy.force quic_quiche).Quic_study.model
+    | "google-like" -> fst (Lazy.force quic_tolerant)
+    | "strict-retry" -> fst (Lazy.force quic_strict)
+    | _ -> fst (Lazy.force quic_quiche)
   in
   let cell pa pb =
     if pa.Profile.name = pb.Profile.name then "-"
@@ -819,26 +819,31 @@ let x4_interop_matrix () =
 let x3_client_role () =
   section "X3" "Role reversal: learning a TCP client with socket-call triggers ([22]'s setup)";
   let module Study = Prognosis_tcp.Tcp_client_study in
-  let sul = Study.sul ~seed:51L () in
-  let rng = Prognosis_sul.Rng.create 52L in
-  let scenarios =
-    Study.
-      [
-        [ Cmd_connect; In_syn_ack; Cmd_send; In_ack; Cmd_close; In_ack; In_fin_ack ];
-        [ Cmd_connect; In_syn_ack; In_fin_ack; Cmd_close; In_ack ];
-        [ Cmd_connect; In_rst; Cmd_connect ];
-      ]
+  let client =
+    {
+      Protocol.name = "tcp-client";
+      kind = Persist.Tcp_client_model;
+      inputs = Study.all;
+      input_to_string = Study.to_string;
+      output_to_string = Study.output_to_string;
+      sul = (fun ~seed -> Study.sul ~seed ());
+      scenarios =
+        Study.
+          [
+            [ Cmd_connect; In_syn_ack; Cmd_send; In_ack; Cmd_close; In_ack; In_fin_ack ];
+            [ Cmd_connect; In_syn_ack; In_fin_ack; Cmd_close; In_ack ];
+            [ Cmd_connect; In_rst; Cmd_connect ];
+          ];
+      random_words = 400;
+      max_len = 10;
+    }
   in
-  let eq =
-    Prognosis_learner.Eq_oracle.combine
-      [
-        Prognosis_learner.Eq_oracle.fixed_words scenarios;
-        Prognosis_learner.Eq_oracle.w_method ~extra_states:1 ();
-        Prognosis_learner.Eq_oracle.random_words ~rng ~max_tests:400 ~min_len:1
-          ~max_len:10;
-      ]
+  (* one SUL and a cached oracle, as X3 has always run: SUL seed 51,
+     random test words from the stream of seed 52 (= 45 + 7) *)
+  let r =
+    Learn.run ~inputs:Study.all ~sul:(client.Protocol.sul ~seed:51L)
+      ~eq:(Protocol.eq_oracle client ~seed:45L) ()
   in
-  let r = Learn.run ~inputs:Study.all ~sul ~eq () in
   print_table
     [ "subject"; "alphabet"; "states"; "transitions"; "SUL queries" ]
     [
@@ -1175,24 +1180,15 @@ let f2_fleet () =
   (* a known endpoint behind a lossy, duplicating channel: replica
      voting absorbs the faults and identification still lands Known *)
   let lossy_subject =
-    let base = subject "tcp" in
-    {
-      base with
-      Subject.name = "tcp(lossy)";
-      factory =
-        Prognosis.Pipeline.seeded (fun wseed ->
-            Prognosis_sul.Sul.strings ~symbols:Prognosis_tcp.Tcp_alphabet.all
-              ~to_string:Prognosis_tcp.Tcp_alphabet.to_string
-              ~output_to_string:Prognosis_tcp.Tcp_alphabet.output_to_string
-              (Prognosis_tcp.Tcp_adapter.sul
-                 ~network:
-                   {
-                     Prognosis_sul.Network.loss = 0.01;
-                     duplicate = 0.01;
-                     corrupt = 0.0;
-                   }
-                 ~seed:wseed ()));
-    }
+    let network =
+      { Prognosis_sul.Network.loss = 0.01; duplicate = 0.01; corrupt = 0.0 }
+    in
+    Subject.make
+      {
+        tcp with
+        Protocol.name = "tcp(lossy)";
+        sul = (fun ~seed -> Prognosis_tcp.Tcp_adapter.sul ~network ~seed ());
+      }
   in
   (* 3 replicas vote per word; 6 workers leave an escalation pool for
      the strict-majority re-run when the first three disagree *)
@@ -1250,19 +1246,19 @@ let figs () =
   in
   (match Sys.is_directory dir with
   | true ->
-      write "tcp_model.dot" (Tcp_study.model_dot (Lazy.force tcp_ttt).Tcp_study.model);
-      write "quic_google_like.dot"
-        (Quic_study.model_dot (Lazy.force quic_tolerant).Quic_study.model);
-      write "quic_strict_retry.dot"
-        (Quic_study.model_dot (Lazy.force quic_strict).Quic_study.model);
-      write "quic_quiche_like.dot"
-        (Quic_study.model_dot (Lazy.force quic_quiche).Quic_study.model);
+      let quic_dot run =
+        Protocol.model_dot (quic Profile.quiche_like) (fst (Lazy.force run))
+      in
+      write "tcp_model.dot" (Protocol.model_dot tcp (fst (Lazy.force tcp_ttt)));
+      write "quic_google_like.dot" (quic_dot quic_tolerant);
+      write "quic_strict_retry.dot" (quic_dot quic_strict);
+      write "quic_quiche_like.dot" (quic_dot quic_quiche);
       write "quic_issue1_diff.dot"
         (Prognosis_analysis.Visualize.diff_dot
            ~input_pp:Quic_study.Alphabet.pp
            ~output_pp:Quic_study.Alphabet.pp_output
-           (Lazy.force quic_tolerant).Quic_study.model
-           (Lazy.force quic_strict).Quic_study.model)
+           (fst (Lazy.force quic_tolerant))
+           (fst (Lazy.force quic_strict)))
   | false -> print_endline "  (cannot create figures/ directory, skipped)"
   | exception Sys_error _ -> print_endline "  (cannot create figures/ directory, skipped)")
 
@@ -1276,45 +1272,48 @@ let benchmarks () =
     Test.make_grouped ~name:"prognosis"
       [
         Test.make ~name:"tcp-learning"
-          (Staged.stage (fun () -> ignore (Tcp_study.learn ~seed:bench_seed ())));
+          (Staged.stage (fun () -> ignore (Protocol.learn ~seed:bench_seed tcp)));
         Test.make ~name:"quic-learning"
           (Staged.stage (fun () ->
                ignore
-                 (Quic_study.learn ~seed:bench_seed ~profile:Profile.quiche_like ())));
+                 (Protocol.learn ~seed:bench_seed (quic Profile.quiche_like))));
         Test.make ~name:"tcp-synthesis"
           (Staged.stage
-             (let result = Lazy.force tcp_ttt in
+             (let model = fst (Lazy.force tcp_ttt) in
+              let adapter = Prognosis_tcp.Tcp_adapter.create ~seed:1L () in
               let words =
                 Prognosis_tcp.Tcp_alphabet.
                   [ [ Syn; Ack; Ack_psh; Ack_psh ]; [ Syn; Ack_psh; Fin_ack ] ]
               in
-              fun () -> ignore (Tcp_study.synthesize result words)));
+              fun () ->
+                ignore (Protocol.synthesize Tcp_study.fields adapter model words)));
         Test.make ~name:"nondet-check-100"
           (Staged.stage (fun () ->
                ignore (Quic_study.close_reset_rate ~seed:9L ~runs:100 Profile.mvfst_like)));
         Test.make ~name:"model-equivalence"
           (Staged.stage
-             (let a = (Lazy.force quic_tolerant).Quic_study.model in
-              let b = (Lazy.force quic_strict).Quic_study.model in
+             (let a = fst (Lazy.force quic_tolerant) in
+              let b = fst (Lazy.force quic_strict) in
               fun () -> ignore (Model_diff.first_difference a b)));
         Test.make ~name:"w-method-suite"
           (Staged.stage
-             (let m = (Lazy.force quic_tolerant).Quic_study.model in
+             (let m = fst (Lazy.force quic_tolerant) in
               fun () -> ignore (Testing.w_method ~extra_states:1 m)));
         Test.make ~name:"packed-stepping"
           (Staged.stage
-             (let m = (Lazy.force quic_tolerant).Quic_study.model in
+             (let m = fst (Lazy.force quic_tolerant) in
               let suite = Testing.w_method ~extra_states:1 m in
               ignore (Mealy.pack m);
               fun () -> List.iter (fun w -> ignore (Mealy.run m w)) suite));
         Test.make ~name:"functional-stepping"
           (Staged.stage
-             (let m = (Lazy.force quic_tolerant).Quic_study.model in
+             (let m = fst (Lazy.force quic_tolerant) in
               let suite = Testing.w_method ~extra_states:1 m in
               fun () ->
                 List.iter (fun w -> ignore (Mealy.run_reference m w)) suite));
         Test.make ~name:"dtls-learning"
-          (Staged.stage (fun () -> ignore (Dtls_study.learn ~seed:5L ())));
+          (Staged.stage
+             (fun () -> ignore (Protocol.learn ~seed:5L (Dtls_study.protocol ()))));
         Test.make ~name:"rpni-passive"
           (Staged.stage
              (let rng = Prognosis_sul.Rng.create 17L in
@@ -1330,7 +1329,7 @@ let benchmarks () =
         Test.make ~name:"wfa-learning"
           (Staged.stage
              (let module Wfa = Prognosis_learner.Wfa in
-              let skeleton = (Lazy.force tcp_ttt).Tcp_study.model in
+              let skeleton = fst (Lazy.force tcp_ttt) in
               let weight ~state ~input:_ = if state >= 4 then 0.5 else 0.0 in
               let target = Wfa.expected_count ~skeleton ~weight in
               fun () ->
@@ -1387,10 +1386,7 @@ let benchmarks () =
    run itself instead of surfacing as an inexplicable gate trip. *)
 let determinism_guard () =
   let counters () =
-    let r =
-      (Quic_study.learn ~seed:bench_seed ~profile:Profile.quiche_like ())
-        .Quic_study.report
-    in
+    let _, r = Protocol.learn ~seed:bench_seed (quic Profile.quiche_like) in
     ( r.Report.states,
       r.Report.transitions,
       r.Report.membership_queries,
@@ -1413,13 +1409,13 @@ let write_snapshot ~fingerprint ~service bench_rows =
   let report r = Report.to_json r in
   let reports =
     [
-      report (Lazy.force tcp_ttt).Tcp_study.report;
-      report (Lazy.force tcp_lstar).Tcp_study.report;
-      report (Lazy.force quic_tolerant).Quic_study.report;
-      report (Lazy.force quic_strict).Quic_study.report;
-      report (Lazy.force quic_quiche).Quic_study.report;
-      report (Lazy.force tcp_pooled).Tcp_study.report;
-      report (Lazy.force quic_pooled).Quic_study.report;
+      report (snd (Lazy.force tcp_ttt));
+      report (snd (Lazy.force tcp_lstar));
+      report (snd (Lazy.force quic_tolerant));
+      report (snd (Lazy.force quic_strict));
+      report (snd (Lazy.force quic_quiche));
+      report (snd (Lazy.force tcp_pooled));
+      report (snd (Lazy.force quic_pooled));
     ]
   in
   (* The A7 numbers as a dedicated block: per-substrate engine stats
@@ -1438,10 +1434,10 @@ let write_snapshot ~fingerprint ~service bench_rows =
       (e, pct)
     in
     let tcp, tcp_pct =
-      entry (Option.get (Lazy.force tcp_pooled).Tcp_study.report.Report.exec)
+      entry (Option.get (snd (Lazy.force tcp_pooled)).Report.exec)
     in
     let quic, quic_pct =
-      entry (Option.get (Lazy.force quic_pooled).Quic_study.report.Report.exec)
+      entry (Option.get (snd (Lazy.force quic_pooled)).Report.exec)
     in
     Jsonx.Obj
       [

@@ -30,11 +30,11 @@ let algorithm =
   let algo_conv = Arg.enum [ ("ttt", Learn.Ttt_tree); ("lstar", Learn.L_star) ] in
   Arg.(value & opt algo_conv Learn.Ttt_tree & info [ "algorithm" ] ~docv:"ALGO" ~doc)
 
+let protocols = [ ("tcp", `Tcp); ("quic", `Quic); ("dtls", `Dtls) ]
+
 let protocol =
   let doc = "Protocol to analyze: $(b,tcp), $(b,quic) or $(b,dtls)." in
-  Arg.(value
-       & opt (enum [ ("tcp", `Tcp); ("quic", `Quic); ("dtls", `Dtls) ]) `Tcp
-       & info [ "protocol" ] ~docv:"PROTO" ~doc)
+  Arg.(value & opt (enum protocols) `Tcp & info [ "protocol" ] ~docv:"PROTO" ~doc)
 
 let profile_arg =
   let doc = "QUIC server profile (quiche-like, google-like, mvfst-like, strict-retry, ncid-buggy)." in
@@ -49,6 +49,16 @@ let or_die = function
   | Error msg ->
       prerr_endline ("error: " ^ msg);
       exit 1
+
+(* Every protocol joins through one descriptor; commands that work for
+   any protocol pick one and run a single generic body. *)
+type descriptor = D : ('i, 'o) Protocol.t -> descriptor
+
+let descriptor protocol ~profile_name =
+  match protocol with
+  | `Tcp -> D (Tcp_study.protocol ())
+  | `Quic -> D (Quic_study.protocol (or_die (profile_of_name profile_name)))
+  | `Dtls -> D (Dtls_study.protocol ())
 
 (* --- learn (and resume) --- *)
 
@@ -107,9 +117,7 @@ let manifest_path dir = Filename.concat dir "manifest.json"
 
 let write_manifest ~dir m =
   let module J = Prognosis_obs.Jsonx in
-  let proto =
-    match m.m_protocol with `Tcp -> "tcp" | `Quic -> "quic" | `Dtls -> "dtls"
-  in
+  let proto = fst (List.find (fun (_, p) -> p = m.m_protocol) protocols) in
   let json =
     J.Obj
       [
@@ -148,10 +156,10 @@ let read_manifest dir =
           let flag k = match J.member k j with Some (J.Bool b) -> b | _ -> false in
           let protocol =
             match str "protocol" with
-            | Some "tcp" -> Ok `Tcp
-            | Some "quic" -> Ok `Quic
-            | Some "dtls" -> Ok `Dtls
-            | Some p -> Error (path ^ ": unknown protocol " ^ p)
+            | Some p -> (
+                match List.assoc_opt p protocols with
+                | Some p -> Ok p
+                | None -> Error (path ^ ": unknown protocol " ^ p))
             | None -> Error (path ^ ": missing protocol")
           in
           match (protocol, Option.bind (str "seed") Int64.of_string_opt) with
@@ -212,54 +220,46 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
       in
       Prognosis_obs.Trace.set_sink sink);
   (* report, dot rendering, binary save, canonical text save *)
-  let outputs kind ~to_string ~output_to_string ~dot report model =
-    ( report,
-      dot model,
-      (fun path -> Persist.save ~path kind model),
-      fun path ->
-        Persist.save_text ~path kind ~input_to_string:to_string
-          ~output_to_string model )
-  in
   let report, dot, save, save_text =
-    Fun.protect
-      ~finally:(fun () -> if tracing then Prognosis_obs.Trace.unset_sink ())
-      (fun () ->
-        try
-          match protocol with
-          | `Tcp ->
-              let module A = Prognosis_tcp.Tcp_alphabet in
-              let r = Tcp_study.learn ~seed ~algorithm ?exec ?checkpoint () in
-              outputs Persist.Tcp_model ~to_string:A.to_string
-                ~output_to_string:A.output_to_string ~dot:Tcp_study.model_dot
-                r.Tcp_study.report r.Tcp_study.model
-          | `Quic ->
-              let module A = Prognosis_quic.Quic_alphabet in
-              let profile = or_die (profile_of_name profile_name) in
-              let r =
-                Quic_study.learn ~seed ~algorithm ?exec ?checkpoint ~profile ()
-              in
-              outputs Persist.Quic_model ~to_string:A.to_string
-                ~output_to_string:A.output_to_string ~dot:Quic_study.model_dot
-                r.Quic_study.report r.Quic_study.model
-          | `Dtls ->
-              let module A = Prognosis_dtls.Dtls_alphabet in
-              let r = Dtls_study.learn ~seed ~algorithm ?exec ?checkpoint () in
-              outputs Persist.Dtls_model ~to_string:A.to_string
-                ~output_to_string:A.output_to_string ~dot:Dtls_study.model_dot
-                r.Dtls_study.report r.Dtls_study.model
-        with
-        | Prognosis_learner.Cache.Conflict ->
-            or_die
-              (Error
-                 "the implementation answered the same query differently \
-                  across runs — learning pauses, as in the paper's \
-                  nondeterminism check (§5). Investigate with `prognosis \
-                  nondet`.")
-        | Prognosis_sul.Nondet.Nondeterministic_sul msg ->
-            or_die
-              (Error
-                 ("nondeterministic implementation: " ^ msg
-                ^ ". Investigate with `prognosis nondet`.")))
+    match
+      Fun.protect
+        ~finally:(fun () -> if tracing then Prognosis_obs.Trace.unset_sink ())
+        (fun () ->
+          try
+            match descriptor protocol ~profile_name with
+            | D d ->
+                let model, report =
+                  Protocol.learn ~seed ~algorithm ?exec ?checkpoint d
+                in
+                ( report,
+                  Protocol.model_dot d model,
+                  (fun path -> Persist.save ~path d.Protocol.kind model),
+                  fun path ->
+                    Persist.save_text ~path d.Protocol.kind
+                      ~input_to_string:d.Protocol.input_to_string
+                      ~output_to_string:d.Protocol.output_to_string model )
+          with
+          | Prognosis_learner.Cache.Conflict ->
+              or_die
+                (Error
+                   "the implementation answered the same query differently \
+                    across runs — learning pauses, as in the paper's \
+                    nondeterminism check (§5). Investigate with `prognosis \
+                    nondet`.")
+          | Prognosis_sul.Nondet.Nondeterministic_sul msg ->
+              or_die
+                (Error
+                   ("nondeterministic implementation: " ^ msg
+                  ^ ". Investigate with `prognosis nondet`.")))
+    with
+    | outputs -> outputs
+    | exception Prognosis_learner.Checkpoint.Budget_exhausted { queries; path } ->
+        Format.eprintf "interrupted: query budget reached after %d SUL queries@."
+          queries;
+        Format.eprintf "checkpoint saved to %s@." path;
+        Format.eprintf "resume with: prognosis resume --checkpoint %s@."
+          (Filename.dirname path);
+        exit 3
   in
   Format.printf "%a@." Report.pp report;
   Format.printf "traces of length <= 10 over this alphabet: %d@."
@@ -349,19 +349,8 @@ let do_learn () protocol profile_name seed algorithm workers batch parallel
           m_every = checkpoint_every;
         })
     checkpoint_dir;
-  match
-    run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
-      ~dot_out ~save_out ~text_out ~trace_out ~metrics_out ~flight_out
-      ~openmetrics_out
-  with
-  | () -> ()
-  | exception Prognosis_learner.Checkpoint.Budget_exhausted { queries; path } ->
-      Format.eprintf "interrupted: query budget reached after %d SUL queries@."
-        queries;
-      Format.eprintf "checkpoint saved to %s@." path;
-      Format.eprintf "resume with: prognosis resume --checkpoint %s@."
-        (Option.value ~default:(Filename.dirname path) checkpoint_dir);
-      exit 3
+  run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint ~dot_out
+    ~save_out ~text_out ~trace_out ~metrics_out ~flight_out ~openmetrics_out
 
 let save_out =
   let doc = "Persist the learned model to $(docv) for later replay." in
@@ -484,18 +473,9 @@ let do_resume () dir query_budget dot_out save_out text_out trace_out
       (Prognosis_learner.Checkpoint.spec ~every:m.m_every ?budget:query_budget
          ~resume:true ~dir ())
   in
-  match
-    run_learn ~protocol:m.m_protocol ~profile_name:m.m_profile ~seed:m.m_seed
-      ~algorithm:m.m_algorithm ~exec ~checkpoint ~dot_out ~save_out ~text_out
-      ~trace_out ~metrics_out ~flight_out ~openmetrics_out
-  with
-  | () -> ()
-  | exception Prognosis_learner.Checkpoint.Budget_exhausted { queries; path } ->
-      Format.eprintf "interrupted: query budget reached after %d SUL queries@."
-        queries;
-      Format.eprintf "checkpoint saved to %s@." path;
-      Format.eprintf "resume with: prognosis resume --checkpoint %s@." dir;
-      exit 3
+  run_learn ~protocol:m.m_protocol ~profile_name:m.m_profile ~seed:m.m_seed
+    ~algorithm:m.m_algorithm ~exec ~checkpoint ~dot_out ~save_out ~text_out
+    ~trace_out ~metrics_out ~flight_out ~openmetrics_out
 
 let resume_cmd =
   let doc =
@@ -523,22 +503,20 @@ let resume_cmd =
 let do_compare () profile_a profile_b seed dot_out =
   let pa = or_die (profile_of_name profile_a) in
   let pb = or_die (profile_of_name profile_b) in
-  let summary = Quic_study.compare_profiles ~seed pa pb in
+  let a, _ = Protocol.learn ~seed (Quic_study.protocol pa) in
+  let b, _ = Protocol.learn ~seed:(Int64.add seed 31L) (Quic_study.protocol pb) in
   Format.printf "%a@."
     (Prognosis_analysis.Model_diff.pp_summary
        ~input_pp:Quic_study.Alphabet.pp
        ~output_pp:Quic_study.Alphabet.pp_output)
-    summary;
+    (Prognosis_analysis.Model_diff.summarize a b);
   match dot_out with
   | None -> ()
   | Some path ->
-      let a = Quic_study.learn ~seed ~profile:pa () in
-      let b = Quic_study.learn ~seed:(Int64.add seed 31L) ~profile:pb () in
       let dot =
         Prognosis_analysis.Visualize.diff_dot
           ~input_pp:Quic_study.Alphabet.pp
-          ~output_pp:Quic_study.Alphabet.pp_output a.Quic_study.model
-          b.Quic_study.model
+          ~output_pp:Quic_study.Alphabet.pp_output a b
       in
       Prognosis_analysis.Visualize.write_file ~path dot;
       Format.printf "diff written to %s@." path
@@ -582,27 +560,29 @@ let do_synthesize () protocol profile_name seed =
   | `Dtls ->
       or_die (Error "register synthesis is available for tcp and quic targets")
   | `Tcp -> begin
-      let r = Tcp_study.learn ~seed () in
+      let model, _ = Protocol.learn ~seed (Tcp_study.protocol ()) in
       let words =
         Prognosis_tcp.Tcp_alphabet.
           [ [ Syn; Ack; Ack_psh; Ack_psh ]; [ Syn; Ack_psh; Fin_ack ]; [ Syn; Ack; Fin_ack; Ack ] ]
       in
-      match Tcp_study.synthesize r words with
+      match
+        Protocol.synthesize Tcp_study.fields
+          (Prognosis_tcp.Tcp_adapter.create ~seed ())
+          model words
+      with
       | Error e -> or_die (Error e)
       | Ok machine ->
           print_string
             (Prognosis_synthesis.Ext_mealy.to_dot
-               ~input_pp:(fun fmt s ->
-                 Format.pp_print_string fmt (Prognosis_tcp.Tcp_alphabet.to_string s))
-               ~output_pp:(fun fmt o ->
-                 Format.pp_print_string fmt
-                   (Prognosis_tcp.Tcp_alphabet.output_to_string o))
-               ~names_in:Tcp_study.input_field_names
-               ~names_out:Tcp_study.output_field_names machine)
+               ~input_pp:Prognosis_tcp.Tcp_alphabet.pp
+               ~output_pp:Prognosis_tcp.Tcp_alphabet.pp_output
+               ~names_in:Tcp_study.fields.Protocol.names_in
+               ~names_out:Tcp_study.fields.Protocol.names_out machine)
     end
   | `Quic -> begin
       let profile = or_die (profile_of_name profile_name) in
-      let r = Quic_study.learn ~seed ~profile () in
+      let model, _ = Protocol.learn ~seed (Quic_study.protocol profile) in
+      let adapter, _ = Prognosis_quic.Quic_adapter.create ~profile ~seed () in
       let words =
         Quic_study.Alphabet.
           [
@@ -616,7 +596,7 @@ let do_synthesize () protocol profile_name seed =
             ];
           ]
       in
-      match Quic_study.synthesize_sdb r words with
+      match Protocol.synthesize Quic_study.fields adapter model words with
       | Error e -> or_die (Error e)
       | Ok machine -> (
           match Quic_study.sdb_verdict machine with
@@ -643,28 +623,22 @@ let synthesize_cmd =
 
 let do_check () profile_name seed =
   let profile = or_die (profile_of_name profile_name) in
-  let r = Quic_study.learn ~seed ~profile () in
+  let model, _ = Protocol.learn ~seed (Quic_study.protocol profile) in
   let module Safety = Prognosis_analysis.Safety in
   (* Model-level property: once the server answered with
      CONNECTION_CLOSE, it never sends application data again. *)
-  let has_close (out : Quic_study.Alphabet.output) =
+  let has_frame kind (out : Quic_study.Alphabet.output) =
     List.exists
       (fun (a : Quic_study.Alphabet.apacket) ->
-        List.mem Prognosis_quic.Frame.K_connection_close a.Quic_study.Alphabet.frames)
-      out
-  in
-  let has_stream (out : Quic_study.Alphabet.output) =
-    List.exists
-      (fun (a : Quic_study.Alphabet.apacket) ->
-        List.mem Prognosis_quic.Frame.K_stream a.Quic_study.Alphabet.frames)
+        List.mem kind a.Quic_study.Alphabet.frames)
       out
   in
   let prop =
     Safety.after_always "no stream data after CONNECTION_CLOSE"
-      ~trigger:(fun (_, o) -> has_close o)
-      ~then_:(fun (_, o) -> not (has_stream o))
+      ~trigger:(fun (_, o) -> has_frame Prognosis_quic.Frame.K_connection_close o)
+      ~then_:(fun (_, o) -> not (has_frame Prognosis_quic.Frame.K_stream o))
   in
-  (match Safety.check prop r.Quic_study.model with
+  (match Safety.check prop model with
   | None -> Format.printf "[ok]   %s@." (Safety.name prop)
   | Some word ->
       Format.printf "[FAIL] %s; witness: %s@." (Safety.name prop)
@@ -674,7 +648,8 @@ let do_check () profile_name seed =
     Quic_study.Alphabet.
       [ [ Initial_crypto; Initial_crypto; Handshake_ack_crypto; Short_ack_stream ] ]
   in
-  let pns = Quic_study.packet_number_sequences r words in
+  let adapter, client = Prognosis_quic.Quic_adapter.create ~profile ~seed () in
+  let pns = Quic_study.packet_number_sequences adapter words in
   List.iter
     (fun seq ->
       match Safety.strictly_increasing seq with
@@ -682,9 +657,7 @@ let do_check () profile_name seed =
       | Safety.Violated _ as v ->
           Format.printf "[FAIL] packet numbers: %a@." Safety.pp_verdict v)
     pns;
-  let ncids =
-    Prognosis_quic.Quic_client.ncid_sequence_numbers r.Quic_study.client
-  in
+  let ncids = Prognosis_quic.Quic_client.ncid_sequence_numbers client in
   if ncids <> [] then
     match Safety.increases_by ~stride:1 ncids with
     | Safety.Holds ->
@@ -702,7 +675,7 @@ let check_cmd =
 let do_difftest () profile_a profile_b seed =
   let pa = or_die (profile_of_name profile_a) in
   let pb = or_die (profile_of_name profile_b) in
-  let model_a = (Quic_study.learn ~seed ~profile:pa ()).Quic_study.model in
+  let model_a, _ = Protocol.learn ~seed (Quic_study.protocol pa) in
   let sul_b =
     Prognosis_quic.Quic_adapter.sul ~profile:pb ~seed:(Int64.add seed 31L) ()
   in
@@ -752,19 +725,19 @@ let do_render () seed dir =
     Prognosis_analysis.Visualize.write_file ~path dot;
     Format.printf "%s@." path
   in
-  write "tcp_model.dot" (Tcp_study.model_dot (Tcp_study.learn ~seed ()).Tcp_study.model);
   List.iter
-    (fun profile ->
-      let r = Quic_study.learn ~seed ~profile () in
-      write
-        (Printf.sprintf "quic_%s.dot"
-           (String.map
-              (fun c -> if c = '-' then '_' else c)
-              profile.Prognosis_quic.Quic_profile.name))
-        (Quic_study.model_dot r.Quic_study.model))
-    Prognosis_quic.Quic_profile.
-      [ quiche_like; google_like; strict_retry ];
-  write "dtls_model.dot" (Dtls_study.model_dot (Dtls_study.learn ~seed ()).Dtls_study.model)
+    (fun (name, D d) ->
+      write name (Protocol.model_dot d (fst (Protocol.learn ~seed d))))
+    ([ ("tcp_model.dot", D (Tcp_study.protocol ())) ]
+    @ List.map
+        (fun profile ->
+          ( Printf.sprintf "quic_%s.dot"
+              (String.map
+                 (fun c -> if c = '-' then '_' else c)
+                 profile.Prognosis_quic.Quic_profile.name),
+            D (Quic_study.protocol profile) ))
+        Prognosis_quic.Quic_profile.[ quiche_like; google_like; strict_retry ]
+    @ [ ("dtls_model.dot", D (Dtls_study.protocol ())) ])
 
 let render_cmd =
   let doc = "Render every learned model to Graphviz files (paper App. A figures)." in
@@ -793,30 +766,22 @@ let do_replay () protocol model_path word =
     String.split_on_char ' ' word |> List.filter (fun t -> t <> "")
   in
   if tokens = [] then or_die (Error "empty word; pass --word \"SYM SYM ...\"");
-  match protocol with
-  | `Tcp ->
-      let model = or_die_load (Persist.load_tcp ~path:model_path) in
-      let module A = Prognosis_tcp.Tcp_alphabet in
-      let input = parse_word A.all A.to_string tokens in
+  (* the profile only picks a live implementation, which replay never runs *)
+  match descriptor protocol ~profile_name:"quiche-like" with
+  | D d ->
+      let model = or_die_load (Protocol.load d ~path:model_path) in
+      (* the model's own alphabet: a model learned over fewer symbols
+         than the protocol offers has no transition on the others *)
+      let print = d.Protocol.input_to_string in
+      let inputs = Mealy.inputs model in
+      let input = parse_word inputs print tokens in
+      let width =
+        Array.fold_left (fun w i -> max w (String.length (print i))) 0 inputs
+      in
       List.iter2
         (fun i o ->
-          Format.printf "%-28s -> %s@." (A.to_string i) (A.output_to_string o))
-        input (Mealy.run model input)
-  | `Quic ->
-      let model = or_die_load (Persist.load_quic ~path:model_path) in
-      let module A = Prognosis_quic.Quic_alphabet in
-      let input = parse_word A.extended A.to_string tokens in
-      List.iter2
-        (fun i o ->
-          Format.printf "%-42s -> %s@." (A.to_string i) (A.output_to_string o))
-        input (Mealy.run model input)
-  | `Dtls ->
-      let model = or_die_load (Persist.load_dtls ~path:model_path) in
-      let module A = Prognosis_dtls.Dtls_alphabet in
-      let input = parse_word A.all A.to_string tokens in
-      List.iter2
-        (fun i o ->
-          Format.printf "%-24s -> %s@." (A.to_string i) (A.output_to_string o))
+          Format.printf "%-*s -> %s@." width (print i)
+            (d.Protocol.output_to_string o))
         input (Mealy.run model input)
 
 let replay_cmd =

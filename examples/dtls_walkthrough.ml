@@ -23,12 +23,12 @@ let print_run model word =
     word (Mealy.run model word)
 
 let () =
-  let with_cookie = Dtls_study.learn ~seed:2026L () in
-  Format.printf "cookie-validating server: %a@.@." Report.pp
-    with_cookie.Dtls_study.report;
+  let dtls = Dtls_study.protocol () in
+  let with_cookie, report = Protocol.learn ~seed:2026L dtls in
+  Format.printf "cookie-validating server: %a@.@." Report.pp report;
 
   Format.printf "full lifecycle in the learned model:@.";
-  print_run with_cookie.Dtls_study.model
+  print_run with_cookie
     Alphabet.
       [
         Client_hello;
@@ -43,20 +43,21 @@ let () =
   (* Skipping the cookie round-trip: the server just repeats the
      HELLO_VERIFY_REQUEST — address validation, DTLS's Retry. *)
   Format.printf "@.skipping the cookie (handshake cannot progress):@.";
-  print_run with_cookie.Dtls_study.model
+  print_run with_cookie
     Alphabet.[ Client_hello; Client_key_exchange; Finished ];
 
   (* A no-cookie server learns a different, smaller model. *)
-  let no_cookie =
-    Dtls_study.learn ~seed:2027L
-      ~server_config:
-        { Prognosis_dtls.Dtls_server.require_cookie = false; strict_ccs = true }
-      ()
+  let no_cookie, report =
+    Protocol.learn ~seed:2027L
+      (Dtls_study.protocol
+         ~server_config:
+           { Prognosis_dtls.Dtls_server.require_cookie = false; strict_ccs = true }
+         ())
   in
-  Format.printf "@.no-cookie server: %a@." Report.pp no_cookie.Dtls_study.report;
+  Format.printf "@.no-cookie server: %a@." Report.pp report;
   let summary =
     Prognosis_analysis.Model_diff.summarize ~max_witnesses:1
-      with_cookie.Dtls_study.model no_cookie.Dtls_study.model
+      with_cookie no_cookie
   in
   (match summary.Prognosis_analysis.Model_diff.witnesses with
   | w :: _ ->
@@ -74,5 +75,5 @@ let () =
   | [] -> Format.printf "models unexpectedly equivalent@.");
 
   Prognosis_analysis.Visualize.write_file ~path:"dtls_model.dot"
-    (Dtls_study.model_dot with_cookie.Dtls_study.model);
+    (Protocol.model_dot dtls with_cookie);
   Format.printf "@.model written to dtls_model.dot@."

@@ -39,7 +39,10 @@ let has_frame kind (out : Quic_study.Alphabet.output) =
 
 let examine profile =
   Format.printf "=== %s ===@." profile.Profile.name;
-  let r = Quic_study.learn ~seed:11L ~profile () in
+  let model, _ = Protocol.learn ~seed:11L (Quic_study.protocol profile) in
+  let adapter, client =
+    Prognosis_quic.Quic_adapter.create ~profile ~seed:11L ()
+  in
 
   (* 1. temporal safety on the learned model *)
   let silent_after_close =
@@ -54,7 +57,7 @@ let examine profile =
   in
   List.iter
     (fun prop ->
-      match Safety.check prop r.Quic_study.model with
+      match Safety.check prop model with
       | None -> Format.printf "[ok]   %s@." (Safety.name prop)
       | Some word ->
           Format.printf "[FAIL] %s@.       witness: %s@." (Safety.name prop)
@@ -72,8 +75,7 @@ let examine profile =
           (String.concat "," (List.map string_of_int pns))
           Safety.pp_verdict
           (Safety.strictly_increasing pns))
-    (Quic_study.packet_number_sequences r words);
-  let client = r.Quic_study.client in
+    (Quic_study.packet_number_sequences adapter words);
   let ncids = Prognosis_quic.Quic_client.ncid_sequence_numbers client in
   if ncids <> [] then
     Format.printf "[%s]   NEW_CONNECTION_ID seqs %s must increase by 1: %a@."
@@ -87,7 +89,7 @@ let examine profile =
     (if Prognosis_quic.Quic_client.flow_violation client then "FAIL" else "ok");
 
   (* 3. the Issue-4 synthesized machine *)
-  (match Quic_study.synthesize_sdb r words with
+  (match Protocol.synthesize Quic_study.fields adapter model words with
   | Error e -> Format.printf "[??]   sdb synthesis failed: %s@." e
   | Ok machine -> (
       match Quic_study.sdb_verdict machine with

@@ -32,14 +32,14 @@ let pp_witness w =
 let () =
   (* --- Issue 1: divergent post-Retry packet-number-space handling --- *)
   Format.printf "=== Issue 1: RFC imprecision around Retry ===@.@.";
-  let tolerant = Quic_study.learn ~seed:1L ~profile:Profile.google_like () in
-  let strict = Quic_study.learn ~seed:2L ~profile:Profile.strict_retry () in
-  Format.printf "tolerant : %a@." Report.pp tolerant.Quic_study.report;
-  Format.printf "strict   : %a@.@." Report.pp strict.Quic_study.report;
-  let summary =
-    Model_diff.summarize ~max_witnesses:3 tolerant.Quic_study.model
-      strict.Quic_study.model
+  let learn ~seed ?client_config profile =
+    Protocol.learn ~seed (Quic_study.protocol ?client_config profile)
   in
+  let tolerant, tolerant_report = learn ~seed:1L Profile.google_like in
+  let strict, strict_report = learn ~seed:2L Profile.strict_retry in
+  Format.printf "tolerant : %a@." Report.pp tolerant_report;
+  Format.printf "strict   : %a@.@." Report.pp strict_report;
+  let summary = Model_diff.summarize ~max_witnesses:3 tolerant strict in
   Format.printf
     "model sizes differ (%d vs %d states) — the signal that led the paper to \
      the RFC ambiguity. Shortest distinguishing traces:@.@."
@@ -48,17 +48,13 @@ let () =
 
   (* --- Issue 3: the reference client's retry-port bug --- *)
   Format.printf "=== Issue 3: inconsistent port on Retry (QUIC-Tracker bug) ===@.@.";
-  let healthy = Quic_study.learn ~seed:3L ~profile:Profile.google_like () in
-  let buggy =
-    Quic_study.learn ~seed:4L ~profile:Profile.google_like
+  let healthy, _ = learn ~seed:3L Profile.google_like in
+  let buggy, _ =
+    learn ~seed:4L Profile.google_like
       ~client_config:
         { Prognosis_quic.Quic_client.retry_port_bug = true; pns_reset_on_retry = true }
-      ()
   in
-  let summary =
-    Model_diff.summarize ~max_witnesses:2 healthy.Quic_study.model
-      buggy.Quic_study.model
-  in
+  let summary = Model_diff.summarize ~max_witnesses:2 healthy buggy in
   Format.printf
     "with the port bug, the model collapses to %d states (healthy: %d): after \
      a RETRY the handshake can never complete, because the token is echoed \
@@ -67,8 +63,7 @@ let () =
   List.iter pp_witness summary.Model_diff.witnesses;
   let dot =
     Prognosis_analysis.Visualize.diff_dot ~input_pp:Quic_study.Alphabet.pp
-      ~output_pp:Quic_study.Alphabet.pp_output healthy.Quic_study.model
-      buggy.Quic_study.model
+      ~output_pp:Quic_study.Alphabet.pp_output healthy buggy
   in
   Prognosis_analysis.Visualize.write_file ~path:"quic_retry_diff.dot" dot;
   Format.printf "product-machine diff written to quic_retry_diff.dot@."

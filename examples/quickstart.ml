@@ -10,12 +10,13 @@ open Prognosis
 let () =
   (* Learn: TTT algorithm, W-method + random-word equivalence oracle,
      everything seeded and reproducible. *)
-  let result = Tcp_study.learn ~seed:42L () in
-  Format.printf "learned: %a@.@." Report.pp result.Tcp_study.report;
+  let tcp = Tcp_study.protocol () in
+  let model, report = Protocol.learn ~seed:42L tcp in
+  Format.printf "learned: %a@.@." Report.pp report;
 
   (* Replay the 3-way handshake through the learned model. *)
   let handshake = Alphabet.[ Syn; Ack ] in
-  let outputs = Mealy.run result.Tcp_study.model handshake in
+  let outputs = Mealy.run model handshake in
   Format.printf "3-way handshake in the model:@.";
   List.iter2
     (fun i o ->
@@ -31,10 +32,9 @@ let () =
       Format.printf "  %-18s -> %s@." (Alphabet.to_string i)
         (Alphabet.output_to_string o))
     lifecycle
-    (Mealy.run result.Tcp_study.model lifecycle);
+    (Mealy.run model lifecycle);
 
   (* The model is a plain Mealy machine: render it for humans. *)
   let path = "tcp_model.dot" in
-  Prognosis_analysis.Visualize.write_file ~path
-    (Tcp_study.model_dot result.Tcp_study.model);
+  Prognosis_analysis.Visualize.write_file ~path (Protocol.model_dot tcp model);
   Format.printf "@.Graphviz rendering written to %s@." path

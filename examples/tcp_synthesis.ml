@@ -18,8 +18,8 @@ module Alphabet = Prognosis_tcp.Tcp_alphabet
 open Prognosis
 
 let () =
-  let result = Tcp_study.learn ~seed:7L () in
-  Format.printf "abstract skeleton: %a@.@." Report.pp result.Tcp_study.report;
+  let m, report = Protocol.learn ~seed:7L (Tcp_study.protocol ()) in
+  Format.printf "abstract skeleton: %a@.@." Report.pp report;
 
   let words =
     Alphabet.
@@ -30,17 +30,19 @@ let () =
         [ Syn; Ack; Ack_psh; Fin_ack; Ack; Ack ];
       ]
   in
-  match Tcp_study.synthesize result words with
+  let fields = Tcp_study.fields in
+  match
+    Protocol.synthesize fields (Prognosis_tcp.Tcp_adapter.create ~seed:7L ()) m words
+  with
   | Error e -> failwith e
   | Ok machine ->
       let term_str = function
         | None -> "?"
         | Some t ->
-            Term.to_string ~names_in:Tcp_study.input_field_names
-              ~names_out:Tcp_study.output_field_names t
+            Term.to_string ~names_in:fields.Protocol.names_in
+              ~names_out:fields.Protocol.names_out t
       in
       Format.printf "synthesized output terms (state, input -> seq, ack):@.";
-      let m = result.Tcp_study.model in
       for s = 0 to Mealy.size m - 1 do
         Array.iter
           (fun sym ->
@@ -59,6 +61,6 @@ let () =
            ~input_pp:(fun fmt s -> Format.pp_print_string fmt (Alphabet.to_string s))
            ~output_pp:(fun fmt o ->
              Format.pp_print_string fmt (Alphabet.output_to_string o))
-           ~names_in:Tcp_study.input_field_names
-           ~names_out:Tcp_study.output_field_names machine);
+           ~names_in:fields.Protocol.names_in
+           ~names_out:fields.Protocol.names_out machine);
       Format.printf "extended machine written to tcp_extended.dot@."

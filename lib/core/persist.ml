@@ -108,10 +108,6 @@ let load ~path kind =
                      Error (Corrupt { path; detail = "invalid machine: " ^ msg })))
           | _ -> Error (Corrupt { path; detail = "truncated header" }))
 
-let load_tcp ~path = load ~path Tcp_model
-let load_quic ~path = load ~path Quic_model
-let load_dtls ~path = load ~path Dtls_model
-
 (* --- the portable canonical textual format (prognosis.model/1) ---
 
    A line-oriented plain-text serialization meant to be committed,

@@ -48,29 +48,8 @@ val load :
   kind ->
   (('i, 'o) Prognosis_automata.Mealy.t, load_error) result
 (** The ['i]/['o] types must match what was saved — the [kind] tag is
-    the guard, so only load through the typed wrappers below in
-    application code. *)
-
-val load_tcp :
-  path:string ->
-  ( (Prognosis_tcp.Tcp_alphabet.symbol, Prognosis_tcp.Tcp_alphabet.output)
-    Prognosis_automata.Mealy.t,
-    load_error )
-  result
-
-val load_quic :
-  path:string ->
-  ( (Prognosis_quic.Quic_alphabet.symbol, Prognosis_quic.Quic_alphabet.output)
-    Prognosis_automata.Mealy.t,
-    load_error )
-  result
-
-val load_dtls :
-  path:string ->
-  ( (Prognosis_dtls.Dtls_alphabet.symbol, Prognosis_dtls.Dtls_alphabet.output)
-    Prognosis_automata.Mealy.t,
-    load_error )
-  result
+    the guard, so application code loads through a descriptor
+    ({!Protocol.load}), which ties the kind to its symbol types. *)
 
 (** {2 The canonical text format}
 

@@ -1,14 +1,9 @@
-module Rng = Prognosis_sul.Rng
 module Learn = Prognosis_learner.Learn
 module Checkpoint = Prognosis_learner.Checkpoint
 module Engine = Prognosis_exec.Engine
 
 type ('i, 'o) factory =
   seed:int64 -> workers:int -> int -> ('i, 'o) Prognosis_sul.Sul.t
-
-let seeded make ~seed ~workers =
-  let wseeds = Array.map Rng.next64 (Rng.split_n (Rng.create seed) workers) in
-  fun i -> make wseeds.(i)
 
 let algorithm_name = function Learn.L_star -> "L*" | Learn.Ttt_tree -> "TTT"
 

@@ -1,6 +1,6 @@
-(** The one learn path (paper §3: a protocol joins the pipeline by
-    supplying an adapter and an alphabet). Every case study,
-    [Prognosis_service.Subject] and the fleet scheduler learn through
+(** The one engine-level learn path. {!Protocol.learn} (every typed
+    learn: the studies' descriptors and [Prognosis_service.Subject])
+    and the fleet scheduler's string-level learn sessions run through
     {!learn}: membership queries always run through a
     {!Prognosis_exec.Engine} pool in front of one query cache, and
     {!Prognosis_learner.Learn.run_mq} drives the learner. *)
@@ -9,12 +9,6 @@ type ('i, 'o) factory =
   seed:int64 -> workers:int -> int -> ('i, 'o) Prognosis_sul.Sul.t
 (** [factory ~seed ~workers i] is worker [i]'s independent SUL instance
     in a pool of [workers] learning under [seed]. *)
-
-val seeded : (int64 -> 'a) -> seed:int64 -> workers:int -> int -> 'a
-(** [seeded make ~seed ~workers] splits [seed] into [workers]
-    independent streams ({!Prognosis_sul.Rng.split_n}) and builds
-    worker [i] with [make seed_i] — the one seed split every factory
-    uses. *)
 
 val learn :
   ?exec:Prognosis_exec.Engine.config ->

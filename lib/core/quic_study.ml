@@ -1,14 +1,8 @@
 module Mealy = Prognosis_automata.Mealy
-module Rng = Prognosis_sul.Rng
 module Adapter = Prognosis_sul.Adapter
 module Oracle_table = Prognosis_sul.Oracle_table
 module Nondet = Prognosis_sul.Nondet
-module Sul = Prognosis_sul.Sul
-module Learn = Prognosis_learner.Learn
-module Eq_oracle = Prognosis_learner.Eq_oracle
-module Checkpoint = Prognosis_learner.Checkpoint
 module Ext_mealy = Prognosis_synthesis.Ext_mealy
-module Synthesizer = Prognosis_synthesis.Synthesizer
 module Term = Prognosis_synthesis.Term
 module Alphabet = Prognosis_quic.Quic_alphabet
 module Profile = Prognosis_quic.Quic_profile
@@ -16,47 +10,19 @@ module Packet = Prognosis_quic.Quic_packet
 module Frame = Prognosis_quic.Frame
 module Quic_adapter = Prognosis_quic.Quic_adapter
 
-type model = (Alphabet.symbol, Alphabet.output) Mealy.t
-
-type result = {
-  model : model;
-  report : Report.t;
-  adapter : (Alphabet.symbol, Alphabet.output, Packet.t, Packet.t) Adapter.t;
-  client : Prognosis_quic.Quic_client.t;
-}
-
-let eq_oracle ~seed =
-  let rng = Rng.create (Int64.add seed 7L) in
-  Eq_oracle.combine
-    [
-      Eq_oracle.w_method ~extra_states:1 ();
-      Eq_oracle.random_words ~rng ~max_tests:400 ~min_len:1 ~max_len:10;
-    ]
-
-let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?(alphabet = Alphabet.all)
-    ?client_config ?exec ?checkpoint ~profile () =
-  let module Metrics = Prognosis_obs.Metrics in
-  let name = profile.Profile.name in
-  Metrics.inc
-    (Metrics.counter_l Metrics.default "study.learn_runs"
-       [ ("study", "quic"); ("profile", name) ]);
-  let model, report =
-    Pipeline.learn ?exec
-      ?checkpoint:
-        (Option.map (Checkpoint.start ~kind:("quic-" ^ name)) checkpoint)
-      ~subject:("quic:" ^ name) ~seed ~algorithm ~inputs:alphabet
-      ~factory:
-        (Pipeline.seeded (fun seed ->
-             Quic_adapter.sul ~profile ?client_config ~seed ()))
-      ~eq:(eq_oracle ~seed) ()
-  in
-  let adapter, client = Quic_adapter.create ~profile ?client_config ~seed () in
-  { model; report; adapter; client }
-
-let compare_profiles ?(seed = 1L) pa pb =
-  let a = learn ~seed ~profile:pa () in
-  let b = learn ~seed:(Int64.add seed 31L) ~profile:pb () in
-  Prognosis_analysis.Model_diff.summarize a.model b.model
+let protocol ?(alphabet = Alphabet.all) ?client_config profile =
+  {
+    Protocol.name = "quic:" ^ profile.Profile.name;
+    kind = Persist.Quic_model;
+    inputs = alphabet;
+    input_to_string = Alphabet.to_string;
+    output_to_string = Alphabet.output_to_string;
+    sul =
+      (fun ~seed -> Quic_adapter.sul ~profile ?client_config ~seed ());
+    scenarios = [];
+    random_words = 400;
+    max_len = 10;
+  }
 
 let close_reset_rate ?(seed = 9L) ?(runs = 200) profile =
   let sul = Quic_adapter.sul ~profile ~seed () in
@@ -70,9 +36,6 @@ let close_reset_rate ?(seed = 9L) ?(runs = 200) profile =
       | [] -> false)
 
 (* --- Issue-4 synthesis --- *)
-
-let input_field_names = [| "pn"; "msd" |]
-let output_field_names = [| "pn"; "sdb" |]
 
 (* The Maximum Stream Data value a client packet announces: parsed from
    the ClientHello transport parameters or a MAX_STREAM_DATA frame. *)
@@ -108,48 +71,27 @@ let sdb_of_packet (p : Packet.t) =
       | _ -> acc)
     None p.Packet.frames
 
-let fields_in (p : Packet.t) = [| max 0 p.Packet.pn; msd_of_packet p |]
-
-let fields_out packets =
-  match packets with
-  | [] -> [| None; None |]
-  | (first : Packet.t) :: _ ->
-      let sdb = List.fold_left (fun acc p ->
-          match sdb_of_packet p with Some v -> Some v | None -> acc)
-          None packets
-      in
-      [| (if first.Packet.pn >= 0 then Some first.Packet.pn else None); sdb |]
-
-let witness_traces result words =
-  List.map
-    (fun word ->
-      let _ = Adapter.query result.adapter word in
-      match Oracle_table.find result.adapter.Adapter.table word with
-      | None -> invalid_arg "Quic_study.witness_traces: query was not recorded"
-      | Some entry ->
-          List.map2
-            (fun (sym, out) (step : _ Oracle_table.step) ->
-              let fi =
-                match step.Oracle_table.sent with
-                | p :: _ -> fields_in p
-                | [] -> [| 0; 0 |]
-              in
-              let fo = fields_out step.Oracle_table.received in
-              { Ext_mealy.sym_in = sym; fields_in = fi; sym_out = out; fields_out = fo })
-            (List.combine entry.Oracle_table.abstract_inputs
-               entry.Oracle_table.abstract_outputs)
-            entry.Oracle_table.steps)
-    words
-
-let synthesize_sdb ?(nregs = 1) result words =
-  let traces = witness_traces result words in
-  let cfg =
-    {
-      (Synthesizer.default_config ~nregs ~in_arity:2 ~out_arity:2) with
-      Synthesizer.consts = [ 0 ];
-    }
-  in
-  Synthesizer.solve cfg ~skeleton:result.model ~traces ()
+let fields =
+  {
+    Protocol.names_in = [| "pn"; "msd" |];
+    names_out = [| "pn"; "sdb" |];
+    of_sent =
+      (function
+      | (p : Packet.t) :: _ -> [| max 0 p.Packet.pn; msd_of_packet p |]
+      | [] -> [| 0; 0 |]);
+    of_received =
+      (function
+      | [] -> [| None; None |]
+      | (first : Packet.t) :: _ as packets ->
+          let sdb =
+            List.fold_left
+              (fun acc p ->
+                match sdb_of_packet p with Some v -> Some v | None -> acc)
+              None packets
+          in
+          let pn = if first.Packet.pn >= 0 then Some first.Packet.pn else None in
+          [| pn; sdb |]);
+  }
 
 let sdb_verdict machine =
   (* Inspect the sdb output field (index 1) across all transitions. *)
@@ -174,11 +116,11 @@ let sdb_verdict machine =
   else if !symbolic then `Symbolic
   else match !constant with Some c -> `Constant c | None -> `Unobserved
 
-let packet_number_sequences result words =
+let packet_number_sequences adapter words =
   List.map
     (fun word ->
-      let _ = Adapter.query result.adapter word in
-      match Oracle_table.find result.adapter.Adapter.table word with
+      ignore (Adapter.query adapter word);
+      match Oracle_table.find adapter.Adapter.table word with
       | None -> []
       | Some entry ->
           List.concat_map
@@ -191,9 +133,3 @@ let packet_number_sequences result words =
                 step.Oracle_table.received)
             entry.Oracle_table.steps)
     words
-
-let model_dot model =
-  Prognosis_analysis.Visualize.model_dot ~name:"quic"
-    ~input_pp:(fun fmt s -> Format.pp_print_string fmt (Alphabet.to_string s))
-    ~output_pp:(fun fmt o -> Format.pp_print_string fmt (Alphabet.output_to_string o))
-    model

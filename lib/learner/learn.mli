@@ -25,8 +25,8 @@ val run :
   ('i, 'o) result
 (** Learns a model of [sul] directly, one query at a time — the
     learner-level entry point for tests and ablations (including
-    [~cache:false]); protocol studies learn through
-    [Prognosis.Pipeline.learn] instead. Defaults: TTT, caching on, 200
+    [~cache:false]); protocols learn through [Prognosis.Protocol.learn]
+    (over [Prognosis.Pipeline.learn]) instead. Defaults: TTT, caching on, 200
     rounds. Statistics count the queries that actually reached the SUL
     (cache hits are reported separately; with caching on, [run]
     checks [stats.membership_queries = cache_misses]). The whole run

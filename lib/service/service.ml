@@ -139,9 +139,9 @@ let shared_hits t = List.fold_left (fun acc c -> acc + c.hits) 0 t.shared
 (* Both kinds of session probe the endpoint through an engine in front
    of a view of the endpoint's shared cache, so every query crosses
    one cache layer and the view's tallies are the session's own. Learn
-   sessions take the one learn path with the protocol study's
-   equivalence oracle, building their SULs from the subject's
-   [factory]. *)
+   sessions take the engine-level learn path at the string level, with
+   the descriptor's equivalence oracle and SULs from the subject's
+   [factory], so they share the cache with identify sessions. *)
 let run_learn ~cache ~config ~labels (job : job) =
   let s = job.subject in
   let model, r =

@@ -7,14 +7,14 @@
     front of its own {!Prognosis_learner.Cache.shared} view of the one
     {!Prognosis_learner.Cache.Sharded} cache every session probing the
     same endpoint configuration shares — so each query crosses exactly
-    one cache. Learn sessions take {!Prognosis.Pipeline.learn} with the
-    subject's study equivalence oracle ({!Subject.t.eq}), exactly like
-    [Subject.learn]; identify sessions share one resident
-    {!Prognosis_fingerprint.Splitter} tree per model kind, compiled
-    (and its entry models packed) once before fan-out. Answers served
-    from the shared cache never touch a SUL, so a fleet identifying a
-    population of similar endpoints spends a fraction of the queries
-    of the same sessions run cold.
+    one cache. Learn sessions take {!Prognosis.Pipeline.learn} over the
+    subject's string view ({!Subject.t.factory}, {!Subject.t.eq}) and
+    learn what the typed [Subject.learn] learns; identify sessions
+    share one resident {!Prognosis_fingerprint.Splitter} tree per model
+    kind, compiled (and its entry models packed) once before fan-out.
+    Answers served from the shared cache never touch a SUL, so a fleet
+    identifying a population of similar endpoints spends a fraction of
+    the queries of the same sessions run cold.
 
     Determinism: a session's {e results} (learned canonical model,
     identification verdict) depend only on its job — shared-cache

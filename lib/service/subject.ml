@@ -1,5 +1,4 @@
 module Mealy = Prognosis_automata.Mealy
-module Sul = Prognosis_sul.Sul
 module Learn = Prognosis_learner.Learn
 module Oracle = Prognosis_learner.Oracle
 open Prognosis
@@ -28,36 +27,22 @@ let profile_of_name name =
                  (fun p -> p.Prognosis_quic.Quic_profile.name)
                  Prognosis_quic.Quic_profile.all)))
 
-let make name kind ~symbols ~to_string ~output_to_string ~eq sul =
-  let inputs = Array.map to_string symbols in
-  let factory =
-    Pipeline.seeded (fun seed ->
-        Sul.strings ~symbols ~to_string ~output_to_string (sul ~seed))
-  in
+let make (d : (_, _) Protocol.t) =
+  let s = Protocol.strings d in
   let learn ~seed ~algorithm ~exec =
-    Pipeline.learn ?exec ~subject:name ~seed ~algorithm ~inputs ~factory
-      ~eq:(eq ~seed) ()
+    let model, report = Protocol.learn ~seed ~algorithm ?exec d in
+    ( Persist.to_string_model ~input_to_string:d.Protocol.input_to_string
+        ~output_to_string:d.Protocol.output_to_string model,
+      report )
   in
-  { name; kind; inputs; factory; eq; learn }
-
-let tcp name server_config =
-  let module A = Prognosis_tcp.Tcp_alphabet in
-  make name Persist.Tcp_model ~symbols:A.all ~to_string:A.to_string
-    ~output_to_string:A.output_to_string ~eq:Tcp_study.eq_oracle
-    (Prognosis_tcp.Tcp_adapter.sul ~server_config ())
-
-let dtls name server_config =
-  let module A = Prognosis_dtls.Dtls_alphabet in
-  make name Persist.Dtls_model ~symbols:A.all ~to_string:A.to_string
-    ~output_to_string:A.output_to_string
-    ~eq:(Dtls_study.eq_oracle ~symbol:A.to_string)
-    (Prognosis_dtls.Dtls_adapter.sul ~server_config ())
-
-let quic name profile =
-  let module A = Prognosis_quic.Quic_alphabet in
-  make name Persist.Quic_model ~symbols:A.all ~to_string:A.to_string
-    ~output_to_string:A.output_to_string ~eq:Quic_study.eq_oracle
-    (Prognosis_quic.Quic_adapter.sul ~profile ())
+  {
+    name = d.Protocol.name;
+    kind = d.Protocol.kind;
+    inputs = s.Protocol.inputs;
+    factory = Protocol.factory s;
+    eq = Protocol.eq_oracle s;
+    learn;
+  }
 
 let names =
   [
@@ -73,19 +58,19 @@ let names =
 let of_name name =
   let module T = Prognosis_tcp.Tcp_server in
   let module D = Prognosis_dtls.Dtls_server in
+  let named d = Ok (make { d with Protocol.name }) in
+  let tcp server_config = named (Tcp_study.protocol ~server_config ()) in
+  let dtls server_config = named (Dtls_study.protocol ~server_config ()) in
   match name with
-  | "tcp" -> Ok (tcp name T.default_config)
-  | "tcp:persistent" ->
-      Ok (tcp name { T.default_config with T.one_shot = false })
-  | "tcp:no-challenge" ->
-      Ok (tcp name { T.default_config with T.challenge_acks = false })
-  | "dtls" -> Ok (dtls name D.default_config)
-  | "dtls:no-cookie" ->
-      Ok (dtls name { D.default_config with D.require_cookie = false })
-  | "dtls:lax-ccs" ->
-      Ok (dtls name { D.default_config with D.strict_ccs = false })
+  | "tcp" -> tcp T.default_config
+  | "tcp:persistent" -> tcp { T.default_config with T.one_shot = false }
+  | "tcp:no-challenge" -> tcp { T.default_config with T.challenge_acks = false }
+  | "dtls" -> dtls D.default_config
+  | "dtls:no-cookie" -> dtls { D.default_config with D.require_cookie = false }
+  | "dtls:lax-ccs" -> dtls { D.default_config with D.strict_ccs = false }
   | _ when String.length name > 5 && String.sub name 0 5 = "quic:" ->
-      Result.map (quic name)
+      Result.map
+        (fun profile -> make (Quic_study.protocol profile))
         (profile_of_name (String.sub name 5 (String.length name - 5)))
   | _ ->
       Error

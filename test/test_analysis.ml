@@ -239,14 +239,15 @@ let diff_test_quic_profiles () =
      drives testing of the strict-retry implementation — the Issue-1
      divergence surfaces without learning the second model. *)
   let module Quic = Prognosis_quic in
-  let tolerant =
-    Prognosis.Quic_study.learn ~seed:5L ~profile:Quic.Quic_profile.google_like ()
+  let tolerant, _ =
+    Prognosis.(
+      Protocol.learn ~seed:5L (Quic_study.protocol Quic.Quic_profile.google_like))
   in
   let strict_sul =
     Quic.Quic_adapter.sul ~profile:Quic.Quic_profile.strict_retry ~seed:6L ()
   in
   let mismatches =
-    Diff_test.model_guided ~model:tolerant.Prognosis.Quic_study.model strict_sul
+    Diff_test.model_guided ~model:tolerant strict_sul
   in
   Alcotest.(check bool) "issue-1 divergence found" true (mismatches <> [])
 

@@ -6,6 +6,8 @@ module Term = Prognosis_synthesis.Term
 module Ext_mealy = Prognosis_synthesis.Ext_mealy
 open Prognosis
 
+let tcp = Tcp_study.protocol ()
+
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec loop i = i + n <= h && (String.sub haystack i n = needle || loop (i + 1)) in
@@ -14,8 +16,8 @@ let contains haystack needle =
 (* --- report --- *)
 
 let report_roundtrip () =
-  let result = Tcp_study.learn ~seed:5L () in
-  let r = result.Tcp_study.report in
+  let result = Protocol.learn ~seed:5L tcp in
+  let r = (snd result) in
   Alcotest.(check string) "subject" "tcp" r.Report.subject;
   Alcotest.(check int) "alphabet" 7 r.Report.alphabet;
   Alcotest.(check int) "row width" (List.length Report.header)
@@ -28,30 +30,34 @@ let report_roundtrip () =
 (* --- TCP study (E1, E8) --- *)
 
 let tcp_learn_shape () =
-  let result = Tcp_study.learn ~seed:5L () in
-  Alcotest.(check int) "6 states" 6 result.Tcp_study.report.Report.states;
-  Alcotest.(check int) "42 transitions" 42 result.Tcp_study.report.Report.transitions
+  let result = Protocol.learn ~seed:5L tcp in
+  Alcotest.(check int) "6 states" 6 (snd result).Report.states;
+  Alcotest.(check int) "42 transitions" 42 (snd result).Report.transitions
 
 let tcp_learn_lstar_agrees () =
-  let ttt = Tcp_study.learn ~seed:5L () in
+  let ttt = Protocol.learn ~seed:5L tcp in
   let lstar =
-    Tcp_study.learn ~seed:5L ~algorithm:Prognosis_learner.Learn.L_star ()
+    Protocol.learn ~seed:5L ~algorithm:Prognosis_learner.Learn.L_star tcp
   in
   Alcotest.(check bool) "same model" true
-    (Prognosis_analysis.Model_diff.equivalent ttt.Tcp_study.model
-       lstar.Tcp_study.model)
+    (Prognosis_analysis.Model_diff.equivalent (fst ttt)
+       (fst lstar))
 
 let tcp_synthesis_handshake_invariant () =
-  let result = Tcp_study.learn ~seed:5L () in
+  let result = Protocol.learn ~seed:5L tcp in
   let words =
     Prognosis_tcp.Tcp_alphabet.
       [ [ Syn; Ack; Ack_psh; Ack_psh ]; [ Syn; Ack_psh; Fin_ack ]; [ Syn; Ack; Fin_ack; Ack ] ]
   in
-  match Tcp_study.synthesize result words with
+  match
+    Protocol.synthesize Tcp_study.fields
+      (Prognosis_tcp.Tcp_adapter.create ~seed:5L ())
+      (fst result) words
+  with
   | Error e -> Alcotest.fail e
   | Ok machine -> (
       match
-        Ext_mealy.output_term machine ~state:(Mealy.initial result.Tcp_study.model)
+        Ext_mealy.output_term machine ~state:(Mealy.initial (fst result))
           ~input:Prognosis_tcp.Tcp_alphabet.Syn ~field:1
       with
       | Some (Term.In_field_inc 0) -> ()
@@ -59,23 +65,27 @@ let tcp_synthesis_handshake_invariant () =
       | None -> Alcotest.fail "no ack term for SYN")
 
 let tcp_dot () =
-  let result = Tcp_study.learn ~seed:5L () in
+  let result = Protocol.learn ~seed:5L tcp in
   Alcotest.(check bool) "dot mentions SYN" true
-    (contains (Tcp_study.model_dot result.Tcp_study.model) "SYN")
+    (contains (Protocol.model_dot tcp (fst result)) "SYN")
 
 (* --- QUIC study (E2, E4-E7) --- *)
 
 let quic_learn_reports () =
-  let result = Quic_study.learn ~seed:5L ~profile:Quic_study.Profile.quiche_like () in
-  let r = result.Quic_study.report in
+  let result = Protocol.learn ~seed:5L (Quic_study.protocol Quic_study.Profile.quiche_like) in
+  let r = (snd result) in
   Alcotest.(check string) "subject" "quic:quiche-like" r.Report.subject;
   Alcotest.(check bool) "enough states" true (r.Report.states >= 4);
   Alcotest.(check bool) "queries counted" true (r.Report.membership_queries > 0)
 
 let quic_profiles_differ () =
+  let learn ~seed profile =
+    fst (Protocol.learn ~seed (Quic_study.protocol profile))
+  in
   let s =
-    Quic_study.compare_profiles ~seed:5L Quic_study.Profile.google_like
-      Quic_study.Profile.strict_retry
+    Prognosis_analysis.Model_diff.summarize
+      (learn ~seed:5L Quic_study.Profile.google_like)
+      (learn ~seed:36L Quic_study.Profile.strict_retry)
   in
   Alcotest.(check bool) "not equivalent" false
     s.Prognosis_analysis.Model_diff.equivalent_;
@@ -86,10 +96,10 @@ let quic_profiles_differ () =
 let quic_same_profile_equivalent () =
   (* Learning the same profile from different seeds yields equivalent
      models: the abstraction hides all randomness. *)
-  let a = Quic_study.learn ~seed:5L ~profile:Quic_study.Profile.quiche_like () in
-  let b = Quic_study.learn ~seed:77L ~profile:Quic_study.Profile.quiche_like () in
+  let a = Protocol.learn ~seed:5L (Quic_study.protocol Quic_study.Profile.quiche_like) in
+  let b = Protocol.learn ~seed:77L (Quic_study.protocol Quic_study.Profile.quiche_like) in
   Alcotest.(check bool) "equivalent" true
-    (Prognosis_analysis.Model_diff.equivalent a.Quic_study.model b.Quic_study.model)
+    (Prognosis_analysis.Model_diff.equivalent (fst a) (fst b))
 
 let quic_close_reset_rates () =
   let compliant = Quic_study.close_reset_rate ~runs:100 Quic_study.Profile.quiche_like in
@@ -124,8 +134,11 @@ let sdb_words =
     ]
 
 let quic_sdb_synthesis_compliant () =
-  let result = Quic_study.learn ~seed:5L ~profile:Quic_study.Profile.quiche_like () in
-  match Quic_study.synthesize_sdb result sdb_words with
+  let result = Protocol.learn ~seed:5L (Quic_study.protocol Quic_study.Profile.quiche_like) in
+  let adapter, _ =
+    Prognosis_quic.Quic_adapter.create ~profile:Quic_study.Profile.quiche_like ~seed:5L ()
+  in
+  match Protocol.synthesize Quic_study.fields adapter (fst result) sdb_words with
   | Error e -> Alcotest.fail e
   | Ok machine -> (
       match Quic_study.sdb_verdict machine with
@@ -134,8 +147,11 @@ let quic_sdb_synthesis_compliant () =
       | `Unobserved -> Alcotest.fail "sdb never observed")
 
 let quic_sdb_synthesis_google () =
-  let result = Quic_study.learn ~seed:5L ~profile:Quic_study.Profile.google_like () in
-  match Quic_study.synthesize_sdb result sdb_words with
+  let result = Protocol.learn ~seed:5L (Quic_study.protocol Quic_study.Profile.google_like) in
+  let adapter, _ =
+    Prognosis_quic.Quic_adapter.create ~profile:Quic_study.Profile.google_like ~seed:5L ()
+  in
+  match Protocol.synthesize Quic_study.fields adapter (fst result) sdb_words with
   | Error e -> Alcotest.fail e
   | Ok machine -> (
       match Quic_study.sdb_verdict machine with
@@ -148,8 +164,11 @@ let quic_pn_register_synthesized () =
   (* The synthesized extended machine recovers the packet-number
      counter: the pn output field is a register that increments — the
      App. B.1 style of model, for the quantity "packet number". *)
-  let result = Quic_study.learn ~seed:5L ~profile:Quic_study.Profile.quiche_like () in
-  match Quic_study.synthesize_sdb result sdb_words with
+  let result = Protocol.learn ~seed:5L (Quic_study.protocol Quic_study.Profile.quiche_like) in
+  let adapter, _ =
+    Prognosis_quic.Quic_adapter.create ~profile:Quic_study.Profile.quiche_like ~seed:5L ()
+  in
+  match Protocol.synthesize Quic_study.fields adapter (fst result) sdb_words with
   | Error e -> Alcotest.fail e
   | Ok machine ->
       (* Field 0 is the packet number: somewhere in the machine there
@@ -170,8 +189,11 @@ let quic_pn_register_synthesized () =
       Alcotest.(check bool) "register increments" true !inc_update
 
 let quic_packet_numbers_increase () =
-  let result = Quic_study.learn ~seed:5L ~profile:Quic_study.Profile.quiche_like () in
-  let seqs = Quic_study.packet_number_sequences result sdb_words in
+  let adapter, _ =
+    Prognosis_quic.Quic_adapter.create ~profile:Quic_study.Profile.quiche_like
+      ~seed:5L ()
+  in
+  let seqs = Quic_study.packet_number_sequences adapter sdb_words in
   Alcotest.(check bool) "some sequences" true
     (List.exists (fun s -> List.length s >= 2) seqs);
   List.iter
@@ -184,21 +206,21 @@ let quic_packet_numbers_increase () =
 (* --- model persistence --- *)
 
 let persist_roundtrip () =
-  let result = Tcp_study.learn ~seed:5L () in
+  let result = Protocol.learn ~seed:5L tcp in
   let path = Filename.temp_file "prognosis" ".model" in
-  Persist.save ~path Persist.Tcp_model result.Tcp_study.model;
-  (match Persist.load_tcp ~path with
+  Persist.save ~path Persist.Tcp_model (fst result);
+  (match Protocol.load tcp ~path with
   | Error e -> Alcotest.fail (Persist.load_error_to_string e)
   | Ok model ->
       Alcotest.(check bool) "identical behaviour" true
-        (Prognosis_analysis.Model_diff.equivalent model result.Tcp_study.model));
+        (Prognosis_analysis.Model_diff.equivalent model (fst result)));
   Sys.remove path
 
 let persist_kind_guard () =
-  let result = Tcp_study.learn ~seed:5L () in
+  let result = Protocol.learn ~seed:5L tcp in
   let path = Filename.temp_file "prognosis" ".model" in
-  Persist.save ~path Persist.Tcp_model result.Tcp_study.model;
-  (match Persist.load_quic ~path with
+  Persist.save ~path Persist.Tcp_model (fst result);
+  (match Protocol.load (Quic_study.protocol Quic_study.Profile.quiche_like) ~path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "kind mismatch must be refused");
   Sys.remove path
@@ -208,11 +230,11 @@ let persist_rejects_garbage () =
   let oc = open_out path in
   output_string oc "not a model at all";
   close_out oc;
-  (match Persist.load_tcp ~path with
+  (match Protocol.load tcp ~path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage must be refused");
   Sys.remove path;
-  match Persist.load_tcp ~path:"/nonexistent/nowhere.model" with
+  match Protocol.load tcp ~path:"/nonexistent/nowhere.model" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file must be an error"
 
@@ -233,27 +255,27 @@ let persist_error_cases () =
     | Ok _ -> Alcotest.fail (Printf.sprintf "expected %s, got a model" what)
   in
   write "something else\nentirely\n1.0\n";
-  (match Persist.load_tcp ~path with
+  (match Protocol.load tcp ~path with
   | Error (Persist.Foreign_magic { found = "something else"; _ }) -> ()
   | r -> expect "Foreign_magic" r);
   write "prognosis-model/1\nquic\n0.00.0\n";
-  (match Persist.load_tcp ~path with
+  (match Protocol.load tcp ~path with
   | Error (Persist.Kind_mismatch { found = "quic"; expected = "tcp"; _ }) -> ()
   | r -> expect "Kind_mismatch" r);
   write ("prognosis-model/1\ntcp\n0.00.0\n");
-  (match Persist.load_tcp ~path with
+  (match Protocol.load tcp ~path with
   | Error (Persist.Version_mismatch { found = "0.00.0"; _ }) -> ()
   | r -> expect "Version_mismatch" r);
   write ("prognosis-model/1\ntcp\n" ^ Sys.ocaml_version ^ "\ngarbage payload");
-  (match Persist.load_tcp ~path with
+  (match Protocol.load tcp ~path with
   | Error (Persist.Corrupt _) -> ()
   | r -> expect "Corrupt" r);
   write "prognosis-model/1\n";
-  (match Persist.load_tcp ~path with
+  (match Protocol.load tcp ~path with
   | Error (Persist.Corrupt { detail = "truncated header"; _ }) -> ()
   | r -> expect "Corrupt (truncated header)" r);
   Sys.remove path;
-  match Persist.load_tcp ~path with
+  match Protocol.load tcp ~path with
   | Error (Persist.Missing_file _) -> ()
   | r -> expect "Missing_file" r
 
@@ -267,8 +289,8 @@ let tcp_text model =
     ~output_to_string:Tcp_alpha.output_to_string model
 
 let persist_text_roundtrip () =
-  let r = Tcp_study.learn ~seed:5L () in
-  let text = tcp_text r.Tcp_study.model in
+  let r = Protocol.learn ~seed:5L tcp in
+  let text = tcp_text (fst r) in
   match Persist.parse_text ~path:"(mem)" Persist.Tcp_model text with
   | Error e -> Alcotest.fail (Persist.load_error_to_string e)
   | Ok m ->
@@ -278,7 +300,7 @@ let persist_text_roundtrip () =
            ~output_to_string:Fun.id m);
       let strm =
         Persist.to_string_model ~input_to_string:Tcp_alpha.to_string
-          ~output_to_string:Tcp_alpha.output_to_string r.Tcp_study.model
+          ~output_to_string:Tcp_alpha.output_to_string (fst r)
       in
       Alcotest.(check bool)
         "parsed model is the learned model" true
@@ -288,12 +310,12 @@ let persist_text_canonical_across_runs () =
   (* Two independent runs — different seed, different algorithm — of
      the same implementation serialize byte-identically: the property
      the golden regression gate relies on. *)
-  let a = Tcp_study.learn ~seed:5L () in
+  let a = Protocol.learn ~seed:5L tcp in
   let b =
-    Tcp_study.learn ~seed:9L ~algorithm:Prognosis_learner.Learn.L_star ()
+    Protocol.learn ~seed:9L ~algorithm:Prognosis_learner.Learn.L_star tcp
   in
   Alcotest.(check string)
-    "canonical bytes" (tcp_text a.Tcp_study.model) (tcp_text b.Tcp_study.model)
+    "canonical bytes" (tcp_text (fst a)) (tcp_text (fst b))
 
 let persist_text_errors () =
   let p = "(mem)" in
@@ -330,9 +352,9 @@ let checkpoint_resume_identical () =
   let budget = 150 in
   (* Interrupt a TCP study at the query budget — the controlled crash. *)
   (match
-     Tcp_study.learn ~seed:5L
+     Protocol.learn ~seed:5L
        ~checkpoint:(C.spec ~every:50 ~budget ~dir ())
-       ()
+       tcp
    with
   | _ -> Alcotest.fail "expected Budget_exhausted"
   | exception C.Budget_exhausted { queries; path } ->
@@ -342,20 +364,20 @@ let checkpoint_resume_identical () =
      uninterrupted run's, and every pre-crash SUL query must now be a
      cache hit. *)
   let resumed =
-    Tcp_study.learn ~seed:5L ~checkpoint:(C.spec ~resume:true ~dir ()) ()
+    Protocol.learn ~seed:5L ~checkpoint:(C.spec ~resume:true ~dir ()) tcp
   in
-  let full = Tcp_study.learn ~seed:5L () in
+  let full = Protocol.learn ~seed:5L tcp in
   Alcotest.(check string)
     "byte-identical canonical model"
-    (tcp_text full.Tcp_study.model)
-    (tcp_text resumed.Tcp_study.model);
+    (tcp_text (fst full))
+    (tcp_text (fst resumed));
   Alcotest.(check bool)
     "pre-crash queries answered from the warmed cache" true
-    (resumed.Tcp_study.report.Report.cache_hits >= budget);
+    ((snd resumed).Report.cache_hits >= budget);
   Alcotest.(check bool)
     "resumed run touches the SUL strictly less" true
-    (resumed.Tcp_study.report.Report.membership_queries
-    < full.Tcp_study.report.Report.membership_queries);
+    ((snd resumed).Report.membership_queries
+    < (snd full).Report.membership_queries);
   rm_rf dir
 
 let checkpoint_kind_guard () =
@@ -363,9 +385,9 @@ let checkpoint_kind_guard () =
   let dir = Filename.temp_file "prognosis" ".ckpt" in
   Sys.remove dir;
   (match
-     Tcp_study.learn ~seed:5L
+     Protocol.learn ~seed:5L
        ~checkpoint:(C.spec ~every:50 ~budget:100 ~dir ())
-       ()
+       tcp
    with
   | _ -> Alcotest.fail "expected Budget_exhausted"
   | exception C.Budget_exhausted _ -> ());
@@ -379,15 +401,15 @@ let checkpoint_kind_guard () =
 
 let quic_ncid_property () =
   (* The ncid-buggy profile violates "sequence numbers increase by 1". *)
-  let learn profile =
-    let result = Quic_study.learn ~seed:5L ~profile () in
+  let ncids profile =
+    let adapter, client = Prognosis_quic.Quic_adapter.create ~profile ~seed:5L () in
     let _ =
-      Prognosis_sul.Adapter.query result.Quic_study.adapter
+      Prognosis_sul.Adapter.query adapter
         Quic_study.Alphabet.[ Initial_crypto; Handshake_ack_crypto ]
     in
-    Prognosis_quic.Quic_client.ncid_sequence_numbers result.Quic_study.client
+    Prognosis_quic.Quic_client.ncid_sequence_numbers client
   in
-  let buggy = learn Quic_study.Profile.ncid_buggy in
+  let buggy = ncids Quic_study.Profile.ncid_buggy in
   Alcotest.(check bool) "buggy violates" true
     (Prognosis_analysis.Safety.increases_by ~stride:1 buggy
     <> Prognosis_analysis.Safety.Holds)

@@ -320,20 +320,19 @@ let exec_field e k =
    cuts resets+steps by at least 25%% against the no-reuse sequential
    oracle (every query executed directly, one reset per query). *)
 let tcp_study_savings () =
-  let direct = Tcp_study.learn () in
-  let pooled =
-    Tcp_study.learn
+  let tcp = Tcp_study.protocol () in
+  let direct, _ = Protocol.learn tcp in
+  let pooled, pooled_report =
+    Protocol.learn
       ~exec:{ Engine.default with Engine.workers = 4; batch = true }
-      ()
+      tcp
   in
-  (match
-     Mealy.equivalent direct.Tcp_study.model pooled.Tcp_study.model
-   with
+  (match Mealy.equivalent direct pooled with
   | None -> ()
   | Some w ->
       Alcotest.failf "models differ on a %d-symbol word" (List.length w));
   let e =
-    match pooled.Tcp_study.report.Report.exec with
+    match pooled_report.Report.exec with
     | Some e -> e
     | None -> Alcotest.fail "pooled report has no exec section"
   in
@@ -348,19 +347,18 @@ let tcp_study_savings () =
 
 let quic_study_pooled () =
   let profile = Prognosis_quic.Quic_profile.quiche_like in
-  let direct = Quic_study.learn ~profile () in
-  let pooled =
-    Quic_study.learn
+  let quic = Quic_study.protocol profile in
+  let direct, _ = Protocol.learn quic in
+  let pooled, pooled_report =
+    Protocol.learn
       ~exec:{ Engine.default with Engine.workers = 4; batch = true }
-      ~profile ()
+      quic
   in
-  (match
-     Mealy.equivalent direct.Quic_study.model pooled.Quic_study.model
-   with
+  (match Mealy.equivalent direct pooled with
   | None -> ()
   | Some w ->
       Alcotest.failf "models differ on a %d-symbol word" (List.length w));
-  let e = Option.get pooled.Quic_study.report.Report.exec in
+  let e = Option.get pooled_report.Report.exec in
   let actual = exec_field e "resets" + exec_field e "steps" in
   let baseline =
     exec_field e "baseline_resets" + exec_field e "baseline_steps"

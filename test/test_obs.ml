@@ -573,7 +573,8 @@ let jsonx_escape_edges () =
 
 let tcp_learn_emits_expected_spans () =
   let (), records =
-    with_memory_trace (fun () -> ignore (Tcp_study.learn ~seed:5L ()))
+    with_memory_trace (fun () ->
+        ignore (Protocol.learn ~seed:5L (Tcp_study.protocol ())))
   in
   let names = List.sort_uniq compare (List.map (str "name") records) in
   List.iter
@@ -663,21 +664,21 @@ let no_double_count_with_cache_and_nondet () =
 let learn_run_asserts_cache_consistency () =
   (* Pipeline.learn's queries = misses check must hold on a full study
      run. *)
-  let r = Tcp_study.learn ~seed:11L () in
+  let _, r = Protocol.learn ~seed:11L (Tcp_study.protocol ()) in
   Alcotest.(check int) "report: queries = misses"
-    r.Tcp_study.report.Report.cache_misses
-    r.Tcp_study.report.Report.membership_queries;
+    r.Report.cache_misses
+    r.Report.membership_queries;
   Alcotest.(check bool) "hit rate in (0,1)" true
-    (let rate = Report.cache_hit_rate r.Tcp_study.report in
+    (let rate = Report.cache_hit_rate r in
      rate > 0.0 && rate < 1.0)
 
 let report_json_folds_metrics () =
   Metrics.reset Metrics.default;
-  let r = Tcp_study.learn ~seed:5L () in
-  let json = Report.to_json ~metrics:Metrics.default r.Tcp_study.report in
+  let _, r = Protocol.learn ~seed:5L (Tcp_study.protocol ()) in
+  let json = Report.to_json ~metrics:Metrics.default r in
   let reparsed = Jsonx.of_string (Jsonx.to_string json) in
   Alcotest.(check string) "schema" "prognosis.report/1" (str "schema" reparsed);
-  Alcotest.(check int) "states" r.Tcp_study.report.Report.states
+  Alcotest.(check int) "states" r.Report.states
     (num "states" reparsed);
   let metrics = field "metrics" reparsed in
   let latency =
@@ -699,7 +700,7 @@ let report_json_folds_metrics () =
   with
   | Some (Jsonx.Int hits) ->
       Alcotest.(check int) "cache.hits counter matches report"
-        r.Tcp_study.report.Report.cache_hits hits
+        r.Report.cache_hits hits
   | _ -> Alcotest.fail "no cache.hits counter"
 
 let () =

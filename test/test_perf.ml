@@ -193,26 +193,28 @@ let sharded_stress_four_domains () =
 
 (* --- sharded equivalence testing is deterministic --- *)
 
-let canonical_text r =
+let canonical_text (model, _) =
   Persist.text_of_model ~kind:Persist.Quic_model
     ~input_to_string:Quic_alphabet.to_string
-    ~output_to_string:Quic_alphabet.output_to_string r.Quic_study.model
+    ~output_to_string:Quic_alphabet.output_to_string model
 
 let parallel_eq_identical () =
   let profile = Quic_profile.quiche_like in
-  let sequential = Quic_study.learn ~seed:5L ~profile () in
+  let sequential = Protocol.learn ~seed:5L (Quic_study.protocol profile) in
   let shards = Metrics.counter Metrics.default "eq.shards" in
   let before = !shards in
   let config =
     { Engine.default with Engine.workers = 4; parallel = true; batch = true }
   in
-  let parallel = Quic_study.learn ~seed:5L ~exec:config ~profile () in
+  let parallel =
+    Protocol.learn ~seed:5L ~exec:config (Quic_study.protocol profile)
+  in
   Alcotest.(check string) "byte-identical canonical model"
     (canonical_text sequential) (canonical_text parallel);
   Alcotest.(check bool) "suite was sharded" true (!shards > before);
   Alcotest.(check int) "same state count"
-    sequential.Quic_study.report.Report.states
-    parallel.Quic_study.report.Report.states
+    (snd sequential).Report.states
+    (snd parallel).Report.states
 
 let () =
   Alcotest.run "perf"
