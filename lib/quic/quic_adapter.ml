@@ -53,19 +53,19 @@ let create ?profile ?client_config ?(network = Network.reliable) ~seed () =
                  | Ok (_, payload) -> Some payload
                  | Error _ -> None)
         in
-        let absorbed = List.map (Quic_client.absorb client) delivered_back in
         let outputs, concrete_out =
-          List.fold_left
-            (fun (outs, pkts) absorbed ->
-              match absorbed with
+          List.filter_map
+            (fun payload ->
+              match Quic_client.absorb client payload with
               | Quic_client.Packet p ->
-                  (outs @ [ Quic_alphabet.abstract_packet p ], pkts @ [ p ])
+                  Some (Quic_alphabet.abstract_packet p, p)
               | Quic_client.Reset ->
-                  ( outs @ [ Quic_alphabet.abstract_reset ],
-                    pkts @ [ Quic_packet.make Quic_packet.Stateless_reset ~dcid:"" ]
-                  )
-              | Quic_client.Junk _ -> (outs, pkts))
-            ([], []) absorbed
+                  Some
+                    ( Quic_alphabet.abstract_reset,
+                      Quic_packet.make Quic_packet.Stateless_reset ~dcid:"" )
+              | Quic_client.Junk _ -> None)
+            delivered_back
+          |> List.split
         in
         (outputs, [ request ], concrete_out)
   in

@@ -8,45 +8,23 @@ type ('ai, 'ao, 'ci, 'co) t = {
 let create ?(description = "adapter") ~reset ~step () =
   { reset; step; table = Oracle_table.create (); description }
 
-let record t ~ai ~ao ~steps =
-  if ai <> [] then
-    Oracle_table.add t.table ~abstract_inputs:(List.rev ai)
-      ~abstract_outputs:(List.rev ao) ~steps:(List.rev steps)
-
 let query t word =
   t.reset ();
-  let ai = ref [] and ao = ref [] and steps = ref [] in
-  let outputs =
-    List.map
-      (fun a ->
-        let o, sent, received = t.step a in
-        ai := a :: !ai;
-        ao := o :: !ao;
-        steps := { Oracle_table.sent; received } :: !steps;
-        o)
-      word
+  let outputs, steps =
+    List.split
+      (List.map
+         (fun a ->
+           let o, sent, received = t.step a in
+           (o, { Oracle_table.sent; received }))
+         word)
   in
-  record t ~ai:!ai ~ao:!ao ~steps:!steps;
+  Oracle_table.add t.table ~abstract_inputs:word ~abstract_outputs:outputs
+    ~steps;
   outputs
 
 let to_sul t =
-  (* Buffers for the query currently in flight; a reset flushes the
-     previous query into the Oracle Table. *)
-  let ai = ref [] and ao = ref [] and steps = ref [] in
-  let flush () =
-    record t ~ai:!ai ~ao:!ao ~steps:!steps;
-    ai := [];
-    ao := [];
-    steps := []
-  in
-  Sul.make ~description:t.description
-    ~reset:(fun () ->
-      flush ();
-      t.reset ())
+  Sul.make ~description:t.description ~reset:t.reset
     ~step:(fun a ->
-      let o, sent, received = t.step a in
-      ai := a :: !ai;
-      ao := o :: !ao;
-      steps := { Oracle_table.sent; received } :: !steps;
+      let o, _, _ = t.step a in
       o)
     ()

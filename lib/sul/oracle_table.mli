@@ -1,9 +1,11 @@
 (** The Oracle Table: the cache of abstract↔concrete trace pairs
-    accumulated while the Adapter answers learner queries (paper §3.2,
-    property 4).
+    that [Adapter.query] fills as it replays abstract words (paper
+    §3.2, property 4). The learner's view of an adapter records
+    nothing; synthesis replays its witness words through
+    [Adapter.query] and reads them back from here.
 
-    Each entry records one complete query: the abstract input word the
-    learner sent, the abstract output word it got back, and — aligned
+    Each entry records one complete query: the abstract input word that
+    was replayed, the abstract output word it got back, and — aligned
     per step — the concrete packets the Adapter actually exchanged with
     the Implementation. The synthesis module (paper §4.3) mines these
     entries to recover register behaviours (sequence numbers,

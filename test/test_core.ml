@@ -64,6 +64,23 @@ let tcp_synthesis_handshake_invariant () =
       | Some t -> Alcotest.fail (Fmt.str "ack term %a" Term.pp t)
       | None -> Alcotest.fail "no ack term for SYN")
 
+(* An empty witness word is an empty trace on both synthesis paths. *)
+let empty_witness_word () =
+  let model = fst (Protocol.learn ~seed:5L tcp) in
+  let words = Prognosis_tcp.Tcp_alphabet.[ [ Syn; Ack ] ] in
+  let synthesize words =
+    Protocol.synthesize Tcp_study.fields
+      (Prognosis_tcp.Tcp_adapter.create ~seed:5L ())
+      model words
+    |> Result.map (fun m -> (m.Ext_mealy.init_regs, m.updates, m.outputs))
+  in
+  let expected = synthesize words in
+  Alcotest.(check bool) "synthesized" true (Result.is_ok expected);
+  Alcotest.(check bool) "same machine" true (synthesize ([] :: words) = expected);
+  let quic_adapter, _ = Prognosis_quic.Quic_adapter.create ~seed:5L () in
+  Alcotest.(check (list (list int))) "no packet numbers" [ [] ]
+    (Quic_study.packet_number_sequences quic_adapter [ [] ])
+
 let tcp_dot () =
   let result = Protocol.learn ~seed:5L tcp in
   Alcotest.(check bool) "dot mentions SYN" true
@@ -439,6 +456,7 @@ let () =
           Alcotest.test_case "model shape" `Slow tcp_learn_shape;
           Alcotest.test_case "l* agrees" `Slow tcp_learn_lstar_agrees;
           Alcotest.test_case "synthesis invariant" `Slow tcp_synthesis_handshake_invariant;
+          Alcotest.test_case "empty witness word" `Quick empty_witness_word;
           Alcotest.test_case "dot" `Slow tcp_dot;
         ] );
       ( "quic-study",

@@ -397,14 +397,38 @@ let adapter_query_records () =
       Alcotest.(check (list string)) "concrete in" [ "1"; "2" ]
         (Oracle_table.concrete_inputs e)
 
-let adapter_to_sul_flushes_on_reset () =
+let adapter_to_sul_retains_nothing () =
   let a = echo_adapter () in
   let sul = Adapter.to_sul a in
-  let _ = Sul.query sul [ 5 ] in
-  (* The entry is flushed by the *next* reset. *)
-  let _ = Sul.query sul [ 7; 8 ] in
-  Alcotest.(check bool) "first query recorded" true
-    (Oracle_table.find a.Adapter.table [ 5 ] <> None)
+  Alcotest.(check (list int)) "outputs" [ 6 ] (Sul.query sul [ 5 ]);
+  (* A second query resets the view, which must not record the first. *)
+  Alcotest.(check (list int)) "outputs" [ 8; 9 ] (Sul.query sul [ 7; 8 ]);
+  Alcotest.(check int) "nothing recorded" 0 (Oracle_table.size a.Adapter.table)
+
+(* The learner's view answers exactly what a recorded query answers:
+   two fresh adapters built with the same seed, one stepped through
+   [to_sul], the other through [query]. *)
+let prop_to_sul_matches_query ~name ~alphabet create =
+  QCheck2.Test.make ~count:60 ~name
+    QCheck2.Gen.(
+      pair (map Int64.of_int nat)
+        (list_size (int_range 0 8) (oneofa alphabet)))
+    (fun (seed, word) ->
+      Sul.query (Adapter.to_sul (create seed)) word
+      = Adapter.query (create seed) word)
+
+let to_sul_matches_query =
+  [
+    prop_to_sul_matches_query ~name:"tcp to_sul = query"
+      ~alphabet:Prognosis_tcp.Tcp_alphabet.all (fun seed ->
+        Prognosis_tcp.Tcp_adapter.create ~seed ());
+    prop_to_sul_matches_query ~name:"quic to_sul = query"
+      ~alphabet:Prognosis_quic.Quic_alphabet.all (fun seed ->
+        fst (Prognosis_quic.Quic_adapter.create ~seed ()));
+    prop_to_sul_matches_query ~name:"dtls to_sul = query"
+      ~alphabet:Prognosis_dtls.Dtls_alphabet.all (fun seed ->
+        fst (Prognosis_dtls.Dtls_adapter.create ~seed ()));
+  ]
 
 let () =
   Alcotest.run "sul"
@@ -464,6 +488,8 @@ let () =
       ( "adapter",
         [
           Alcotest.test_case "query records" `Quick adapter_query_records;
-          Alcotest.test_case "to_sul flushes" `Quick adapter_to_sul_flushes_on_reset;
-        ] );
+          Alcotest.test_case "to_sul retains nothing" `Quick
+            adapter_to_sul_retains_nothing;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest to_sul_matches_query );
     ]
