@@ -28,10 +28,10 @@ let default =
 type ('i, 'o) worker = {
   id : int;
   sul : ('i, 'o) Sul.t;
-  mutable position : ('i list * 'o list) option;
-      (* word replayed since the last reset, with the outputs this
-         worker observed; [None] = state unknown, the next run must
-         reset *)
+  mutable position : ('i list * int * 'o list) option;
+      (* word replayed since the last reset, its length, and the
+         outputs this worker observed; [None] = state unknown, the next
+         run must reset *)
   mutable runs_done : int;
   mutable resets_done : int;
   mutable steps_done : int;
@@ -97,8 +97,6 @@ let m_runs = Metrics.counter Metrics.default "exec.runs"
 let m_resumed = Metrics.counter Metrics.default "exec.resumed_runs"
 let m_resets = Metrics.counter Metrics.default "exec.resets"
 let m_steps = Metrics.counter Metrics.default "exec.steps"
-let g_saved_resets = Metrics.gauge Metrics.default "exec.saved_resets"
-let g_saved_steps = Metrics.gauge Metrics.default "exec.saved_steps"
 let m_disagreements = Metrics.counter Metrics.default "exec.disagreements"
 let m_vote_runs = Metrics.counter Metrics.default "exec.vote_runs"
 let m_quarantines = Metrics.counter Metrics.default "exec.quarantines"
@@ -205,10 +203,12 @@ let thaw t blob =
       t.rr <- f.f_rr
 
 let active_workers t =
-  let l = Array.to_list t.workers in
-  match List.filter (fun w -> w.quarantined_until <= t.clock) l with
-  | [] -> l (* unreachable: quarantine never empties the pool *)
-  | a -> a
+  let active w = w.quarantined_until <= t.clock in
+  if Array.for_all active t.workers then t.workers
+  else
+    match List.filter active (Array.to_list t.workers) with
+    | [] -> t.workers (* unreachable: quarantine never empties the pool *)
+    | a -> Array.of_list a
 
 let rec drop n l =
   if n = 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
@@ -233,33 +233,38 @@ let step_word acct worker word =
       worker.sul.Sul.step x)
     word
 
-(* Execute [word] on [worker]. With [resume] on, a worker standing at
-   the end of a strict prefix of [word] skips the reset and steps only
-   the suffix — the prefix outputs are the ones it observed getting
-   there. Votes run with [resume] off so replicated answers stay
-   independent of earlier runs. *)
-let run_word ~resume acct worker word =
+(* How far [worker] can resume into [word] of length [len]: the length
+   of its position when that is a non-empty strict prefix of [word],
+   else -1. *)
+let resume_len worker word len =
+  match worker.position with
+  | Some (pos, k, _) when k > 0 && k < len && Plan.is_prefix pos word -> k
+  | _ -> -1
+
+(* Execute [word] (of length [len]) on [worker]. With [from] > 0 (a
+   {!resume_len}) the worker skips the reset and steps only the suffix
+   — the prefix outputs are the ones it observed getting there. Votes
+   run with [from] = -1 so replicated answers stay independent of
+   earlier runs. *)
+let run_word acct worker ~from word len =
   acct.a_runs <- acct.a_runs + 1;
   worker.runs_done <- worker.runs_done + 1;
-  let run prefix_outs suffix =
-    worker.position <- None;
-    let outs = prefix_outs @ step_word acct worker suffix in
-    worker.position <- Some (word, outs);
-    outs
+  let pos = worker.position in
+  worker.position <- None;
+  let prefix_outs, suffix =
+    match pos with
+    | Some (_, _, pos_outs) when from > 0 ->
+        acct.a_resumed <- acct.a_resumed + 1;
+        (pos_outs, drop from word)
+    | _ ->
+        worker.sul.Sul.reset ();
+        acct.a_resets <- acct.a_resets + 1;
+        worker.resets_done <- worker.resets_done + 1;
+        ([], word)
   in
-  match worker.position with
-  | Some (pos, pos_outs)
-    when resume && pos <> []
-         && List.length pos < List.length word
-         && Plan.is_prefix pos word ->
-      acct.a_resumed <- acct.a_resumed + 1;
-      run pos_outs (drop (List.length pos) word)
-  | _ ->
-      worker.position <- None;
-      worker.sul.Sul.reset ();
-      acct.a_resets <- acct.a_resets + 1;
-      worker.resets_done <- worker.resets_done + 1;
-      run [] word
+  let outs = prefix_outs @ step_word acct worker suffix in
+  worker.position <- Some (word, len, outs);
+  outs
 
 let flush t acct =
   let s = t.stats in
@@ -296,34 +301,24 @@ let count_baseline t word =
   s.baseline_resets <- s.baseline_resets + 1;
   s.baseline_steps <- s.baseline_steps + List.length word
 
-let sync_saved t =
-  let s = t.stats in
-  Metrics.set g_saved_resets (float_of_int (s.baseline_resets - s.resets));
-  Metrics.set g_saved_steps (float_of_int (s.baseline_steps - s.steps))
-
 (* Longest usable resume position wins; ties go to the least-used
-   worker so utilization stays balanced. *)
-let pick_worker t word =
-  let score w =
-    match w.position with
-    | Some (p, _)
-      when p <> [] && List.length p < List.length word && Plan.is_prefix p word
-      ->
-        List.length p
-    | _ -> -1
-  in
-  match active_workers t with
-  | [] -> assert false
-  | first :: rest ->
-      List.fold_left
-        (fun best w ->
-          let sw = score w and sb = score best in
-          if sw > sb || (sw = sb && w.runs_done < best.runs_done) then w
-          else best)
-        first rest
+   worker so utilization stays balanced. Returns the worker and its
+   {!resume_len}. *)
+let pick_worker t word len =
+  let a = active_workers t in
+  let best = ref a.(0) and best_k = ref (resume_len a.(0) word len) in
+  for i = 1 to Array.length a - 1 do
+    let w = a.(i) in
+    let k = resume_len w word len in
+    if k > !best_k || (k = !best_k && w.runs_done < !best.runs_done) then begin
+      best := w;
+      best_k := k
+    end
+  done;
+  (!best, !best_k)
 
 let pick_replicas t n =
-  let a = Array.of_list (active_workers t) in
+  let a = active_workers t in
   let k = Array.length a in
   let n = min n k in
   let start = t.rr in
@@ -347,7 +342,7 @@ let strike t worker =
   Metrics.inc (worker_strikes t.labels worker.id);
   if
     worker.strikes >= t.config.max_strikes
-    && List.length (active_workers t) > 1
+    && Array.length (active_workers t) > 1
   then begin
     worker.quarantined_until <- t.clock + t.config.cooldown;
     worker.strikes <- 0;
@@ -373,10 +368,9 @@ let strike t worker =
    answers nondeterministically — exactly the situation the paper's §5
    check reports. *)
 let vote t acct word =
-  let chosen = pick_replicas t t.config.replicas in
-  let answers =
-    List.map (fun w -> (w, run_word ~resume:false acct w word)) chosen
-  in
+  let len = List.length word in
+  let run w = (w, run_word acct w ~from:(-1) word len) in
+  let answers = List.map run (pick_replicas t t.config.replicas) in
   t.stats.vote_runs <- t.stats.vote_runs + List.length answers - 1;
   if List.length answers > 1 then
     Metrics.inc ~by:(List.length answers - 1) m_vote_runs;
@@ -387,17 +381,15 @@ let vote t acct word =
       Metrics.inc m_disagreements;
       if Trace.enabled () then
         Trace.event
-          ~attrs:[ ("word_len", Jsonx.Int (List.length word)) ]
+          ~attrs:[ ("word_len", Jsonx.Int len) ]
           "exec.disagreement";
       let chosen_ids = List.map (fun (w, _) -> w.id) answers in
       let rest =
         List.filter
           (fun w -> not (List.mem w.id chosen_ids))
-          (active_workers t)
+          (Array.to_list (active_workers t))
       in
-      let more =
-        List.map (fun w -> (w, run_word ~resume:false acct w word)) rest
-      in
+      let more = List.map run rest in
       t.stats.vote_runs <- t.stats.vote_runs + List.length more;
       if more <> [] then Metrics.inc ~by:(List.length more) m_vote_runs;
       let all = answers @ more in
@@ -415,13 +407,18 @@ let vote t acct word =
              (Printf.sprintf
                 "query pool: no majority on a %d-symbol word (%d distinct \
                  answers over %d runs)"
-                (List.length word) (List.length obs) total))
+                len (List.length obs) total))
+
+(* A sequential run, with the worker picked for the longest resume. *)
+let run_picked t acct word =
+  let len = List.length word in
+  let worker, from = pick_worker t word len in
+  run_word acct worker ~from word len
 
 let exec_word t word =
   let acct = fresh_acct () in
   let outs =
-    if t.config.replicas > 1 then vote t acct word
-    else run_word ~resume:true acct (pick_worker t word) word
+    if t.config.replicas > 1 then vote t acct word else run_picked t acct word
   in
   flush t acct;
   outs
@@ -429,22 +426,22 @@ let exec_word t word =
 (* One domain per worker; slices write only their own worker record
    and a local acct, so the parallel phase is race-free. Cache
    inserts, stats and metrics all happen after the join, on the main
-   domain. *)
-let parallel_exec t acct runs =
-  let actives = Array.of_list (active_workers t) in
+   domain. Outputs land in [outs] by run index. *)
+let parallel_exec t acct runs outs =
+  let actives = active_workers t in
   let n = Array.length actives in
-  let slices = Array.make n [] in
-  List.iteri (fun i w -> slices.(i mod n) <- w :: slices.(i mod n)) runs;
-  let slices = Array.map List.rev slices in
   let exec_slice k () =
     let local = fresh_acct () in
     let worker = actives.(k) in
-    let results =
-      List.map
-        (fun word -> (word, run_word ~resume:true local worker word))
-        slices.(k)
+    let rec go r acc =
+      if r >= Array.length runs then List.rev acc
+      else
+        let w = runs.(r) in
+        let len = List.length w in
+        let o = run_word local worker ~from:(resume_len worker w len) w len in
+        go (r + n) ((r, o) :: acc)
     in
-    (results, local)
+    (go k [], local)
   in
   let domains =
     Array.init (n - 1) (fun k -> Domain.spawn (exec_slice (k + 1)))
@@ -463,9 +460,23 @@ let parallel_exec t acct runs =
           acct.a_resumed <- acct.a_resumed + local.a_resumed;
           acct.a_resets <- acct.a_resets + local.a_resets;
           acct.a_steps <- acct.a_steps + local.a_steps;
-          List.iter (fun (w, outs) -> Cache.insert t.cache w outs) results)
+          List.iter
+            (fun (r, o) ->
+              Cache.insert t.cache runs.(r) o;
+              outs.(r) <- o)
+            results)
     all
 
+(* [outs] cut to the length of [word], a prefix of the run they
+   answer. *)
+let rec cut word outs =
+  match (word, outs) with
+  | [], _ -> []
+  | _ :: w, o :: os -> o :: cut w os
+  | _ :: _, [] -> assert false
+
+(* Plan the batch, insert each run into the cache as it completes, and
+   answer every word from the outputs of the run that covers it. *)
 let exec_batch t words =
   let plan = Plan.build words in
   let s = t.stats in
@@ -482,75 +493,85 @@ let exec_batch t words =
     s.prefix_answers <- s.prefix_answers + plan.Plan.subsumed;
     Metrics.inc ~by:plan.Plan.subsumed m_prefix_answers
   end;
+  let runs = Array.of_list plan.Plan.runs in
+  let outs = Array.make (Array.length runs) [] in
   let acct = fresh_acct () in
+  let finish r o =
+    Cache.insert t.cache runs.(r) o;
+    outs.(r) <- o
+  in
   let execute () =
     if t.config.replicas > 1 then
-      List.iter
-        (fun w ->
-          let outs = vote t acct w in
-          Cache.insert t.cache w outs)
-        plan.Plan.runs
+      Array.iteri (fun r w -> finish r (vote t acct w)) runs
     else if
       t.config.parallel
-      && List.length (active_workers t) > 1
-      && List.length plan.Plan.runs > 1
+      && Array.length (active_workers t) > 1
+      && Array.length runs > 1
       && not (Trace.enabled ())
       (* the trace sink is not safe to share across domains *)
-    then parallel_exec t acct plan.Plan.runs
+    then parallel_exec t acct runs outs
     else
-      List.iter
-        (fun w ->
-          let run () =
-            let outs = run_word ~resume:true acct (pick_worker t w) w in
-            Cache.insert t.cache w outs
-          in
+      Array.iteri
+        (fun r w ->
+          let run () = finish r (run_picked t acct w) in
           if Trace.enabled () then
             Trace.with_span
               ~attrs:[ ("len", Jsonx.Int (List.length w)) ]
               "oracle.mq" run
           else run ())
-        plan.Plan.runs
+        runs
   in
   if Trace.enabled () then
     Trace.with_span
       ~attrs:
         [
           ("words", Jsonx.Int plan.Plan.words);
-          ("runs", Jsonx.Int (List.length plan.Plan.runs));
+          ("runs", Jsonx.Int (Array.length runs));
         ]
       "exec.batch" execute
   else execute ();
   flush t acct;
-  List.map
-    (fun w ->
-      match Cache.lookup t.cache w with
-      | Some a -> a
-      | None -> assert false (* every planned word is covered by a run *))
+  List.mapi
+    (fun i w ->
+      let o = outs.(plan.Plan.cover.(i)) in
+      if List.compare_lengths w o = 0 then o else cut w o)
     words
 
 let membership t =
-  let cached =
-    Cache.wrap t.cache
-      (Oracle.of_fun ~stats:t.oracle_stats
-         ?batch:(if t.config.batch then Some (exec_batch t) else None)
-         (exec_word t))
+  let raw =
+    Oracle.of_fun ~stats:t.oracle_stats
+      ?batch:(if t.config.batch then Some (exec_batch t) else None)
+      (exec_word t)
   in
+  let cached = Cache.wrap t.cache raw in
   (* Count the no-reuse sequential baseline for every query crossing
      the learner boundary — including the ones the cache answers. *)
   let ask word =
     count_baseline t word;
-    let outs = cached.Oracle.ask word in
-    sync_saved t;
-    outs
+    cached.Oracle.ask word
   in
+  (* One cache walk per word: hits are answered from it, and only the
+     misses go on to be planned. *)
   let ask_batch =
     Option.map
-      (fun f words ->
+      (fun batch words ->
         List.iter (count_baseline t) words;
-        let outs = f words in
-        sync_saved t;
-        outs)
-      cached.Oracle.ask_batch
+        let found = List.map (Cache.find t.cache) words in
+        let missing =
+          List.fold_right2
+            (fun w a acc -> if Option.is_none a then w :: acc else acc)
+            words found []
+        in
+        let answers = if missing = [] then [] else batch missing in
+        let rec stitch found answers =
+          match (found, answers) with
+          | [], _ -> []
+          | Some a :: found, answers -> a :: stitch found answers
+          | None :: found, a :: answers -> a :: stitch found answers
+          | None :: _, [] -> assert false
+        in
+        stitch found answers)
+      raw.Oracle.ask_batch
   in
   { cached with Oracle.ask; ask_batch }
 

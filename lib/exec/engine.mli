@@ -7,10 +7,11 @@
     The engine sits between the learner's oracles and the SUL adapters
     and attacks that cost three ways:
 
-    - {b planning} — a batch of pending queries is deduplicated, words
-      that are prefixes of longer planned words are answered for free
-      from the longer run's per-step outputs, and the surviving maximal
-      words are ordered for prefix locality ({!Plan});
+    - {b planning} — the cache misses of a batch are deduplicated,
+      words that are prefixes of longer planned words are answered for
+      free by cutting the longer run's per-step outputs to their length
+      ({!Plan.t.cover}), and the surviving maximal words are ordered
+      for prefix locality ({!Plan});
     - {b pooling} — N factory-constructed SUL instances execute the
       planned runs, each worker tracking the word it has replayed since
       its last reset so a run extending that word resumes mid-replay
@@ -30,7 +31,9 @@
     The engine fronts everything with one
     {!Prognosis_learner.Cache} view, so {!membership} is a drop-in
     [Oracle.membership] for {!Prognosis_learner.Learn.run_mq}: cache
-    misses are exactly the words that reach the pool. *)
+    misses are exactly the words that reach the pool. It is also the
+    only batch path: a batched word costs one cache walk, and each run
+    one insert. *)
 
 type config = {
   workers : int;  (** pool size (>= 1) *)
@@ -88,11 +91,15 @@ val thaw : ('i, 'o) t -> string -> unit
     @raise Invalid_argument on a foreign blob or a changed pool size. *)
 
 val membership : ('i, 'o) t -> ('i, 'o) Prognosis_learner.Oracle.membership
-(** The engine as a membership oracle. [ask] answers one word;
-    [ask_batch] (present when [config.batch]) plans and executes a
-    whole batch. Answers are observationally identical to a direct
-    sequential oracle over one [factory] instance — batching and
-    pooling only change cost. The oracle's [stats] count the words
+(** The engine as a membership oracle, behind the engine's cache view.
+    [ask] answers one word through {!Prognosis_learner.Cache.wrap}.
+    [ask_batch] (present when [config.batch]) looks each word up once
+    ({!Prognosis_learner.Cache.find}, so every word counts as one hit
+    or one miss), plans the misses, inserts each run into the cache as
+    it completes, and answers each missing word from the outputs of
+    the run that covers it. Answers are observationally identical to
+    a direct sequential oracle over one [factory] instance — batching
+    and pooling only change cost. The oracle's [stats] count the words
     that reached the pool (= the engine's cache misses). *)
 
 type stats = {

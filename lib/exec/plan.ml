@@ -6,54 +6,44 @@ let rec is_prefix p w =
 
 type 'i t = {
   runs : 'i list list;
+  cover : int array;
   words : int;
   dupes : int;
   subsumed : int;
-  baseline_resets : int;
-  baseline_steps : int;
 }
 
 (* Polymorphic [compare] on lists is lexicographic, so after sorting a
-   word is a strict prefix of some other planned word iff it is a
-   prefix of its immediate successor: any word sorting between a
-   prefix and its extension must itself share that prefix. *)
+   word is a prefix of some other planned word iff it is a prefix of
+   its immediate successor: any word sorting between a prefix and its
+   extension must itself share that prefix. Walking the sorted words
+   from the end, such a word takes its successor's run; any other word
+   starts a new one. *)
 let build words_list =
-  let words = List.length words_list in
-  let sorted = List.sort compare words_list in
-  let rec uniq = function
-    | [] -> []
-    | [ w ] -> [ w ]
-    | w :: (w' :: _ as rest) -> if w = w' then uniq rest else w :: uniq rest
-  in
-  let distinct = uniq sorted in
-  let rec maximal = function
-    | [] -> []
-    | [ w ] -> [ w ]
-    | w :: (w' :: _ as rest) ->
-        if is_prefix w w' then maximal rest else w :: maximal rest
-  in
-  let runs = maximal distinct in
-  let dupes = words - List.length distinct in
-  let subsumed = List.length distinct - List.length runs in
-  (* What a sequential cached oracle would have spent on this batch:
-     taking the words in arrival order, a word costs nothing once it is
-     a prefix of an already-executed word, else one reset plus one step
-     per symbol. *)
-  let baseline_resets = ref 0 and baseline_steps = ref 0 in
-  let executed = ref [] in
-  List.iter
-    (fun w ->
-      if not (List.exists (fun u -> is_prefix w u) !executed) then begin
-        incr baseline_resets;
-        baseline_steps := !baseline_steps + List.length w;
-        executed := w :: !executed
-      end)
-    words_list;
+  let ws = Array.of_list words_list in
+  let n = Array.length ws in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> compare ws.(a) ws.(b)) order;
+  let cover = Array.make n 0 in
+  let runs = ref [] and n_runs = ref 0 and dupes = ref 0 in
+  for k = n - 1 downto 0 do
+    let i = order.(k) in
+    let j = if k + 1 < n then order.(k + 1) else -1 in
+    if j >= 0 && is_prefix ws.(i) ws.(j) then begin
+      if List.compare_lengths ws.(i) ws.(j) = 0 then incr dupes;
+      cover.(i) <- cover.(j)
+    end
+    else begin
+      runs := ws.(i) :: !runs;
+      cover.(i) <- !n_runs;
+      incr n_runs
+    end
+  done;
+  (* Runs were numbered from the end; number them in execution order. *)
+  Array.iteri (fun i r -> cover.(i) <- !n_runs - 1 - r) cover;
   {
-    runs;
-    words;
-    dupes;
-    subsumed;
-    baseline_resets = !baseline_resets;
-    baseline_steps = !baseline_steps;
+    runs = !runs;
+    cover;
+    words = n;
+    dupes = !dupes;
+    subsumed = n - !dupes - !n_runs;
   }

@@ -25,62 +25,64 @@ module Trie = struct
     mutable kids : node list; (* sorted by [path.(0)]; first ids distinct *)
   }
 
+  (* Dense ids for one symbol type: [arr.(id)] is the symbol, [ids]
+     the reverse map. *)
+  type 'a interner = {
+    ids : ('a, int) Hashtbl.t;
+    mutable arr : 'a array;
+    mutable n : int;
+  }
+
   type ('i, 'o) t = {
-    sym_ids : ('i, int) Hashtbl.t;
-    mutable syms : 'i array; (* id -> input symbol *)
-    mutable n_syms : int;
-    out_ids : ('o, int) Hashtbl.t;
-    mutable outs : 'o array; (* id -> output symbol *)
-    mutable n_outs : int;
+    syms : 'i interner;
+    outs : 'o interner;
     root : node;
     mutable prefixes : int; (* distinct cached non-empty prefixes *)
     mutable phys : int; (* physical (compacted) nodes, root included *)
   }
 
+  let interner () = { ids = Hashtbl.create 16; arr = [||]; n = 0 }
+
   let create () =
     {
-      sym_ids = Hashtbl.create 16;
-      syms = [||];
-      n_syms = 0;
-      out_ids = Hashtbl.create 16;
-      outs = [||];
-      n_outs = 0;
+      syms = interner ();
+      outs = interner ();
       root = { path = [||]; pouts = [||]; kids = [] };
       prefixes = 0;
       phys = 1;
     }
 
-  let intern_sym t x =
-    match Hashtbl.find_opt t.sym_ids x with
-    | Some id -> id
-    | None ->
-        let id = t.n_syms in
-        let cap = Array.length t.syms in
-        if id >= cap then begin
-          let a = Array.make (max 8 (2 * cap)) x in
-          Array.blit t.syms 0 a 0 t.n_syms;
-          t.syms <- a
-        end;
-        t.syms.(id) <- x;
-        t.n_syms <- id + 1;
-        Hashtbl.add t.sym_ids x id;
-        id
+  (* The id of [x], or -1. Symbols normally come from one alphabet
+     array and are physically shared, so a small table is scanned with
+     [==] before [x] is hashed. The scan is bounded by the array value
+     read here: a lock-free {!Sharded} reader may see a newer [n] than
+     array. *)
+  let id_of it x =
+    let a = it.arr in
+    let n = min it.n (Array.length a) in
+    let rec scan i =
+      if i = n then -1 else if Array.unsafe_get a i == x then i else scan (i + 1)
+    in
+    let i = if n > 16 then -1 else scan 0 in
+    if i >= 0 then i
+    else match Hashtbl.find_opt it.ids x with Some i -> i | None -> -1
 
-  let intern_out t o =
-    match Hashtbl.find_opt t.out_ids o with
-    | Some id -> id
-    | None ->
-        let id = t.n_outs in
-        let cap = Array.length t.outs in
-        if id >= cap then begin
-          let a = Array.make (max 8 (2 * cap)) o in
-          Array.blit t.outs 0 a 0 t.n_outs;
-          t.outs <- a
-        end;
-        t.outs.(id) <- o;
-        t.n_outs <- id + 1;
-        Hashtbl.add t.out_ids o id;
-        id
+  let intern it x =
+    let id = id_of it x in
+    if id >= 0 then id
+    else begin
+      let id = it.n in
+      let cap = Array.length it.arr in
+      if id >= cap then begin
+        let a = Array.make (max 8 (2 * cap)) x in
+        Array.blit it.arr 0 a 0 it.n;
+        it.arr <- a
+      end;
+      it.arr.(id) <- x;
+      it.n <- id + 1;
+      Hashtbl.add it.ids x id;
+      id
+    end
 
   let conflict () = raise Conflict
 
@@ -132,8 +134,8 @@ module Trie = struct
     if List.length word <> List.length outputs then
       invalid_arg "Cache.insert: word/outputs length mismatch";
     let fresh_leaf word outs =
-      let ids = Array.of_list (List.map (intern_sym t) word) in
-      let oids = Array.of_list (List.map (intern_out t) outs) in
+      let ids = Array.of_list (List.map (intern t.syms) word) in
+      let oids = Array.of_list (List.map (intern t.outs) outs) in
       t.phys <- t.phys + 1;
       t.prefixes <- t.prefixes + Array.length ids;
       { path = ids; pouts = oids; kids = [] }
@@ -142,7 +144,7 @@ module Trie = struct
       match word with
       | [] -> ()
       | x :: _ -> (
-          let xi = intern_sym t x in
+          let xi = intern t.syms x in
           match find_kid node.kids xi with
           | None -> node.kids <- insert_sorted (fresh_leaf word outs) node.kids
           | Some kid -> in_edge node kid 0 word outs)
@@ -152,9 +154,9 @@ module Trie = struct
         match (word, outs) with
         | [], [] -> ()
         | x :: word', o :: outs' ->
-            let xi = intern_sym t x in
+            let xi = intern t.syms x in
             if xi = kid.path.(j) then begin
-              if intern_out t o <> kid.pouts.(j) then conflict ();
+              if intern t.outs o <> kid.pouts.(j) then conflict ();
               in_edge parent kid (j + 1) word' outs'
             end
             else begin
@@ -166,30 +168,24 @@ module Trie = struct
     in
     at_node t.root word outputs
 
-  let sym_id_opt t x = Hashtbl.find_opt t.sym_ids x
-
   let lookup t word =
     let rec at_node node word acc =
       match word with
       | [] -> Some (List.rev acc)
       | x :: _ -> (
-          match sym_id_opt t x with
+          match find_kid node.kids (id_of t.syms x) with
           | None -> None
-          | Some xi -> (
-              match find_kid node.kids xi with
-              | None -> None
-              | Some kid -> in_edge kid 0 word acc))
+          | Some kid -> in_edge kid 0 word acc)
     and in_edge kid j word acc =
       if j = Array.length kid.path then at_node kid word acc
       else
         match word with
         | [] -> Some (List.rev acc)
-        | x :: word' -> (
-            match sym_id_opt t x with
-            | Some xi when xi = Array.unsafe_get kid.path j ->
-                in_edge kid (j + 1) word'
-                  (t.outs.(Array.unsafe_get kid.pouts j) :: acc)
-            | _ -> None)
+        | x :: word' ->
+            if id_of t.syms x = Array.unsafe_get kid.path j then
+              in_edge kid (j + 1) word'
+                (t.outs.arr.(Array.unsafe_get kid.pouts j) :: acc)
+            else None
     in
     at_node t.root word []
 
@@ -203,23 +199,19 @@ module Trie = struct
       match word with
       | [] -> stop acc_in acc_out
       | x :: _ -> (
-          match sym_id_opt t x with
+          match find_kid node.kids (id_of t.syms x) with
           | None -> stop acc_in acc_out
-          | Some xi -> (
-              match find_kid node.kids xi with
-              | None -> stop acc_in acc_out
-              | Some kid -> in_edge kid 0 word acc_in acc_out))
+          | Some kid -> in_edge kid 0 word acc_in acc_out)
     and in_edge kid j word acc_in acc_out =
       if j = Array.length kid.path then at_node kid word acc_in acc_out
       else
         match word with
         | [] -> stop acc_in acc_out
-        | x :: word' -> (
-            match sym_id_opt t x with
-            | Some xi when xi = kid.path.(j) ->
-                in_edge kid (j + 1) word' (x :: acc_in)
-                  (t.outs.(kid.pouts.(j)) :: acc_out)
-            | _ -> stop acc_in acc_out)
+        | x :: word' ->
+            if id_of t.syms x = kid.path.(j) then
+              in_edge kid (j + 1) word' (x :: acc_in)
+                (t.outs.arr.(kid.pouts.(j)) :: acc_out)
+            else stop acc_in acc_out
     in
     at_node t.root word [] []
 
@@ -245,15 +237,15 @@ module Trie = struct
       | kids ->
           let kids =
             List.sort
-              (fun a b -> compare t.syms.(a.path.(0)) t.syms.(b.path.(0)))
+              (fun a b -> compare t.syms.arr.(a.path.(0)) t.syms.arr.(b.path.(0)))
               kids
           in
           List.iter
             (fun k ->
               let ri = ref rev_in and ro = ref rev_out in
               for j = 0 to Array.length k.path - 1 do
-                ri := t.syms.(k.path.(j)) :: !ri;
-                ro := t.outs.(k.pouts.(j)) :: !ro
+                ri := t.syms.arr.(k.path.(j)) :: !ri;
+                ro := t.outs.arr.(k.pouts.(j)) :: !ro
               done;
               go k !ri !ro)
             kids
@@ -378,9 +370,13 @@ type ('i, 'o) t = {
 let create () = { store = Trie (Trie.create ()); hits = 0; misses = 0 }
 let shared s = { store = Shared s; hits = 0; misses = 0 }
 
+(* Sharded stores keep per-shard gauges of their own. *)
 let insert t word outs =
   match t.store with
-  | Trie x -> Trie.insert x word outs
+  | Trie x ->
+      Trie.insert x word outs;
+      Metrics.set g_nodes (float_of_int (Trie.size x));
+      Metrics.set g_trie_nodes (float_of_int (Trie.compacted_nodes x))
   | Shared s -> Sharded.insert s word outs
 
 let lookup t word =
@@ -408,21 +404,16 @@ let restore t words = List.iter (fun (w, outs) -> insert t w outs) words
 let hits t = t.hits
 let misses t = t.misses
 
-let hit t =
-  t.hits <- t.hits + 1;
-  Metrics.inc m_hits
-
-let miss t =
-  t.misses <- t.misses + 1;
-  Metrics.inc m_misses
-
-(* Sharded stores keep per-shard gauges of their own. *)
-let set_gauges t =
-  match t.store with
-  | Trie x ->
-      Metrics.set g_nodes (float_of_int (Trie.size x));
-      Metrics.set g_trie_nodes (float_of_int (Trie.compacted_nodes x))
-  | Shared _ -> ()
+let find t word =
+  let answer = lookup t word in
+  (match answer with
+  | Some _ ->
+      t.hits <- t.hits + 1;
+      Metrics.inc m_hits
+  | None ->
+      t.misses <- t.misses + 1;
+      Metrics.inc m_misses);
+  answer
 
 let rec split_at n l =
   if n = 0 then ([], l)
@@ -454,59 +445,7 @@ let wrap t (mq : ('i, 'o) Oracle.membership) =
           cached_outs @ fresh_suffix
     in
     insert t word answer;
-    set_gauges t;
     answer
   in
-  let ask word =
-    match lookup t word with
-    | Some answer ->
-        hit t;
-        answer
-    | None ->
-        miss t;
-        fetch word
-  in
-  let ask_batch =
-    Option.map
-      (fun batch words ->
-        (* Answer what the cache already knows, send only the misses
-           down in one batch, then stitch answers back in order. The
-           underlying batch may execute misses in any order, so cached
-           answers for the hit words are resolved up front. *)
-        let tagged =
-          List.map
-            (fun word ->
-              match lookup t word with
-              | Some answer ->
-                  hit t;
-                  Either.Left answer
-              | None ->
-                  miss t;
-                  Either.Right word)
-            words
-        in
-        let missing =
-          List.filter_map
-            (function Either.Right w -> Some w | Either.Left _ -> None)
-            tagged
-        in
-        let answers =
-          match missing with
-          | [] -> []
-          | _ ->
-              let answers = batch missing in
-              List.iter2 (insert t) missing answers;
-              set_gauges t;
-              answers
-        in
-        let rec stitch tagged answers =
-          match (tagged, answers) with
-          | [], [] -> []
-          | Either.Left a :: rest, answers -> a :: stitch rest answers
-          | Either.Right _ :: rest, a :: answers -> a :: stitch rest answers
-          | _ -> invalid_arg "Cache.wrap: batch answer count mismatch"
-        in
-        stitch tagged answers)
-      mq.Oracle.ask_batch
-  in
-  { mq with Oracle.ask; ask_batch }
+  let ask word = match find t word with Some answer -> answer | None -> fetch word in
+  { mq with Oracle.ask; ask_batch = None }

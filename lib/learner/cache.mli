@@ -9,7 +9,10 @@
     Internally the trie is compacted: input and output symbols are
     interned into dense int ids and chains of single-child nodes are
     collapsed into path-compressed edges, so lookups scan int arrays
-    instead of probing a hashtable per symbol. {!lookup} and
+    instead of probing a hashtable per symbol. Interning a symbol
+    first scans the (at most 16) already-interned symbols for a
+    physically equal one — symbols normally come from one alphabet
+    array — and hashes it only when that fails. {!lookup} and
     {!lookup_longest_prefix} never mutate the structure, so read-only
     probes from the exec pool's worker domains are safe while inserts
     stay on the main domain.
@@ -36,6 +39,10 @@ val insert : ('i, 'o) t -> 'i list -> 'o list -> unit
 
 val lookup : ('i, 'o) t -> 'i list -> 'o list option
 
+val find : ('i, 'o) t -> 'i list -> 'o list option
+(** {!lookup} counted as one {!hits} or one {!misses} on this view:
+    the probe a caching oracle makes for each word it is asked. *)
+
 val lookup_longest_prefix : ('i, 'o) t -> 'i list -> ('i list * 'o list) option
 (** [lookup_longest_prefix t word] is [Some (prefix, outputs)] for the
     longest non-empty prefix of [word] the cache can answer, or [None]
@@ -53,11 +60,11 @@ val compacted_nodes : ('i, 'o) t -> int
     (exported as the [cache.trie.nodes] gauge). Always ≤ {!size}. *)
 
 val hits : ('i, 'o) t -> int
-(** {!wrap} hits through this view. *)
+(** {!find} hits through this view. *)
 
 val misses : ('i, 'o) t -> int
-(** {!wrap} misses through this view: the words it sent on to the
-    underlying oracle. *)
+(** {!find} misses through this view: the words a caching oracle sent
+    on to the SUL. *)
 
 val dump : ('i, 'o) t -> ('i list * 'o list) list
 (** The maximal cached words with their outputs — enough to rebuild the
@@ -77,10 +84,9 @@ val wrap : ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membershi
     underlying oracle (and are counted in its statistics, so they equal
     {!misses}). When a cached word is a prefix of a missing query, the
     cached per-step outputs are reused for the prefix and compared
-    against the fresh replay — a mismatch raises {!Conflict}. If the
-    underlying oracle supports [ask_batch], so does the wrapped one:
-    cached words are answered up front and only the misses are batched
-    down. *)
+    against the fresh replay — a mismatch raises {!Conflict}. The
+    wrapped oracle has no [ask_batch]: batching through a cache is the
+    engine's job ({!Prognosis_exec.Engine.membership}). *)
 
 (** Concurrent sharded store over K independent tries, for fleet
     sessions that populate one shared membership cache from several

@@ -7,6 +7,7 @@ module Sul = Prognosis_sul.Sul
 module Rng = Prognosis_sul.Rng
 module Nondet = Prognosis_sul.Nondet
 module Oracle = Prognosis_learner.Oracle
+module Cache = Prognosis_learner.Cache
 module Eq_oracle = Prognosis_learner.Eq_oracle
 module Learn = Prognosis_learner.Learn
 module Plan = Prognosis_exec.Plan
@@ -47,11 +48,7 @@ let plan_dedup_and_subsume () =
     [ [ 'a'; 'b' ]; [ 'c' ] ] p.Plan.runs;
   Alcotest.(check int) "words" 4 p.Plan.words;
   Alcotest.(check int) "dupes" 1 p.Plan.dupes;
-  Alcotest.(check int) "subsumed" 1 p.Plan.subsumed;
-  (* Arrival order: ab executes (1 reset, 2 steps), a is a prefix of
-     it, the duplicate ab is too, c executes (1 reset, 1 step). *)
-  Alcotest.(check int) "baseline resets" 2 p.Plan.baseline_resets;
-  Alcotest.(check int) "baseline steps" 3 p.Plan.baseline_steps
+  Alcotest.(check int) "subsumed" 1 p.Plan.subsumed
 
 let plan_orders_for_sharing () =
   let p = Plan.build [ [ 'b' ]; [ 'a'; 'a' ]; [ 'a' ]; [ 'a'; 'b' ] ] in
@@ -68,13 +65,100 @@ let plan_empty () =
 let plan_all_duplicates () =
   let p = Plan.build [ [ 'x' ]; [ 'x' ]; [ 'x' ] ] in
   Alcotest.(check (list (list char))) "one run" [ [ 'x' ] ] p.Plan.runs;
-  Alcotest.(check int) "dupes" 2 p.Plan.dupes;
-  Alcotest.(check int) "one baseline reset" 1 p.Plan.baseline_resets
+  Alcotest.(check int) "dupes" 2 p.Plan.dupes
+
+(* Batches with forced duplicates and prefixes: random words over a
+   small alphabet, then copies of some of them cut to a random length
+   (the full length is a duplicate), shuffled together. *)
+let gen_batch alphabet =
+  QCheck2.Gen.(
+    let* base =
+      list_size (int_range 1 20) (list_size (int_bound 6) (oneofl alphabet))
+    in
+    let* cuts =
+      list_size (int_bound 12) (pair (int_bound 1000) (int_bound 7))
+    in
+    let base_a = Array.of_list base in
+    let extra =
+      List.map
+        (fun (i, k) ->
+          let w = base_a.(i mod Array.length base_a) in
+          List.filteri (fun j _ -> j < k) w)
+        cuts
+    in
+    shuffle_l (base @ extra))
+
+let prop_plan_covers =
+  QCheck2.Test.make ~count:300 ~name:"plan runs cover every word"
+    ~print:QCheck2.Print.(list (list char))
+    (gen_batch [ 'a'; 'b'; 'c' ])
+    (fun words ->
+      let p = Plan.build words in
+      let runs = Array.of_list p.Plan.runs in
+      let rec strictly_sorted = function
+        | a :: (b :: _ as rest) -> compare a b < 0 && strictly_sorted rest
+        | _ -> true
+      in
+      (* Runs are distinct, so [a = b] only when they are the same run. *)
+      let antichain =
+        Array.for_all
+          (fun a ->
+            Array.for_all (fun b -> a = b || not (Plan.is_prefix a b)) runs)
+          runs
+      in
+      strictly_sorted p.Plan.runs && antichain
+      && Array.length p.Plan.cover = List.length words
+      && List.for_all2
+           (fun w r -> Plan.is_prefix w runs.(r))
+           words (Array.to_list p.Plan.cover)
+      && p.Plan.dupes
+         = List.length words - List.length (List.sort_uniq compare words)
+      && p.Plan.words = p.Plan.dupes + p.Plan.subsumed + Array.length runs)
 
 (* --- pooled execution --- *)
 
 let engine_for ?(config = Engine.default) m =
   Engine.create ~config ~factory:(fun _ -> Sul.of_mealy m) ()
+
+(* A batch (asked as two halves, so the second meets cache hits)
+   answers like a fresh reference SUL, leaves the cache a fresh engine
+   asked the same words one at a time would, and accounts every word
+   as one hit or one miss, the misses being the queries that reached
+   the pool. *)
+let prop_engine_batch (name, config) =
+  QCheck2.Test.make ~count:100 ~name:("batch = one at a time, " ^ name)
+    ~print:QCheck2.Print.(list (list char))
+    (gen_batch [ 'a'; 'b' ])
+    (fun words ->
+      let engine () =
+        let cache = Cache.create () in
+        let factory _ = Sul.of_mealy counter3 in
+        (Engine.create ~config ~cache ~factory (), cache)
+      in
+      let e, cache = engine () in
+      let batch = Option.get (Engine.membership e).Oracle.ask_batch in
+      let half = List.length words / 2 in
+      let first = batch (List.filteri (fun i _ -> i < half) words) in
+      let second = batch (List.filteri (fun i _ -> i >= half) words) in
+      let one_by_one, cache1 = engine () in
+      let mq1 = Engine.membership one_by_one in
+      List.iter (fun w -> ignore (mq1.Oracle.ask w)) words;
+      let reference = Sul.of_mealy counter3 in
+      let hits, misses = Engine.cache_stats e in
+      List.for_all2
+        (fun w a -> Sul.query reference w = a)
+        words (first @ second)
+      && Cache.dump cache = Cache.dump cache1
+      && hits + misses = List.length words
+      && (Engine.oracle_stats e).Oracle.membership_queries = misses)
+
+let engine_batch_props =
+  List.map prop_engine_batch
+    [
+      ("sequential", { Engine.default with Engine.workers = 1 });
+      ("parallel", { Engine.default with Engine.workers = 4; parallel = true });
+      ("replicated", { Engine.default with Engine.workers = 3; replicas = 2 });
+    ]
 
 let resume_skips_reset () =
   let e = engine_for counter3 in
@@ -378,6 +462,7 @@ let () =
             plan_orders_for_sharing;
           Alcotest.test_case "empty batch" `Quick plan_empty;
           Alcotest.test_case "all duplicates" `Quick plan_all_duplicates;
+          QCheck_alcotest.to_alcotest prop_plan_covers;
         ] );
       ( "pool",
         [
@@ -389,7 +474,8 @@ let () =
           Alcotest.test_case "parallel equivalence" `Quick parallel_equivalence;
           Alcotest.test_case "pooled learning" `Quick pooled_learning_equivalent;
           Alcotest.test_case "invalid configs" `Quick invalid_configs;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest engine_batch_props );
       ( "robustness",
         [
           Alcotest.test_case "adversarial worker" `Quick
