@@ -94,6 +94,41 @@ let crypto_direction_isolation () =
            ~pn:0 ~header:"h" sealed
         = None)
 
+(* Known answers: ciphertexts pinned from the reference run, so any
+   change to the underlying primitive that alters QUIC bytes shows
+   here (the tail of the plaintext is not a whole 8-byte lane). *)
+let crypto_known_answer () =
+  let hex s =
+    String.concat ""
+      (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  let c = Quic_crypto.create () in
+  Quic_crypto.install_initial c ~dcid:"\x83\x94\xc8\xf0\x3e\x51\x57\x08";
+  Quic_crypto.install_handshake c ~client_random:"c0ffee0123456789"
+    ~server_random:"5e4e4e4e4e4e4e4e";
+  let plaintext = "known-answer plaintext: 8-byte lanes plus a 5-byte tail" in
+  let sealed level direction pn =
+    match
+      Quic_crypto.seal c level direction ~pn ~header:"\xc3\x00\x00\x00\x01hdr"
+        plaintext
+    with
+    | Some s -> hex s
+    | None -> Alcotest.fail "seal failed"
+  in
+  Alcotest.(check string) "initial"
+    "d0512b3e3e0eb86552679dd0a8065c3999149c016a1ff977c5ab21669d55fa6a2b5b52498444266c64b3be98391a3e4377837d2543ee5578c04d2a9bdc797e"
+    (sealed Quic_crypto.Initial_level Quic_crypto.Client_to_server 0);
+  Alcotest.(check string) "handshake"
+    "0eb964c7b9c5e335238f59568cb471038e3b45023a714548e4f5aaf0df6513157d0da7035181ee1ad1ce49e99c6ea460c5b41e0e3bde733a666f55be586c20"
+    (sealed Quic_crypto.Handshake_level Quic_crypto.Server_to_client 7);
+  Quic_crypto.update_application c;
+  Alcotest.(check string) "application after key update"
+    "94ad73363894000799131a97ab72655d3533465885a8cf7398ac015c72a8600405288aeff5b1c50e692db5ef75d36724422c7ab2a6383e64c3f5c48689b323"
+    (sealed Quic_crypto.Application_level Quic_crypto.Client_to_server 0x1234567);
+  Alcotest.(check string) "stateless reset token" "5037b90a2591fec97fef43982391212e"
+    (hex (Quic_crypto.stateless_reset_token ~dcid:"abcdefgh"));
+  Alcotest.(check int64) "hash64" 0xf0a1923b076d83b8L (Quic_crypto.hash64 "prognosis")
+
 (* --- frames --- *)
 
 let all_frames =
@@ -669,6 +704,7 @@ let () =
           Alcotest.test_case "tamper detection" `Quick crypto_detects_tamper;
           Alcotest.test_case "level isolation" `Quick crypto_level_isolation;
           Alcotest.test_case "direction isolation" `Quick crypto_direction_isolation;
+          Alcotest.test_case "known answer" `Quick crypto_known_answer;
         ] );
       ( "frames",
         [
