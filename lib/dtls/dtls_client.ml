@@ -18,15 +18,10 @@ type t = {
   mutable echoed_ : string;
 }
 
-let to_hex s =
-  String.concat ""
-    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
-       (List.init (String.length s) (String.get s)))
-
 let reset t =
   t.crypto <- C.create ();
-  t.client_random <- to_hex (Rng.bytes t.rng 8);
-  t.premaster <- to_hex (Rng.bytes t.rng 8);
+  t.client_random <- Rng.hex t.rng 8;
+  t.premaster <- Rng.hex t.rng 8;
   t.cookie <- "";
   t.server_random <- "";
   t.write_epoch <- 0;

@@ -1,88 +1,68 @@
-(* FNV-1a + splitmix finalization, independent of the QUIC module to
-   keep the substrates self-contained. *)
-let hash64 s =
-  let open Int64 in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := logxor !h (of_int (Char.code c));
-      h := mul !h 0x100000001B3L)
-    s;
-  let z = add !h 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  logxor z (shift_right_logical z 31)
-
-let bytes_of_int64 v =
-  String.init 8 (fun i ->
-      Char.chr
-        (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * (7 - i))) 0xFFL)))
+module P = Prognosis_sul.Sim_crypto
 
 type direction = Client_write | Server_write
 
-type t = { mutable master : string option }
+(* Everything a handshake derives, computed once in [derive_master]:
+   the two direction keys as absorbed hash states, and both Finished
+   bodies. *)
+type keys = {
+  client_key : int;
+  server_key : int;
+  client_verify : string;
+  server_verify : string;
+}
 
-let create () = { master = None }
+type t = { mutable keys : keys option }
+
+let create () = { keys = None }
 
 let derive_master t ~client_random ~server_random ~premaster =
-  t.master <-
+  let master =
+    P.derive
+      (String.concat "|" [ client_random; server_random; premaster ])
+      "master"
+  in
+  let key label = P.fold_string P.fnv_basis (P.derive master label) in
+  t.keys <-
     Some
-      (bytes_of_int64
-         (hash64 (Printf.sprintf "master|%s|%s|%s" client_random server_random premaster)))
+      {
+        client_key = key "client";
+        server_key = key "server";
+        client_verify = P.derive master "finished|client";
+        server_verify = P.derive master "finished|server";
+      }
 
-let ready t = t.master <> None
+let ready t = t.keys <> None
+let tag_length = P.tag_length
 
-let dir_label = function Client_write -> "client" | Server_write -> "server"
+(* The keystream is seeded from (key, epoch, seq); the tag binds
+   key | epoch | seq | plaintext. *)
+let nonce keys direction ~epoch ~seq =
+  let key =
+    match direction with
+    | Client_write -> keys.client_key
+    | Server_write -> keys.server_key
+  in
+  P.fold_int (P.fold_int key epoch) seq
 
-let key t direction =
-  Option.map
-    (fun master -> bytes_of_int64 (hash64 (master ^ "|" ^ dir_label direction)))
-    t.master
-
-let tag_length = 8
-
-let keystream key ~epoch ~seq len =
-  let state = ref (hash64 (Printf.sprintf "%s#%d#%d" key epoch seq)) in
-  String.init len (fun i ->
-      if i mod 8 = 0 then begin
-        let open Int64 in
-        let s = add !state 0x9E3779B97F4A7C15L in
-        let z = mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
-        state := logxor z (shift_right_logical z 31)
-      end;
-      Char.chr
-        (Int64.to_int
-           (Int64.logand (Int64.shift_right_logical !state (8 * (i mod 8))) 0xFFL)))
-
-let xor_with data stream =
-  String.mapi (fun i c -> Char.chr (Char.code c lxor Char.code stream.[i])) data
-
-let tag key ~epoch ~seq plaintext =
-  bytes_of_int64 (hash64 (Printf.sprintf "%s|%d|%d|%s" key epoch seq plaintext))
+let auth nonce = P.fold_byte nonce (Char.code '|')
 
 let seal t direction ~epoch ~seq plaintext =
-  Option.map
-    (fun key ->
-      xor_with plaintext (keystream key ~epoch ~seq (String.length plaintext))
-      ^ tag key ~epoch ~seq plaintext)
-    (key t direction)
+  match t.keys with
+  | None -> None
+  | Some keys ->
+      let n = nonce keys direction ~epoch ~seq in
+      Some (P.seal ~stream:n ~auth:(auth n) plaintext)
 
 let open_ t direction ~epoch ~seq sealed =
-  match key t direction with
+  match t.keys with
   | None -> None
-  | Some key ->
-      let n = String.length sealed in
-      if n < tag_length then None
-      else begin
-        let ciphertext = String.sub sealed 0 (n - tag_length) in
-        let received = String.sub sealed (n - tag_length) tag_length in
-        let plaintext =
-          xor_with ciphertext (keystream key ~epoch ~seq (String.length ciphertext))
-        in
-        if tag key ~epoch ~seq plaintext = received then Some plaintext else None
-      end
+  | Some keys ->
+      let n = nonce keys direction ~epoch ~seq in
+      P.open_ ~stream:n ~auth:(auth n) sealed
 
 let verify_data t direction =
-  match t.master with
-  | None -> ""
-  | Some master ->
-      bytes_of_int64 (hash64 (Printf.sprintf "finished|%s|%s" master (dir_label direction)))
+  match (t.keys, direction) with
+  | None, _ -> ""
+  | Some keys, Client_write -> keys.client_verify
+  | Some keys, Server_write -> keys.server_verify

@@ -1,10 +1,13 @@
 (** Simulated MiniDTLS record protection.
 
-    Same design as the QUIC simulation: a non-cryptographic PRF drives
-    an authenticated stream cipher, keyed by a master secret derived
-    from the handshake randoms and the client's premaster secret. The
-    shape is faithful (no keys → no decryption; tampering fails
-    authentication); the arithmetic is NOT real cryptography. *)
+    Built on the same primitive as the QUIC simulation,
+    {!Prognosis_sul.Sim_crypto}: an authenticated stream cipher keyed
+    per direction from a master secret, which is derived from the
+    handshake randoms and the client's premaster secret. The keystream
+    is seeded from (key, epoch, seq) and the tag binds key, epoch, seq
+    and plaintext. The shape is faithful (no keys → no decryption;
+    tampering fails authentication); the arithmetic is NOT real
+    cryptography. *)
 
 type t
 
@@ -12,7 +15,8 @@ val create : unit -> t
 
 val derive_master :
   t -> client_random:string -> server_random:string -> premaster:string -> unit
-(** Install epoch-1 keys from the handshake inputs. *)
+(** Install epoch-1 keys from the handshake inputs: both direction keys
+    and both {!verify_data} bodies are derived here, once. *)
 
 val ready : t -> bool
 

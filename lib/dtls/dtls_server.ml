@@ -70,11 +70,6 @@ let create ?(config = default_config) rng =
 
 let phase_name t = phase_to_string t.phase
 
-let to_hex s =
-  String.concat ""
-    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
-       (List.init (String.length s) (String.get s)))
-
 let protect t ~epoch ~seq payload =
   match C.seal t.crypto C.Server_write ~epoch ~seq payload with
   | Some sealed -> sealed
@@ -84,7 +79,7 @@ let emit t content payload =
   let seq = t.write_seq in
   t.write_seq <- seq + 1;
   W.encode_record
-    ~protect:(fun ~epoch ~seq payload -> protect t ~epoch ~seq payload)
+    ~protect:(protect t)
     { W.content; epoch = t.write_epoch; seq; payload }
 
 let emit_handshake t msg_type body =
@@ -110,7 +105,7 @@ let parse_client_hello body =
   | _ -> None
 
 let server_flight t =
-  t.server_random <- to_hex (Rng.bytes t.rng 8);
+  t.server_random <- Rng.hex t.rng 8;
   t.phase <- Waiting_key_exchange;
   [
     emit_handshake t W.Server_hello ("SR:" ^ t.server_random);
@@ -125,7 +120,7 @@ let handle_client_hello t body =
       t.client_random <- client_random;
       match t.phase with
       | Waiting_hello when t.cfg.require_cookie ->
-          t.cookie <- to_hex (Rng.bytes t.rng 8);
+          t.cookie <- Rng.hex t.rng 8;
           t.phase <- Waiting_verified_hello;
           [ emit_handshake t W.Hello_verify_request t.cookie ]
       | Waiting_hello -> server_flight t

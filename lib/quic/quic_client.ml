@@ -49,18 +49,6 @@ type t = {
          physical equality, so a cid swap always recomputes *)
 }
 
-let hex_digits = "0123456789abcdef"
-
-let to_hex s =
-  let n = String.length s in
-  let b = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let c = Char.code (String.unsafe_get s i) in
-    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
-    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 0xF))
-  done;
-  Bytes.unsafe_to_string b
-
 let reset t =
   t.port_ <- 50000 + Rng.int t.rng 10000;
   t.scid <- Rng.bytes t.rng P.cid_length;
@@ -68,7 +56,7 @@ let reset t =
   t.dcid <- t.odcid;
   t.crypto <- C.create ();
   C.install_initial t.crypto ~dcid:t.odcid;
-  t.client_random <- to_hex (Rng.bytes t.rng 8);
+  t.client_random <- Rng.hex t.rng 8;
   t.initial_pn <- 0;
   t.handshake_pn <- 0;
   t.app_pn <- 0;

@@ -7,55 +7,10 @@ let level_to_string = function
 
 type direction = Client_to_server | Server_to_client
 
-(* FNV-1a over OCaml's native (63-bit) int, then a splitmix-style
-   finalizer for diffusion. Native int arithmetic keeps the whole
-   per-packet path — key derivation, keystream, authentication —
-   unboxed; the historical implementation iterated boxed [Int64]
-   operations per byte and dominated the QUIC adapter's query cost.
-   Constants are the usual FNV/splitmix ones truncated to 62 bits so
-   they remain valid int literals. Hash values differ from the old
-   Int64 variant, which is observable only inside one simulated
-   connection (the scheme is symmetric and self-consistent). *)
-let fnv_basis = 0x3BF29CE484222325
-let fnv_prime = 0x100000001B3
-let golden = 0x1E3779B97F4A7C15
+module P = Prognosis_sul.Sim_crypto
 
-let mix z =
-  let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
-  let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
-  z lxor (z lsr 31)
-
-(* Folds eight bytes per multiply where possible (the trailing mix
-   supplies the diffusion FNV normally gets from its per-byte step). *)
-let fold_string h s =
-  let len = String.length s in
-  let h = ref h in
-  let i = ref 0 in
-  while !i + 8 <= len do
-    h := (!h lxor Int64.to_int (String.get_int64_le s !i)) * fnv_prime;
-    i := !i + 8
-  done;
-  while !i < len do
-    h := (!h lxor Char.code (String.unsafe_get s !i)) * fnv_prime;
-    incr i
-  done;
-  !h
-
-let fold_int h v =
-  (((h lxor (v land 0xFFFFFFFF)) * fnv_prime) lxor ((v lsr 32) land 0xFFFFFFFF))
-  * fnv_prime
-
-let fold_byte h b = (h lxor b) * fnv_prime
-let hash s = mix (fold_string fnv_basis s)
-let hash64 s = Int64.of_int (hash s)
-
-let bytes_of_hash v =
-  String.init 8 (fun i -> Char.unsafe_chr ((v lsr (8 * (7 - i))) land 0xFF))
-
-(* hash(secret ^ "/" ^ label) without building the concatenation *)
-let derive secret label =
-  let h = fold_byte (fold_string fnv_basis secret) (Char.code '/') in
-  bytes_of_hash (mix (fold_string h label))
+let hash64 s = Int64.of_int (P.hash s)
+let derive = P.derive
 
 type secrets = { c2s : string; s2c : string }
 
@@ -92,12 +47,13 @@ let drop_level t = function
 
 let has_level t level = slot t level <> None
 
+let next_generation s = { c2s = derive s.c2s "ku"; s2c = derive s.s2c "ku" }
+
 let update_application t =
   match t.application with
   | None -> ()
   | Some secrets ->
-      t.application <-
-        Some { c2s = derive secrets.c2s "ku"; s2c = derive secrets.s2c "ku" };
+      t.application <- Some (next_generation secrets);
       t.app_phase <- t.app_phase + 1
 
 let application_phase t = t.app_phase
@@ -106,111 +62,34 @@ let key_for secrets = function
   | Client_to_server -> secrets.c2s
   | Server_to_client -> secrets.s2c
 
-let tag_length = 8
+let tag_length = P.tag_length
 
-(* Keystream-XOR in one pass: splitmix-style stream seeded from
-   (key, packet number), consumed 8 bytes per mixing round, applied
-   directly while copying [src[off, off+len)] into a fresh string.
-   Encryption and decryption are the same operation. *)
-let crypt key ~pn src off len =
-  let out = Bytes.create len in
-  let state = ref (mix (fold_int (fold_string fnv_basis key) pn)) in
-  let i = ref 0 in
-  (* whole 64-bit lanes: the keystream block is consumed low byte
-     first, i.e. little-endian, so a masked int64 XOR reproduces the
-     byte-at-a-time loop exactly (bit 63 of a keystream word is always
-     zero: the state is a 63-bit int) *)
-  while !i + 8 <= len do
-    state := mix (!state + golden);
-    let ks = Int64.logand (Int64.of_int !state) 0x7FFFFFFFFFFFFFFFL in
-    Bytes.set_int64_le out !i
-      (Int64.logxor (String.get_int64_le src (off + !i)) ks);
-    i := !i + 8
-  done;
-  if !i < len then begin
-    state := mix (!state + golden);
-    let block = ref !state in
-    while !i < len do
-      Bytes.unsafe_set out !i
-        (Char.unsafe_chr
-           (Char.code (String.unsafe_get src (off + !i)) lxor (!block land 0xFF)));
-      block := !block lsr 8;
-      incr i
-    done
-  end;
-  Bytes.unsafe_to_string out
-
-(* hash(key | pn | header | data) without building the concatenation *)
-let auth_hash key ~pn ~header data off len =
-  let h = fold_string fnv_basis key in
-  let h = fold_int (fold_byte h (Char.code '|')) pn in
-  let h = fold_string (fold_byte h (Char.code '|')) header in
-  let h = ref (fold_byte h (Char.code '|')) in
-  let i = ref off in
-  let stop = off + len in
-  while !i + 8 <= stop do
-    h := (!h lxor Int64.to_int (String.get_int64_le data !i)) * fnv_prime;
-    i := !i + 8
-  done;
-  while !i < stop do
-    h := (!h lxor Char.code (String.unsafe_get data !i)) * fnv_prime;
-    incr i
-  done;
-  mix !h
-
-let auth_tag key ~pn ~header data =
-  bytes_of_hash (auth_hash key ~pn ~header data 0 (String.length data))
+(* The keystream is seeded from (key, pn); the tag binds
+   key | pn | header | plaintext. *)
+let protect f key ~pn ~header data =
+  let k = P.fold_string P.fnv_basis key in
+  let sep h = P.fold_byte h (Char.code '|') in
+  f ~stream:(P.fold_int k pn)
+    ~auth:(sep (P.fold_string (sep (P.fold_int (sep k) pn)) header))
+    data
 
 let seal t level direction ~pn ~header plaintext =
   match slot t level with
   | None -> None
   | Some secrets ->
-      let key = key_for secrets direction in
-      let n = String.length plaintext in
-      let out = Bytes.create (n + tag_length) in
-      Bytes.blit_string (crypt key ~pn plaintext 0 n) 0 out 0 n;
-      let tag = auth_hash key ~pn ~header plaintext 0 n in
-      for i = 0 to tag_length - 1 do
-        Bytes.unsafe_set out (n + i)
-          (Char.unsafe_chr ((tag lsr (8 * (7 - i))) land 0xFF))
-      done;
-      Some (Bytes.unsafe_to_string out)
+      Some (protect P.seal (key_for secrets direction) ~pn ~header plaintext)
 
 let open_ t level direction ~pn ~header sealed =
   match slot t level with
   | None -> None
-  | Some secrets ->
-      let n = String.length sealed in
-      if n < tag_length then None
-      else begin
-        let key = key_for secrets direction in
-        let body = n - tag_length in
-        let plaintext = crypt key ~pn sealed 0 body in
-        let tag = auth_hash key ~pn ~header plaintext 0 body in
-        (* constant-shape tag comparison against the trailing bytes *)
-        let ok = ref true in
-        for i = 0 to tag_length - 1 do
-          if
-            Char.code (String.unsafe_get sealed (body + i))
-            <> (tag lsr (8 * (7 - i))) land 0xFF
-          then ok := false
-        done;
-        if !ok then Some plaintext else None
-      end
+  | Some secrets -> protect P.open_ (key_for secrets direction) ~pn ~header sealed
 
 let open_updated_application t direction ~pn ~header sealed =
   match t.application with
   | None -> None
   | Some secrets ->
-      let next =
-        { initial = None;
-          handshake = None;
-          application =
-            Some { c2s = derive secrets.c2s "ku"; s2c = derive secrets.s2c "ku" };
-          app_phase = t.app_phase + 1;
-        }
-      in
-      open_ next Application_level direction ~pn ~header sealed
+      protect P.open_ (key_for (next_generation secrets) direction) ~pn ~header
+        sealed
 
 let stateless_reset_token ~dcid =
   derive ("srt:" ^ dcid) "token" ^ derive ("srt2:" ^ dcid) "token"

@@ -7,11 +7,13 @@
     This module reproduces that structure — per-level secrets (initial
     keys derived from the client's destination connection id, handshake
     and application keys derived from randoms exchanged in CRYPTO
-    frames), per-direction keys, an authenticated stream cipher — using
-    a non-cryptographic PRF (iterated splitmix64). The *shape* is
-    faithful: a receiver without the right per-level secret cannot
-    decode a packet, and tampered ciphertext fails authentication.
-    This is NOT real cryptography and offers no confidentiality. *)
+    frames), per-direction keys, an authenticated stream cipher — on
+    the shared primitive {!Prognosis_sul.Sim_crypto}: the keystream is
+    seeded from (key, packet number) and the tag binds key, packet
+    number, header and plaintext. The *shape* is faithful: a receiver
+    without the right per-level secret cannot decode a packet, and
+    tampered ciphertext fails authentication. This is NOT real
+    cryptography and offers no confidentiality. *)
 
 type level = Initial_level | Handshake_level | Application_level
 

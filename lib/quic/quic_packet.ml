@@ -73,11 +73,8 @@ let add_cid buf cid =
   Buffer.add_string buf cid
 
 let retry_integrity_tag ~dcid ~scid ~token =
-  (* one hash for the whole tag (the per-byte closure used to recompute
-     it eight times) *)
   let h =
-    Int64.to_int
-      (Quic_crypto.hash64 (String.concat "|" [ "retry"; dcid; scid; token ]))
+    Prognosis_sul.Sim_crypto.hash (String.concat "|" [ "retry"; dcid; scid; token ])
   in
   String.init 8 (fun i -> Char.unsafe_chr ((h lsr (8 * i)) land 0xFF))
 

@@ -194,22 +194,10 @@ let has_handshake_done frames =
 
 (* --- handshake steps --- *)
 
-let hex_digits = "0123456789abcdef"
-
-let to_hex s =
-  let n = String.length s in
-  let b = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let c = Char.code (String.unsafe_get s i) in
-    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
-    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 0xF))
-  done;
-  Bytes.unsafe_to_string b
-
 let begin_handshake t ~port (p : P.t) ch_random md msd =
   t.client_cid <- p.P.scid;
   t.active_port <- port;
-  let server_random = to_hex (Rng.bytes t.rng 8) in
+  let server_random = Rng.hex t.rng 8 in
   C.install_handshake t.crypto ~client_random:ch_random ~server_random;
   t.conn_max_data <- (match md with Some v -> v | None -> 1 lsl 10);
   let msd_value = match msd with Some v -> v | None -> 1 lsl 9 in

@@ -30,3 +30,9 @@ let bool t p = float t < p
 
 let bytes t n =
   String.init n (fun _ -> Char.chr (Int64.to_int (Int64.logand (next64 t) 0xFFL)))
+
+let hex t n =
+  let raw = bytes t n in
+  String.init (2 * n) (fun i ->
+      let c = Char.code raw.[i / 2] in
+      "0123456789abcdef".[if i land 1 = 0 then c lsr 4 else c land 0xF])

@@ -33,3 +33,8 @@ val bool : t -> float -> bool
 
 val bytes : t -> int -> string
 (** [bytes t n] is [n] uniform random bytes. *)
+
+val hex : t -> int -> string
+(** [hex t n] is [n] uniform random bytes as [2n] lowercase hex digits:
+    the same draws as {!bytes}, printed. The simulated handshakes send
+    their randoms, cookies and premaster secrets this way. *)

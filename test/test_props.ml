@@ -284,6 +284,99 @@ let prop_crypto_pn_binding =
             Quic_crypto.Client_to_server ~pn:pn2 ~header:"h" sealed
           = None)
 
+let prop_crypto_bitflip_rejected =
+  QCheck2.Test.make ~count:300
+    ~name:"single-bit flips in ciphertext or tag are rejected"
+    QCheck2.Gen.(
+      triple (string_size ~gen:char (gen 0 40)) (gen 0 1000) (gen 0 7))
+    (fun (plaintext, pos, bit) ->
+      let c = fresh_crypto () in
+      match
+        Quic_crypto.seal c Quic_crypto.Handshake_level
+          Quic_crypto.Client_to_server ~pn:9 ~header:"hd" plaintext
+      with
+      | None -> false
+      | Some sealed ->
+          let pos = pos mod String.length sealed in
+          let flipped =
+            String.mapi
+              (fun i ch ->
+                if i = pos then Char.chr (Char.code ch lxor (1 lsl bit)) else ch)
+              sealed
+          in
+          Quic_crypto.open_ c Quic_crypto.Handshake_level
+            Quic_crypto.Client_to_server ~pn:9 ~header:"hd" flipped
+          = None)
+
+(* --- DTLS record protection --- *)
+
+module Dtls_crypto = Prognosis_dtls.Dtls_crypto
+
+let fresh_dtls_crypto () =
+  let c = Dtls_crypto.create () in
+  Dtls_crypto.derive_master c ~client_random:"cr" ~server_random:"sr"
+    ~premaster:"pms";
+  c
+
+let gen_epoch_seq = QCheck2.Gen.(pair (gen 0 0xFFFF) (gen 0 0xFFFFFFFFFFFF))
+
+let prop_dtls_crypto_roundtrip =
+  QCheck2.Test.make ~count:300 ~name:"dtls seal/open roundtrip"
+    QCheck2.Gen.(pair (string_size ~gen:char (gen 0 100)) gen_epoch_seq)
+    (fun (plaintext, (epoch, seq)) ->
+      let c = fresh_dtls_crypto () in
+      match Dtls_crypto.seal c Dtls_crypto.Server_write ~epoch ~seq plaintext with
+      | None -> false
+      | Some sealed ->
+          String.length sealed = String.length plaintext + Dtls_crypto.tag_length
+          && Dtls_crypto.open_ c Dtls_crypto.Server_write ~epoch ~seq sealed
+             = Some plaintext)
+
+let prop_dtls_crypto_epoch_seq_binding =
+  QCheck2.Test.make ~count:300 ~name:"dtls (epoch, seq) is bound by the tag"
+    QCheck2.Gen.(pair gen_epoch_seq gen_epoch_seq)
+    (fun ((e1, s1), (e2, s2)) ->
+      (e1, s1) = (e2, s2)
+      ||
+      let c = fresh_dtls_crypto () in
+      match
+        Dtls_crypto.seal c Dtls_crypto.Client_write ~epoch:e1 ~seq:s1 "data"
+      with
+      | None -> false
+      | Some sealed ->
+          Dtls_crypto.open_ c Dtls_crypto.Client_write ~epoch:e2 ~seq:s2 sealed
+          = None)
+
+let prop_dtls_crypto_bitflip_rejected =
+  QCheck2.Test.make ~count:300
+    ~name:"dtls single-bit flips in ciphertext or tag are rejected"
+    QCheck2.Gen.(
+      triple (string_size ~gen:char (gen 0 40)) (gen 0 1000) (gen 0 7))
+    (fun (plaintext, pos, bit) ->
+      let c = fresh_dtls_crypto () in
+      match Dtls_crypto.seal c Dtls_crypto.Client_write ~epoch:1 ~seq:5 plaintext with
+      | None -> false
+      | Some sealed ->
+          let pos = pos mod String.length sealed in
+          let flipped =
+            String.mapi
+              (fun i ch ->
+                if i = pos then Char.chr (Char.code ch lxor (1 lsl bit)) else ch)
+              sealed
+          in
+          Dtls_crypto.open_ c Dtls_crypto.Client_write ~epoch:1 ~seq:5 flipped
+          = None)
+
+let prop_dtls_crypto_direction_bound =
+  QCheck2.Test.make ~count:300 ~name:"dtls records do not open in the other direction"
+    QCheck2.Gen.(pair (string_size ~gen:char (gen 0 40)) gen_epoch_seq)
+    (fun (plaintext, (epoch, seq)) ->
+      let c = fresh_dtls_crypto () in
+      match Dtls_crypto.seal c Dtls_crypto.Client_write ~epoch ~seq plaintext with
+      | None -> false
+      | Some sealed ->
+          Dtls_crypto.open_ c Dtls_crypto.Server_write ~epoch ~seq sealed = None)
+
 (* --- DTLS records --- *)
 
 module Dtls_wire = Prognosis_dtls.Dtls_wire
@@ -360,6 +453,77 @@ let prop_inet_bitflip_detected =
              accept only when the delivered data is untouched. *)
           port = 3 && payload' = payload)
 
+(* The single-pass framing against the two-layer composition. *)
+let prop_inet_wrap_udp_matches_layers =
+  QCheck2.Test.make ~count:300 ~name:"wrap_udp equals Ipv4.encode of Udp.encode"
+    QCheck2.Gen.(
+      quad (gen 0 0x3FFFFFFF) (gen 0 0xFFFF) (gen 0 0xFFFF)
+        (string_size ~gen:char (gen 0 80)))
+    (fun (src, src_port, dst_port, payload) ->
+      let dst = src lxor 0x2A5A5A5A in
+      Inet.wrap_udp ~src ~dst ~src_port ~dst_port payload
+      = Inet.Ipv4.encode
+          {
+            Inet.Ipv4.src;
+            dst;
+            ttl = 64;
+            protocol = Inet.Ipv4.udp_protocol;
+            payload =
+              Inet.Udp.encode ~src_ip:src ~dst_ip:dst
+                { Inet.Udp.src_port; dst_port; payload };
+          })
+
+let ipv4_fix_checksum b =
+  Bytes.set_uint16_be b 10 0;
+  let sum = ref 0 in
+  for i = 0 to 9 do
+    sum := !sum + Bytes.get_uint16_be b (2 * i)
+  done;
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  Bytes.set_uint16_be b 10 (lnot !sum land 0xFFFF)
+
+(* Datagrams with one 16-bit word overwritten (often with a small value,
+   to hit the length fields' bounds; the IPv4 checksum optionally
+   repaired, so they reach the later checks), truncated, or intact. *)
+let gen_mangled_datagram =
+  QCheck2.Gen.(
+    let* payload = string_size ~gen:char (gen 0 40) in
+    let* pos = gen 0 100 and* value = oneof [ gen 0 64; gen 0 0xFFFF ] in
+    let* repair = bool in
+    let* cut = gen 0 80 and* tcp = bool in
+    let src = 0x0A000001 and dst = 0x0A000002 in
+    let wire =
+      if tcp then Inet.wrap_tcp ~src ~dst payload
+      else Inet.wrap_udp ~src ~dst ~src_port:7 ~dst_port:9 payload
+    in
+    let b = Bytes.of_string wire in
+    Bytes.set_uint16_be b (2 * (pos mod (String.length wire / 2))) value;
+    if repair then ipv4_fix_checksum b;
+    let mutated = Bytes.to_string b in
+    oneofl
+      [ wire; mutated; String.sub mutated 0 (min cut (String.length wire)) ])
+
+let prop_inet_unwrap_udp_matches_layers =
+  QCheck2.Test.make ~count:1000
+    ~name:"unwrap_udp equals Ipv4.decode then Udp.decode" gen_mangled_datagram
+    (fun wire ->
+      let layered =
+        match Inet.Ipv4.decode wire with
+        | Error e -> Error e
+        | Ok ip when ip.Inet.Ipv4.protocol <> Inet.Ipv4.udp_protocol ->
+            Error "ipv4: not UDP"
+        | Ok ip -> (
+            match
+              Inet.Udp.decode ~src_ip:ip.Inet.Ipv4.src ~dst_ip:ip.Inet.Ipv4.dst
+                ip.Inet.Ipv4.payload
+            with
+            | Error e -> Error e
+            | Ok u -> Ok (u.Inet.Udp.src_port, u.Inet.Udp.payload))
+      in
+      Inet.unwrap_udp wire = layered)
+
 (* --- learning pipeline over random machines, 3-symbol alphabet --- *)
 
 let gen_mealy3 =
@@ -428,13 +592,30 @@ let () =
           [ prop_packet_roundtrip; prop_packet_bitflip_rejected ] );
       ( "crypto",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_crypto_roundtrip; prop_crypto_pn_binding ] );
+          [
+            prop_crypto_roundtrip;
+            prop_crypto_pn_binding;
+            prop_crypto_bitflip_rejected;
+          ] );
+      ( "dtls-crypto",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_dtls_crypto_roundtrip;
+            prop_dtls_crypto_epoch_seq_binding;
+            prop_dtls_crypto_bitflip_rejected;
+            prop_dtls_crypto_direction_bound;
+          ] );
       ( "dtls-wire",
         List.map QCheck_alcotest.to_alcotest
           [ prop_dtls_handshake_roundtrip; prop_dtls_record_roundtrip ] );
       ( "inet",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_inet_udp_roundtrip; prop_inet_bitflip_detected ] );
+          [
+            prop_inet_udp_roundtrip;
+            prop_inet_bitflip_detected;
+            prop_inet_wrap_udp_matches_layers;
+            prop_inet_unwrap_udp_matches_layers;
+          ] );
       ( "learning",
         List.map QCheck_alcotest.to_alcotest
           [

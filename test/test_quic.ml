@@ -125,6 +125,17 @@ let crypto_known_answer () =
   Alcotest.(check string) "application after key update"
     "94ad73363894000799131a97ab72655d3533465885a8cf7398ac015c72a8600405288aeff5b1c50e692db5ef75d36724422c7ab2a6383e64c3f5c48689b323"
     (sealed Quic_crypto.Application_level Quic_crypto.Client_to_server 0x1234567);
+  (* A lane whose top bit is set: the body is the reference run's, the
+     tag is not — the reference fold dropped that bit, so flipping it
+     went undetected (its tag was ...51961a4385e70b44). *)
+  let c = Quic_crypto.create () in
+  Quic_crypto.install_initial c ~dcid:"\x83\x94\xc8\xf0\x3e\x51\x57\x08";
+  Alcotest.(check (option string)) "top-bit lane"
+    (Some "95c44b9830bbe3c92dd0c70961dd272091a871fe")
+    (Option.map hex
+       (Quic_crypto.seal c Quic_crypto.Initial_level
+          Quic_crypto.Client_to_server ~pn:1 ~header:"hdr"
+          "\x00\x01\x02\x03\x04\x05\x06\xfftail"));
   Alcotest.(check string) "stateless reset token" "5037b90a2591fec97fef43982391212e"
     (hex (Quic_crypto.stateless_reset_token ~dcid:"abcdefgh"));
   Alcotest.(check int64) "hash64" 0xf0a1923b076d83b8L (Quic_crypto.hash64 "prognosis")

@@ -218,6 +218,34 @@ let wrap_unwrap_udp () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "protocol mismatch must be rejected"
 
+(* An IPv4 header whose total-length field (7) is below the header
+   length, with a valid checksum: decoding must fail with a typed error
+   rather than an out-of-range [String.sub]. *)
+let ipv4_short_total_length () =
+  let wire =
+    Bytes.of_string
+      (Inet.wrap_udp ~src:0x0A000001 ~dst:0x0A000002 ~src_port:1 ~dst_port:2 "x")
+  in
+  Bytes.set_uint16_be wire 2 7;
+  Bytes.set_uint16_be wire 10 0;
+  let sum = ref 0 in
+  for i = 0 to 9 do
+    sum := !sum + Bytes.get_uint16_be wire (2 * i)
+  done;
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xFFFF) + (!sum lsr 16)
+  done;
+  Bytes.set_uint16_be wire 10 (lnot !sum land 0xFFFF);
+  let wire = Bytes.to_string wire in
+  let expect = Error "ipv4: bad total length" in
+  let show = function Ok _ -> "Ok" | Error e -> e in
+  Alcotest.(check string) "decode" (show expect)
+    (show (Inet.Ipv4.decode wire));
+  Alcotest.(check string) "unwrap_udp" (show expect)
+    (show (Inet.unwrap_udp wire));
+  Alcotest.(check string) "unwrap_tcp" (show expect)
+    (show (Inet.unwrap_tcp wire))
+
 (* --- oracle table --- *)
 
 let table_add_find () =
@@ -465,6 +493,7 @@ let () =
           Alcotest.test_case "udp roundtrip" `Quick udp_roundtrip;
           Alcotest.test_case "udp pseudo-header" `Quick udp_pseudo_header_binds_addresses;
           Alcotest.test_case "wrap/unwrap" `Quick wrap_unwrap_udp;
+          Alcotest.test_case "ipv4 short total length" `Quick ipv4_short_total_length;
         ] );
       ( "oracle-table",
         [
