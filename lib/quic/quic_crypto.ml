@@ -82,7 +82,8 @@ let seal t level direction ~pn ~header plaintext =
 let open_ t level direction ~pn ~header sealed =
   match slot t level with
   | None -> None
-  | Some secrets -> protect P.open_ (key_for secrets direction) ~pn ~header sealed
+  | Some secrets ->
+      protect P.open_ (key_for secrets direction) ~pn ~header sealed
 
 let open_updated_application t direction ~pn ~header sealed =
   match t.application with

@@ -74,7 +74,8 @@ let add_cid buf cid =
 
 let retry_integrity_tag ~dcid ~scid ~token =
   let h =
-    Prognosis_sul.Sim_crypto.hash (String.concat "|" [ "retry"; dcid; scid; token ])
+    Prognosis_sul.Sim_crypto.hash
+      (String.concat "|" [ "retry"; dcid; scid; token ])
   in
   String.init 8 (fun i -> Char.unsafe_chr ((h lsr (8 * i)) land 0xFF))
 

@@ -138,11 +138,8 @@ module Udp = struct
       if total > len || total < header_len then Error "udp: bad length"
       else
         let received = get_u16 data (off + 6) in
-        let sum =
-          finish
-            (sum_string (pseudo_sum ~src_ip ~dst_ip ~length:total) data off total
-            - received)
-        in
+        let pseudo = pseudo_sum ~src_ip ~dst_ip ~length:total in
+        let sum = finish (sum_string pseudo data off total - received) in
         let sum = if sum = 0 then 0xFFFF else sum in
         if received <> 0 && sum <> received then Error "udp: bad checksum"
         else Ok total

@@ -15,7 +15,8 @@ let mix z =
 (* Folds eight bytes per multiply where possible (the trailing mix
    supplies the diffusion FNV normally gets from its per-byte step).
    [Int64.to_int] keeps 63 bits of a lane; with [~all_bits] a lane whose
-   top bit is set takes one more step, so no input bit is lost. *)
+   top bit is set takes one more step. The tag needs every bit; keys and
+   headers fold without it, which keeps QUIC's pinned bytes. *)
 let fold_prefix ~all_bits h s len =
   let h = ref h in
   let i = ref 0 in
