@@ -82,24 +82,42 @@ let read_file path =
 let algo_name = function Learn.Ttt_tree -> "ttt" | Learn.L_star -> "lstar"
 let algo_of_name = function "lstar" -> Learn.L_star | _ -> Learn.Ttt_tree
 
-let exec_of_flags ~workers ~batch ~parallel ~replicas =
+(* Every command that sizes a worker pool or a sharded cache checks the
+   sizes here first, so a bad flag (or manifest entry) is a usage error
+   instead of an [Invalid_argument] escaping from the engine or the
+   cache. *)
+let check_pool ?(shards = 1) ~workers ~replicas () =
+  or_die
+    (if workers < 1 then
+       Error (Printf.sprintf "workers must be at least 1 (got %d)" workers)
+     else if replicas < 1 || replicas > workers then
+       Error
+         (Printf.sprintf "replicas must be between 1 and workers (%d), got %d"
+            workers replicas)
+     else if shards < 1 then
+       Error (Printf.sprintf "shards must be at least 1 (got %d)" shards)
+     else Ok ())
+
+let exec_of_flags ~workers ~batch ~replicas =
   (* Any exec-related flag routes membership queries through the
      query-execution engine; plain invocations keep the historical
      sequential path. *)
-  if workers > 1 || batch || parallel || replicas > 1 then
+  check_pool ~workers ~replicas ();
+  if workers > 1 || batch || replicas > 1 then
     Some
       {
         Prognosis_exec.Engine.default with
         Prognosis_exec.Engine.workers;
         batch;
-        parallel;
         replicas;
       }
   else None
 
 (* The checkpoint directory carries a manifest describing the run it
    belongs to, so `prognosis resume` needs nothing but the directory:
-   the protocol, profile, seed and exec flags all come back from it. *)
+   the protocol, profile, seed and exec flags all come back from it.
+   Keys the reader does not know are ignored (manifests from older
+   versions may carry a [parallel] flag). *)
 
 type manifest = {
   m_protocol : [ `Tcp | `Quic | `Dtls ];
@@ -108,7 +126,6 @@ type manifest = {
   m_algorithm : Learn.algorithm;
   m_workers : int;
   m_batch : bool;
-  m_parallel : bool;
   m_replicas : int;
   m_every : int;
 }
@@ -128,7 +145,6 @@ let write_manifest ~dir m =
         ("algorithm", J.String (algo_name m.m_algorithm));
         ("workers", J.Int m.m_workers);
         ("batch", J.Bool m.m_batch);
-        ("parallel", J.Bool m.m_parallel);
         ("replicas", J.Int m.m_replicas);
         ("every", J.Int m.m_every);
       ]
@@ -175,7 +191,6 @@ let read_manifest dir =
                     algo_of_name (Option.value ~default:"ttt" (str "algorithm"));
                   m_workers = Option.value ~default:1 (num "workers");
                   m_batch = flag "batch";
-                  m_parallel = flag "parallel";
                   m_replicas = Option.value ~default:1 (num "replicas");
                   m_every = Option.value ~default:500 (num "every");
                 }))
@@ -319,10 +334,10 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
       save_text path;
       Format.printf "canonical model written to %s@." path
 
-let do_learn () protocol profile_name seed algorithm workers batch parallel
-    replicas dot_out save_out text_out trace_out metrics_out flight_out
+let do_learn () protocol profile_name seed algorithm workers batch replicas
+    dot_out save_out text_out trace_out metrics_out flight_out
     openmetrics_out checkpoint_dir checkpoint_every query_budget resume =
-  let exec = exec_of_flags ~workers ~batch ~parallel ~replicas in
+  let exec = exec_of_flags ~workers ~batch ~replicas in
   if Option.is_some query_budget && Option.is_none checkpoint_dir then
     or_die (Error "--query-budget needs --checkpoint DIR");
   if resume && Option.is_none checkpoint_dir then
@@ -344,7 +359,6 @@ let do_learn () protocol profile_name seed algorithm workers batch parallel
           m_algorithm = algorithm;
           m_workers = workers;
           m_batch = batch;
-          m_parallel = parallel;
           m_replicas = replicas;
           m_every = checkpoint_every;
         })
@@ -405,8 +419,8 @@ let flight_out =
     "Arm the flight recorder: keep the most recent trace events in a bounded \
      in-memory ring and dump them to $(docv) when the process exits — \
      normally, on a --query-budget abort, or on SIGTERM/SIGINT — so a \
-     crashed or killed run keeps its last moments. Enables tracing (like \
-     --trace, --parallel batches fall back to sequential)."
+     crashed or killed run keeps its last moments. Enables tracing, like \
+     --trace."
   in
   Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"FILE" ~doc)
 
@@ -434,13 +448,6 @@ let batch_arg =
   in
   Arg.(value & flag & info [ "batch" ] ~doc)
 
-let parallel_arg =
-  let doc =
-    "Execute batched runs in parallel, one domain per worker (in-process \
-     substrates only; ignored while --trace is active)."
-  in
-  Arg.(value & flag & info [ "parallel" ] ~doc)
-
 let replicas_arg =
   let doc =
     "Cross-validate every SUL run on $(docv) distinct workers, majority \
@@ -454,7 +461,7 @@ let learn_cmd =
     (Cmd.info "learn" ~doc)
     Term.(
       const do_learn $ verbose $ protocol $ profile_arg $ seed $ algorithm
-      $ workers_arg $ batch_arg $ parallel_arg $ replicas_arg $ dot_out
+      $ workers_arg $ batch_arg $ replicas_arg $ dot_out
       $ save_out $ text_out $ trace_out $ metrics_out $ flight_out
       $ openmetrics_out $ checkpoint_dir_arg $ checkpoint_every_arg
       $ query_budget_arg $ resume_flag)
@@ -465,8 +472,7 @@ let do_resume () dir query_budget dot_out save_out text_out trace_out
     metrics_out flight_out openmetrics_out =
   let m = or_die (read_manifest dir) in
   let exec =
-    exec_of_flags ~workers:m.m_workers ~batch:m.m_batch ~parallel:m.m_parallel
-      ~replicas:m.m_replicas
+    exec_of_flags ~workers:m.m_workers ~batch:m.m_batch ~replicas:m.m_replicas
   in
   let checkpoint =
     Some
@@ -1191,10 +1197,9 @@ let library_dir_pos =
   let doc = "Library directory (holds *.model files plus library.json)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
 
-let do_library_build () dir subjects seed algorithm workers batch parallel
-    replicas =
+let do_library_build () dir subjects seed algorithm workers batch replicas =
+  let exec = exec_of_flags ~workers ~batch ~replicas in
   mkdir_p dir;
-  let exec = exec_of_flags ~workers ~batch ~parallel ~replicas in
   List.iter
     (fun name ->
       let s = or_die (Subject.of_name name) in
@@ -1263,8 +1268,7 @@ let library_build_cmd =
     (Cmd.info "build" ~doc)
     Term.(
       const do_library_build $ verbose $ library_dir_pos $ learn_subjects
-      $ seed $ algorithm $ workers_arg $ batch_arg $ parallel_arg
-      $ replicas_arg)
+      $ seed $ algorithm $ workers_arg $ batch_arg $ replicas_arg)
 
 let library_list_cmd =
   let doc = "List the entries of a model library, grouped by kind." in
@@ -1296,8 +1300,12 @@ let fresh_entry_name lib base =
     go 2
 
 let do_identify () dir subject_name name_override seed algorithm workers batch
-    parallel replicas no_extend metrics_out trace_out =
+    replicas no_extend metrics_out trace_out =
   ignore batch;
+  (* Always drive the endpoint through the query-execution engine:
+     identification gets the cache, batched confirmation suites and
+     (with --replicas) voting for free. *)
+  let exec = exec_of_flags ~workers ~batch:true ~replicas in
   let s = or_die (Subject.of_name subject_name) in
   let lib = or_die (Library.load ~dir) in
   let forest = or_die (Splitter.of_library lib) in
@@ -1311,20 +1319,9 @@ let do_identify () dir subject_name name_override seed algorithm workers batch
       try Prognosis_obs.Trace.set_sink (Prognosis_obs.Trace.Sink.jsonl_file path)
       with Sys_error msg -> or_die (Error ("cannot open trace file: " ^ msg)))
     trace_out;
-  (* Always drive the endpoint through the query-execution engine:
-     identification gets the cache, batched confirmation suites and
-     (with --replicas) voting for free. *)
-  let config =
-    {
-      Prognosis_exec.Engine.default with
-      Prognosis_exec.Engine.workers;
-      batch = true;
-      parallel;
-      replicas;
-    }
-  in
   let engine =
-    Prognosis_exec.Engine.create ~config ~factory:(s.Subject.factory ~seed ~workers) ()
+    Prognosis_exec.Engine.create ?config:exec
+      ~factory:(s.Subject.factory ~seed ~workers) ()
   in
   let mq = Prognosis_exec.Engine.membership engine in
   let result =
@@ -1348,7 +1345,6 @@ let do_identify () dir subject_name name_override seed algorithm workers batch
          add it)@."
   | Identify.Novel _ -> (
       Format.printf "novel endpoint: learning a full model...@.";
-      let exec = exec_of_flags ~workers ~batch:true ~parallel ~replicas in
       let model, report = s.Subject.learn ~seed ~algorithm ~exec in
       Format.printf "learned %d states in %d membership queries@."
         report.Report.states report.Report.membership_queries;
@@ -1446,20 +1442,21 @@ let identify_cmd =
     (Cmd.info "identify" ~doc)
     Term.(
       const do_identify $ verbose $ library_arg $ subject_arg $ name_arg $ seed
-      $ algorithm $ workers_arg $ batch_arg $ parallel_arg $ replicas_arg
-      $ no_extend $ metrics_out $ trace_out)
+      $ algorithm $ workers_arg $ batch_arg $ replicas_arg $ no_extend
+      $ metrics_out $ trace_out)
 
 (* --- serve: domain-parallel fleet sessions --- *)
 
-let do_serve () jobs_file domains shards workers parallel replicas library_dir
+let do_serve () jobs_file domains shards workers replicas library_dir
     metrics_out =
+  check_pool ~shards ~workers ~replicas ();
   Prognosis_obs.Metrics.reset Prognosis_obs.Metrics.default;
   let jobs = or_die (Result.bind (read_file jobs_file) Service.jobs_of_string) in
   let library =
     Option.map (fun dir -> or_die (Library.load ~dir)) library_dir
   in
   let config =
-    { Service.default_config with Prognosis_exec.Engine.workers; parallel; replicas }
+    { Service.default_config with Prognosis_exec.Engine.workers; replicas }
   in
   let summary =
     match Service.run ~domains ~shards ~config ?library ~jobs () with
@@ -1544,7 +1541,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const do_serve $ verbose $ jobs_arg $ domains_arg $ shards_arg
-      $ workers_arg $ parallel_arg $ replicas_arg $ library_arg $ metrics_out)
+      $ workers_arg $ replicas_arg $ library_arg $ metrics_out)
 
 let main =
   let doc = "closed-box learning and analysis of protocol implementations" in

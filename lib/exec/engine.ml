@@ -9,7 +9,6 @@ module Jsonx = Prognosis_obs.Jsonx
 type config = {
   workers : int;
   batch : bool;
-  parallel : bool;
   replicas : int;
   max_strikes : int;
   cooldown : int;
@@ -19,7 +18,6 @@ let default =
   {
     workers = 1;
     batch = true;
-    parallel = false;
     replicas = 1;
     max_strikes = 2;
     cooldown = 256;
@@ -84,7 +82,7 @@ type ('i, 'o) t = {
       (* extra labels (e.g. session=..) prefixed to every per-worker
          labelled metric, so concurrent engines don't share series *)
   (* per-worker labelled gauges (exec.worker.*{worker="i"}), obtained
-     once at pool creation and written on the main domain in [flush] *)
+     once at pool creation and written in [flush] *)
   worker_gauges : (float ref * float ref * float ref) array;
 }
 
@@ -213,9 +211,8 @@ let active_workers t =
 let rec drop n l =
   if n = 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
 
-(* Per-slice accounting, merged into the shared stats on the main
-   domain: parallel slices never touch [t.stats] or the metrics
-   registry themselves. *)
+(* Per-call accounting, merged into the shared stats (and the
+   quarantine clock) by [flush] once the call's runs are done. *)
 type acct = {
   mutable a_runs : int;
   mutable a_resumed : int;
@@ -423,50 +420,6 @@ let exec_word t word =
   flush t acct;
   outs
 
-(* One domain per worker; slices write only their own worker record
-   and a local acct, so the parallel phase is race-free. Cache
-   inserts, stats and metrics all happen after the join, on the main
-   domain. Outputs land in [outs] by run index. *)
-let parallel_exec t acct runs outs =
-  let actives = active_workers t in
-  let n = Array.length actives in
-  let exec_slice k () =
-    let local = fresh_acct () in
-    let worker = actives.(k) in
-    let rec go r acc =
-      if r >= Array.length runs then List.rev acc
-      else
-        let w = runs.(r) in
-        let len = List.length w in
-        let o = run_word local worker ~from:(resume_len worker w len) w len in
-        go (r + n) ((r, o) :: acc)
-    in
-    (go k [], local)
-  in
-  let domains =
-    Array.init (n - 1) (fun k -> Domain.spawn (exec_slice (k + 1)))
-  in
-  let main = try Ok (exec_slice 0 ()) with e -> Error e in
-  let joined =
-    Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) domains
-  in
-  let all = Array.append [| main |] joined in
-  Array.iter (function Error e -> raise e | Ok _ -> ()) all;
-  Array.iter
-    (function
-      | Error _ -> ()
-      | Ok (results, local) ->
-          acct.a_runs <- acct.a_runs + local.a_runs;
-          acct.a_resumed <- acct.a_resumed + local.a_resumed;
-          acct.a_resets <- acct.a_resets + local.a_resets;
-          acct.a_steps <- acct.a_steps + local.a_steps;
-          List.iter
-            (fun (r, o) ->
-              Cache.insert t.cache runs.(r) o;
-              outs.(r) <- o)
-            results)
-    all
-
 (* [outs] cut to the length of [word], a prefix of the run they
    answer. *)
 let rec cut word outs =
@@ -503,13 +456,6 @@ let exec_batch t words =
   let execute () =
     if t.config.replicas > 1 then
       Array.iteri (fun r w -> finish r (vote t acct w)) runs
-    else if
-      t.config.parallel
-      && Array.length (active_workers t) > 1
-      && Array.length runs > 1
-      && not (Trace.enabled ())
-      (* the trace sink is not safe to share across domains *)
-    then parallel_exec t acct runs outs
     else
       Array.iteri
         (fun r w ->
@@ -597,7 +543,6 @@ let stats_json t =
       ("workers", Jsonx.Int t.config.workers);
       ("replicas", Jsonx.Int t.config.replicas);
       ("batch", Jsonx.Bool t.config.batch);
-      ("parallel", Jsonx.Bool t.config.parallel);
       ("batches", Jsonx.Int s.batches);
       ("planned_words", Jsonx.Int s.planned_words);
       ("dedup_hits", Jsonx.Int s.dedup_hits);

@@ -16,9 +16,9 @@
       planned runs, each worker tracking the word it has replayed since
       its last reset so a run extending that word resumes mid-replay
       (the reset and the shared prefix's steps are skipped — their
-      outputs are the ones the worker observed). Batches optionally run in
-      parallel, one OCaml 5 domain per worker, for pure in-process
-      substrates;
+      outputs are the ones the worker observed). Runs execute on the
+      calling domain; concurrency lives one level up, in the fleet
+      service's session domains ([Service.run ~domains]);
     - {b robustness} — with [replicas >= 2] every run executes on that
       many distinct workers; disagreement escalates to the whole active
       pool and takes the strict-majority answer (the per-query retry),
@@ -38,10 +38,6 @@
 type config = {
   workers : int;  (** pool size (>= 1) *)
   batch : bool;  (** advertise [ask_batch] to suite-driven oracles *)
-  parallel : bool;
-      (** execute batch runs across domains; forced off while a trace
-          sink is installed (the sink is not domain-safe) and ignored
-          when [replicas > 1] *)
   replicas : int;  (** full runs per word for cross-validation (>= 1,
                        <= workers) *)
   max_strikes : int;  (** outvoted answers before quarantine *)
@@ -49,8 +45,8 @@ type config = {
 }
 
 val default : config
-(** [{ workers = 1; batch = true; parallel = false; replicas = 1;
-      max_strikes = 2; cooldown = 256 }] *)
+(** [{ workers = 1; batch = true; replicas = 1; max_strikes = 2;
+      cooldown = 256 }] *)
 
 type ('i, 'o) t
 

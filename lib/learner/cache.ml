@@ -12,11 +12,9 @@ module Trie = struct
      for cheap insertion; [dump] re-sorts siblings by the symbols
      themselves so the checkpoint order is canonical.
 
-     [lookup] and [lookup_longest_prefix] never mutate the structure
-     (unknown symbols are a miss, not an interning event), so concurrent
-     read-only probes from the exec pool's worker domains are safe while
-     inserts stay on the main domain — the same discipline the engine
-     already follows. *)
+     [lookup] never mutates the structure (unknown symbols are a miss,
+     not an interning event), so {!Sharded}'s lock-free readers can
+     probe a trie while one writer inserts into it. *)
 
   type node = {
     path : int array; (* compressed edge into this subtree; immutable
@@ -189,32 +187,6 @@ module Trie = struct
     in
     at_node t.root word []
 
-  let lookup_longest_prefix t word =
-    let stop acc_in acc_out =
-      match acc_in with
-      | [] -> None
-      | _ -> Some (List.rev acc_in, List.rev acc_out)
-    in
-    let rec at_node node word acc_in acc_out =
-      match word with
-      | [] -> stop acc_in acc_out
-      | x :: _ -> (
-          match find_kid node.kids (id_of t.syms x) with
-          | None -> stop acc_in acc_out
-          | Some kid -> in_edge kid 0 word acc_in acc_out)
-    and in_edge kid j word acc_in acc_out =
-      if j = Array.length kid.path then at_node kid word acc_in acc_out
-      else
-        match word with
-        | [] -> stop acc_in acc_out
-        | x :: word' ->
-            if id_of t.syms x = kid.path.(j) then
-              in_edge kid (j + 1) word' (x :: acc_in)
-                (t.outs.arr.(kid.pouts.(j)) :: acc_out)
-            else stop acc_in acc_out
-    in
-    at_node t.root word [] []
-
   let size t = t.prefixes + 1
   let compacted_nodes t = t.phys
 
@@ -256,8 +228,6 @@ end
 
 let m_hits = Metrics.counter Metrics.default "cache.hits"
 let m_misses = Metrics.counter Metrics.default "cache.misses"
-let m_prefix_hits = Metrics.counter Metrics.default "cache.prefix_hits"
-let m_prefix_symbols = Metrics.counter Metrics.default "cache.prefix_symbols"
 let g_nodes = Metrics.gauge Metrics.default "cache.nodes"
 let g_trie_nodes = Metrics.gauge Metrics.default "cache.trie.nodes"
 
@@ -331,10 +301,6 @@ module Sharded = struct
     let s = shard t word in
     read s (fun () -> Trie.lookup s.trie word)
 
-  let lookup_longest_prefix t word =
-    let s = shard t word in
-    read s (fun () -> Trie.lookup_longest_prefix s.trie word)
-
   (* Counts include the root once across all shards, matching the
      unsharded accounting (each shard's trie counts its own root). *)
   let total f t = Array.fold_left (fun acc s -> acc + f s.trie - 1) 1 t.shards
@@ -384,11 +350,6 @@ let lookup t word =
   | Trie x -> Trie.lookup x word
   | Shared s -> Sharded.lookup s word
 
-let lookup_longest_prefix t word =
-  match t.store with
-  | Trie x -> Trie.lookup_longest_prefix x word
-  | Shared s -> Sharded.lookup_longest_prefix s word
-
 let size t =
   match t.store with Trie x -> Trie.size x | Shared s -> Sharded.size s
 
@@ -415,37 +376,16 @@ let find t word =
       Metrics.inc m_misses);
   answer
 
-let rec split_at n l =
-  if n = 0 then ([], l)
-  else
-    match l with
-    | [] -> invalid_arg "Cache.split_at"
-    | x :: rest ->
-        let a, b = split_at (n - 1) rest in
-        (x :: a, b)
-
 let wrap t (mq : ('i, 'o) Oracle.membership) =
-  (* On a miss the underlying oracle still replays the full word (a
-     plain SUL cannot start mid-run), but when a cached word is a
-     prefix of the query the cached per-step outputs stand in for the
-     fresh prefix outputs: an engine-backed oracle uses the same cache
-     to resume a worker mid-word, and the fresh/cached comparison
-     preserves the nondeterminism detection [insert] would perform. *)
-  let fetch word =
-    let answer =
-      match lookup_longest_prefix t word with
-      | None -> mq.ask word
-      | Some (prefix, cached_outs) ->
-          let k = List.length prefix in
-          let fresh = mq.ask word in
-          let fresh_prefix, fresh_suffix = split_at k fresh in
-          if fresh_prefix <> cached_outs then raise Conflict;
-          Metrics.inc m_prefix_hits;
-          Metrics.inc ~by:k m_prefix_symbols;
-          cached_outs @ fresh_suffix
-    in
-    insert t word answer;
-    answer
+  (* A miss replays the full word and records it; [insert] raises
+     [Conflict] when the fresh outputs contradict a cached prefix, which
+     is the nondeterminism check. *)
+  let ask word =
+    match find t word with
+    | Some answer -> answer
+    | None ->
+        let answer = mq.ask word in
+        insert t word answer;
+        answer
   in
-  let ask word = match find t word with Some answer -> answer | None -> fetch word in
   { mq with Oracle.ask; ask_batch = None }

@@ -12,10 +12,9 @@
     instead of probing a hashtable per symbol. Interning a symbol
     first scans the (at most 16) already-interned symbols for a
     physically equal one — symbols normally come from one alphabet
-    array — and hashes it only when that fails. {!lookup} and
-    {!lookup_longest_prefix} never mutate the structure, so read-only
-    probes from the exec pool's worker domains are safe while inserts
-    stay on the main domain.
+    array — and hashes it only when that fails. {!lookup} never
+    mutates the structure, so {!Sharded}'s lock-free readers can probe
+    a trie while one writer inserts into it.
 
     A cache value is a {e view} over one of two stores: a private trie
     ({!create}) or a {!Sharded} cache shared across domains
@@ -42,13 +41,6 @@ val lookup : ('i, 'o) t -> 'i list -> 'o list option
 val find : ('i, 'o) t -> 'i list -> 'o list option
 (** {!lookup} counted as one {!hits} or one {!misses} on this view:
     the probe a caching oracle makes for each word it is asked. *)
-
-val lookup_longest_prefix : ('i, 'o) t -> 'i list -> ('i list * 'o list) option
-(** [lookup_longest_prefix t word] is [Some (prefix, outputs)] for the
-    longest non-empty prefix of [word] the cache can answer, or [None]
-    when not even the first symbol is cached. A partial replay can
-    resume from [prefix] instead of restarting: only the un-cached
-    suffix still needs live execution. *)
 
 val size : ('i, 'o) t -> int
 (** Number of logical trie nodes — one per distinct cached non-empty
@@ -82,9 +74,8 @@ val restore : ('i, 'o) t -> ('i list * 'o list) list -> unit
 val wrap : ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membership
 (** Caching view of a membership oracle: only cache misses reach the
     underlying oracle (and are counted in its statistics, so they equal
-    {!misses}). When a cached word is a prefix of a missing query, the
-    cached per-step outputs are reused for the prefix and compared
-    against the fresh replay — a mismatch raises {!Conflict}. The
+    {!misses}). Each miss is replayed in full and inserted; a fresh
+    answer that contradicts a cached prefix raises {!Conflict}. The
     wrapped oracle has no [ask_batch]: batching through a cache is the
     engine's job ({!Prognosis_exec.Engine.membership}). *)
 
@@ -114,7 +105,6 @@ module Sharded : sig
   (** Like {!Cache.insert}, serialized per shard. *)
 
   val lookup : ('i, 'o) t -> 'i list -> 'o list option
-  val lookup_longest_prefix : ('i, 'o) t -> 'i list -> ('i list * 'o list) option
   val size : ('i, 'o) t -> int
 
   val dump : ('i, 'o) t -> ('i list * 'o list) list

@@ -270,9 +270,8 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
         in
         loop ()
       in
-      (* The trace sink is not domain-safe (same reason the engine
-         refuses parallel execution while tracing), so a traced run
-         degrades to a sequential fleet. *)
+      (* The trace sink is not domain-safe, so a traced run degrades to
+         a sequential fleet. *)
       let domains =
         let d = max 1 (min domains (max n 1)) in
         if Trace.enabled () then 1 else d

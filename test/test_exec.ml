@@ -156,7 +156,7 @@ let engine_batch_props =
   List.map prop_engine_batch
     [
       ("sequential", { Engine.default with Engine.workers = 1 });
-      ("parallel", { Engine.default with Engine.workers = 4; parallel = true });
+      ("pooled", { Engine.default with Engine.workers = 4 });
       ("replicated", { Engine.default with Engine.workers = 3; replicas = 2 });
     ]
 
@@ -187,7 +187,7 @@ let baseline_counts_cache_hits () =
 
 (* Pooled, batched execution answers exactly like a direct sequential
    oracle over one SUL instance — on single asks and on batches, for
-   one worker and for four. *)
+   one worker and for four — and every worker takes a share. *)
 let observational_equivalence () =
   let reference = Sul.of_mealy lock in
   List.iter
@@ -213,28 +213,12 @@ let observational_equivalence () =
               (Printf.sprintf "batch, %d workers" workers)
               (Sul.query reference w) a)
           words (batch words)
-      done)
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "all %d workers ran" workers)
+        true
+        (Array.for_all (fun r -> r > 0) (Engine.worker_runs e)))
     [ 1; 4 ]
-
-let parallel_equivalence () =
-  let reference = Sul.of_mealy lock in
-  let config = { Engine.default with Engine.workers = 4; parallel = true } in
-  let e = engine_for ~config lock in
-  let mq = Engine.membership e in
-  let batch = Option.get mq.Oracle.ask_batch in
-  let rng = Rng.create 23L in
-  for _ = 1 to 5 do
-    let words =
-      List.init 100 (fun _ -> random_word rng (Mealy.inputs lock) 8)
-    in
-    List.iter2
-      (fun w a ->
-        Alcotest.(check (list string)) "parallel batch"
-          (Sul.query reference w) a)
-      words (batch words)
-  done;
-  Alcotest.(check bool) "all workers ran" true
-    (Array.for_all (fun r -> r > 0) (Engine.worker_runs e))
 
 (* Pooled learning produces the same minimal model as direct learning,
    for both algorithms. *)
@@ -471,7 +455,6 @@ let () =
             baseline_counts_cache_hits;
           Alcotest.test_case "observational equivalence" `Quick
             observational_equivalence;
-          Alcotest.test_case "parallel equivalence" `Quick parallel_equivalence;
           Alcotest.test_case "pooled learning" `Quick pooled_learning_equivalent;
           Alcotest.test_case "invalid configs" `Quick invalid_configs;
         ]

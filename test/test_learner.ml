@@ -72,23 +72,6 @@ let cache_prefix_answers () =
   Alcotest.(check (option (list int))) "empty" (Some []) (Cache.lookup c []);
   Alcotest.(check (option (list int))) "miss" None (Cache.lookup c [ 'a'; 'z' ])
 
-let cache_longest_prefix () =
-  let c = Cache.create () in
-  Cache.insert c [ 'a'; 'b'; 'c' ] [ 1; 2; 3 ];
-  Alcotest.(check (option (pair (list char) (list int))))
-    "partial" (Some ([ 'a'; 'b'; 'c' ], [ 1; 2; 3 ]))
-    (Cache.lookup_longest_prefix c [ 'a'; 'b'; 'c'; 'd'; 'e' ]);
-  Alcotest.(check (option (pair (list char) (list int))))
-    "diverging suffix" (Some ([ 'a' ], [ 1 ]))
-    (Cache.lookup_longest_prefix c [ 'a'; 'z' ]);
-  Alcotest.(check (option (pair (list char) (list int))))
-    "exact word" (Some ([ 'a'; 'b'; 'c' ], [ 1; 2; 3 ]))
-    (Cache.lookup_longest_prefix c [ 'a'; 'b'; 'c' ]);
-  Alcotest.(check (option (pair (list char) (list int))))
-    "cold" None (Cache.lookup_longest_prefix c [ 'z' ]);
-  Alcotest.(check (option (pair (list char) (list int))))
-    "empty word" None (Cache.lookup_longest_prefix c [])
-
 (* A miss extending a cached word replays in full, and the fresh
    prefix outputs must agree with the cached ones — otherwise the SUL
    is nondeterministic and the wrap says so. *)
@@ -333,7 +316,6 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "prefix answers" `Quick cache_prefix_answers;
-          Alcotest.test_case "longest prefix" `Quick cache_longest_prefix;
           Alcotest.test_case "prefix replay check" `Quick
             wrap_checks_prefix_replay;
           Alcotest.test_case "conflict detection" `Quick cache_detects_conflict;

@@ -191,30 +191,28 @@ let sharded_stress_four_domains () =
   Alcotest.(check bool) "dump == sequential insert of both batches" true
     (Cache.Sharded.dump cache = Cache.dump sequential)
 
-(* --- sharded equivalence testing is deterministic --- *)
+(* --- pooled, batched equivalence testing is deterministic --- *)
 
 let canonical_text (model, _) =
   Persist.text_of_model ~kind:Persist.Quic_model
     ~input_to_string:Quic_alphabet.to_string
     ~output_to_string:Quic_alphabet.output_to_string model
 
-let parallel_eq_identical () =
+let pooled_eq_identical () =
   let profile = Quic_profile.quiche_like in
   let sequential = Protocol.learn ~seed:5L (Quic_study.protocol profile) in
   let shards = Metrics.counter Metrics.default "eq.shards" in
   let before = !shards in
-  let config =
-    { Engine.default with Engine.workers = 4; parallel = true; batch = true }
-  in
-  let parallel =
+  let config = { Engine.default with Engine.workers = 4; batch = true } in
+  let pooled =
     Protocol.learn ~seed:5L ~exec:config (Quic_study.protocol profile)
   in
   Alcotest.(check string) "byte-identical canonical model"
-    (canonical_text sequential) (canonical_text parallel);
+    (canonical_text sequential) (canonical_text pooled);
   Alcotest.(check bool) "suite was sharded" true (!shards > before);
   Alcotest.(check int) "same state count"
     (snd sequential).Report.states
-    (snd parallel).Report.states
+    (snd pooled).Report.states
 
 let () =
   Alcotest.run "perf"
@@ -237,8 +235,8 @@ let () =
           Alcotest.test_case "4-domain stress" `Slow
             sharded_stress_four_domains;
         ] );
-      ( "parallel-eq",
+      ( "pooled-eq",
         [
-          Alcotest.test_case "byte-identical model" `Slow parallel_eq_identical;
+          Alcotest.test_case "byte-identical model" `Slow pooled_eq_identical;
         ] );
     ]
