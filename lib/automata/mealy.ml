@@ -30,11 +30,28 @@ and ('i, 'o) packed = {
 let m_packed_steps = Metrics.counter Metrics.default "packed.steps"
 let m_packs = Metrics.counter Metrics.default "packed.machines"
 
+let repeated_input inputs =
+  let seen = Hashtbl.create (Array.length inputs) in
+  let rec go i =
+    if i = Array.length inputs then None
+    else
+      match Hashtbl.find_opt seen inputs.(i) with
+      | Some j -> Some (i, j)
+      | None ->
+          Hashtbl.add seen inputs.(i) i;
+          go (i + 1)
+  in
+  go 0
+
 let make ~size ~initial ~inputs ~delta ~lambda =
   let n_inputs = Array.length inputs in
   if size <= 0 then invalid_arg "Mealy.make: size must be positive";
   if initial < 0 || initial >= size then invalid_arg "Mealy.make: bad initial state";
   if n_inputs = 0 then invalid_arg "Mealy.make: empty alphabet";
+  (match repeated_input inputs with
+  | Some (i, j) ->
+      invalid_arg (Printf.sprintf "Mealy.make: input %d repeats input %d" i j)
+  | None -> ());
   if Array.length delta <> size || Array.length lambda <> size then
     invalid_arg "Mealy.make: delta/lambda must have one row per state";
   Array.iter
@@ -72,14 +89,27 @@ let inputs m = m.inputs
 let alphabet_size m = Array.length m.inputs
 let transitions m = m.size * alphabet_size m
 
+(* The position of [x] in [inputs] by physical equality, or -1: symbols
+   normally are the alphabet's own values. Since {!make} rejects a
+   repeated symbol, a hit is the structural position too. *)
+let rec scan inputs x i =
+  if i = Array.length inputs then -1
+  else if Array.unsafe_get inputs i == x then i
+  else scan inputs x (i + 1)
+
+let probe inputs x = if Array.length inputs > 32 then -1 else scan inputs x 0
+
 let input_index m x =
-  let n = Array.length m.inputs in
-  let rec loop i =
-    if i >= n then raise Not_found
-    else if m.inputs.(i) = x then i
-    else loop (i + 1)
-  in
-  loop 0
+  let i = probe m.inputs x in
+  if i >= 0 then i
+  else
+    let n = Array.length m.inputs in
+    let rec loop i =
+      if i >= n then raise Not_found
+      else if m.inputs.(i) = x then i
+      else loop (i + 1)
+    in
+    loop 0
 
 let step_idx m s i = (m.delta.(s).(i), m.lambda.(s).(i))
 let step m s x = step_idx m s (input_index m x)
@@ -117,7 +147,7 @@ module Packed = struct
     done;
     let outputs = Array.of_list (List.rev !out_list) in
     let index = Hashtbl.create (2 * n) in
-    Array.iteri (fun i x -> if not (Hashtbl.mem index x) then Hashtbl.add index x i) m.inputs;
+    Array.iteri (fun i x -> Hashtbl.add index x i) m.inputs;
     Metrics.inc m_packs;
     {
       p_size = m.size;
@@ -131,8 +161,8 @@ module Packed = struct
     }
 
   (* Memoized: repeated packs of the same machine are one field read.
-     Not domain-safe — pack before handing a machine to parallel
-     consumers (the exec pool packs on the main domain only). *)
+     Not domain-safe — pack a machine before sharing it across domains
+     (fleet sessions on [Service.run ~domains]). *)
   let pack m =
     match m.packed_ with
     | Some p -> p
@@ -141,52 +171,39 @@ module Packed = struct
         m.packed_ <- Some p;
         p
 
-  let size p = p.p_size
-  let initial p = p.p_initial
-  let alphabet_size p = p.p_alpha
-  let output_count p = Array.length p.p_outputs
-  let next p s i = Array.unsafe_get p.p_next ((s * p.p_alpha) + i)
-  let out_id p s i = Array.unsafe_get p.p_out ((s * p.p_alpha) + i)
-  let output p id = p.p_outputs.(id)
-  let input_index p x = Hashtbl.find_opt p.p_index x
+  (* [x]'s alphabet position: the physical probe, then the structural
+     table when it misses. *)
+  let input_index p x =
+    let i = probe p.p_inputs x in
+    if i >= 0 then i
+    else match Hashtbl.find_opt p.p_index x with Some i -> i | None -> raise Not_found
 
   let run_from p s0 word =
     let s = ref s0 and n = ref 0 in
     let outs =
       List.map
         (fun x ->
-          match Hashtbl.find_opt p.p_index x with
-          | None -> raise Not_found
-          | Some i ->
-              let base = (!s * p.p_alpha) + i in
-              let o = Array.unsafe_get p.p_out base in
-              s := Array.unsafe_get p.p_next base;
-              incr n;
-              Array.unsafe_get p.p_outputs o)
+          let base = (!s * p.p_alpha) + input_index p x in
+          let o = Array.unsafe_get p.p_out base in
+          s := Array.unsafe_get p.p_next base;
+          incr n;
+          Array.unsafe_get p.p_outputs o)
         word
     in
     Metrics.inc ~by:!n m_packed_steps;
     outs
 
-  let run p word = run_from p p.p_initial word
-
-  let state_after_from p s0 word =
-    let s = ref s0 and n = ref 0 in
+  let state_after p word =
+    let s = ref p.p_initial and n = ref 0 in
     List.iter
       (fun x ->
-        match Hashtbl.find_opt p.p_index x with
-        | None -> raise Not_found
-        | Some i ->
-            s := Array.unsafe_get p.p_next ((!s * p.p_alpha) + i);
-            incr n)
+        s := Array.unsafe_get p.p_next ((!s * p.p_alpha) + input_index p x);
+        incr n)
       word;
     Metrics.inc ~by:!n m_packed_steps;
     !s
 
-  let state_after p word = state_after_from p p.p_initial word
-
-  (* Pure id-level stepping over pre-interned words: the form the A9
-     ablation and the micro-benchmarks drive. *)
+  (* Pure id-level stepping over pre-interned words. *)
   let run_ids p s0 word_ids =
     let len = Array.length word_ids in
     let out = Array.make len 0 in
@@ -200,13 +217,9 @@ module Packed = struct
     out
 
   let intern_word p word =
-    Array.of_list
-      (List.map
-         (fun x ->
-           match Hashtbl.find_opt p.p_index x with
-           | Some i -> i
-           | None -> raise Not_found)
-         word)
+    let a = Array.make (List.length word) 0 in
+    List.iteri (fun k x -> Array.unsafe_set a k (input_index p x)) word;
+    a
 end
 
 let pack = Packed.pack

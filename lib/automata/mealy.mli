@@ -32,8 +32,14 @@ val make :
   lambda:'o array array ->
   ('i, 'o) t
 (** Builds a machine, checking that [delta]/[lambda] are [size]×[inputs]
-    matrices and all successors lie in [0, size).
+    matrices, all successors lie in [0, size) and no input symbol
+    repeats (structurally).
     @raise Invalid_argument on a malformed machine. *)
+
+val repeated_input : 'i array -> (int * int) option
+(** [Some (i, j)] when input [i] is structurally equal to the earlier
+    input [j] (the first such [i]); [None] when every symbol is
+    distinct, as {!make} requires. *)
 
 val of_fun :
   size:int ->
@@ -52,7 +58,9 @@ val transitions : ('i, 'o) t -> int
 (** Total number of transitions, i.e. [size * alphabet_size]. *)
 
 val input_index : ('i, 'o) t -> 'i -> int
-(** Position of a symbol in the input alphabet.
+(** Position of a symbol in the input alphabet: found by physical
+    equality when the symbol is one of the alphabet's own values,
+    compared structurally only when that probe misses.
     @raise Not_found if the symbol is not in the alphabet. *)
 
 val step_idx : ('i, 'o) t -> int -> int -> int * 'o
@@ -94,38 +102,11 @@ module Packed : sig
   val pack : ('i, 'o) machine -> ('i, 'o) t
   (** Compile (memoized — subsequent calls are one field read). *)
 
-  val size : ('i, 'o) t -> int
-  val initial : ('i, 'o) t -> int
-  val alphabet_size : ('i, 'o) t -> int
-
-  val output_count : ('i, 'o) t -> int
-  (** Number of distinct output symbols (size of the intern table). *)
-
-  val next : ('i, 'o) t -> int -> int -> int
-  (** [next p s i] is the successor of state [s] on the [i]-th symbol. *)
-
-  val out_id : ('i, 'o) t -> int -> int -> int
-  (** [out_id p s i] is the interned output id of that transition. *)
-
-  val output : ('i, 'o) t -> int -> 'o
-  (** Resolve an interned output id to its symbol. *)
-
-  val input_index : ('i, 'o) t -> 'i -> int option
-  (** Alphabet position of a symbol, or [None] if unknown. *)
-
-  val run : ('i, 'o) t -> 'i list -> 'o list
-  val run_from : ('i, 'o) t -> int -> 'i list -> 'o list
-  val state_after : ('i, 'o) t -> 'i list -> int
-  val state_after_from : ('i, 'o) t -> int -> 'i list -> int
-
-  val intern_word : ('i, 'o) t -> 'i list -> int array
-  (** Pre-intern a word into alphabet indices for {!run_ids}.
-      @raise Not_found if a symbol is not in the alphabet. *)
-
-  val run_ids : ('i, 'o) t -> int -> int array -> int array
-  (** [run_ids p s word_ids] steps a pre-interned word from state [s],
-      returning interned output ids — the zero-allocation inner loop
-      the hot paths (and the A9 ablation) drive. *)
+  val input_index : ('i, 'o) t -> 'i -> int
+  (** Alphabet position of a symbol: a physical probe of the alphabet
+      first, the structural table only when it misses. Word runs step
+      through it.
+      @raise Not_found if the symbol is not in the alphabet. *)
 end
 
 val pack : ('i, 'o) t -> ('i, 'o) packed

@@ -32,13 +32,21 @@ let middle_words alphabet k =
   in
   [] :: extend [ [] ] k []
 
-let dedup words =
-  let tbl = Hashtbl.create 64 in
+(* The first occurrence of each word, in suite order. Words are hashed
+   and compared by their coding over [m]'s alphabet (positions, never
+   symbol values); the table holds the suite's own words, so no key is
+   built. *)
+let dedup m words =
+  let id = Mealy.Packed.input_index (Mealy.pack m) in
+  let hash w = List.fold_left (fun h x -> (h * 31) + id x + 1) 0 w in
+  let same a b = List.equal (fun x y -> id x = id y) a b in
+  let seen = Hashtbl.create 64 in
   List.filter
     (fun w ->
-      if Hashtbl.mem tbl w then false
+      let h = hash w in
+      if List.exists (same w) (Hashtbl.find_all seen h) then false
       else begin
-        Hashtbl.add tbl w ();
+        Hashtbl.add seen h w;
         true
       end)
     words
@@ -55,7 +63,7 @@ let w_method ?(extra_states = 0) m =
           mid)
       p
   in
-  dedup suite
+  dedup m suite
 
 (* Per-state identification set: words from the characterizing set that
    distinguish this state from some other state. *)
@@ -101,7 +109,7 @@ let wp_method ?(extra_states = 0) m =
             mid)
       (transition_cover m)
   in
-  dedup (phase1 @ phase2)
+  dedup m (phase1 @ phase2)
 
 let suite_size suite = List.length suite
 let suite_symbols suite = List.fold_left (fun n w -> n + List.length w) 0 suite

@@ -251,6 +251,15 @@ let parse_text ~path kind text =
             read_symbols (k - 1) (l :: acc)
         in
         let* inputs = read_symbols n_inputs [] in
+        let inputs = Array.of_list inputs in
+        let* () =
+          match Mealy.repeated_input inputs with
+          | Some (i, j) ->
+              corrupt_at (inputs_ln + 1 + i)
+                (Printf.sprintf "input symbol %S repeats line %d" inputs.(i)
+                   (inputs_ln + 1 + j))
+          | None -> Ok ()
+        in
         let* _, n_outputs = int_field "outputs" in
         let* out_table = read_symbols n_outputs [] in
         let out_table = Array.of_list out_table in
@@ -291,8 +300,7 @@ let parse_text ~path kind text =
           else
             try
               Ok
-                (Mealy.make ~size ~initial ~inputs:(Array.of_list inputs)
-                   ~delta ~lambda)
+                (Mealy.make ~size ~initial ~inputs ~delta ~lambda)
             with Invalid_argument msg ->
               corrupt_at end_ln ("invalid machine: " ^ msg)
         end

@@ -26,10 +26,10 @@ let default =
 type ('i, 'o) worker = {
   id : int;
   sul : ('i, 'o) Sul.t;
-  mutable position : ('i list * int * 'o list) option;
-      (* word replayed since the last reset, its length, and the
-         outputs this worker observed; [None] = state unknown, the next
-         run must reset *)
+  mutable position : (int array * 'o list) option;
+      (* coded word replayed since the last reset, and the outputs this
+         worker observed; [None] = state unknown, the next run must
+         reset *)
   mutable runs_done : int;
   mutable resets_done : int;
   mutable steps_done : int;
@@ -230,27 +230,28 @@ let step_word acct worker word =
       worker.sul.Sul.step x)
     word
 
-(* How far [worker] can resume into [word] of length [len]: the length
-   of its position when that is a non-empty strict prefix of [word],
-   else -1. *)
-let resume_len worker word len =
+(* How far [worker] can resume into coded word [ids]: the length of its
+   position when that is a non-empty strict prefix of [ids], else -1. *)
+let resume_len worker ids =
   match worker.position with
-  | Some (pos, k, _) when k > 0 && k < len && Plan.is_prefix pos word -> k
-  | _ -> -1
+  | Some (pos, _) ->
+      let k = Array.length pos in
+      if k > 0 && k < Array.length ids && Plan.is_prefix pos ids then k else -1
+  | None -> -1
 
-(* Execute [word] (of length [len]) on [worker]. With [from] > 0 (a
+(* Execute [word] (coded [ids]) on [worker]. With [from] > 0 (a
    {!resume_len}) the worker skips the reset and steps only the suffix
    — the prefix outputs are the ones it observed getting there. Votes
    run with [from] = -1 so replicated answers stay independent of
    earlier runs. *)
-let run_word acct worker ~from word len =
+let run_word acct worker ~from ids word =
   acct.a_runs <- acct.a_runs + 1;
   worker.runs_done <- worker.runs_done + 1;
   let pos = worker.position in
   worker.position <- None;
   let prefix_outs, suffix =
     match pos with
-    | Some (_, _, pos_outs) when from > 0 ->
+    | Some (_, pos_outs) when from > 0 ->
         acct.a_resumed <- acct.a_resumed + 1;
         (pos_outs, drop from word)
     | _ ->
@@ -260,7 +261,7 @@ let run_word acct worker ~from word len =
         ([], word)
   in
   let outs = prefix_outs @ step_word acct worker suffix in
-  worker.position <- Some (word, len, outs);
+  worker.position <- Some (ids, outs);
   outs
 
 let flush t acct =
@@ -293,20 +294,20 @@ let flush t acct =
    boundary where that cost is counted is [membership] — before the
    cache, so hits, prefix answers, batch dedup and resume all show up
    as savings. *)
-let count_baseline t word =
+let count_baseline t ids =
   let s = t.stats in
   s.baseline_resets <- s.baseline_resets + 1;
-  s.baseline_steps <- s.baseline_steps + List.length word
+  s.baseline_steps <- s.baseline_steps + Array.length ids
 
 (* Longest usable resume position wins; ties go to the least-used
    worker so utilization stays balanced. Returns the worker and its
    {!resume_len}. *)
-let pick_worker t word len =
+let pick_worker t ids =
   let a = active_workers t in
-  let best = ref a.(0) and best_k = ref (resume_len a.(0) word len) in
+  let best = ref a.(0) and best_k = ref (resume_len a.(0) ids) in
   for i = 1 to Array.length a - 1 do
     let w = a.(i) in
-    let k = resume_len w word len in
+    let k = resume_len w ids in
     if k > !best_k || (k = !best_k && w.runs_done < !best.runs_done) then begin
       best := w;
       best_k := k
@@ -364,9 +365,9 @@ let strike t worker =
    after [cooldown] runs). No majority means the pool as a whole
    answers nondeterministically — exactly the situation the paper's §5
    check reports. *)
-let vote t acct word =
-  let len = List.length word in
-  let run w = (w, run_word acct w ~from:(-1) word len) in
+let vote t acct ids word =
+  let len = Array.length ids in
+  let run w = (w, run_word acct w ~from:(-1) ids word) in
   let answers = List.map run (pick_replicas t t.config.replicas) in
   t.stats.vote_runs <- t.stats.vote_runs + List.length answers - 1;
   if List.length answers > 1 then
@@ -407,31 +408,32 @@ let vote t acct word =
                 len (List.length obs) total))
 
 (* A sequential run, with the worker picked for the longest resume. *)
-let run_picked t acct word =
-  let len = List.length word in
-  let worker, from = pick_worker t word len in
-  run_word acct worker ~from word len
+let run_picked t acct ids word =
+  let worker, from = pick_worker t ids in
+  run_word acct worker ~from ids word
 
-let exec_word t word =
+let exec_word t ids word =
   let acct = fresh_acct () in
   let outs =
-    if t.config.replicas > 1 then vote t acct word else run_picked t acct word
+    if t.config.replicas > 1 then vote t acct ids word
+    else run_picked t acct ids word
   in
   flush t acct;
   outs
 
-(* [outs] cut to the length of [word], a prefix of the run they
-   answer. *)
-let rec cut word outs =
-  match (word, outs) with
-  | [], _ -> []
-  | _ :: w, o :: os -> o :: cut w os
-  | _ :: _, [] -> assert false
+(* The first [n] of [outs]: a run's outputs cut to the length of a word
+   it answers. *)
+let rec cut n outs =
+  match outs with
+  | _ when n = 0 -> []
+  | o :: os -> o :: cut (n - 1) os
+  | [] -> assert false
 
-(* Plan the batch, insert each run into the cache as it completes, and
-   answer every word from the outputs of the run that covers it. *)
-let exec_batch t words =
-  let plan = Plan.build words in
+(* Plan the batch of coded words, insert each run into the cache as it
+   completes, and answer every word from the outputs of the run that
+   covers it. *)
+let exec_batch t (batch : (int array * 'i list) array) =
+  let plan = Plan.build (Array.map fst batch) in
   let s = t.stats in
   s.batches <- s.batches + 1;
   Metrics.inc m_batches;
@@ -446,23 +448,23 @@ let exec_batch t words =
     s.prefix_answers <- s.prefix_answers + plan.Plan.subsumed;
     Metrics.inc ~by:plan.Plan.subsumed m_prefix_answers
   end;
-  let runs = Array.of_list plan.Plan.runs in
+  let runs = Array.map (fun i -> batch.(i)) plan.Plan.runs in
   let outs = Array.make (Array.length runs) [] in
   let acct = fresh_acct () in
   let finish r o =
-    Cache.insert t.cache runs.(r) o;
+    Cache.insert_coded t.cache (fst runs.(r)) o;
     outs.(r) <- o
   in
   let execute () =
     if t.config.replicas > 1 then
-      Array.iteri (fun r w -> finish r (vote t acct w)) runs
+      Array.iteri (fun r (ids, w) -> finish r (vote t acct ids w)) runs
     else
       Array.iteri
-        (fun r w ->
-          let run () = finish r (run_picked t acct w) in
+        (fun r (ids, w) ->
+          let run () = finish r (run_picked t acct ids w) in
           if Trace.enabled () then
             Trace.with_span
-              ~attrs:[ ("len", Jsonx.Int (List.length w)) ]
+              ~attrs:[ ("len", Jsonx.Int (Array.length ids)) ]
               "oracle.mq" run
           else run ())
         runs
@@ -477,49 +479,55 @@ let exec_batch t words =
       "exec.batch" execute
   else execute ();
   flush t acct;
-  List.mapi
-    (fun i w ->
-      let o = outs.(plan.Plan.cover.(i)) in
-      if List.compare_lengths w o = 0 then o else cut w o)
-    words
+  Array.mapi
+    (fun i (ids, _) ->
+      let r = plan.Plan.cover.(i) in
+      let n = Array.length ids in
+      if n = Array.length (fst runs.(r)) then outs.(r) else cut n outs.(r))
+    batch
 
+(* Every word crossing this boundary counts toward the no-reuse
+   sequential baseline, including the ones the cache answers; the
+   words that miss reach the pool and count as the oracle's queries. *)
 let membership t =
-  let raw =
-    Oracle.of_fun ~stats:t.oracle_stats
-      ?batch:(if t.config.batch then Some (exec_batch t) else None)
-      (exec_word t)
-  in
-  let cached = Cache.wrap t.cache raw in
-  (* Count the no-reuse sequential baseline for every query crossing
-     the learner boundary — including the ones the cache answers. *)
+  let stats = t.oracle_stats in
   let ask word =
-    count_baseline t word;
-    cached.Oracle.ask word
+    let ids = Cache.code t.cache word in
+    count_baseline t ids;
+    match Cache.find_coded t.cache ids with
+    | Some answer -> answer
+    | None ->
+        let answer =
+          Oracle.run_query stats (Array.length ids) (fun () ->
+              exec_word t ids word)
+        in
+        Cache.insert_coded t.cache ids answer;
+        answer
   in
   (* One cache walk per word: hits are answered from it, and only the
      misses go on to be planned. *)
-  let ask_batch =
-    Option.map
-      (fun batch words ->
-        List.iter (count_baseline t) words;
-        let found = List.map (Cache.find t.cache) words in
-        let missing =
-          List.fold_right2
-            (fun w a acc -> if Option.is_none a then w :: acc else acc)
-            words found []
-        in
-        let answers = if missing = [] then [] else batch missing in
-        let rec stitch found answers =
-          match (found, answers) with
-          | [], _ -> []
-          | Some a :: found, answers -> a :: stitch found answers
-          | None :: found, a :: answers -> a :: stitch found answers
-          | None :: _, [] -> assert false
-        in
-        stitch found answers)
-      raw.Oracle.ask_batch
+  let ask_batch words =
+    let coded =
+      List.map
+        (fun w ->
+          let ids = Cache.code t.cache w in
+          count_baseline t ids;
+          (ids, w))
+        words
+    in
+    let found = List.map (fun (ids, _) -> Cache.find_coded t.cache ids) coded in
+    let missing =
+      List.fold_right2
+        (fun c a acc -> if Option.is_none a then c :: acc else acc)
+        coded found []
+      |> Array.of_list
+    in
+    Array.iter (fun (ids, _) -> Oracle.count_query stats (Array.length ids)) missing;
+    let answers = if Array.length missing = 0 then [||] else exec_batch t missing in
+    let next = ref (-1) in
+    List.map (function Some a -> a | None -> incr next; answers.(!next)) found
   in
-  { cached with Oracle.ask; ask_batch }
+  { Oracle.ask; ask_batch = (if t.config.batch then Some ask_batch else None); stats }
 
 let config t = t.config
 let stats t = t.stats

@@ -88,12 +88,14 @@ val thaw : ('i, 'o) t -> string -> unit
 
 val membership : ('i, 'o) t -> ('i, 'o) Prognosis_learner.Oracle.membership
 (** The engine as a membership oracle, behind the engine's cache view.
-    [ask] answers one word through {!Prognosis_learner.Cache.wrap}.
-    [ask_batch] (present when [config.batch]) looks each word up once
-    ({!Prognosis_learner.Cache.find}, so every word counts as one hit
-    or one miss), plans the misses, inserts each run into the cache as
-    it completes, and answers each missing word from the outputs of
-    the run that covers it. Answers are observationally identical to
+    Each word is coded once ({!Prognosis_learner.Cache.code}); the
+    cache walk, the plan, worker resume and the insert use that
+    coding. [ask] answers one word as {!Prognosis_learner.Cache.wrap}
+    would. [ask_batch] (present when [config.batch]) looks each word
+    up once (every word counts as one hit or one miss), plans the
+    misses, inserts each run into the cache as it completes, and
+    answers each missing word from the outputs of the run that covers
+    it. Answers are observationally identical to
     a direct sequential oracle over one [factory] instance — batching
     and pooling only change cost. The oracle's [stats] count the words
     that reached the pool (= the engine's cache misses). *)

@@ -1,39 +1,50 @@
-let rec is_prefix p w =
-  match (p, w) with
-  | [], _ -> true
-  | x :: p', y :: w' -> x = y && is_prefix p' w'
-  | _ :: _, [] -> false
+(* Monomorphic lexicographic order on coded words: a proper prefix
+   sorts before its extensions. Top-level recursion, so a comparison
+   allocates no closure. *)
+let rec compare_from (a : int array) (b : int array) n i =
+  if i = n then Int.compare (Array.length a) (Array.length b)
+  else
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+    if x <> y then Int.compare x y else compare_from a b n (i + 1)
 
-type 'i t = {
-  runs : 'i list list;
+let compare_words a b =
+  let la = Array.length a and lb = Array.length b in
+  compare_from a b (if la < lb then la else lb) 0
+
+let rec prefix_from (p : int array) (w : int array) i =
+  i = Array.length p
+  || (Array.unsafe_get p i = Array.unsafe_get w i && prefix_from p w (i + 1))
+
+let is_prefix p w = Array.length p <= Array.length w && prefix_from p w 0
+
+type t = {
+  runs : int array;
   cover : int array;
   words : int;
   dupes : int;
   subsumed : int;
 }
 
-(* Polymorphic [compare] on lists is lexicographic, so after sorting a
-   word is a prefix of some other planned word iff it is a prefix of
-   its immediate successor: any word sorting between a prefix and its
-   extension must itself share that prefix. Walking the sorted words
-   from the end, such a word takes its successor's run; any other word
-   starts a new one. *)
-let build words_list =
-  let ws = Array.of_list words_list in
+(* In lexicographic order a word is a prefix of some other planned
+   word iff it is a prefix of its immediate successor: any word sorting
+   between a prefix and its extension must itself share that prefix.
+   Walking the sorted words from the end, such a word takes its
+   successor's run; any other word starts a new one. *)
+let build ws =
   let n = Array.length ws in
   let order = Array.init n Fun.id in
-  Array.stable_sort (fun a b -> compare ws.(a) ws.(b)) order;
+  Array.stable_sort (fun a b -> compare_words ws.(a) ws.(b)) order;
   let cover = Array.make n 0 in
   let runs = ref [] and n_runs = ref 0 and dupes = ref 0 in
   for k = n - 1 downto 0 do
     let i = order.(k) in
     let j = if k + 1 < n then order.(k + 1) else -1 in
     if j >= 0 && is_prefix ws.(i) ws.(j) then begin
-      if List.compare_lengths ws.(i) ws.(j) = 0 then incr dupes;
+      if Array.length ws.(i) = Array.length ws.(j) then incr dupes;
       cover.(i) <- cover.(j)
     end
     else begin
-      runs := ws.(i) :: !runs;
+      runs := i :: !runs;
       cover.(i) <- !n_runs;
       incr n_runs
     end
@@ -41,7 +52,7 @@ let build words_list =
   (* Runs were numbered from the end; number them in execution order. *)
   Array.iteri (fun i r -> cover.(i) <- !n_runs - 1 - r) cover;
   {
-    runs = !runs;
+    runs = Array.of_list !runs;
     cover;
     words = n;
     dupes = !dupes;

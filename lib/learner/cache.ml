@@ -2,19 +2,74 @@ module Metrics = Prognosis_obs.Metrics
 
 exception Conflict
 
+(* Dense int ids for one symbol type. A coder is an immutable snapshot
+   behind an [Atomic.t]: interning installs an extended copy with one
+   compare-and-set, so a lock-free {!Sharded} reader always sees a
+   consistent coder and concurrent writers never hand out one id
+   twice. Symbols are few (an alphabet's worth): copies are rare. *)
+module Coder = struct
+  type 'a snap = { syms : 'a array; ids : ('a, int) Hashtbl.t }
+  type 'a t = 'a snap Atomic.t
+
+  let create () = Atomic.make { syms = [||]; ids = Hashtbl.create 1 }
+
+  let rec scan a x i =
+    if i = Array.length a then -1
+    else if Array.unsafe_get a i == x then i
+    else scan a x (i + 1)
+
+  (* The id of [x] in [s], or -1: a short table is scanned with [==]
+     before [x] is hashed. *)
+  let probe s x =
+    let i = if Array.length s.syms > 32 then -1 else scan s.syms x 0 in
+    if i >= 0 then i
+    else match Hashtbl.find_opt s.ids x with Some i -> i | None -> -1
+
+  let rec intern c x =
+    let s = Atomic.get c in
+    let i = probe s x in
+    if i >= 0 then i
+    else begin
+      let id = Array.length s.syms in
+      let ids = Hashtbl.copy s.ids in
+      Hashtbl.add ids x id;
+      let s' = { syms = Array.append s.syms [| x |]; ids } in
+      if Atomic.compare_and_set c s s' then id else intern c x
+    end
+
+  (* Fills [a] from position [k] with the ids of [word]'s symbols. A
+     symbol not seen before is interned when [fresh], and otherwise
+     stops the fill with [false]. *)
+  let rec fill c s fresh a k = function
+    | [] -> true
+    | x :: rest ->
+        let i = probe s x in
+        let i = if i < 0 && fresh then intern c x else i in
+        i >= 0 && (Array.unsafe_set a k i; fill c s fresh a (k + 1) rest)
+
+  let intern_word c word =
+    let a = Array.make (List.length word) 0 in
+    ignore (fill c (Atomic.get c) true a 0 word);
+    a
+
+  (* [None] when a symbol was never interned: no cached word holds it. *)
+  let find_word c word =
+    let a = Array.make (List.length word) 0 in
+    if fill c (Atomic.get c) false a 0 word then Some a else None
+
+  let symbols c = (Atomic.get c).syms
+end
+
 module Trie = struct
-  (* Compacted trie over interned symbol ids. Input and output symbols
-     are interned once into dense int ids; the trie itself stores
-     path-compressed edges — an [int array] of symbol ids with the
-     matching output ids alongside — so a chain of single-child nodes
-     costs one node and walking it is an int-array scan, not a hashtable
-     probe per symbol. Children are kept sorted by first edge symbol id
-     for cheap insertion; [dump] re-sorts siblings by the symbols
+  (* Compacted trie over coded words: path-compressed edges, each an
+     [int array] of input ids with the matching output ids alongside,
+     so a chain of single-child nodes costs one node and walking it is
+     an int-array scan. Children are kept sorted by first edge id for
+     cheap insertion; [dump] re-sorts siblings by the symbols
      themselves so the checkpoint order is canonical.
 
-     [lookup] never mutates the structure (unknown symbols are a miss,
-     not an interning event), so {!Sharded}'s lock-free readers can
-     probe a trie while one writer inserts into it. *)
+     [lookup] never mutates the structure, so {!Sharded}'s lock-free
+     readers can probe a trie while one writer inserts into it. *)
 
   type node = {
     path : int array; (* compressed edge into this subtree; immutable
@@ -23,71 +78,19 @@ module Trie = struct
     mutable kids : node list; (* sorted by [path.(0)]; first ids distinct *)
   }
 
-  (* Dense ids for one symbol type: [arr.(id)] is the symbol, [ids]
-     the reverse map. *)
-  type 'a interner = {
-    ids : ('a, int) Hashtbl.t;
-    mutable arr : 'a array;
-    mutable n : int;
-  }
-
-  type ('i, 'o) t = {
-    syms : 'i interner;
-    outs : 'o interner;
+  type t = {
     root : node;
     mutable prefixes : int; (* distinct cached non-empty prefixes *)
     mutable phys : int; (* physical (compacted) nodes, root included *)
   }
 
-  let interner () = { ids = Hashtbl.create 16; arr = [||]; n = 0 }
-
   let create () =
-    {
-      syms = interner ();
-      outs = interner ();
-      root = { path = [||]; pouts = [||]; kids = [] };
-      prefixes = 0;
-      phys = 1;
-    }
+    { root = { path = [||]; pouts = [||]; kids = [] }; prefixes = 0; phys = 1 }
 
-  (* The id of [x], or -1. Symbols normally come from one alphabet
-     array and are physically shared, so a small table is scanned with
-     [==] before [x] is hashed. The scan is bounded by the array value
-     read here: a lock-free {!Sharded} reader may see a newer [n] than
-     array. *)
-  let id_of it x =
-    let a = it.arr in
-    let n = min it.n (Array.length a) in
-    let rec scan i =
-      if i = n then -1 else if Array.unsafe_get a i == x then i else scan (i + 1)
-    in
-    let i = if n > 16 then -1 else scan 0 in
-    if i >= 0 then i
-    else match Hashtbl.find_opt it.ids x with Some i -> i | None -> -1
-
-  let intern it x =
-    let id = id_of it x in
-    if id >= 0 then id
-    else begin
-      let id = it.n in
-      let cap = Array.length it.arr in
-      if id >= cap then begin
-        let a = Array.make (max 8 (2 * cap)) x in
-        Array.blit it.arr 0 a 0 it.n;
-        it.arr <- a
-      end;
-      it.arr.(id) <- x;
-      it.n <- id + 1;
-      Hashtbl.add it.ids x id;
-      id
-    end
-
-  let conflict () = raise Conflict
-
-  let find_kid kids xi =
+  let find_kid kids x =
     let rec go = function
       | [] -> None
-      | k :: rest -> if k.path.(0) = xi then Some k else go rest
+      | k :: rest -> if Array.unsafe_get k.path 0 = x then Some k else go rest
     in
     go kids
 
@@ -128,78 +131,75 @@ module Trie = struct
     t.phys <- t.phys + 1;
     head
 
-  let insert t word outputs =
-    if List.length word <> List.length outputs then
+  (* [word] and [outs] are coded and of equal length. *)
+  let insert t (word : int array) (outs : int array) =
+    let len = Array.length word in
+    if Array.length outs <> len then
       invalid_arg "Cache.insert: word/outputs length mismatch";
-    let fresh_leaf word outs =
-      let ids = Array.of_list (List.map (intern t.syms) word) in
-      let oids = Array.of_list (List.map (intern t.outs) outs) in
+    let fresh_leaf i =
       t.phys <- t.phys + 1;
-      t.prefixes <- t.prefixes + Array.length ids;
-      { path = ids; pouts = oids; kids = [] }
+      t.prefixes <- t.prefixes + (len - i);
+      {
+        path = Array.sub word i (len - i);
+        pouts = Array.sub outs i (len - i);
+        kids = [];
+      }
     in
-    let rec at_node node word outs =
-      match word with
-      | [] -> ()
-      | x :: _ -> (
-          let xi = intern t.syms x in
-          match find_kid node.kids xi with
-          | None -> node.kids <- insert_sorted (fresh_leaf word outs) node.kids
-          | Some kid -> in_edge node kid 0 word outs)
-    and in_edge parent kid j word outs =
-      if j = Array.length kid.path then at_node kid word outs
-      else
-        match (word, outs) with
-        | [], [] -> ()
-        | x :: word', o :: outs' ->
-            let xi = intern t.syms x in
-            if xi = kid.path.(j) then begin
-              if intern t.outs o <> kid.pouts.(j) then conflict ();
-              in_edge parent kid (j + 1) word' outs'
-            end
-            else begin
-              (* Diverges mid-edge: split, then branch off the head. *)
-              let head = split t parent kid j in
-              head.kids <- insert_sorted (fresh_leaf word outs) head.kids
-            end
-        | _ -> assert false
+    let rec at_node node i =
+      if i < len then
+        match find_kid node.kids word.(i) with
+        | None -> node.kids <- insert_sorted (fresh_leaf i) node.kids
+        | Some kid -> in_edge node kid 0 i
+    and in_edge parent kid j i =
+      if j = Array.length kid.path then at_node kid i
+      else if i < len then
+        if word.(i) = kid.path.(j) then begin
+          if outs.(i) <> kid.pouts.(j) then raise Conflict;
+          in_edge parent kid (j + 1) (i + 1)
+        end
+        else begin
+          (* Diverges mid-edge: split, then branch off the head. *)
+          let head = split t parent kid j in
+          head.kids <- insert_sorted (fresh_leaf i) head.kids
+        end
     in
-    at_node t.root word outputs
+    at_node t.root 0
 
-  let lookup t word =
-    let rec at_node node word acc =
-      match word with
-      | [] -> Some (List.rev acc)
-      | x :: _ -> (
-          match find_kid node.kids (id_of t.syms x) with
-          | None -> None
-          | Some kid -> in_edge kid 0 word acc)
-    and in_edge kid j word acc =
-      if j = Array.length kid.path then at_node kid word acc
-      else
-        match word with
-        | [] -> Some (List.rev acc)
-        | x :: word' ->
-            if id_of t.syms x = Array.unsafe_get kid.path j then
-              in_edge kid (j + 1) word'
-                (t.outs.arr.(Array.unsafe_get kid.pouts j) :: acc)
-            else None
-    in
-    at_node t.root word []
+  (* The outputs cached for coded [word], decoded through [outs] (the
+     output coder's symbols). An output id past [outs] can only come
+     from a read racing a writer; it reads as a miss, which the
+     {!Sharded} generation check then voids. *)
+  let rec lookup_at (word : int array) outs node i acc =
+    if i = Array.length word then Some (List.rev acc)
+    else
+      match find_kid node.kids (Array.unsafe_get word i) with
+      | None -> None
+      | Some kid -> lookup_edge word outs kid 0 i acc
+
+  and lookup_edge word outs kid j i acc =
+    if j = Array.length kid.path then lookup_at word outs kid i acc
+    else if i = Array.length word then Some (List.rev acc)
+    else if Array.unsafe_get word i = Array.unsafe_get kid.path j then
+      let o = Array.unsafe_get kid.pouts j in
+      if o >= Array.length outs then None
+      else lookup_edge word outs kid (j + 1) (i + 1) (Array.unsafe_get outs o :: acc)
+    else None
+
+  let lookup t word outs = lookup_at word outs t.root 0 []
 
   let size t = t.prefixes + 1
   let compacted_nodes t = t.phys
 
-  (* Maximal cached words: the trie's leaves. Every inserted word is a
-     prefix of some leaf word (insert fills outputs along the whole
-     path), so re-inserting the leaves rebuilds the trie exactly. The
-     order is canonical: depth-first with siblings sorted by their
-     actual first symbol, not its interned id (ids depend on insertion
-     history), so the dump is a function of the cached word set alone
-     and dump/restore round-trips byte-identically, even for dumps
-     written by the pre-compaction implementation in hash-table
-     order. *)
-  let dump t =
+  (* Maximal cached words: the trie's leaves, decoded through [syms]
+     and [outs]. Every inserted word is a prefix of some leaf word
+     (insert fills outputs along the whole path), so re-inserting the
+     leaves rebuilds the trie exactly. The order is canonical:
+     depth-first with siblings sorted by their actual first symbol, not
+     its id (ids depend on insertion history), so the dump is a
+     function of the cached word set alone and dump/restore round-trips
+     byte-identically, even for dumps written by the pre-compaction
+     implementation in hash-table order. *)
+  let dump t syms outs =
     let acc = ref [] in
     let rec go node rev_in rev_out =
       match node.kids with
@@ -209,15 +209,15 @@ module Trie = struct
       | kids ->
           let kids =
             List.sort
-              (fun a b -> compare t.syms.arr.(a.path.(0)) t.syms.arr.(b.path.(0)))
+              (fun a b -> compare syms.(a.path.(0)) syms.(b.path.(0)))
               kids
           in
           List.iter
             (fun k ->
               let ri = ref rev_in and ro = ref rev_out in
               for j = 0 to Array.length k.path - 1 do
-                ri := t.syms.arr.(k.path.(j)) :: !ri;
-                ro := t.outs.arr.(k.pouts.(j)) :: !ro
+                ri := syms.(k.path.(j)) :: !ri;
+                ro := outs.(k.pouts.(j)) :: !ro
               done;
               go k !ri !ro)
             kids
@@ -233,24 +233,29 @@ let g_trie_nodes = Metrics.gauge Metrics.default "cache.trie.nodes"
 
 (* --- Sharded store ---------------------------------------------------
 
-   K tries keyed by the first symbol's hash (see the interface), each
-   with a mutex taken only on insert. Lookups are optimistic: combined
-   with the publication-safe [Trie.insert] above (reachable nodes are
-   never mutated into inconsistent states, and every id a reachable
-   node holds was interned before the node was linked in), a racing
+   K tries over one pair of coders, a word going to the shard its first
+   input id picks (see the interface), each with a mutex taken only on
+   insert. Lookups are optimistic: combined with the publication-safe
+   [Trie.insert] above (reachable nodes are never mutated into
+   inconsistent states, and every id a reachable node holds was
+   published by its coder before the node was linked in), a racing
    reader can at worst observe a stale-but-consistent trie — and the
    shard's generation check rejects even that before the answer
    escapes. *)
 
 module Sharded = struct
-  type ('i, 'o) shard = {
-    trie : ('i, 'o) Trie.t;
+  type shard = {
+    trie : Trie.t;
     lock : Mutex.t;
     gen : int Atomic.t; (* odd while an insert is in flight *)
     g_sh_nodes : float ref; (* cache.shard.nodes{shard=..} *)
   }
 
-  type ('i, 'o) t = { shards : ('i, 'o) shard array }
+  type ('i, 'o) t = {
+    shards : shard array;
+    syms : 'i Coder.t;
+    outs : 'o Coder.t;
+  }
 
   let create ?(shards = 8) () =
     if shards < 1 then invalid_arg "Cache.Sharded.create: shards must be >= 1";
@@ -263,20 +268,19 @@ module Sharded = struct
         g_sh_nodes = Metrics.gauge_l Metrics.default "cache.shard.nodes" l;
       }
     in
-    { shards = Array.init shards mk }
+    { shards = Array.init shards mk; syms = Coder.create (); outs = Coder.create () }
 
   let shards t = Array.length t.shards
 
   let shard t word =
-    match word with
-    | [] -> t.shards.(0)
-    | x :: _ -> t.shards.(Hashtbl.hash x land max_int mod Array.length t.shards)
+    if Array.length word = 0 then t.shards.(0)
+    else t.shards.(word.(0) mod Array.length t.shards)
 
   let locked s f =
     Mutex.lock s.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
 
-  let insert t word outs =
+  let insert_coded t word outs =
     let s = shard t word in
     locked s (fun () ->
         Atomic.incr s.gen;
@@ -297,9 +301,12 @@ module Sharded = struct
       let v = f () in
       if Atomic.get s.gen = g then v else locked s f
 
-  let lookup t word =
+  (* The output symbols are read inside the read section, after the
+     generation: an insert that finished before it published its ids
+     first. *)
+  let lookup_coded t word =
     let s = shard t word in
-    read s (fun () -> Trie.lookup s.trie word)
+    read s (fun () -> Trie.lookup s.trie word (Coder.symbols t.outs))
 
   (* Counts include the root once across all shards, matching the
      unsharded accounting (each shard's trie counts its own root). *)
@@ -313,60 +320,81 @@ module Sharded = struct
      the per-shard canonical dumps restores exactly that order —
      byte-identical to the dump of one trie holding every word. *)
   let dump t =
+    let syms = Coder.symbols t.syms and outs = Coder.symbols t.outs in
     Array.to_list t.shards
-    |> List.concat_map (fun s -> Trie.dump s.trie)
+    |> List.concat_map (fun s -> Trie.dump s.trie syms outs)
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 end
 
 (* --- the store interface --------------------------------------------
 
-   A cache value is a view over one of the two stores: a private trie,
-   or a shared {!Sharded} cache. Hit/miss tallies belong to the view,
-   so a fleet session's counts describe its own traffic even though
-   the answers are pooled. *)
+   A cache value is a view over one of the two stores: a private trie
+   with its own coders, or a shared {!Sharded} cache, whose coders
+   every view shares. Hit/miss tallies belong to the view, so a fleet
+   session's counts describe its own traffic even though the answers
+   are pooled. *)
 
-type ('i, 'o) store = Trie of ('i, 'o) Trie.t | Shared of ('i, 'o) Sharded.t
+type ('i, 'o) store = Private of Trie.t | Shared of ('i, 'o) Sharded.t
 
 type ('i, 'o) t = {
   store : ('i, 'o) store;
+  syms : 'i Coder.t;
+  outs : 'o Coder.t;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create () = { store = Trie (Trie.create ()); hits = 0; misses = 0 }
-let shared s = { store = Shared s; hits = 0; misses = 0 }
+let create () =
+  {
+    store = Private (Trie.create ());
+    syms = Coder.create ();
+    outs = Coder.create ();
+    hits = 0;
+    misses = 0;
+  }
+
+let shared (s : _ Sharded.t) =
+  { store = Shared s; syms = s.syms; outs = s.outs; hits = 0; misses = 0 }
+
+let code t word = Coder.intern_word t.syms word
 
 (* Sharded stores keep per-shard gauges of their own. *)
-let insert t word outs =
+let insert_coded t word outs =
+  let outs = Coder.intern_word t.outs outs in
   match t.store with
-  | Trie x ->
+  | Private x ->
       Trie.insert x word outs;
       Metrics.set g_nodes (float_of_int (Trie.size x));
       Metrics.set g_trie_nodes (float_of_int (Trie.compacted_nodes x))
-  | Shared s -> Sharded.insert s word outs
+  | Shared s -> Sharded.insert_coded s word outs
 
-let lookup t word =
+let lookup_coded t word =
   match t.store with
-  | Trie x -> Trie.lookup x word
-  | Shared s -> Sharded.lookup s word
+  | Private x -> Trie.lookup x word (Coder.symbols t.outs)
+  | Shared s -> Sharded.lookup_coded s word
+
+let insert t word outs = insert_coded t (code t word) outs
+
+let lookup t word = Option.bind (Coder.find_word t.syms word) (lookup_coded t)
 
 let size t =
-  match t.store with Trie x -> Trie.size x | Shared s -> Sharded.size s
+  match t.store with Private x -> Trie.size x | Shared s -> Sharded.size s
 
 let compacted_nodes t =
   match t.store with
-  | Trie x -> Trie.compacted_nodes x
+  | Private x -> Trie.compacted_nodes x
   | Shared s -> Sharded.compacted_nodes s
 
 let dump t =
-  match t.store with Trie x -> Trie.dump x | Shared s -> Sharded.dump s
+  match t.store with
+  | Private x -> Trie.dump x (Coder.symbols t.syms) (Coder.symbols t.outs)
+  | Shared s -> Sharded.dump s
 
 let restore t words = List.iter (fun (w, outs) -> insert t w outs) words
 let hits t = t.hits
 let misses t = t.misses
 
-let find t word =
-  let answer = lookup t word in
+let count t answer =
   (match answer with
   | Some _ ->
       t.hits <- t.hits + 1;
@@ -376,16 +404,20 @@ let find t word =
       Metrics.inc m_misses);
   answer
 
+let find_coded t word = count t (lookup_coded t word)
+let find t word = count t (lookup t word)
+
 let wrap t (mq : ('i, 'o) Oracle.membership) =
-  (* A miss replays the full word and records it; [insert] raises
-     [Conflict] when the fresh outputs contradict a cached prefix, which
-     is the nondeterminism check. *)
+  (* A miss replays the full word and records it; [insert_coded]
+     raises [Conflict] when the fresh outputs contradict a cached
+     prefix, which is the nondeterminism check. *)
   let ask word =
-    match find t word with
+    let ids = code t word in
+    match find_coded t ids with
     | Some answer -> answer
     | None ->
         let answer = mq.ask word in
-        insert t word answer;
+        insert_coded t ids answer;
         answer
   in
   { mq with Oracle.ask; ask_batch = None }

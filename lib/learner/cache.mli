@@ -6,15 +6,16 @@
     answers any query that is a prefix of a previously executed one
     without touching the SUL.
 
-    Internally the trie is compacted: input and output symbols are
-    interned into dense int ids and chains of single-child nodes are
-    collapsed into path-compressed edges, so lookups scan int arrays
-    instead of probing a hashtable per symbol. Interning a symbol
-    first scans the (at most 16) already-interned symbols for a
-    physically equal one — symbols normally come from one alphabet
-    array — and hashes it only when that fails. {!lookup} never
-    mutates the structure, so {!Sharded}'s lock-free readers can probe
-    a trie while one writer inserts into it.
+    Symbols become ids once: each store owns an input and an output
+    coder giving every symbol a dense int id (a {!Sharded} store one
+    pair for all its shards and views). The trie holds coded words in
+    path-compressed edges, so walks, inserts and the {!Conflict} check
+    scan int arrays; the list API codes the word, then walks. Coding a
+    symbol scans the (at most 32) known ones for a physically equal
+    value — symbols normally come from one alphabet array — and hashes
+    it only when that fails. {!lookup} never mutates the trie, so
+    {!Sharded}'s lock-free readers can probe a trie while one writer
+    inserts into it.
 
     A cache value is a {e view} over one of two stores: a private trie
     ({!create}) or a {!Sharded} cache shared across domains
@@ -41,6 +42,14 @@ val lookup : ('i, 'o) t -> 'i list -> 'o list option
 val find : ('i, 'o) t -> 'i list -> 'o list option
 (** {!lookup} counted as one {!hits} or one {!misses} on this view:
     the probe a caching oracle makes for each word it is asked. *)
+
+val code : ('i, 'o) t -> 'i list -> int array
+(** The word's ids in this view's store, coding unseen symbols: a
+    caller meeting a word several times (the engine) codes it once. *)
+
+val find_coded : ('i, 'o) t -> int array -> 'o list option
+val insert_coded : ('i, 'o) t -> int array -> 'o list -> unit
+(** {!find} and {!insert} on a word {!code}d by this view's store. *)
 
 val size : ('i, 'o) t -> int
 (** Number of logical trie nodes — one per distinct cached non-empty
@@ -84,13 +93,14 @@ val wrap : ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membershi
     domains ({!Prognosis_service}). Sessions reach it through their
     own {!shared} views.
 
-    Words are partitioned by a hash of the first symbol's value (the
-    stable stand-in for its per-shard interned id, which depends on
-    insertion history), so every prefix of a word lands in the same
-    shard. Each shard's mutex is taken only on insert; lookups run
-    lock-free and optimistic — a shard-level generation counter
-    detects an overlapping insert, in which case the answer is
-    discarded and the probe retried under the mutex. The per-shard
+    A word goes to the shard its first input id picks (id mod K), so
+    every prefix of a word lands in the same shard. Each shard's mutex
+    is taken only on insert; lookups run lock-free and optimistic — a
+    shard-level generation counter detects an overlapping insert, in
+    which case the answer is discarded and the probe retried under the
+    mutex. Coders publish new ids as an immutable snapshot with one
+    atomic swap, so a lock-free reader never sees a half-added symbol.
+    The per-shard
     [cache.shard.nodes{shard=..}] labelled gauges land in
     {!Prognosis_obs.Metrics.default}. *)
 module Sharded : sig
@@ -101,10 +111,6 @@ module Sharded : sig
 
   val shards : ('i, 'o) t -> int
 
-  val insert : ('i, 'o) t -> 'i list -> 'o list -> unit
-  (** Like {!Cache.insert}, serialized per shard. *)
-
-  val lookup : ('i, 'o) t -> 'i list -> 'o list option
   val size : ('i, 'o) t -> int
 
   val dump : ('i, 'o) t -> ('i list * 'o list) list

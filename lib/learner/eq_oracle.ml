@@ -8,8 +8,8 @@ let m_test_words = Metrics.counter Metrics.default "eq.test_words"
 let m_counterexamples = Metrics.counter Metrics.default "eq.counterexamples"
 
 let m_shards = Metrics.counter Metrics.default "eq.shards"
-(* one per word-chunk handed to a batch-capable oracle: each shard is a
-   unit the engine may spread across its worker domains *)
+(* one per word-chunk handed to a batch-capable oracle: each shard is
+   one batch the engine plans and runs on its worker pool *)
 
 let check_word (mq : ('i, 'o) Oracle.membership) h word =
   if word = [] then None

@@ -32,44 +32,29 @@ let h_latency = Metrics.histogram Metrics.default "oracle.mq_latency_ns"
    layers sit *above* this oracle and short-circuit before [ask] runs,
    which is what keeps [membership_queries] an exact count of queries
    the SUL actually served. *)
-let of_fun ?stats ?batch f =
+let count_query stats len =
+  stats.membership_queries <- stats.membership_queries + 1;
+  stats.membership_symbols <- stats.membership_symbols + len;
+  Metrics.inc m_queries;
+  Metrics.inc ~by:len m_symbols
+
+let run_query stats len f =
+  count_query stats len;
+  let t0 = Clock.now_ns () in
+  let answer =
+    if Trace.enabled () then
+      Trace.with_span
+        ~attrs:[ ("len", Prognosis_obs.Jsonx.Int len) ]
+        "oracle.mq" f
+    else f ()
+  in
+  Metrics.observe_ns h_latency (Int64.sub (Clock.now_ns ()) t0);
+  answer
+
+let of_fun ?stats f =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
-  let ask word =
-    stats.membership_queries <- stats.membership_queries + 1;
-    stats.membership_symbols <- stats.membership_symbols + List.length word;
-    Metrics.inc m_queries;
-    Metrics.inc ~by:(List.length word) m_symbols;
-    let t0 = Clock.now_ns () in
-    let answer =
-      if Trace.enabled () then
-        Trace.with_span
-          ~attrs:[ ("len", Prognosis_obs.Jsonx.Int (List.length word)) ]
-          "oracle.mq"
-          (fun () -> f word)
-      else f word
-    in
-    Metrics.observe_ns h_latency (Int64.sub (Clock.now_ns ()) t0);
-    answer
-  in
-  (* A batch executor is accounted like the equivalent sequence of
-     single queries: every batched word reached the underlying
-     function, so the per-query invariants (and the cache-miss
-     equality the driver asserts) keep holding. *)
-  let ask_batch =
-    Option.map
-      (fun f words ->
-        List.iter
-          (fun word ->
-            stats.membership_queries <- stats.membership_queries + 1;
-            stats.membership_symbols <-
-              stats.membership_symbols + List.length word;
-            Metrics.inc m_queries;
-            Metrics.inc ~by:(List.length word) m_symbols)
-          words;
-        f words)
-      batch
-  in
-  { ask; ask_batch; stats }
+  let ask word = run_query stats (List.length word) (fun () -> f word) in
+  { ask; ask_batch = None; stats }
 
 let of_sul ?stats sul = of_fun ?stats (Prognosis_sul.Sul.query sul)
 

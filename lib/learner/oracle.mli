@@ -28,14 +28,16 @@ type ('i, 'o) membership = {
   stats : stats;
 }
 
-val of_fun :
-  ?stats:stats ->
-  ?batch:('i list list -> 'o list list) ->
-  ('i list -> 'o list) ->
-  ('i, 'o) membership
-(** Wraps a raw query function, counting queries and symbols. When
-    [batch] is given it becomes the oracle's [ask_batch], with every
-    batched word counted exactly like a single query. *)
+val of_fun : ?stats:stats -> ('i list -> 'o list) -> ('i, 'o) membership
+(** Wraps a raw query function, counting queries and symbols. *)
+
+val count_query : stats -> int -> unit
+(** [count_query stats len] counts one query of [len] symbols that
+    reached the underlying function (a batched word, say). *)
+
+val run_query : stats -> int -> (unit -> 'o list) -> 'o list
+(** [run_query stats len f] is {!of_fun}'s [ask] for a word of [len]
+    symbols answered by [f ()]: counted, timed and traced. *)
 
 val of_sul : ?stats:stats -> ('i, 'o) Prognosis_sul.Sul.t -> ('i, 'o) membership
 

@@ -14,15 +14,15 @@ let mix z =
 
 (* Folds eight bytes per multiply where possible (the trailing mix
    supplies the diffusion FNV normally gets from its per-byte step).
-   [Int64.to_int] keeps 63 bits of a lane; with [~all_bits] a lane whose
-   top bit is set takes one more step. The tag needs every bit; keys and
-   headers fold without it, which keeps QUIC's pinned bytes. *)
-let fold_prefix ~all_bits h s len =
+   [Int64.to_int] keeps 63 bits of a lane, so a lane whose top bit is
+   set takes one more step: every bit of keys, labels, headers and
+   plaintext reaches the hash. *)
+let fold_prefix h s len =
   let h = ref h in
   let i = ref 0 in
   while !i + 8 <= len do
     h := (!h lxor Int64.to_int (String.get_int64_le s !i)) * fnv_prime;
-    if all_bits && Char.code (String.unsafe_get s (!i + 7)) >= 0x80 then
+    if Char.code (String.unsafe_get s (!i + 7)) >= 0x80 then
       h := (!h lxor 1) * fnv_prime;
     i := !i + 8
   done;
@@ -32,7 +32,7 @@ let fold_prefix ~all_bits h s len =
   done;
   !h
 
-let fold_string h s = fold_prefix ~all_bits:false h s (String.length s)
+let fold_string h s = fold_prefix h s (String.length s)
 
 let fold_int h v =
   (((h lxor (v land 0xFFFFFFFF)) * fnv_prime) lxor ((v lsr 32) land 0xFFFFFFFF))
@@ -80,7 +80,7 @@ let xor_stream stream src dst len =
 (* The tag: the hash of [auth] and the plaintext, as an int64 lane
    whose top bit is zero (it is a 63-bit int), written big-endian. *)
 let tag auth data len =
-  Int64.logand (Int64.of_int (mix (fold_prefix ~all_bits:true auth data len)))
+  Int64.logand (Int64.of_int (mix (fold_prefix auth data len)))
     Int64.max_int
 
 let seal ~stream ~auth plaintext =

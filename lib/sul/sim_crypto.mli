@@ -11,9 +11,9 @@ val fnv_basis : int
 (** The empty hash state. *)
 
 val fold_string : int -> string -> int
-(** Absorbs a string eight bytes per step. A whole 8-byte lane enters
-    as a native int, which drops its top bit (bit 7 of every eighth
-    byte); {!seal}'s tag absorbs every plaintext bit. *)
+(** Absorbs a string eight bytes per step, every bit of it: a whole
+    8-byte lane enters as a native int, and a lane whose top bit (bit 7
+    of its eighth byte) is set takes one more step. *)
 
 val fold_int : int -> int -> int
 (** Absorbs an int, all 63 bits, as two 32-bit halves. *)

@@ -43,7 +43,14 @@ let make_validates () =
     (fun () ->
       ignore
         (Mealy.make ~size:1 ~initial:3 ~inputs:[| 'a' |] ~delta:[| [| 0 |] |]
-           ~lambda:[| [| "x" |] |]))
+           ~lambda:[| [| "x" |] |]));
+  (* A structurally equal copy repeats a symbol just like the same value. *)
+  Alcotest.check_raises "repeated input" (Invalid_argument "Mealy.make: input 2 repeats input 0")
+    (fun () ->
+      ignore
+        (Mealy.make ~size:1 ~initial:0
+           ~inputs:[| "a"; "b"; Bytes.to_string (Bytes.of_string "a") |]
+           ~delta:[| [| 0; 0; 0 |] |] ~lambda:[| [| "x"; "y"; "z" |] |]))
 
 let minimize_removes_redundancy () =
   let m = Mealy.minimize counter3_redundant in

@@ -40,31 +40,40 @@ let random_word rng inputs max_len =
 
 (* --- planner --- *)
 
+(* Plans [words] as the engine does: coded by a cache (ids in
+   first-seen order). Returns the plan, the coded words, and each run
+   as the word it executes. *)
+let plan words =
+  let c = Cache.create () in
+  let coded = Array.of_list (List.map (Cache.code c) words) in
+  let p = Plan.build coded in
+  let ws = Array.of_list words in
+  (p, coded, List.map (fun i -> ws.(i)) (Array.to_list p.Plan.runs))
+
 let plan_dedup_and_subsume () =
-  let p =
-    Plan.build [ [ 'a'; 'b' ]; [ 'a' ]; [ 'a'; 'b' ]; [ 'c' ] ]
-  in
+  let p, _, runs = plan [ [ 'a'; 'b' ]; [ 'a' ]; [ 'a'; 'b' ]; [ 'c' ] ] in
   Alcotest.(check (list (list char))) "maximal runs"
-    [ [ 'a'; 'b' ]; [ 'c' ] ] p.Plan.runs;
+    [ [ 'a'; 'b' ]; [ 'c' ] ] runs;
   Alcotest.(check int) "words" 4 p.Plan.words;
   Alcotest.(check int) "dupes" 1 p.Plan.dupes;
   Alcotest.(check int) "subsumed" 1 p.Plan.subsumed
 
 let plan_orders_for_sharing () =
-  let p = Plan.build [ [ 'b' ]; [ 'a'; 'a' ]; [ 'a' ]; [ 'a'; 'b' ] ] in
-  (* Lexicographic order keeps words sharing a prefix adjacent and
-     drops [a] (prefix of its successor). *)
+  let _, _, runs = plan [ [ 'b' ]; [ 'a'; 'a' ]; [ 'a' ]; [ 'a'; 'b' ] ] in
+  (* Lexicographic order on ids keeps words sharing a prefix adjacent
+     and drops [a] (prefix of its successor). Ids are first-seen
+     (b = 0, a = 1), so [b] runs first and [a; b] before [a; a]. *)
   Alcotest.(check (list (list char))) "sorted maximal"
-    [ [ 'a'; 'a' ]; [ 'a'; 'b' ]; [ 'b' ] ] p.Plan.runs
+    [ [ 'b' ]; [ 'a'; 'b' ]; [ 'a'; 'a' ] ] runs
 
 let plan_empty () =
-  let p = Plan.build [] in
-  Alcotest.(check (list (list char))) "no runs" [] p.Plan.runs;
+  let p, _, runs = plan [] in
+  Alcotest.(check (list (list char))) "no runs" [] runs;
   Alcotest.(check int) "no words" 0 p.Plan.words
 
 let plan_all_duplicates () =
-  let p = Plan.build [ [ 'x' ]; [ 'x' ]; [ 'x' ] ] in
-  Alcotest.(check (list (list char))) "one run" [ [ 'x' ] ] p.Plan.runs;
+  let p, _, runs = plan [ [ 'x' ]; [ 'x' ]; [ 'x' ] ] in
+  Alcotest.(check (list (list char))) "one run" [ [ 'x' ] ] runs;
   Alcotest.(check int) "dupes" 2 p.Plan.dupes
 
 (* Batches with forced duplicates and prefixes: random words over a
@@ -93,10 +102,11 @@ let prop_plan_covers =
     ~print:QCheck2.Print.(list (list char))
     (gen_batch [ 'a'; 'b'; 'c' ])
     (fun words ->
-      let p = Plan.build words in
-      let runs = Array.of_list p.Plan.runs in
+      let p, coded, run_words = plan words in
+      let runs = Array.map (fun i -> coded.(i)) p.Plan.runs in
       let rec strictly_sorted = function
-        | a :: (b :: _ as rest) -> compare a b < 0 && strictly_sorted rest
+        | a :: (b :: _ as rest) ->
+            compare (Array.to_list a) (Array.to_list b) < 0 && strictly_sorted rest
         | _ -> true
       in
       (* Runs are distinct, so [a = b] only when they are the same run. *)
@@ -106,13 +116,25 @@ let prop_plan_covers =
             Array.for_all (fun b -> a = b || not (Plan.is_prefix a b)) runs)
           runs
       in
-      strictly_sorted p.Plan.runs && antichain
+      let rec prefix p w =
+        match (p, w) with
+        | [], _ -> true
+        | x :: p, y :: w -> x = y && prefix p w
+        | _ :: _, [] -> false
+      in
+      let distinct = List.sort_uniq compare words in
+      let run_words = Array.of_list run_words in
+      strictly_sorted (Array.to_list runs) && antichain
       && Array.length p.Plan.cover = List.length words
       && List.for_all2
-           (fun w r -> Plan.is_prefix w runs.(r))
+           (fun w r -> prefix w run_words.(r))
            words (Array.to_list p.Plan.cover)
-      && p.Plan.dupes
-         = List.length words - List.length (List.sort_uniq compare words)
+      && p.Plan.dupes = List.length words - List.length distinct
+      && p.Plan.subsumed
+         = List.length
+             (List.filter
+                (fun w -> List.exists (fun w' -> w <> w' && prefix w w') distinct)
+                distinct)
       && p.Plan.words = p.Plan.dupes + p.Plan.subsumed + Array.length runs)
 
 (* --- pooled execution --- *)

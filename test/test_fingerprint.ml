@@ -106,6 +106,15 @@ let persist_line_numbers () =
   in
   check_detail "bad states header" 3 (corrupt_at 3 "states many");
   check_detail "bad transition" 12 (corrupt_at 12 "0 nonsense");
+  (* line 6 holds the first input symbol; repeating it on line 7 *)
+  let repeated = corrupt_at 7 (List.nth lines 5) in
+  check_detail "repeated input" 7 repeated;
+  (match Persist.parse_text ~path:"t.model" Persist.Tcp_model repeated with
+  | Error (Persist.Corrupt { detail; _ }) ->
+      Alcotest.(check string) "repeated input detail"
+        (Printf.sprintf "line 7: input symbol %S repeats line 6" (List.nth lines 5))
+        detail
+  | _ -> Alcotest.fail "repeated input: expected a corrupt model");
   (* truncation points one past the last line *)
   let total = List.length (String.split_on_char '\n' (String.trim text)) in
   match

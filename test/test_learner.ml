@@ -114,6 +114,91 @@ let cache_saves_queries () =
   Alcotest.(check int) "one real query" 1 mq.Oracle.stats.membership_queries;
   Alcotest.(check int) "two hits" 2 (Cache.hits c)
 
+(* The coded cache against a naive reference: an assoc list of the
+   inserted (word, outputs) pairs, for a private trie and for views
+   over sharded stores. Symbols are drawn from three strings, each
+   either the alphabet's own value or a structurally equal copy, so
+   coding must fall back from the physical probe. Answers depend on
+   the prefix, except where an op flips one output to provoke a
+   [Conflict]. *)
+let prop_coded_cache =
+  let open QCheck2.Gen in
+  let sym =
+    map2
+      (fun s copy -> if copy then Bytes.to_string (Bytes.of_string s) else s)
+      (oneofl [ "a"; "b"; "c" ]) bool
+  in
+  let op = triple bool (list_size (int_bound 5) sym) (opt (int_bound 5)) in
+  QCheck2.Test.make ~count:300 ~name:"coded cache == assoc-list reference"
+    ~print:QCheck2.Print.(list (triple bool (list string) (option int)))
+    (list_size (int_bound 40) op)
+    (fun ops ->
+      let answer w flip =
+        List.mapi (fun k x -> if Some k = flip then "X" else x ^ string_of_int k) w
+      in
+      let rec prefix p w =
+        match (p, w) with
+        | [], _ -> true
+        | x :: p, y :: w -> x = y && prefix p w
+        | _ :: _, [] -> false
+      in
+      let rec conflicts w o w' o' =
+        match (w, o, w', o') with
+        | x :: w, a :: o, y :: w', b :: o' when x = y -> a <> b || conflicts w o w' o'
+        | _ -> false
+      in
+      let check c =
+        let entries = ref [] and hits = ref 0 and misses = ref 0 in
+        let lookup w =
+          if w = [] then Some []
+          else
+            List.find_map
+              (fun (w', o') ->
+                if prefix w w' then Some (List.filteri (fun i _ -> i < List.length w) o')
+                else None)
+              !entries
+        in
+        let steps_ok =
+          List.for_all
+            (fun (is_insert, w, flip) ->
+              if is_insert then begin
+                let o = answer w flip in
+                let expected = List.exists (fun (w', o') -> conflicts w o w' o') !entries in
+                let raised =
+                  match Cache.insert c w o with
+                  | () -> false
+                  | exception Cache.Conflict -> true
+                in
+                if not raised then entries := (w, o) :: !entries;
+                raised = expected
+              end
+              else begin
+                let expected = lookup w in
+                if expected = None then incr misses else incr hits;
+                (* half the probes through the coded entry points *)
+                let got =
+                  if flip = None then Cache.find c w
+                  else Cache.find_coded c (Cache.code c w)
+                in
+                got = expected
+              end)
+            ops
+        in
+        let maximal =
+          List.filter
+            (fun (w, _) ->
+              w <> [] && not (List.exists (fun (w', _) -> w <> w' && prefix w w') !entries))
+            !entries
+        in
+        steps_ok
+        && Cache.hits c = !hits
+        && Cache.misses c = !misses
+        && Cache.dump c = List.sort_uniq compare maximal
+      in
+      check (Cache.create ())
+      && check (Cache.shared (Cache.Sharded.create ~shards:1 ()))
+      && check (Cache.shared (Cache.Sharded.create ~shards:3 ())))
+
 let cached_learning_equivalent () =
   (* Learning through a cache must give the same model. *)
   let result =
@@ -321,6 +406,7 @@ let () =
           Alcotest.test_case "conflict detection" `Quick cache_detects_conflict;
           Alcotest.test_case "saves queries" `Quick cache_saves_queries;
           Alcotest.test_case "cached learning" `Quick cached_learning_equivalent;
+          QCheck_alcotest.to_alcotest prop_coded_cache;
         ] );
       ("oracle", [ Alcotest.test_case "stats" `Quick stats_counted ]);
       ( "eq-oracle",

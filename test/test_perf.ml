@@ -52,6 +52,38 @@ let prop_packed_run_from =
             words)
         words)
 
+(* The physical probe finds exactly what a structural lookup finds:
+   for the alphabet's own values, for structurally equal copies, and
+   for unknown symbols; alphabets past the probe's 32-symbol scan go
+   straight to the structural fallback. *)
+let prop_input_index =
+  QCheck2.Test.make ~count:200 ~name:"input_index == structural lookup"
+    QCheck2.Gen.(
+      pair (int_range 1 40) (list_size (int_range 1 20) (pair (int_bound 2) (int_bound 45))))
+    (fun (n, probes) ->
+      let inputs = Array.init n (fun i -> "s" ^ string_of_int i) in
+      let m =
+        Mealy.make ~size:1 ~initial:0 ~inputs ~delta:[| Array.make n 0 |]
+          ~lambda:[| Array.make n "o" |]
+      in
+      let p = Mealy.pack m in
+      List.for_all
+        (fun (kind, i) ->
+          let x =
+            match kind with
+            | 0 when i < n -> inputs.(i)
+            | 1 -> Bytes.to_string (Bytes.of_string ("s" ^ string_of_int i))
+            | _ -> "u" ^ string_of_int i
+          in
+          let structural =
+            let rec find j = if j = n then None else if inputs.(j) = x then Some j else find (j + 1) in
+            find 0
+          in
+          let position f = match f x with j -> Some j | exception Not_found -> None in
+          position (Mealy.Packed.input_index p) = structural
+          && position (Mealy.input_index m) = structural)
+        probes)
+
 (* --- compacted trie preserves the checkpoint dump format --- *)
 
 (* Words answered by a fixed machine so the query set is
@@ -133,19 +165,19 @@ let prop_sharded_dump_canonical =
       List.for_all
         (fun k ->
           let sharded = Cache.Sharded.create ~shards:k () in
-          List.iter (fun (w, o) -> Cache.Sharded.insert sharded w o) qs;
+          let view = Cache.shared sharded in
+          List.iter (fun (w, o) -> Cache.insert view w o) qs;
           Cache.Sharded.dump sharded = reference
           && Cache.Sharded.size sharded = Cache.size flat
-          && List.for_all
-               (fun (w, o) -> Cache.Sharded.lookup sharded w = Some o)
-               qs)
+          && List.for_all (fun (w, o) -> Cache.lookup view w = Some o) qs)
         [ 1; 4; 8 ])
 
-(* Four domains hammering the same sharded cache: two inserting
-   disjoint prefix-consistent sets, two doing optimistic lookups the
-   whole time. Every lookup that returns must return the machine's
-   answer (the seqlock may retry but never tears), and the final dump
-   equals a sequential insert of everything. *)
+(* Four domains hammering the same sharded cache, each through its own
+   view: two inserting disjoint prefix-consistent sets (and coding new
+   symbols into the shared coders at once), two doing optimistic
+   lookups the whole time. Every lookup that returns must return the
+   machine's answer (the seqlock may retry but never tears), and the
+   final dump equals a sequential insert of everything. *)
 let sharded_stress_four_domains () =
   let m =
     Mealy.of_fun ~size:7 ~initial:0 ~inputs:[| 0; 1; 2; 3; 4 |]
@@ -162,13 +194,15 @@ let sharded_stress_four_domains () =
   let cache = Cache.Sharded.create ~shards:8 () in
   let torn = Atomic.make 0 and looked = Atomic.make 0 in
   let inserter batch () =
-    List.iter (fun w -> Cache.Sharded.insert cache w (answers w)) batch
+    let view = Cache.shared cache in
+    List.iter (fun w -> Cache.insert view w (answers w)) batch
   in
   let prober batch () =
+    let view = Cache.shared cache in
     for _ = 1 to 30 do
       List.iter
         (fun w ->
-          match Cache.Sharded.lookup cache w with
+          match Cache.lookup view w with
           | Some o ->
               Atomic.incr looked;
               if o <> answers w then Atomic.incr torn
@@ -221,6 +255,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_packed_equals_reference;
           QCheck_alcotest.to_alcotest prop_packed_run_from;
+          QCheck_alcotest.to_alcotest prop_input_index;
         ] );
       ( "trie",
         [
