@@ -92,6 +92,58 @@ let crypto_directions_differ () =
     (Dtls_crypto.verify_data c Dtls_crypto.Client_write
     <> Dtls_crypto.verify_data c Dtls_crypto.Server_write)
 
+(* --- wire transcript known answer --- *)
+
+(* Drives a client and a server through the public calls only
+   (concretize, handle_datagram, absorb) and records every datagram in
+   order as its direction and [Sim_crypto.hash]. Pinning the count, the
+   total bytes and every hash fixes the traffic byte for byte: record
+   headers, handshake messages, epoch-1 ciphertexts and tags. *)
+let transcript seed word =
+  let rng = Rng.create seed in
+  let server = Dtls_server.create (Rng.split rng) in
+  let client = Dtls_client.create (Rng.split rng) in
+  let datagrams = ref [] in
+  let record dir wire = datagrams := (dir, wire) :: !datagrams in
+  List.iter
+    (fun symbol ->
+      match Dtls_client.concretize client symbol with
+      | None -> ()
+      | Some (wire, _) ->
+          record "c" wire;
+          List.iter
+            (fun wire ->
+              record "s" wire;
+              ignore (Dtls_client.absorb client wire))
+            (Dtls_server.handle_datagram server wire))
+    word;
+  let datagrams = List.rev !datagrams in
+  ( List.length datagrams,
+    List.fold_left (fun n (_, w) -> n + String.length w) 0 datagrams,
+    String.concat " "
+      (List.map
+         (fun (dir, w) -> Printf.sprintf "%s%x" dir (Prognosis_sul.Sim_crypto.hash w))
+         datagrams) )
+
+let wire_transcript_known_answer () =
+  let count, bytes, hashes =
+    transcript 29L
+      Dtls_alphabet.
+        [
+          Client_hello; Client_hello; Client_key_exchange; Change_cipher_spec;
+          Finished; App_data; App_data; Alert_close;
+        ]
+  in
+  Alcotest.(check int) "datagrams" 17 count;
+  Alcotest.(check int) "bytes" 581 bytes;
+  Alcotest.(check string) "hashes"
+    "c3c3d77ca19fb7b16 s33dc370dccda582e c725bcc6e8d19bc16 s5de7b765ded83b0e \
+     s3eb26b2ed8174e34 s6882e67e390c35fa c2bbe1b03282de058 c647dd3ff76e261ce \
+     c63047757bc031fd5 s292bc22370d5421d s23cf568bfb4cf4ec c30bfb20bb7e6d54 \
+     s454ff2c13146a0fa c646cfc29a2b38e69 s2f7f850a3117e775 c14f809b82aa0663b \
+     s10b2a607db716e86"
+    hashes
+
 (* --- full handshake through the adapter --- *)
 
 let run_word seed word =
@@ -284,6 +336,8 @@ let () =
           Alcotest.test_case "record protected" `Quick record_roundtrip_protected;
           Alcotest.test_case "wrong keys" `Quick record_wrong_keys_fail;
           Alcotest.test_case "directions differ" `Quick crypto_directions_differ;
+          Alcotest.test_case "wire transcript known answer" `Quick
+            wire_transcript_known_answer;
         ] );
       ( "connection",
         [

@@ -608,6 +608,81 @@ let migration_with_queued_response () =
             List.mem Frame.K_path_challenge a.Quic_alphabet.frames)
           out))
 
+(* --- wire transcript known answers --- *)
+
+(* Drives a client and a server through the public calls only
+   (concretize, handle_datagram, absorb) and records every datagram in
+   order as its direction and [Sim_crypto.hash]. [Key_update] rotates
+   the client's 1-RTT keys before the next symbol. Pinning the count,
+   the total bytes and every hash fixes the traffic byte for byte:
+   headers, packet numbers, keys, ciphertexts and tags. *)
+type transcript_step = Send of Quic_alphabet.symbol | Key_update
+
+let transcript ?profile seed steps =
+  let server, client = make_pair ?profile seed in
+  let datagrams = ref [] in
+  let record dir wire = datagrams := (dir, wire) :: !datagrams in
+  List.iter
+    (function
+      | Key_update -> Quic_client.initiate_key_update client
+      | Send symbol -> (
+          match Quic_client.concretize client symbol with
+          | None -> ()
+          | Some (wire, _) ->
+              record "c" wire;
+              let responses =
+                Quic_server.handle_datagram server ~port:(Quic_client.port client)
+                  wire
+              in
+              List.iter
+                (fun wire ->
+                  record "s" wire;
+                  ignore (Quic_client.absorb client wire))
+                responses))
+    steps;
+  let datagrams = List.rev !datagrams in
+  ( List.length datagrams,
+    List.fold_left (fun n (_, w) -> n + String.length w) 0 datagrams,
+    String.concat " "
+      (List.map
+         (fun (dir, w) ->
+           Printf.sprintf "%s%x" dir (Prognosis_sul.Sim_crypto.hash w))
+         datagrams) )
+
+let check_transcript name (count, bytes, hashes) (count', bytes', hashes') =
+  Alcotest.(check int) (name ^ ": datagrams") count count';
+  Alcotest.(check int) (name ^ ": bytes") bytes bytes';
+  Alcotest.(check string) (name ^ ": hashes") hashes hashes'
+
+let wire_transcript_known_answer () =
+  check_transcript "quiche-like"
+    ( 19,
+      819,
+      "c3763d21e73449ed7 s31a741baf16a69eb s156fe335b5a9cf55 s558dc8af15e2a578 \
+       c324943817bbc87a6 s25ee88b90bd134b2 s7fa1565495f37cec c743735c31d724a14 \
+       s19c50a4e280519c0 c7ba6578d97f48365 s73a5dbe641df860 c23be5e9cb2c1a7a7 \
+       s3d3701bb413fc900 c67ef85d6082a7742 s4ed80bd58045227b c42c9c9a669d5f44d \
+       s2e27e8e0b165f231 c2e7d9fea0ea1bc07 s2df94427b3ab10da" )
+    (transcript 71L
+       Quic_alphabet.
+         [
+           Send Initial_crypto; Send Handshake_ack_crypto; Send Short_ack_stream;
+           Send Short_ack_flow; Send Short_ack_path_challenge; Key_update;
+           Send Short_ack_ping; Send Short_ack_hsd; Send Short_ack_ping;
+         ]);
+  check_transcript "google-like (retry)"
+    ( 11,
+      596,
+      "c6d95c4d3fb1c330d s4eaf8b19eecdfe2e c7a107de504c95dd0 s8bcccb2063bed59 \
+       s26aba744263c9d39 s47ca3eb7d6e813ee c1f02368f3db3fd2 s298531554bf6bf2c \
+       s10c30dfea8d24fce c2d354de517a08c91 s58c8e1c1f846e9f1" )
+    (transcript ~profile:Quic_profile.google_like 73L
+       Quic_alphabet.
+         [
+           Send Initial_crypto; Send Initial_crypto; Send Handshake_ack_crypto;
+           Send Short_ack_stream;
+         ])
+
 (* --- SUL determinism and learning --- *)
 
 let quic_sul ?profile ?client_config seed =
@@ -716,6 +791,8 @@ let () =
           Alcotest.test_case "level isolation" `Quick crypto_level_isolation;
           Alcotest.test_case "direction isolation" `Quick crypto_direction_isolation;
           Alcotest.test_case "known answer" `Quick crypto_known_answer;
+          Alcotest.test_case "wire transcript known answer" `Quick
+            wire_transcript_known_answer;
         ] );
       ( "frames",
         [

@@ -90,6 +90,34 @@ let rng_bytes_length () =
   Alcotest.(check int) "length" 32 (String.length (Rng.bytes rng 32));
   Alcotest.(check int) "empty" 0 (String.length (Rng.bytes rng 0))
 
+(* Known answers: the first draws of each kind for two seeds, in one
+   sequence per seed (next64, int, bytes 8, hex 8, then a split child's
+   first draw and the parent's next). Every simulated nonce, cid and
+   random comes from these, so any change to the generator's state
+   handling must reproduce them exactly. *)
+let rng_known_answers () =
+  let hex s =
+    String.concat ""
+      (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+  in
+  List.iter
+    (fun (seed, next, int, bytes, hex8, child, parent) ->
+      let name what = Printf.sprintf "seed %Ld: %s" seed what in
+      let t = Rng.create seed in
+      Alcotest.(check int64) (name "next64") next (Rng.next64 t);
+      Alcotest.(check int) (name "int 1_000_000") int (Rng.int t 1_000_000);
+      Alcotest.(check string) (name "bytes 8") bytes (hex (Rng.bytes t 8));
+      Alcotest.(check string) (name "hex 8") hex8 (Rng.hex t 8);
+      let c = Rng.split t in
+      Alcotest.(check int64) (name "split child") child (Rng.next64 c);
+      Alcotest.(check int64) (name "parent after split") parent (Rng.next64 t))
+    [
+      ( 1L, -7995527694508729151L, 607129, "5e0bb980a575a896", "61fec08aa83b63f1",
+        2222403098603451588L, -2133835171996146424L );
+      ( 12345L, 2454886589211414944L, 331899, "1dcaeb2e421c17cf",
+        "8516645510b61c1e", -5083100576392604111L, 6938261716188683755L );
+    ]
+
 let prop_rng_int_covers =
   QCheck2.Test.make ~count:50 ~name:"rng int eventually covers small ranges"
     QCheck2.Gen.(int_range 2 8)
@@ -472,6 +500,7 @@ let () =
           Alcotest.test_case "float range" `Quick rng_float_range;
           Alcotest.test_case "bool rate" `Quick rng_bool_rate;
           Alcotest.test_case "bytes" `Quick rng_bytes_length;
+          Alcotest.test_case "known answers" `Quick rng_known_answers;
           QCheck_alcotest.to_alcotest prop_rng_int_covers;
         ] );
       ( "network",
