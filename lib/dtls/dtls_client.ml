@@ -61,15 +61,7 @@ let emit t content payload =
   let seq = t.write_seq in
   t.write_seq <- seq + 1;
   let record = { W.content; epoch = t.write_epoch; seq; payload } in
-  let wire =
-    W.encode_record
-      ~protect:(fun ~epoch ~seq payload ->
-        match C.seal t.crypto C.Client_write ~epoch ~seq payload with
-        | Some sealed -> sealed
-        | None -> payload)
-      record
-  in
-  Some (wire, record)
+  Some (W.encode_record ~protect:(t.crypto, C.Client_write) record, record)
 
 let emit_handshake t msg_type body =
   let message_seq = t.message_seq in
@@ -101,10 +93,7 @@ let concretize t symbol =
   | Dtls_alphabet.Alert_close -> emit t W.Alert "\x01\x00"
 
 let absorb t data =
-  let unprotect ~epoch ~seq payload =
-    C.open_ t.crypto C.Server_write ~epoch ~seq payload
-  in
-  match W.decode_record ~unprotect data with
+  match W.decode_record ~unprotect:(t.crypto, C.Server_write) data with
   | Error _ -> None
   | Ok r ->
       (match r.W.content with

@@ -17,19 +17,18 @@ type t = { mutable keys : keys option }
 let create () = { keys = None }
 
 let derive_master t ~client_random ~server_random ~premaster =
-  let master =
-    P.derive
-      (String.concat "|" [ client_random; server_random; premaster ])
-      "master"
+  let inputs =
+    P.fold_concat P.fnv_basis [ client_random; "|"; server_random; "|"; premaster ]
   in
-  let key label = P.fold_string P.fnv_basis (P.derive master label) in
+  (* the master secret is only ever absorbed, never sent *)
+  let master = P.derive_key inputs "master" in
   t.keys <-
     Some
       {
-        client_key = key "client";
-        server_key = key "server";
-        client_verify = P.derive master "finished|client";
-        server_verify = P.derive master "finished|server";
+        client_key = P.derive_key master "client";
+        server_key = P.derive_key master "server";
+        client_verify = P.derive_from master "finished|client";
+        server_verify = P.derive_from master "finished|server";
       }
 
 let ready t = t.keys <> None
@@ -47,19 +46,20 @@ let nonce keys direction ~epoch ~seq =
 
 let auth nonce = P.fold_byte nonce (Char.code '|')
 
-let seal t direction ~epoch ~seq plaintext =
+let seal t direction ~epoch ~seq buf off len =
   match t.keys with
-  | None -> None
+  | None -> false
   | Some keys ->
       let n = nonce keys direction ~epoch ~seq in
-      Some (P.seal ~stream:n ~auth:(auth n) plaintext)
+      P.seal ~stream:n ~auth:(auth n) buf off len;
+      true
 
-let open_ t direction ~epoch ~seq sealed =
+let open_ t direction ~epoch ~seq data off len =
   match t.keys with
   | None -> None
   | Some keys ->
       let n = nonce keys direction ~epoch ~seq in
-      P.open_ ~stream:n ~auth:(auth n) sealed
+      P.open_ ~stream:n ~auth:(auth n) data off len
 
 let verify_data t direction =
   match (t.keys, direction) with

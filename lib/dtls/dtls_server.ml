@@ -70,16 +70,10 @@ let create ?(config = default_config) rng =
 
 let phase_name t = phase_to_string t.phase
 
-let protect t ~epoch ~seq payload =
-  match C.seal t.crypto C.Server_write ~epoch ~seq payload with
-  | Some sealed -> sealed
-  | None -> payload (* epoch-1 sends never happen before keys exist *)
-
 let emit t content payload =
   let seq = t.write_seq in
   t.write_seq <- seq + 1;
-  W.encode_record
-    ~protect:(protect t)
+  W.encode_record ~protect:(t.crypto, C.Server_write)
     { W.content; epoch = t.write_epoch; seq; payload }
 
 let emit_handshake t msg_type body =
@@ -202,10 +196,7 @@ let handle_record t (r : W.record_) =
           [ emit t W.Alert "\x01\x00" (* warning, close_notify *) ])
 
 let handle_datagram t data =
-  let unprotect ~epoch ~seq payload =
-    C.open_ t.crypto C.Client_write ~epoch ~seq payload
-  in
-  match W.decode_record ~unprotect data with
+  match W.decode_record ~unprotect:(t.crypto, C.Client_write) data with
   | Error _ -> []
   | Ok r ->
       (* Records must arrive in the current read epoch. *)

@@ -66,34 +66,32 @@ type handshake = {
   body : string;
 }
 
-let add_u16 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let add_u24 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  add_u16 buf (v land 0xFFFF)
-
-let add_u48 buf v =
-  add_u16 buf ((v lsr 32) land 0xFFFF);
-  add_u16 buf ((v lsr 16) land 0xFFFF);
-  add_u16 buf (v land 0xFFFF)
-
 let get_u16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
 let get_u24 s off = (Char.code s.[off] lsl 16) lor get_u16 s (off + 1)
 let get_u48 s off = (get_u16 s off lsl 32) lor (get_u16 s (off + 2) lsl 16) lor get_u16 s (off + 4)
+let set_u16 b off v = Bytes.set_uint16_be b off (v land 0xFFFF)
+
+let set_u24 b off v =
+  Bytes.set_uint8 b off ((v lsr 16) land 0xFF);
+  set_u16 b (off + 1) v
+
+let set_u48 b off v =
+  set_u16 b off (v lsr 32);
+  set_u16 b (off + 2) (v lsr 16);
+  set_u16 b (off + 4) v
 
 (* DTLS handshake header: type(1) length(3) message_seq(2)
    fragment_offset(3) fragment_length(3); fragments are whole. *)
 let encode_handshake h =
-  let buf = Buffer.create (12 + String.length h.body) in
-  Buffer.add_char buf (Char.chr (handshake_type_byte h.msg_type));
-  add_u24 buf (String.length h.body);
-  add_u16 buf h.message_seq;
-  add_u24 buf 0;
-  add_u24 buf (String.length h.body);
-  Buffer.add_string buf h.body;
-  Buffer.contents buf
+  let n = String.length h.body in
+  let b = Bytes.create (12 + n) in
+  Bytes.set_uint8 b 0 (handshake_type_byte h.msg_type);
+  set_u24 b 1 n;
+  set_u16 b 4 h.message_seq;
+  set_u24 b 6 0;
+  set_u24 b 9 n;
+  Bytes.blit_string h.body 0 b 12 n;
+  Bytes.unsafe_to_string b
 
 let decode_handshake s =
   if String.length s < 12 then Error "handshake message too short"
@@ -126,24 +124,37 @@ let pp_record fmt r =
 
 let dtls_version = 0xFEFD (* DTLS 1.2 *)
 
-(* Record header: type(1) version(2) epoch(2) seq(6) length(2). *)
+(* Record header: type(1) version(2) epoch(2) seq(6) length(2). The
+   header and the payload share one buffer; a protected payload is
+   sealed in place behind the header, its tag in the last bytes. *)
+let header_len = 13
+
 let encode_record ?protect r =
-  let payload =
+  let n = String.length r.payload in
+  let seal =
     match protect with
-    | Some seal when r.epoch >= 1 -> seal ~epoch:r.epoch ~seq:r.seq r.payload
-    | Some _ | None -> r.payload
+    | Some (crypto, _) when r.epoch >= 1 && Dtls_crypto.ready crypto -> protect
+    | Some _ | None -> None
   in
-  let buf = Buffer.create (13 + String.length payload) in
-  Buffer.add_char buf (Char.chr (content_type_byte r.content));
-  add_u16 buf dtls_version;
-  add_u16 buf r.epoch;
-  add_u48 buf r.seq;
-  add_u16 buf (String.length payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let length =
+    match seal with Some _ -> n + Dtls_crypto.tag_length | None -> n
+  in
+  let b = Bytes.create (header_len + length) in
+  Bytes.set_uint8 b 0 (content_type_byte r.content);
+  set_u16 b 1 dtls_version;
+  set_u16 b 3 r.epoch;
+  set_u48 b 5 r.seq;
+  set_u16 b 11 length;
+  Bytes.blit_string r.payload 0 b header_len n;
+  (match seal with
+  | Some (crypto, direction) ->
+      ignore
+        (Dtls_crypto.seal crypto direction ~epoch:r.epoch ~seq:r.seq b header_len n)
+  | None -> ());
+  Bytes.unsafe_to_string b
 
 let decode_record ?unprotect s =
-  if String.length s < 13 then Error "record too short"
+  if String.length s < header_len then Error "record too short"
   else begin
     match content_type_of_byte (Char.code s.[0]) with
     | None -> Error "unknown content type"
@@ -153,13 +164,14 @@ let decode_record ?unprotect s =
           let epoch = get_u16 s 3 in
           let seq = get_u48 s 5 in
           let length = get_u16 s 11 in
-          if String.length s < 13 + length then Error "truncated record"
+          if String.length s < header_len + length then Error "truncated record"
           else begin
-            let payload = String.sub s 13 length in
             let payload =
               match unprotect with
-              | Some open_ when epoch >= 1 -> open_ ~epoch ~seq payload
-              | Some _ | None -> Some payload
+              | Some (crypto, direction) when epoch >= 1 ->
+                  (* opened straight from the datagram *)
+                  Dtls_crypto.open_ crypto direction ~epoch ~seq s header_len length
+              | Some _ | None -> Some (String.sub s header_len length)
             in
             match payload with
             | Some payload -> Ok { content; epoch; seq; payload }

@@ -46,12 +46,15 @@ type record_ = {
 
 val pp_record : Format.formatter -> record_ -> unit
 
-val encode_record : ?protect:(epoch:int -> seq:int -> string -> string) -> record_ -> string
-(** [protect] seals the payload (applied when [epoch >= 1]). *)
+val encode_record : ?protect:Dtls_crypto.t * Dtls_crypto.direction -> record_ -> string
+(** Header and payload in one buffer. With [protect], a record of epoch
+    >= 1 is sealed in place under that key schedule and direction; it
+    goes out as plaintext while the schedule has no keys yet. *)
 
 val decode_record :
-  ?unprotect:(epoch:int -> seq:int -> string -> string option) ->
+  ?unprotect:Dtls_crypto.t * Dtls_crypto.direction ->
   string ->
   (record_, string) result
-(** [unprotect] opens the payload of epoch >= 1 records; returning
-    [None] makes decoding fail (wrong keys / tampering). *)
+(** With [unprotect], the payload of an epoch >= 1 record is opened
+    straight from the datagram; missing keys or a bad tag (wrong keys,
+    tampering) make decoding fail. *)

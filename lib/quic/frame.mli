@@ -65,7 +65,14 @@ val is_ack_eliciting : t -> bool
 (** Every frame except ACK, PADDING and CONNECTION_CLOSE elicits an
     acknowledgement (RFC 9002). *)
 
-val encode : Buffer.t -> t -> unit
+val encoded_length : t list -> int
+(** The exact number of bytes {!write_all} writes for these frames. *)
+
+val write_all : Bytes.t -> int -> t list -> int
+(** [write_all b off frames] encodes the frames into [b] from [off] and
+    returns the offset after them: a packet encoder writes its payload
+    in place behind the header. *)
+
 val encode_all : t list -> string
 
 val decode_all : string -> (t list, string) result

@@ -45,8 +45,9 @@ type t = {
   mutable tokens_for_dcid : string;
   mutable tokens_for_odcid : string;
   mutable tokens_ : string list;
-      (* stateless-reset tokens for the cids above; cache keyed by
-         physical equality, so a cid swap always recomputes *)
+      (* stateless-reset tokens for the cids above, keyed by value:
+         every long-header packet installs a freshly decoded scid as
+         dcid, usually equal to the one already there *)
 }
 
 let reset t =
@@ -150,16 +151,11 @@ let build t ptype ?(token = "") frames =
   | Some wire -> Some (wire, packet)
   | None -> None
 
-let client_hello t =
-  String.concat ""
-    [
-      "CH:";
-      t.client_random;
-      ";md=";
-      string_of_int initial_max_data;
-      ";msd=";
-      string_of_int initial_max_stream_data;
-    ]
+(* the transport parameters the ClientHello carries never change *)
+let hello_params =
+  Printf.sprintf ";md=%d;msd=%d" initial_max_data initial_max_stream_data
+
+let client_hello t = "CH:" ^ t.client_random ^ hello_params
 
 let concretize t symbol =
   match symbol with
@@ -242,9 +238,13 @@ type absorbed =
   | Junk of string
 
 let reset_tokens t =
-  (* memoized per (dcid, odcid): recomputed only when a Retry or a
-     server scid changes the destination cid, not on every datagram *)
-  if t.tokens_for_dcid != t.dcid || t.tokens_for_odcid != t.odcid then begin
+  (* memoized per (dcid, odcid) value: recomputed only when a Retry or
+     a server scid changes the destination cid, not on every datagram *)
+  if
+    not
+      (String.equal t.tokens_for_dcid t.dcid
+      && String.equal t.tokens_for_odcid t.odcid)
+  then begin
     t.tokens_for_dcid <- t.dcid;
     t.tokens_for_odcid <- t.odcid;
     t.tokens_ <-

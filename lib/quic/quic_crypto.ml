@@ -10,9 +10,11 @@ type direction = Client_to_server | Server_to_client
 module P = Prognosis_sul.Sim_crypto
 
 let hash64 s = Int64.of_int (P.hash s)
-let derive = P.derive
 
-type secrets = { c2s : string; s2c : string }
+(* A direction's key, derived once per level: the 8-byte secret's
+   absorbed hash state. Packets start from it, and so does the next
+   generation on a key update. *)
+type secrets = { c2s : int; s2c : int }
 
 type t = {
   mutable initial : secrets option;
@@ -24,16 +26,21 @@ type t = {
 let create () =
   { initial = None; handshake = None; application = None; app_phase = 0 }
 
+(* [base] is the absorbed state of the level's base secret *)
 let make_secrets base =
-  { c2s = derive base "client"; s2c = derive base "server" }
+  { c2s = P.derive_key base "client"; s2c = P.derive_key base "server" }
 
 let install_initial t ~dcid =
-  t.initial <- Some (make_secrets (derive ("initial:" ^ dcid) "base"))
+  let dcid = P.fold_concat P.fnv_basis [ "initial:"; dcid ] in
+  t.initial <- Some (make_secrets (P.derive_key dcid "base"))
 
 let install_handshake t ~client_random ~server_random =
-  let base = derive ("hs:" ^ client_random ^ ":" ^ server_random) "base" in
+  let randoms =
+    P.fold_concat P.fnv_basis [ "hs:"; client_random; ":"; server_random ]
+  in
+  let base = P.derive_key randoms "base" in
   t.handshake <- Some (make_secrets base);
-  t.application <- Some (make_secrets (derive base "app"))
+  t.application <- Some (make_secrets (P.derive_key base "app"))
 
 let slot t = function
   | Initial_level -> t.initial
@@ -47,7 +54,8 @@ let drop_level t = function
 
 let has_level t level = slot t level <> None
 
-let next_generation s = { c2s = derive s.c2s "ku"; s2c = derive s.s2c "ku" }
+let next_generation s =
+  { c2s = P.derive_key s.c2s "ku"; s2c = P.derive_key s.s2c "ku" }
 
 let update_application t =
   match t.application with
@@ -65,32 +73,50 @@ let key_for secrets = function
 let tag_length = P.tag_length
 
 (* The keystream is seeded from (key, pn); the tag binds
-   key | pn | header | plaintext. *)
-let protect f key ~pn ~header data =
-  let k = P.fold_string P.fnv_basis key in
-  let sep h = P.fold_byte h (Char.code '|') in
-  f ~stream:(P.fold_int k pn)
-    ~auth:(sep (P.fold_string (sep (P.fold_int (sep k) pn)) header))
-    data
+   key | pn | header | plaintext, the header being [data[0, header_len)]. *)
+let sep h = P.fold_byte h (Char.code '|')
+let stream key pn = P.fold_int key pn
+
+let auth key pn data header_len =
+  sep (P.fold_sub (sep (P.fold_int (sep key) pn)) data 0 header_len)
+
+let seal_into t level direction ~pn buf ~header_len =
+  match slot t level with
+  | None -> false
+  | Some secrets ->
+      let key = key_for secrets direction in
+      (* the header is only read while [auth] absorbs it *)
+      let auth = auth key pn (Bytes.unsafe_to_string buf) header_len in
+      P.seal ~stream:(stream key pn) ~auth buf header_len
+        (Bytes.length buf - header_len - tag_length);
+      true
 
 let seal t level direction ~pn ~header plaintext =
+  let h = String.length header and n = String.length plaintext in
+  let buf = Bytes.create (h + n + tag_length) in
+  Bytes.blit_string header 0 buf 0 h;
+  Bytes.blit_string plaintext 0 buf h n;
+  if seal_into t level direction ~pn buf ~header_len:h then
+    Some (Bytes.sub_string buf h (n + tag_length))
+  else None
+
+let open_with key ~pn data ~header_len ~len =
+  P.open_ ~stream:(stream key pn) ~auth:(auth key pn data header_len) data
+    header_len len
+
+let open_ t level direction ~pn data ~header_len ~len =
   match slot t level with
   | None -> None
   | Some secrets ->
-      Some (protect P.seal (key_for secrets direction) ~pn ~header plaintext)
+      open_with (key_for secrets direction) ~pn data ~header_len ~len
 
-let open_ t level direction ~pn ~header sealed =
-  match slot t level with
-  | None -> None
-  | Some secrets ->
-      protect P.open_ (key_for secrets direction) ~pn ~header sealed
-
-let open_updated_application t direction ~pn ~header sealed =
+let open_updated_application t direction ~pn data ~header_len ~len =
   match t.application with
   | None -> None
   | Some secrets ->
-      protect P.open_ (key_for (next_generation secrets) direction) ~pn ~header
-        sealed
+      open_with (key_for (next_generation secrets) direction) ~pn data ~header_len
+        ~len
 
 let stateless_reset_token ~dcid =
-  derive ("srt:" ^ dcid) "token" ^ derive ("srt2:" ^ dcid) "token"
+  let half prefix = P.derive_from (P.fold_concat P.fnv_basis [ prefix; dcid ]) "token" in
+  half "srt:" ^ half "srt2:"

@@ -51,20 +51,37 @@ val has_level : t -> level -> bool
 
 val tag_length : int
 
+val seal_into :
+  t -> level -> direction -> pn:int -> Bytes.t -> header_len:int -> bool
+(** [seal_into t level dir ~pn buf ~header_len] protects a packet built
+    in one buffer: the header in [buf[0, header_len)], the plaintext
+    after it, and {!tag_length} spare bytes at the end. The plaintext is
+    encrypted in place and the tag (binding header and packet number)
+    fills the spare bytes. [false], with [buf] untouched, when the
+    level's keys are not installed. *)
+
 val seal :
   t -> level -> direction -> pn:int -> header:string -> string -> string option
-(** [seal t level dir ~pn ~header plaintext] encrypts and authenticates
-    (binding header and packet number), or [None] when the level's keys
-    are not installed. *)
+(** {!seal_into} for a separate header and plaintext: the ciphertext
+    and tag alone, or [None] when the level's keys are not installed. *)
 
 val open_ :
-  t -> level -> direction -> pn:int -> header:string -> string -> string option
-(** Decrypt and verify; [None] on missing keys or authentication
-    failure. *)
+  t ->
+  level ->
+  direction ->
+  pn:int ->
+  string ->
+  header_len:int ->
+  len:int ->
+  string option
+(** [open_ t level dir ~pn data ~header_len ~len] decrypts and verifies
+    the sealed [data[header_len, header_len + len)] against the header
+    [data[0, header_len)], straight from the datagram; [None] on missing
+    keys or authentication failure. *)
 
 val open_updated_application :
-  t -> direction -> pn:int -> header:string -> string -> string option
-(** Verify a 1-RTT payload against the *next* key generation without
+  t -> direction -> pn:int -> string -> header_len:int -> len:int -> string option
+(** {!open_} of a 1-RTT packet against the *next* key generation without
     committing the update (the receiver side of a peer-initiated key
     update: commit with {!update_application} on success). *)
 

@@ -7,35 +7,41 @@ let encoded_length v =
   else if v < 1 lsl 30 then 4
   else 8
 
-let encode buf v =
+let write b off v =
   match encoded_length v with
-  | 1 -> Buffer.add_char buf (Char.chr v)
+  | 1 ->
+      Bytes.set_uint8 b off v;
+      off + 1
   | 2 ->
-      Buffer.add_char buf (Char.chr (0x40 lor (v lsr 8)));
-      Buffer.add_char buf (Char.chr (v land 0xFF))
+      Bytes.set_uint16_be b off (0x4000 lor v);
+      off + 2
   | 4 ->
-      Buffer.add_char buf (Char.chr (0x80 lor (v lsr 24)));
-      Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-      Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-      Buffer.add_char buf (Char.chr (v land 0xFF))
+      Bytes.set_uint16_be b off (0x8000 lor (v lsr 16));
+      Bytes.set_uint16_be b (off + 2) (v land 0xFFFF);
+      off + 4
   | _ ->
-      Buffer.add_char buf (Char.chr (0xC0 lor ((v lsr 56) land 0x3F)));
-      for shift = 6 downto 0 do
-        Buffer.add_char buf (Char.chr ((v lsr (shift * 8)) land 0xFF))
-      done
+      Bytes.set_int64_be b off (Int64.logor (Int64.of_int v) 0xC000000000000000L);
+      off + 8
 
 let encode_to_string v =
-  let buf = Buffer.create 8 in
-  encode buf v;
-  Buffer.contents buf
+  let b = Bytes.create (encoded_length v) in
+  ignore (write b 0 v);
+  Bytes.unsafe_to_string b
 
-let decode s off =
+let read s pos =
+  let off = !pos in
   if off >= String.length s then invalid_arg "Varint.decode: out of bounds";
   let first = Char.code s.[off] in
   let len = 1 lsl (first lsr 6) in
   if off + len > String.length s then invalid_arg "Varint.decode: truncated";
   let v = ref (first land 0x3F) in
   for i = 1 to len - 1 do
-    v := (!v lsl 8) lor Char.code s.[off + i]
+    v := (!v lsl 8) lor Char.code (String.unsafe_get s (off + i))
   done;
-  (!v, off + len)
+  pos := off + len;
+  !v
+
+let decode s off =
+  let pos = ref off in
+  let v = read s pos in
+  (v, !pos)

@@ -12,8 +12,17 @@ val encoded_length : int -> int
     @raise Invalid_argument for negative values or values above
     {!max_value}. *)
 
-val encode : Buffer.t -> int -> unit
+val write : Bytes.t -> int -> int -> int
+(** [write b off v] writes [v] at [off] in {!encoded_length} bytes and
+    returns the offset after it. *)
+
 val encode_to_string : int -> string
+
+val read : string -> int ref -> int
+(** [read s pos] is the value at [!pos]; [pos] moves past it. A decoder
+    walks a packet with one cursor instead of returning a pair per
+    field.
+    @raise Invalid_argument when the string is too short. *)
 
 val decode : string -> int -> int * int
 (** [decode s off] is [(value, next_offset)].

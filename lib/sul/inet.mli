@@ -9,6 +9,17 @@
     pseudo-header), so corruption injected by the simulated network is
     caught at the same layer it would be in practice. *)
 
+val sum : int -> string -> int -> int -> int
+(** [sum acc s off len] is [acc] plus the RFC 1071 sum of the
+    big-endian 16-bit words of [s[off, off + len)], an odd last byte
+    padded with zero: the exact sum, before carries are folded. Sums of
+    even-length pieces add up to the sum of their concatenation.
+    @raise Invalid_argument when the slice is out of bounds. *)
+
+val finish : int -> int
+(** The ones-complement checksum of a raw {!sum}: carries folded in,
+    then complemented. *)
+
 module Ipv4 : sig
   type t = {
     src : int;  (** 32-bit address *)

@@ -99,32 +99,17 @@ let to_json s =
       Printf.sprintf "  \"urgentPointer\": %d }" s.urgent;
     ]
 
-(* RFC 1071 internet checksum: ones-complement sum of 16-bit words. *)
-let checksum data =
-  let len = String.length data in
-  let sum = ref 0 in
-  let i = ref 0 in
-  while !i + 1 < len do
-    sum := !sum + (Char.code data.[!i] lsl 8) + Char.code data.[!i + 1];
-    i := !i + 2
-  done;
-  if !i < len then sum := !sum + (Char.code data.[!i] lsl 8);
-  while !sum lsr 16 <> 0 do
-    sum := (!sum land 0xFFFF) + (!sum lsr 16)
-  done;
-  lnot !sum land 0xFFFF
-
 let header_len = 20
 
-let set_u16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (off + 1) (Char.chr (v land 0xFF))
+module Inet = Prognosis_sul.Inet
+
+let set_u16 b off v = Bytes.set_uint16_be b off (v land 0xFFFF)
 
 let set_u32 b off v =
-  set_u16 b off ((v lsr 16) land 0xFFFF);
-  set_u16 b (off + 2) (v land 0xFFFF)
+  set_u16 b off (v lsr 16);
+  set_u16 b (off + 2) v
 
-let get_u16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
+let get_u16 = String.get_uint16_be
 let get_u32 s off = (get_u16 s off lsl 16) lor get_u16 s (off + 2)
 
 let flag_bits f =
@@ -145,115 +130,105 @@ let flags_of_bits bits =
     urg = bits land 0x20 <> 0;
   }
 
-let encode_options options =
-  let buf = Buffer.create 16 in
-  List.iter
-    (fun opt ->
-      match opt with
-      | Mss v ->
-          Buffer.add_char buf '\x02';
-          Buffer.add_char buf '\x04';
-          Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-          Buffer.add_char buf (Char.chr (v land 0xFF))
-      | Window_scale v ->
-          Buffer.add_char buf '\x03';
-          Buffer.add_char buf '\x03';
-          Buffer.add_char buf (Char.chr (v land 0xFF))
-      | Sack_permitted ->
-          Buffer.add_char buf '\x04';
-          Buffer.add_char buf '\x02'
-      | Timestamps { value; echo } ->
-          Buffer.add_char buf '\x08';
-          Buffer.add_char buf '\x0A';
-          let add32 v =
-            Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-            Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-            Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-            Buffer.add_char buf (Char.chr (v land 0xFF))
-          in
-          add32 value;
-          add32 echo)
-    options;
-  (* Pad with NOPs to a 32-bit boundary. *)
-  while Buffer.length buf mod 4 <> 0 do
-    Buffer.add_char buf '\x01'
-  done;
-  Buffer.contents buf
+(* Options are written in place behind the fixed header and padded
+   with NOPs to a 32-bit boundary. *)
+let option_length = function
+  | Mss _ -> 4
+  | Window_scale _ -> 3
+  | Sack_permitted -> 2
+  | Timestamps _ -> 10
 
-let decode_options region =
-  let len = String.length region in
+let options_length options =
+  let n = List.fold_left (fun n o -> n + option_length o) 0 options in
+  (n + 3) land lnot 3
+
+let write_option b off opt =
+  Bytes.set_uint8 b off
+    (match opt with
+    | Mss _ -> 2
+    | Window_scale _ -> 3
+    | Sack_permitted -> 4
+    | Timestamps _ -> 8);
+  Bytes.set_uint8 b (off + 1) (option_length opt);
+  (match opt with
+  | Mss v -> set_u16 b (off + 2) v
+  | Window_scale v -> Bytes.set_uint8 b (off + 2) (v land 0xFF)
+  | Sack_permitted -> ()
+  | Timestamps { value; echo } ->
+      set_u32 b (off + 2) value;
+      set_u32 b (off + 6) echo);
+  off + option_length opt
+
+(* Parses the options in [data[off, stop)]. *)
+let decode_options data off stop =
   let rec loop off acc =
-    if off >= len then Ok (List.rev acc)
+    if off >= stop then Ok (List.rev acc)
     else
-      match Char.code region.[off] with
+      match Char.code data.[off] with
       | 0 -> Ok (List.rev acc) (* end of options *)
       | 1 -> loop (off + 1) acc (* NOP *)
       | kind ->
-          if off + 1 >= len then Error "truncated option"
+          if off + 1 >= stop then Error "truncated option"
           else begin
-            let olen = Char.code region.[off + 1] in
-            if olen < 2 || off + olen > len then Error "bad option length"
+            let olen = Char.code data.[off + 1] in
+            if olen < 2 || off + olen > stop then Error "bad option length"
             else begin
               let next = off + olen in
               match (kind, olen) with
-              | 2, 4 ->
-                  let v = (Char.code region.[off + 2] lsl 8) lor Char.code region.[off + 3] in
-                  loop next (Mss v :: acc)
-              | 3, 3 -> loop next (Window_scale (Char.code region.[off + 2]) :: acc)
+              | 2, 4 -> loop next (Mss (get_u16 data (off + 2)) :: acc)
+              | 3, 3 -> loop next (Window_scale (Char.code data.[off + 2]) :: acc)
               | 4, 2 -> loop next (Sack_permitted :: acc)
               | 8, 10 ->
-                  let g32 o =
-                    (Char.code region.[o] lsl 24)
-                    lor (Char.code region.[o + 1] lsl 16)
-                    lor (Char.code region.[o + 2] lsl 8)
-                    lor Char.code region.[o + 3]
-                  in
                   loop next
-                    (Timestamps { value = g32 (off + 2); echo = g32 (off + 6) } :: acc)
+                    (Timestamps
+                       { value = get_u32 data (off + 2); echo = get_u32 data (off + 6) }
+                    :: acc)
               | _ -> loop next acc (* unknown option: skipped *)
             end
           end
   in
-  loop 0 []
+  loop off []
 
+(* The segment is built in one buffer and checksummed in place: the
+   checksum field is still zero when the sum runs. *)
 let encode s =
-  let options = encode_options s.options in
-  let offset_words = 5 + (String.length options / 4) in
+  let options = options_length s.options in
+  let offset_words = 5 + (options / 4) in
   if offset_words > 15 then invalid_arg "Tcp_wire.encode: options too long";
-  let total = header_len + String.length options + String.length s.payload in
-  let b = Bytes.make total '\000' in
+  let data = header_len + options in
+  let total = data + String.length s.payload in
+  let b = Bytes.create total in
+  Bytes.fill b header_len options '\001' (* NOP padding behind the options *);
   set_u16 b 0 s.src_port;
   set_u16 b 2 s.dst_port;
   set_u32 b 4 s.seq;
   set_u32 b 8 s.ack;
-  Bytes.set b 12 (Char.chr (offset_words lsl 4));
-  Bytes.set b 13 (Char.chr (flag_bits s.flags));
+  Bytes.set_uint8 b 12 (offset_words lsl 4);
+  Bytes.set_uint8 b 13 (flag_bits s.flags);
   set_u16 b 14 s.window;
-  (* checksum at 16 starts as zero *)
+  set_u16 b 16 0;
   set_u16 b 18 s.urgent;
-  Bytes.blit_string options 0 b header_len (String.length options);
-  Bytes.blit_string s.payload 0 b
-    (header_len + String.length options)
-    (String.length s.payload);
-  let sum = checksum (Bytes.to_string b) in
-  set_u16 b 16 sum;
-  Bytes.to_string b
+  ignore (List.fold_left (write_option b) header_len s.options);
+  Bytes.blit_string s.payload 0 b data (String.length s.payload);
+  let view = Bytes.unsafe_to_string b in
+  set_u16 b 16 (Inet.finish (Inet.sum 0 view 0 total));
+  view
 
 let decode data =
-  if String.length data < header_len then Error "segment too short"
+  let len = String.length data in
+  if len < header_len then Error "segment too short"
   else begin
     let offset = Char.code data.[12] lsr 4 in
     if offset < 5 then Error "bad data offset"
-    else if String.length data < offset * 4 then Error "truncated header"
+    else if len < offset * 4 then Error "truncated header"
     else begin
+      (* subtracting the stored checksum word from the raw sum is the
+         sum with the field zeroed (it lies on a 16-bit word boundary) *)
       let received_sum = get_u16 data 16 in
-      let zeroed = Bytes.of_string data in
-      set_u16 zeroed 16 0;
-      if checksum (Bytes.to_string zeroed) <> received_sum then
+      if Inet.finish (Inet.sum 0 data 0 len - received_sum) <> received_sum then
         Error "bad checksum"
       else begin
-        let options_region = String.sub data header_len ((offset * 4) - header_len) in
-        match decode_options options_region with
+        match decode_options data header_len (offset * 4) with
         | Error e -> Error e
         | Ok options ->
             Ok
@@ -266,8 +241,7 @@ let decode data =
                 window = get_u16 data 14;
                 urgent = get_u16 data 18;
                 options;
-                payload =
-                  String.sub data (offset * 4) (String.length data - (offset * 4));
+                payload = String.sub data (offset * 4) (len - (offset * 4));
               }
       end
     end

@@ -65,14 +65,12 @@ val pp : Format.formatter -> segment -> unit
 val seq_add : int -> int -> int
 (** Sequence-number addition modulo 2^32. *)
 
-val checksum : string -> int
-(** Internet ones-complement checksum of a byte string. *)
-
 val encode : segment -> string
-(** Binary wire form: 20-byte header + payload, checksum filled in. *)
+(** Binary wire form: 20-byte header, options + payload, checksum
+    ({!Prognosis_sul.Inet.sum}) computed in place. *)
 
 val decode : string -> (segment, string) result
-(** Parses and verifies the checksum. *)
+(** Verifies the checksum in place, then parses. *)
 
 val to_json : segment -> string
 (** The concrete-alphabet representation of the paper's Example 3.2: a

@@ -46,21 +46,16 @@ let record_roundtrip_protected () =
   let c = Dtls_crypto.create () in
   Dtls_crypto.derive_master c ~client_random:"cr" ~server_random:"sr"
     ~premaster:"pms";
-  let seal ~epoch ~seq payload =
-    Option.get (Dtls_crypto.seal c Dtls_crypto.Client_write ~epoch ~seq payload)
-  in
-  let unprotect ~epoch ~seq payload =
-    Dtls_crypto.open_ c Dtls_crypto.Client_write ~epoch ~seq payload
-  in
+  let keys = (c, Dtls_crypto.Client_write) in
   let r =
     { Dtls_wire.content = Dtls_wire.Application_data; epoch = 1; seq = 7; payload = "secret" }
   in
-  let wire = Dtls_wire.encode_record ~protect:seal r in
+  let wire = Dtls_wire.encode_record ~protect:keys r in
   (* Ciphertext differs from plaintext on the wire. *)
   Alcotest.(check bool) "protected" true
     (String.length wire > 13 + 6
     && String.sub wire 13 6 <> "secret");
-  match Dtls_wire.decode_record ~unprotect wire with
+  match Dtls_wire.decode_record ~unprotect:keys wire with
   | Error e -> Alcotest.fail e
   | Ok r' -> Alcotest.(check string) "payload" "secret" r'.Dtls_wire.payload
 
@@ -69,18 +64,12 @@ let record_wrong_keys_fail () =
   Dtls_crypto.derive_master c ~client_random:"cr" ~server_random:"sr" ~premaster:"pms";
   let other = Dtls_crypto.create () in
   Dtls_crypto.derive_master other ~client_random:"cr" ~server_random:"XX" ~premaster:"pms";
-  let seal ~epoch ~seq payload =
-    Option.get (Dtls_crypto.seal c Dtls_crypto.Client_write ~epoch ~seq payload)
-  in
   let wire =
-    Dtls_wire.encode_record ~protect:seal
+    Dtls_wire.encode_record ~protect:(c, Dtls_crypto.Client_write)
       { Dtls_wire.content = Dtls_wire.Application_data; epoch = 1; seq = 0; payload = "x" }
   in
   match
-    Dtls_wire.decode_record
-      ~unprotect:(fun ~epoch ~seq payload ->
-        Dtls_crypto.open_ other Dtls_crypto.Client_write ~epoch ~seq payload)
-      wire
+    Dtls_wire.decode_record ~unprotect:(other, Dtls_crypto.Client_write) wire
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong keys must not decode"

@@ -11,6 +11,7 @@ module Metrics = Prognosis_obs.Metrics
 module Engine = Prognosis_exec.Engine
 module Quic_alphabet = Prognosis_quic.Quic_alphabet
 module Quic_profile = Prognosis_quic.Quic_profile
+module Sul = Prognosis_sul.Sul
 open Prognosis
 
 (* --- packed stepping == functional stepping --- *)
@@ -248,6 +249,39 @@ let pooled_eq_identical () =
     (snd sequential).Report.states
     (snd pooled).Report.states
 
+(* --- allocation budget of the simulated stacks --- *)
+
+(* Minor words of one warm SUL query. A query runs the reference
+   client, the network and the server for every datagram, so a
+   per-packet regression (a memo that stops hitting, a copy put back
+   into a codec) fails here instead of only slowing the benchmark:
+   keying the QUIC client's reset-token memo by physical equality adds
+   about 400 words to the handshake query, beyond its 25% margin. The
+   budgets are 1.25x the figures measured when they were set (QUIC
+   handshake 1451 words, DTLS scenario 1451 words; OCaml 5.1, dune's
+   default profile). *)
+let warm_minor_words sul word =
+  ignore (Sul.query sul word);
+  let before = Gc.minor_words () in
+  ignore (Sul.query sul word);
+  Gc.minor_words () -. before
+
+let check_budget name budget words =
+  if words > budget then
+    Alcotest.failf "%s: %.0f minor words per query, budget %.0f" name words budget
+
+let quic_handshake_budget () =
+  check_budget "QUIC handshake" (1.25 *. 1451.)
+    (warm_minor_words
+       (Prognosis_quic.Quic_adapter.sul ~seed:1L ())
+       Quic_alphabet.[ Initial_crypto; Handshake_ack_crypto ])
+
+let dtls_scenario_budget () =
+  check_budget "DTLS scenario" (1.25 *. 1451.)
+    (warm_minor_words
+       (Prognosis_dtls.Dtls_adapter.sul ~seed:1L ())
+       (List.hd Dtls_study.scenarios))
+
 let () =
   Alcotest.run "perf"
     [
@@ -269,6 +303,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_sharded_dump_canonical;
           Alcotest.test_case "4-domain stress" `Slow
             sharded_stress_four_domains;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "QUIC handshake query" `Quick quic_handshake_budget;
+          Alcotest.test_case "DTLS scenario query" `Quick dtls_scenario_budget;
         ] );
       (* The longest group name sets the column Alcotest truncates case
          names to; "eq-sharding" keeps it at 11 characters, so the

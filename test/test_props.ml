@@ -39,9 +39,7 @@ let prop_varint_sequence =
   QCheck2.Test.make ~count:300 ~name:"varint sequences decode in order"
     QCheck2.Gen.(list_size (gen 1 20) gen_varint_value)
     (fun values ->
-      let buf = Buffer.create 64 in
-      List.iter (Varint.encode buf) values;
-      let s = Buffer.contents buf in
+      let s = String.concat "" (List.map Varint.encode_to_string values) in
       let rec decode_all off acc =
         if off >= String.length s then List.rev acc
         else
@@ -252,6 +250,12 @@ let prop_packet_bitflip_rejected =
 
 (* --- crypto --- *)
 
+(* [Quic_crypto.open_] reads the header and the sealed payload from one
+   datagram; these properties keep them apart. *)
+let quic_open c level direction ~pn ~header sealed =
+  Quic_crypto.open_ c level direction ~pn (header ^ sealed)
+    ~header_len:(String.length header) ~len:(String.length sealed)
+
 let prop_crypto_roundtrip =
   QCheck2.Test.make ~count:300 ~name:"seal/open roundtrip"
     QCheck2.Gen.(pair (string_size ~gen:printable (gen 0 100)) (gen 0 100000))
@@ -263,7 +267,7 @@ let prop_crypto_roundtrip =
       with
       | None -> false
       | Some sealed ->
-          Quic_crypto.open_ c Quic_crypto.Application_level
+          quic_open c Quic_crypto.Application_level
             Quic_crypto.Server_to_client ~pn ~header:"hd" sealed
           = Some plaintext)
 
@@ -280,7 +284,7 @@ let prop_crypto_pn_binding =
       with
       | None -> false
       | Some sealed ->
-          Quic_crypto.open_ c Quic_crypto.Initial_level
+          quic_open c Quic_crypto.Initial_level
             Quic_crypto.Client_to_server ~pn:pn2 ~header:"h" sealed
           = None)
 
@@ -304,9 +308,66 @@ let prop_crypto_bitflip_rejected =
                 if i = pos then Char.chr (Char.code ch lxor (1 lsl bit)) else ch)
               sealed
           in
-          Quic_crypto.open_ c Quic_crypto.Handshake_level
+          quic_open c Quic_crypto.Handshake_level
             Quic_crypto.Client_to_server ~pn:9 ~header:"hd" flipped
           = None)
+
+(* The record-protection primitive works on slices: opening in place
+   is opening a copy, and sealing behind a header is sealing alone. *)
+module Sim_crypto = Prognosis_sul.Sim_crypto
+
+let gen_bytes n = QCheck2.Gen.(string_size ~gen:char (gen 0 n))
+
+let prop_open_slice =
+  QCheck2.Test.make ~count:500 ~name:"open_ (s, off, len) == open_ of String.sub"
+    QCheck2.Gen.(
+      quad (triple (gen_bytes 20) (gen_bytes 60) (gen_bytes 20)) bool
+        (pair (gen 0 100) (gen 0 100))
+        (pair int int))
+    (fun ((prefix, plaintext, suffix), tamper, (dl, dr), (stream, auth)) ->
+      let n = String.length plaintext in
+      let b = Bytes.create (n + Sim_crypto.tag_length) in
+      Bytes.blit_string plaintext 0 b 0 n;
+      Sim_crypto.seal ~stream ~auth b 0 n;
+      if tamper && n > 0 then Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+      let s = prefix ^ Bytes.to_string b ^ suffix in
+      (* the sealed slice itself, then one off by a few bytes either way *)
+      let slices =
+        [
+          (String.length prefix, Bytes.length b);
+          (dl mod (String.length s + 1), 0);
+        ]
+        |> List.map (fun (off, len) ->
+               (off, if len = 0 then dr mod (String.length s - off + 1) else len))
+      in
+      List.for_all
+        (fun (off, len) ->
+          Sim_crypto.open_ ~stream ~auth s off len
+          = Sim_crypto.open_ ~stream ~auth (String.sub s off len) 0 len)
+        slices
+      && Sim_crypto.open_ ~stream ~auth s (String.length prefix) (Bytes.length b)
+         = if tamper && n > 0 then None else Some plaintext)
+
+let prop_seal_behind_header =
+  QCheck2.Test.make ~count:500 ~name:"one-buffer seal == header ^ seal payload"
+    QCheck2.Gen.(triple (gen_bytes 40) (gen_bytes 80) (pair int int))
+    (fun (header, payload, (stream, auth)) ->
+      let h = String.length header and n = String.length payload in
+      let alone = Bytes.create (n + Sim_crypto.tag_length) in
+      Bytes.blit_string payload 0 alone 0 n;
+      Sim_crypto.seal ~stream ~auth alone 0 n;
+      let one = Bytes.create (h + n + Sim_crypto.tag_length) in
+      Bytes.blit_string header 0 one 0 h;
+      Bytes.blit_string payload 0 one h n;
+      Sim_crypto.seal ~stream ~auth one h n;
+      Bytes.to_string one = header ^ Bytes.to_string alone)
+
+let prop_fold_concat =
+  QCheck2.Test.make ~count:500 ~name:"fold_concat == fold_string of the concatenation"
+    QCheck2.Gen.(pair int (list_size (gen 0 5) (gen_bytes 20)))
+    (fun (h, parts) ->
+      Sim_crypto.fold_concat h parts
+      = Sim_crypto.fold_string h (String.concat "" parts))
 
 (* --- DTLS record protection --- *)
 
@@ -318,6 +379,17 @@ let fresh_dtls_crypto () =
     ~premaster:"pms";
   c
 
+(* whole-string views of the in-place seal and the slice open *)
+let dtls_seal c direction ~epoch ~seq plaintext =
+  let n = String.length plaintext in
+  let b = Bytes.create (n + Dtls_crypto.tag_length) in
+  Bytes.blit_string plaintext 0 b 0 n;
+  if Dtls_crypto.seal c direction ~epoch ~seq b 0 n then Some (Bytes.to_string b)
+  else None
+
+let dtls_open c direction ~epoch ~seq sealed =
+  Dtls_crypto.open_ c direction ~epoch ~seq sealed 0 (String.length sealed)
+
 let gen_epoch_seq = QCheck2.Gen.(pair (gen 0 0xFFFF) (gen 0 0xFFFFFFFFFFFF))
 
 let prop_dtls_crypto_roundtrip =
@@ -325,11 +397,11 @@ let prop_dtls_crypto_roundtrip =
     QCheck2.Gen.(pair (string_size ~gen:char (gen 0 100)) gen_epoch_seq)
     (fun (plaintext, (epoch, seq)) ->
       let c = fresh_dtls_crypto () in
-      match Dtls_crypto.seal c Dtls_crypto.Server_write ~epoch ~seq plaintext with
+      match dtls_seal c Dtls_crypto.Server_write ~epoch ~seq plaintext with
       | None -> false
       | Some sealed ->
           String.length sealed = String.length plaintext + Dtls_crypto.tag_length
-          && Dtls_crypto.open_ c Dtls_crypto.Server_write ~epoch ~seq sealed
+          && dtls_open c Dtls_crypto.Server_write ~epoch ~seq sealed
              = Some plaintext)
 
 let prop_dtls_crypto_epoch_seq_binding =
@@ -340,11 +412,11 @@ let prop_dtls_crypto_epoch_seq_binding =
       ||
       let c = fresh_dtls_crypto () in
       match
-        Dtls_crypto.seal c Dtls_crypto.Client_write ~epoch:e1 ~seq:s1 "data"
+        dtls_seal c Dtls_crypto.Client_write ~epoch:e1 ~seq:s1 "data"
       with
       | None -> false
       | Some sealed ->
-          Dtls_crypto.open_ c Dtls_crypto.Client_write ~epoch:e2 ~seq:s2 sealed
+          dtls_open c Dtls_crypto.Client_write ~epoch:e2 ~seq:s2 sealed
           = None)
 
 let prop_dtls_crypto_bitflip_rejected =
@@ -354,7 +426,7 @@ let prop_dtls_crypto_bitflip_rejected =
       triple (string_size ~gen:char (gen 0 40)) (gen 0 1000) (gen 0 7))
     (fun (plaintext, pos, bit) ->
       let c = fresh_dtls_crypto () in
-      match Dtls_crypto.seal c Dtls_crypto.Client_write ~epoch:1 ~seq:5 plaintext with
+      match dtls_seal c Dtls_crypto.Client_write ~epoch:1 ~seq:5 plaintext with
       | None -> false
       | Some sealed ->
           let pos = pos mod String.length sealed in
@@ -364,7 +436,7 @@ let prop_dtls_crypto_bitflip_rejected =
                 if i = pos then Char.chr (Char.code ch lxor (1 lsl bit)) else ch)
               sealed
           in
-          Dtls_crypto.open_ c Dtls_crypto.Client_write ~epoch:1 ~seq:5 flipped
+          dtls_open c Dtls_crypto.Client_write ~epoch:1 ~seq:5 flipped
           = None)
 
 let prop_dtls_crypto_direction_bound =
@@ -372,10 +444,10 @@ let prop_dtls_crypto_direction_bound =
     QCheck2.Gen.(pair (string_size ~gen:char (gen 0 40)) gen_epoch_seq)
     (fun (plaintext, (epoch, seq)) ->
       let c = fresh_dtls_crypto () in
-      match Dtls_crypto.seal c Dtls_crypto.Client_write ~epoch ~seq plaintext with
+      match dtls_seal c Dtls_crypto.Client_write ~epoch ~seq plaintext with
       | None -> false
       | Some sealed ->
-          Dtls_crypto.open_ c Dtls_crypto.Server_write ~epoch ~seq sealed = None)
+          dtls_open c Dtls_crypto.Server_write ~epoch ~seq sealed = None)
 
 (* --- DTLS records --- *)
 
@@ -524,6 +596,161 @@ let prop_inet_unwrap_udp_matches_layers =
       in
       Inet.unwrap_udp wire = layered)
 
+(* The lane-wise sum against the RFC 1071 definition, one big-endian
+   16-bit word at a time, at any offset and any (often odd) length. *)
+let word_sum_reference acc s off len =
+  let sum = ref acc in
+  for k = 0 to (len / 2) - 1 do
+    sum :=
+      !sum + (Char.code s.[off + (2 * k)] lsl 8) + Char.code s.[off + (2 * k) + 1]
+  done;
+  if len land 1 = 1 then sum := !sum + (Char.code s.[off + len - 1] lsl 8);
+  !sum
+
+let prop_inet_sum_lanes =
+  QCheck2.Test.make ~count:1000 ~name:"lane-wise sum == byte-pair reference"
+    QCheck2.Gen.(
+      quad (string_size ~gen:char (gen 0 300)) (gen 0 300) (gen 0 300)
+        (gen 0 0xFFFFF))
+    (fun (s, off, len, acc) ->
+      let off = off mod (String.length s + 1) in
+      let len = len mod (String.length s - off + 1) in
+      Inet.sum acc s off len = word_sum_reference acc s off len)
+
+(* --- decoder fuzzing: mutations of valid packets --- *)
+
+(* Each decoder takes whatever arrives: valid packets with bits flipped,
+   cut short, bytes overwritten, or a length field edited (to a small
+   value as often as to an arbitrary one). It must answer with its typed
+   error, never raise. *)
+type mutation =
+  | Flip of int * int
+  | Truncate of int
+  | Set_byte of int * int
+  | Set_length of int * int
+
+let gen_mutations =
+  QCheck2.Gen.(
+    list_size (gen 1 3)
+      (oneof
+         [
+           map2 (fun p b -> Flip (p, b)) (gen 0 10_000) (gen 0 7);
+           map (fun n -> Truncate n) (gen 0 10_000);
+           map2 (fun p v -> Set_byte (p, v)) (gen 0 10_000) (gen 0 255);
+           map2 (fun i v -> Set_length (i, v)) (gen 0 100) (oneof [ gen 0 16; gen 0 255 ]);
+         ]))
+
+(* [lengths] holds the offsets of the packet's length fields. *)
+let mutate ~lengths wire m =
+  let n = String.length wire in
+  let set pos v = String.mapi (fun i c -> if i = pos then Char.chr v else c) wire in
+  if n = 0 then wire
+  else
+    match m with
+    | Flip (p, bit) -> set (p mod n) (Char.code wire.[p mod n] lxor (1 lsl bit))
+    | Truncate k -> String.sub wire 0 (k mod (n + 1))
+    | Set_byte (p, v) -> set (p mod n) v
+    | Set_length (i, v) -> (
+        match List.filter (fun o -> o < n) lengths with
+        | [] -> wire
+        | offsets -> set (List.nth offsets (i mod List.length offsets)) v)
+
+let mutate_all ~lengths wire ms = List.fold_left (mutate ~lengths) wire ms
+
+let never_raises decode wire =
+  match decode wire with
+  | _ -> true
+  | exception e ->
+      QCheck2.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) wire
+
+let prop_fuzz_quic_packet =
+  QCheck2.Test.make ~count:3000 ~name:"Quic_packet.decode of mutated packets"
+    QCheck2.Gen.(
+      quad
+        (oneofl [ Quic_packet.Initial; Quic_packet.Handshake; Quic_packet.Short ])
+        (gen 0 100000)
+        (list_size (gen 0 6) gen_frame)
+        gen_mutations)
+    (fun (ptype, pn, frames, ms) ->
+      let crypto = fresh_crypto () in
+      let p = Quic_packet.make ptype ~dcid:"8bytecid" ~scid:"scid" ~pn ~frames in
+      match Quic_packet.encode ~crypto ~sender:Quic_crypto.Client_to_server p with
+      | None -> false
+      | Some wire ->
+          (* long header: cid lengths at 5 and 14, then the token length
+             (Initial) and the Length varint *)
+          never_raises
+            (Quic_packet.decode ~crypto ~sender:Quic_crypto.Client_to_server
+               ~reset_tokens:[ String.make 16 'T' ])
+            (mutate_all ~lengths:[ 5; 14; 19; 20; 21 ] wire ms))
+
+let prop_fuzz_frames =
+  QCheck2.Test.make ~count:3000 ~name:"Frame.decode_all of mutated payloads"
+    QCheck2.Gen.(
+      pair
+        (list_size (gen 0 8)
+           (oneof [ gen_frame; map (fun n -> Frame.Padding n) (gen 1 5) ]))
+        gen_mutations)
+    (fun (frames, ms) ->
+      never_raises Frame.decode_all (mutate_all ~lengths:[] (Frame.encode_all frames) ms))
+
+let prop_fuzz_dtls =
+  QCheck2.Test.make ~count:3000
+    ~name:"Dtls_wire.decode_record/decode_handshake of mutated records"
+    QCheck2.Gen.(triple gen_dtls_handshake (pair (gen 0 1) (gen 0 100000)) gen_mutations)
+    (fun (h, (epoch, seq), ms) ->
+      let keys = (fresh_dtls_crypto (), Dtls_crypto.Client_write) in
+      let r =
+        {
+          Dtls_wire.content = Dtls_wire.Handshake;
+          epoch;
+          seq;
+          payload = Dtls_wire.encode_handshake h;
+        }
+      in
+      (* record length at 11, then the handshake length and fragment
+         length behind the 13-byte record header *)
+      let wire =
+        mutate_all ~lengths:[ 11; 12; 14; 15; 16; 22; 23; 24 ]
+          (Dtls_wire.encode_record ~protect:keys r)
+          ms
+      in
+      never_raises
+        (fun wire ->
+          match Dtls_wire.decode_record ~unprotect:keys wire with
+          | Ok r -> ignore (Dtls_wire.decode_handshake r.Dtls_wire.payload)
+          | Error _ -> ())
+        wire
+      && never_raises Dtls_wire.decode_handshake
+           (mutate_all ~lengths:[ 1; 2; 3; 9; 10; 11 ] r.Dtls_wire.payload ms))
+
+(* Rewrites a segment's checksum, so a mutation reaches the header and
+   option parsing behind the checksum check. *)
+let tcp_fix_checksum wire =
+  if String.length wire < 18 then wire
+  else
+    let b = Bytes.of_string wire in
+    Bytes.set_uint16_be b 16 0;
+    let sum = ref (word_sum_reference 0 (Bytes.to_string b) 0 (Bytes.length b)) in
+    while !sum lsr 16 <> 0 do
+      sum := (!sum land 0xFFFF) + (!sum lsr 16)
+    done;
+    Bytes.set_uint16_be b 16 (lnot !sum land 0xFFFF);
+    Bytes.to_string b
+
+let prop_fuzz_tcp =
+  QCheck2.Test.make ~count:3000 ~name:"Tcp_wire.decode of mutated segments"
+    QCheck2.Gen.(quad gen_segment gen_mutations bool bool)
+    (fun (seg, ms, repair, bare) ->
+      (* without a payload, an option overrunning its region overruns
+         the segment *)
+      let seg = if bare then { seg with Tcp_wire.payload = "" } else seg in
+      (* the data offset at 12, option lengths from 21 *)
+      let wire =
+        mutate_all ~lengths:[ 12; 21; 23; 25; 27; 29 ] (Tcp_wire.encode seg) ms
+      in
+      never_raises Tcp_wire.decode (if repair then tcp_fix_checksum wire else wire))
+
 (* --- learning pipeline over random machines, 3-symbol alphabet --- *)
 
 let gen_mealy3 =
@@ -596,6 +823,9 @@ let () =
             prop_crypto_roundtrip;
             prop_crypto_pn_binding;
             prop_crypto_bitflip_rejected;
+            prop_open_slice;
+            prop_seal_behind_header;
+            prop_fold_concat;
           ] );
       ( "dtls-crypto",
         List.map QCheck_alcotest.to_alcotest
@@ -615,7 +845,11 @@ let () =
             prop_inet_bitflip_detected;
             prop_inet_wrap_udp_matches_layers;
             prop_inet_unwrap_udp_matches_layers;
+            prop_inet_sum_lanes;
           ] );
+      ( "fuzz",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_fuzz_quic_packet; prop_fuzz_frames; prop_fuzz_dtls; prop_fuzz_tcp ] );
       ( "learning",
         List.map QCheck_alcotest.to_alcotest
           [
