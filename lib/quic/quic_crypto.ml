@@ -31,8 +31,8 @@ let make_secrets base =
   { c2s = P.derive_key base "client"; s2c = P.derive_key base "server" }
 
 let install_initial t ~dcid =
-  let dcid = P.fold_concat P.fnv_basis [ "initial:"; dcid ] in
-  t.initial <- Some (make_secrets (P.derive_key dcid "base"))
+  let secret = P.fold_concat P.fnv_basis [ "initial:"; dcid ] in
+  t.initial <- Some (make_secrets (P.derive_key secret "base"))
 
 let install_handshake t ~client_random ~server_random =
   let randoms =
@@ -118,5 +118,7 @@ let open_updated_application t direction ~pn data ~header_len ~len =
         ~len
 
 let stateless_reset_token ~dcid =
-  let half prefix = P.derive_from (P.fold_concat P.fnv_basis [ prefix; dcid ]) "token" in
+  let half prefix =
+    P.derive_from (P.fold_concat P.fnv_basis [ prefix; dcid ]) "token"
+  in
   half "srt:" ^ half "srt2:"

@@ -116,7 +116,7 @@ let encode ~crypto ~sender p =
       Some (Bytes.unsafe_to_string b)
   | Stateless_reset -> invalid_arg "use encode_stateless_reset"
   | Initial | Zero_rtt | Handshake ->
-      let level = match level p.ptype with Some l -> l | None -> assert false in
+      let lvl = match level p.ptype with Some l -> l | None -> assert false in
       let token =
         if p.ptype = Initial then
           Varint.encoded_length (String.length p.token) + String.length p.token
@@ -136,7 +136,7 @@ let encode ~crypto ~sender p =
         else off
       in
       ignore (put_u32 b (Varint.write b off length) p.pn);
-      seal ~crypto ~sender level p b ~header_len
+      seal ~crypto ~sender lvl p b ~header_len
   | Short ->
       let phase_bit =
         if Quic_crypto.application_phase crypto land 1 = 1 then 0x04 else 0

@@ -90,8 +90,6 @@ let derive_from secret label =
   let h = fold_byte secret (Char.code '/') in
   bytes_of_hash (mix (fold_string h label))
 
-let derive secret label = derive_from (fold_string fnv_basis secret) label
-
 (* [fold_string fnv_basis (derive_from h label)] without the 8 bytes:
    they are the big-endian bytes of the 63-bit hash, so their one
    little-endian lane is its byte swap, and the lane's top bit is the

@@ -31,15 +31,11 @@ val fold_byte : int -> int -> int
 val hash : string -> int
 (** [hash s] is the finalized hash of [s] alone. *)
 
-val derive : string -> string -> string
-(** [derive secret label] is the 8-byte hash of [secret ^ "/" ^ label]:
-    the key-schedule step. *)
-
 val derive_from : int -> string -> string
-(** [derive_from h label] is {!derive} of the secret whose absorbed
-    state is [h]: [derive s l = derive_from (fold_string fnv_basis s) l],
-    so a secret built from parts ({!fold_concat}) is never
-    materialized. *)
+(** The key-schedule step: [derive_from h label] is the 8-byte hash of
+    [secret ^ "/" ^ label], where [h] is the secret's absorbed state
+    ([fold_string fnv_basis secret], or {!fold_concat} of its parts), so
+    a secret is never materialized. *)
 
 val derive_key : int -> string -> int
 (** [derive_key h label] is [fold_string fnv_basis (derive_from h label)]:

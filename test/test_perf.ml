@@ -1,8 +1,9 @@
 (* The compiled-hot-path invariants behind the CI perf gate: packed
    stepping agrees with the functional reference on arbitrary machines,
    the compacted trie cache round-trips through the checkpoint format
-   byte-identically, and the sharded equivalence oracle produces the
-   same model as a sequential run. These run under the @perf alias,
+   byte-identically, the sharded equivalence oracle produces the same
+   model as a sequential run, and one QUIC and one DTLS SUL query stay
+   within their allocation budgets. These run under the @perf alias,
    next to the counter gate in CI. *)
 
 module Mealy = Prognosis_automata.Mealy

@@ -362,6 +362,13 @@ let prop_seal_behind_header =
       Sim_crypto.seal ~stream ~auth one h n;
       Bytes.to_string one = header ^ Bytes.to_string alone)
 
+let prop_derive_key =
+  QCheck2.Test.make ~count:500 ~name:"derive_key == absorbed derive_from"
+    QCheck2.Gen.(pair int (gen_bytes 20))
+    (fun (h, label) ->
+      Sim_crypto.derive_key h label
+      = Sim_crypto.fold_string Sim_crypto.fnv_basis (Sim_crypto.derive_from h label))
+
 let prop_fold_concat =
   QCheck2.Test.make ~count:500 ~name:"fold_concat == fold_string of the concatenation"
     QCheck2.Gen.(pair int (list_size (gen 0 5) (gen_bytes 20)))
@@ -826,6 +833,7 @@ let () =
             prop_open_slice;
             prop_seal_behind_header;
             prop_fold_concat;
+            prop_derive_key;
           ] );
       ( "dtls-crypto",
         List.map QCheck_alcotest.to_alcotest
