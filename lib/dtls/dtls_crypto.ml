@@ -18,7 +18,8 @@ let create () = { keys = None }
 
 let derive_master t ~client_random ~server_random ~premaster =
   let inputs =
-    P.fold_concat P.fnv_basis [ client_random; "|"; server_random; "|"; premaster ]
+    P.fold_concat P.fnv_basis
+      [ client_random; "|"; server_random; "|"; premaster ]
   in
   (* the master secret is only ever absorbed, never sent *)
   let master = P.derive_key inputs "master" in

@@ -24,13 +24,22 @@ type direction = Client_write | Server_write
 
 val tag_length : int
 
-val seal : t -> direction -> epoch:int -> seq:int -> Bytes.t -> int -> int -> bool
+val seal :
+  t -> direction -> epoch:int -> seq:int -> Bytes.t -> int -> int -> bool
 (** [seal t dir ~epoch ~seq buf off len] encrypts the plaintext in
     [buf[off, off + len)] in place and writes the tag into the
     {!tag_length} bytes after it; [false], with [buf] untouched, when
     keys are not installed. *)
 
-val open_ : t -> direction -> epoch:int -> seq:int -> string -> int -> int -> string option
+val open_ :
+  t ->
+  direction ->
+  epoch:int ->
+  seq:int ->
+  string ->
+  int ->
+  int ->
+  string option
 (** [open_ t dir ~epoch ~seq data off len] is the plaintext of the
     sealed slice [data[off, off + len)], or [None] on missing keys or
     authentication failure. *)

@@ -149,7 +149,8 @@ let encode_record ?protect r =
   (match seal with
   | Some (crypto, direction) ->
       ignore
-        (Dtls_crypto.seal crypto direction ~epoch:r.epoch ~seq:r.seq b header_len n)
+        (Dtls_crypto.seal crypto direction ~epoch:r.epoch ~seq:r.seq b
+           header_len n)
   | None -> ());
   Bytes.unsafe_to_string b
 
@@ -170,7 +171,8 @@ let decode_record ?unprotect s =
               match unprotect with
               | Some (crypto, direction) when epoch >= 1 ->
                   (* opened straight from the datagram *)
-                  Dtls_crypto.open_ crypto direction ~epoch ~seq s header_len length
+                  Dtls_crypto.open_ crypto direction ~epoch ~seq s header_len
+                    length
               | Some _ | None -> Some (String.sub s header_len length)
             in
             match payload with

@@ -46,7 +46,8 @@ type record_ = {
 
 val pp_record : Format.formatter -> record_ -> unit
 
-val encode_record : ?protect:Dtls_crypto.t * Dtls_crypto.direction -> record_ -> string
+val encode_record :
+  ?protect:Dtls_crypto.t * Dtls_crypto.direction -> record_ -> string
 (** Header and payload in one buffer. With [protect], a record of epoch
     >= 1 is sealed in place under that key schedule and direction; it
     goes out as plaintext while the schedule has no keys yet. *)

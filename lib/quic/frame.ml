@@ -165,9 +165,11 @@ let size f =
   | Stop_sending { stream_id; error } -> 1 + vlen stream_id + vlen error
   | Crypto { offset; data } -> 1 + vlen offset + bytes_size data
   | New_token token -> 1 + bytes_size token
-  | Stream { id; offset; data; fin = _ } -> 1 + vlen id + vlen offset + bytes_size data
+  | Stream { id; offset; data; fin = _ } ->
+      1 + vlen id + vlen offset + bytes_size data
   | Max_data v | Data_blocked v -> 1 + vlen v
-  | Max_stream_data { stream_id; max } | Stream_data_blocked { stream_id; max } ->
+  | Max_stream_data { stream_id; max }
+  | Stream_data_blocked { stream_id; max } ->
       1 + vlen stream_id + vlen max
   | Max_streams { max; _ } | Streams_blocked { max; _ } -> 1 + vlen max
   | New_connection_id { seq; retire_prior; cid; reset_token } ->
@@ -216,13 +218,15 @@ let write b off f =
   | Max_streams { bidi; max } -> put1 b off (if bidi then 0x12 else 0x13) max
   | Data_blocked m -> put1 b off 0x14 m
   | Stream_data_blocked { stream_id; max } -> put2 b off 0x15 stream_id max
-  | Streams_blocked { bidi; max } -> put1 b off (if bidi then 0x16 else 0x17) max
+  | Streams_blocked { bidi; max } ->
+      put1 b off (if bidi then 0x16 else 0x17) max
   | New_connection_id { seq; retire_prior; cid; reset_token } ->
       let off = put2 b off 0x18 seq retire_prior in
       Bytes.set b off (Char.chr (String.length cid));
       put_string b (put_string b (off + 1) cid) reset_token (* fixed 16 bytes *)
   | Retire_connection_id seq -> put1 b off 0x19 seq
-  | Path_challenge data -> put_string b (put_varint b off 0x1A) data (* fixed 8 bytes *)
+  | Path_challenge data ->
+      put_string b (put_varint b off 0x1A) data (* fixed 8 bytes *)
   | Path_response data -> put_string b (put_varint b off 0x1B) data
   | Connection_close { error; frame_type; reason; app } ->
       let off =
@@ -300,13 +304,15 @@ let decode_frame payload pos start ft =
       let stream_id = Varint.read payload pos in
       let max = Varint.read payload pos in
       Max_stream_data { stream_id; max }
-  | 0x12 | 0x13 -> Max_streams { bidi = ft = 0x12; max = Varint.read payload pos }
+  | 0x12 | 0x13 ->
+      Max_streams { bidi = ft = 0x12; max = Varint.read payload pos }
   | 0x14 -> Data_blocked (Varint.read payload pos)
   | 0x15 ->
       let stream_id = Varint.read payload pos in
       let max = Varint.read payload pos in
       Stream_data_blocked { stream_id; max }
-  | 0x16 | 0x17 -> Streams_blocked { bidi = ft = 0x16; max = Varint.read payload pos }
+  | 0x16 | 0x17 ->
+      Streams_blocked { bidi = ft = 0x16; max = Varint.read payload pos }
   | 0x18 ->
       let seq = Varint.read payload pos in
       let retire_prior = Varint.read payload pos in

@@ -114,8 +114,9 @@ let open_updated_application t direction ~pn data ~header_len ~len =
   match t.application with
   | None -> None
   | Some secrets ->
-      open_with (key_for (next_generation secrets) direction) ~pn data ~header_len
-        ~len
+      open_with
+        (key_for (next_generation secrets) direction)
+        ~pn data ~header_len ~len
 
 let stateless_reset_token ~dcid =
   let half prefix =

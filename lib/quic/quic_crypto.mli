@@ -80,7 +80,13 @@ val open_ :
     keys or authentication failure. *)
 
 val open_updated_application :
-  t -> direction -> pn:int -> string -> header_len:int -> len:int -> string option
+  t ->
+  direction ->
+  pn:int ->
+  string ->
+  header_len:int ->
+  len:int ->
+  string option
 (** {!open_} of a 1-RTT packet against the *next* key generation without
     committing the update (the receiver side of a peer-initiated key
     update: commit with {!update_application} on success). *)

@@ -124,7 +124,9 @@ let encode ~crypto ~sender p =
       in
       let payload = Frame.encoded_length p.frames in
       let length = 4 + payload + Quic_crypto.tag_length in
-      let header_len = 1 + 4 + cids + token + Varint.encoded_length length + 4 in
+      let header_len =
+        1 + 4 + cids + token + Varint.encoded_length length + 4
+      in
       let b = packet_buffer ~header_len ~payload in
       let off =
         put_u8 b 0 (0x80 lor 0x40 lor (long_type_bits p.ptype lsl 4) lor 0x03)
@@ -142,7 +144,9 @@ let encode ~crypto ~sender p =
         if Quic_crypto.application_phase crypto land 1 = 1 then 0x04 else 0
       in
       let header_len = 1 + String.length p.dcid + 4 in
-      let b = packet_buffer ~header_len ~payload:(Frame.encoded_length p.frames) in
+      let b =
+        packet_buffer ~header_len ~payload:(Frame.encoded_length p.frames)
+      in
       let off = put_u8 b 0 (0x40 lor phase_bit lor 0x03) in
       (* fixed-length dcid, no prefix *)
       ignore (put_u32 b (put_string b off p.dcid) p.pn);
@@ -232,8 +236,8 @@ let decode ~crypto ~sender ~reset_tokens data =
                 match level ptype with Some l -> l | None -> assert false
               in
               (match
-                 Quic_crypto.open_ crypto lvl sender ~pn data ~header_len:(off + 4)
-                   ~len:(length - 4)
+                 Quic_crypto.open_ crypto lvl sender ~pn data
+                   ~header_len:(off + 4) ~len:(length - 4)
                with
               | None -> Undecodable "decryption failed"
               | Some payload -> (

@@ -20,7 +20,8 @@ let write b off v =
       Bytes.set_uint16_be b (off + 2) (v land 0xFFFF);
       off + 4
   | _ ->
-      Bytes.set_int64_be b off (Int64.logor (Int64.of_int v) 0xC000000000000000L);
+      Bytes.set_int64_be b off
+        (Int64.logor (Int64.of_int v) 0xC000000000000000L);
       off + 8
 
 let encode_to_string v =

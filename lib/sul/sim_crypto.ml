@@ -67,7 +67,8 @@ let fold_concat h parts =
     if i = String.length s then go h lane fill rest
     else
       let b = Char.code (String.unsafe_get s i) in
-      if fill < 7 then part h (lane lor (b lsl (8 * fill))) (fill + 1) s (i + 1) rest
+      if fill < 7 then
+        part h (lane lor (b lsl (8 * fill))) (fill + 1) s (i + 1) rest
       else
         let h = (h lxor (lane lor ((b land 0x7F) lsl 56))) * fnv_prime in
         let h = if b >= 0x80 then (h lxor 1) * fnv_prime else h in
@@ -124,7 +125,8 @@ let xor_stream stream src soff dst doff len =
     while !i < len do
       Bytes.unsafe_set dst (doff + !i)
         (Char.unsafe_chr
-           (Char.code (String.unsafe_get src (soff + !i)) lxor (!block land 0xFF)));
+           (Char.code (String.unsafe_get src (soff + !i))
+           lxor (!block land 0xFF)));
       block := !block lsr 8;
       incr i
     done

@@ -176,12 +176,16 @@ let decode_options data off stop =
               let next = off + olen in
               match (kind, olen) with
               | 2, 4 -> loop next (Mss (get_u16 data (off + 2)) :: acc)
-              | 3, 3 -> loop next (Window_scale (Char.code data.[off + 2]) :: acc)
+              | 3, 3 ->
+                  loop next (Window_scale (Char.code data.[off + 2]) :: acc)
               | 4, 2 -> loop next (Sack_permitted :: acc)
               | 8, 10 ->
                   loop next
                     (Timestamps
-                       { value = get_u32 data (off + 2); echo = get_u32 data (off + 6) }
+                       {
+                         value = get_u32 data (off + 2);
+                         echo = get_u32 data (off + 6);
+                       }
                     :: acc)
               | _ -> loop next acc (* unknown option: skipped *)
             end

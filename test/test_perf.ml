@@ -269,7 +269,8 @@ let warm_minor_words sul word =
 
 let check_budget name budget words =
   if words > budget then
-    Alcotest.failf "%s: %.0f minor words per query, budget %.0f" name words budget
+    Alcotest.failf "%s: %.0f minor words per query, budget %.0f" name words
+      budget
 
 let quic_handshake_budget () =
   check_budget "QUIC handshake" (1.25 *. 1451.)
@@ -307,7 +308,8 @@ let () =
         ] );
       ( "alloc",
         [
-          Alcotest.test_case "QUIC handshake query" `Quick quic_handshake_budget;
+          Alcotest.test_case "QUIC handshake query" `Quick
+            quic_handshake_budget;
           Alcotest.test_case "DTLS scenario query" `Quick dtls_scenario_budget;
         ] );
       (* The longest group name sets the column Alcotest truncates case
