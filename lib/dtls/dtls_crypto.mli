@@ -42,7 +42,8 @@ val open_ :
   string option
 (** [open_ t dir ~epoch ~seq data off len] is the plaintext of the
     sealed slice [data[off, off + len)], or [None] on missing keys or
-    authentication failure. *)
+    authentication failure.
+    @raise Invalid_argument when the slice is out of bounds. *)
 
 val verify_data : t -> direction -> string
 (** The Finished message body each side must present (a MAC over the

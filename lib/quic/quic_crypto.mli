@@ -77,7 +77,8 @@ val open_ :
 (** [open_ t level dir ~pn data ~header_len ~len] decrypts and verifies
     the sealed [data[header_len, header_len + len)] against the header
     [data[0, header_len)], straight from the datagram; [None] on missing
-    keys or authentication failure. *)
+    keys or authentication failure.
+    @raise Invalid_argument when the slices are out of bounds. *)
 
 val open_updated_application :
   t ->
