@@ -50,6 +50,44 @@ let or_die = function
       prerr_endline ("error: " ^ msg);
       exit 1
 
+(* The paper's §5 finding, reported the same way by learn, identify,
+   library build and serve: for each [(who, witness)], the word [who]
+   answered inconsistently and the answers it gave; then exit 1. *)
+let nondeterministic verdicts =
+  List.iter
+    (fun (who, (w : (string, string) Prognosis_sul.Nondet.witness)) ->
+      Printf.eprintf
+        "error: %s answered the same query differently across runs (the \
+         paper's nondeterminism check, §5)\n  word:   %s\n"
+        who (String.concat " " w.word);
+      List.iter
+        (fun (o : _ Prognosis_sul.Nondet.observation) ->
+          Printf.eprintf "  answer: %s (%d run(s))\n"
+            (String.concat " " o.answer) o.count)
+        w.answers)
+    verdicts;
+  prerr_endline "Investigate with `prognosis nondet`.";
+  exit 1
+
+let learn_subject (s : Subject.t) ~seed ~algorithm ~exec =
+  try s.Subject.learn ~seed ~algorithm ~exec
+  with Prognosis_sul.Nondet.Nondeterministic w ->
+    nondeterministic [ ("the endpoint", w) ]
+
+(* The run's files: a JSONL trace sink, and [report] with the process
+   metrics as prognosis.report/1 JSON. *)
+let jsonl_sink path =
+  try Prognosis_obs.Trace.Sink.jsonl_file path
+  with Sys_error msg -> or_die (Error ("cannot open trace file: " ^ msg))
+
+let write_report ~path report =
+  (try
+     Prognosis_obs.Atomic_file.write ~path
+       (Report.to_json_string ~metrics:Prognosis_obs.Metrics.default report
+       ^ "\n")
+   with Sys_error msg -> or_die (Error ("cannot write metrics file: " ^ msg)));
+  Format.printf "metrics written to %s@." path
+
 (* Every protocol joins through one descriptor; commands that work for
    any protocol pick one and run a single generic body. *)
 type descriptor = D : ('i, 'o) Protocol.t -> descriptor
@@ -71,13 +109,8 @@ let rec mkdir_p dir =
   end
 
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Ok
-        (Fun.protect
-           ~finally:(fun () -> close_in ic)
-           (fun () -> really_input_string ic (in_channel_length ic)))
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error msg -> Error msg
 
 let algo_name = function Learn.Ttt_tree -> "ttt" | Learn.L_star -> "lstar"
 let algo_of_name = function "lstar" -> Learn.L_star | _ -> Learn.Ttt_tree
@@ -150,13 +183,8 @@ let write_manifest ~dir m =
       ]
   in
   mkdir_p dir;
-  let path = manifest_path dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp path
+  Prognosis_obs.Atomic_file.write ~path:(manifest_path dir)
+    (J.to_string json ^ "\n")
 
 let read_manifest dir =
   let module J = Prognosis_obs.Jsonx in
@@ -207,14 +235,7 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
   (match (trace_out, flight_out) with
   | None, None -> ()
   | trace_out, flight_out ->
-      let file_sink =
-        Option.map
-          (fun path ->
-            try Prognosis_obs.Trace.Sink.jsonl_file path
-            with Sys_error msg ->
-              or_die (Error ("cannot open trace file: " ^ msg)))
-          trace_out
-      in
+      let file_sink = Option.map jsonl_sink trace_out in
       let ring_sink =
         Option.map
           (fun path ->
@@ -240,34 +261,22 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
       Fun.protect
         ~finally:(fun () -> if tracing then Prognosis_obs.Trace.unset_sink ())
         (fun () ->
-          try
-            match descriptor protocol ~profile_name with
-            | D d ->
-                let model, report =
-                  Protocol.learn ~seed ~algorithm ?exec ?checkpoint d
-                in
-                ( report,
-                  Protocol.model_dot d model,
-                  (fun path -> Persist.save ~path d.Protocol.kind model),
-                  fun path ->
-                    Persist.save_text ~path d.Protocol.kind
-                      ~input_to_string:d.Protocol.input_to_string
-                      ~output_to_string:d.Protocol.output_to_string model )
-          with
-          | Prognosis_learner.Cache.Conflict ->
-              or_die
-                (Error
-                   "the implementation answered the same query differently \
-                    across runs — learning pauses, as in the paper's \
-                    nondeterminism check (§5). Investigate with `prognosis \
-                    nondet`.")
-          | Prognosis_sul.Nondet.Nondeterministic_sul msg ->
-              or_die
-                (Error
-                   ("nondeterministic implementation: " ^ msg
-                  ^ ". Investigate with `prognosis nondet`.")))
+          match descriptor protocol ~profile_name with
+          | D d ->
+              let model, report =
+                Protocol.learn ~seed ~algorithm ?exec ?checkpoint d
+              in
+              ( report,
+                Protocol.model_dot d model,
+                (fun path -> Persist.save ~path d.Protocol.kind model),
+                fun path ->
+                  Persist.save_text ~path d.Protocol.kind
+                    ~input_to_string:d.Protocol.input_to_string
+                    ~output_to_string:d.Protocol.output_to_string model ))
     with
     | outputs -> outputs
+    | exception Prognosis_sul.Nondet.Nondeterministic w ->
+        nondeterministic [ ("the implementation", w) ]
     | exception Prognosis_learner.Checkpoint.Budget_exhausted { queries; path } ->
         Format.eprintf "interrupted: query budget reached after %d SUL queries@."
           queries;
@@ -301,16 +310,7 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
   (match flight_out with
   | None -> ()
   | Some path -> Format.printf "flight recorder armed (dumps to %s)@." path);
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-      (try
-         Prognosis_obs.Atomic_file.write ~path
-           (Report.to_json_string ~metrics:Prognosis_obs.Metrics.default report
-           ^ "\n")
-       with Sys_error msg ->
-         or_die (Error ("cannot write metrics file: " ^ msg)));
-      Format.printf "metrics written to %s@." path);
+  Option.iter (fun path -> write_report ~path report) metrics_out;
   (match openmetrics_out with
   | None -> ()
   | Some path ->
@@ -1204,7 +1204,7 @@ let do_library_build () dir subjects seed algorithm workers batch replicas =
     (fun name ->
       let s = or_die (Subject.of_name name) in
       Format.printf "learning %s...@." s.Subject.name;
-      let model, report = s.Subject.learn ~seed ~algorithm ~exec in
+      let model, report = learn_subject s ~seed ~algorithm ~exec in
       let entry = Library.entry_of_model ~name:s.Subject.name ~kind:s.Subject.kind model in
       Prognosis_obs.Atomic_file.write
         ~path:(Filename.concat dir entry.Library.file)
@@ -1315,9 +1315,7 @@ let do_identify () dir subject_name name_override seed algorithm workers batch
   Prognosis_obs.Metrics.reset Prognosis_obs.Metrics.default;
   let tracing = trace_out <> None in
   Option.iter
-    (fun path ->
-      try Prognosis_obs.Trace.set_sink (Prognosis_obs.Trace.Sink.jsonl_file path)
-      with Sys_error msg -> or_die (Error ("cannot open trace file: " ^ msg)))
+    (fun path -> Prognosis_obs.Trace.set_sink (jsonl_sink path))
     trace_out;
   let engine =
     Prognosis_exec.Engine.create ?config:exec
@@ -1325,15 +1323,14 @@ let do_identify () dir subject_name name_override seed algorithm workers batch
   in
   let mq = Prognosis_exec.Engine.membership engine in
   let result =
-    Fun.protect
-      ~finally:(fun () -> if tracing then Prognosis_obs.Trace.unset_sink ())
-      (fun () ->
-        try Identify.run ~mq tree
-        with Prognosis_sul.Nondet.Nondeterministic_sul msg ->
-          or_die
-            (Error
-               ("nondeterministic endpoint: " ^ msg
-              ^ ". Investigate with `prognosis nondet`.")))
+    match
+      Fun.protect
+        ~finally:(fun () -> if tracing then Prognosis_obs.Trace.unset_sink ())
+        (fun () ->
+          Prognosis_exec.Engine.guard engine (fun () -> Identify.run ~mq tree))
+    with
+    | Ok result -> result
+    | Error w -> nondeterministic [ ("the endpoint", w) ]
   in
   Format.printf "@[<v>%a@]@." Identify.pp result;
   (match result.Identify.outcome with
@@ -1345,7 +1342,7 @@ let do_identify () dir subject_name name_override seed algorithm workers batch
          add it)@."
   | Identify.Novel _ -> (
       Format.printf "novel endpoint: learning a full model...@.";
-      let model, report = s.Subject.learn ~seed ~algorithm ~exec in
+      let model, report = learn_subject s ~seed ~algorithm ~exec in
       Format.printf "learned %d states in %d membership queries@."
         report.Report.states report.Report.membership_queries;
       let name =
@@ -1396,12 +1393,7 @@ let do_identify () dir subject_name name_override seed algorithm workers batch
             service = None;
           }
       in
-      (try
-         Prognosis_obs.Atomic_file.write ~path
-           (Report.to_json_string ~metrics:Prognosis_obs.Metrics.default report
-           ^ "\n")
-       with Sys_error msg -> or_die (Error ("cannot write metrics file: " ^ msg)));
-      Format.printf "metrics written to %s@." path
+      write_report ~path report
 
 let identify_cmd =
   let doc =
@@ -1458,18 +1450,9 @@ let do_serve () jobs_file domains shards workers replicas library_dir
   let config =
     { Service.default_config with Prognosis_exec.Engine.workers; replicas }
   in
-  let summary =
-    match Service.run ~domains ~shards ~config ?library ~jobs () with
-    | Ok s -> s
-    | Error e -> or_die (Error e)
-    | exception Prognosis_sul.Nondet.Nondeterministic_sul msg ->
-        or_die
-          (Error
-             ("nondeterministic endpoint: " ^ msg
-            ^ ". Investigate with `prognosis nondet`."))
-  in
+  let summary = or_die (Service.run ~domains ~shards ~config ?library ~jobs ()) in
   Format.printf "@[<v>%a@]@." Service.pp summary;
-  match metrics_out with
+  (match metrics_out with
   | None -> ()
   | Some path ->
       let sum f = List.fold_left (fun acc s -> acc + f s) 0 summary.Service.sessions in
@@ -1495,12 +1478,16 @@ let do_serve () jobs_file domains shards workers replicas library_dir
             service = Some (Service.to_json summary);
           }
       in
-      (try
-         Prognosis_obs.Atomic_file.write ~path
-           (Report.to_json_string ~metrics:Prognosis_obs.Metrics.default report
-           ^ "\n")
-       with Sys_error msg -> or_die (Error ("cannot write metrics file: " ^ msg)));
-      Format.printf "metrics written to %s@." path
+      write_report ~path report);
+  match summary.Service.verdicts with
+  | [] -> ()
+  | vs ->
+      nondeterministic
+        (List.map
+           (fun (v : Service.verdict) ->
+             ( Printf.sprintf "session #%d's endpoint" v.Service.at,
+               v.Service.witness ))
+           vs)
 
 let serve_cmd =
   let doc =

@@ -35,12 +35,12 @@ let learn ?exec ?cache ?labels ?checkpoint ~subject ~seed ~algorithm ~inputs
     checkpoint;
   (* [cache_stats] makes [run_mq] check that the queries reaching the
      pool equal the cache view's misses. *)
-  let r =
-    Learn.run_mq ~algorithm ?checkpoint
-      ~cache_stats:(fun () -> Engine.cache_stats engine)
-      ~inputs ~mq:(Engine.membership engine) ~eq ()
-  in
-  ( r.Learn.model,
-    Report.of_learn_result ~subject ~algorithm:(algorithm_name algorithm)
-      ?exec:(Option.map (fun _ -> Engine.stats_json engine) exec)
-      r )
+  Engine.guard engine (fun () ->
+      Learn.run_mq ~algorithm ?checkpoint
+        ~cache_stats:(fun () -> Engine.cache_stats engine)
+        ~inputs ~mq:(Engine.membership engine) ~eq ())
+  |> Result.map (fun r ->
+         ( r.Learn.model,
+           Report.of_learn_result ~subject ~algorithm:(algorithm_name algorithm)
+             ?exec:(Option.map (fun _ -> Engine.stats_json engine) exec)
+             r ))

@@ -22,8 +22,13 @@ val learn :
   factory:('i, 'o) factory ->
   eq:('i, 'o) Prognosis_learner.Oracle.equivalence ->
   unit ->
-  ('i, 'o) Prognosis_automata.Mealy.t * Report.t
-(** Learns [subject] over [inputs] with the equivalence oracle [eq].
+  ( ('i, 'o) Prognosis_automata.Mealy.t * Report.t,
+    ('i, 'o) Prognosis_sul.Nondet.witness )
+  result
+(** Learns [subject] over [inputs] with the equivalence oracle [eq], or
+    returns the engine's nondeterminism verdict
+    ({!Prognosis_exec.Engine.guard}) when the implementation answers a
+    query inconsistently.
 
     Without [?exec] the pool is [{Engine.default with batch = false}]:
     one worker, one query at a time, the same query stream as a plain

@@ -1,4 +1,5 @@
 module Rng = Prognosis_sul.Rng
+module Nondet = Prognosis_sul.Nondet
 module Sul = Prognosis_sul.Sul
 module Adapter = Prognosis_sul.Adapter
 module Oracle_table = Prognosis_sul.Oracle_table
@@ -49,10 +50,19 @@ let learn ?(seed = 1L) ?(algorithm = Learn.Ttt_tree) ?exec ?checkpoint d =
   Metrics.inc
     (Metrics.counter_l Metrics.default "study.learn_runs" (run_labels d));
   let kind = String.map (function ':' -> '-' | c -> c) d.name in
-  Pipeline.learn ?exec
-    ?checkpoint:(Option.map (Checkpoint.start ~kind) checkpoint)
-    ~subject:d.name ~seed ~algorithm ~inputs:d.inputs ~factory:(factory d)
-    ~eq:(eq_oracle d ~seed) ()
+  match
+    Pipeline.learn ?exec
+      ?checkpoint:(Option.map (Checkpoint.start ~kind) checkpoint)
+      ~subject:d.name ~seed ~algorithm ~inputs:d.inputs ~factory:(factory d)
+      ~eq:(eq_oracle d ~seed) ()
+  with
+  | Ok learned -> learned
+  | Error { Nondet.word; answers } ->
+      let answer (o : _ Nondet.observation) =
+        { o with answer = List.map d.output_to_string o.answer }
+      in
+      let word = List.map d.input_to_string word in
+      raise (Nondet.Nondeterministic { word; answers = List.map answer answers })
 
 let strings d =
   {

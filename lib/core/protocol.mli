@@ -49,7 +49,10 @@ val learn :
     [resume], restarts from the last snapshot — see
     {!Prognosis_learner.Checkpoint}. May raise
     {!Prognosis_learner.Checkpoint.Budget_exhausted} when the spec
-    carries a query budget. *)
+    carries a query budget.
+    @raise Prognosis_sul.Nondet.Nondeterministic with the
+    {!Pipeline.learn} verdict, rendered with the descriptor's
+    printers. *)
 
 val strings : ('i, 'o) t -> (string, string) t
 (** The same protocol seen at the string level: printed alphabet and

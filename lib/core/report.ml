@@ -42,9 +42,6 @@ let of_learn_result ~subject ~algorithm ?exec (r : ('i, 'o) Learn.result) =
     service = None;
   }
 
-let with_identification ident t = { t with identification = Some ident }
-let with_service service t = { t with service = Some service }
-
 let cache_hit_rate t =
   let total = t.cache_hits + t.cache_misses in
   if total = 0 then 0.0 else float_of_int t.cache_hits /. float_of_int total

@@ -36,14 +36,6 @@ val of_learn_result :
   ('i, 'o) Prognosis_learner.Learn.result ->
   t
 
-val with_identification : Prognosis_obs.Jsonx.t -> t -> t
-(** Attach a [prognosis.identification/1] block; {!to_json} then
-    emits it as an ["identification"] field. *)
-
-val with_service : Prognosis_obs.Jsonx.t -> t -> t
-(** Attach a [prognosis.service/1] block; {!to_json} then emits it as
-    a ["service"] field. *)
-
 val trace_count : t -> max_len:int -> int
 (** Number of input words of length ≤ [max_len] over this alphabet
     (the exhaustive-exploration cost the paper contrasts with). *)

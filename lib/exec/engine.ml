@@ -84,6 +84,8 @@ type ('i, 'o) t = {
   (* per-worker labelled gauges (exec.worker.*{worker="i"}), obtained
      once at pool creation and written in [flush] *)
   worker_gauges : (float ref * float ref * float ref) array;
+  verdict : ('i, 'o) Nondet.witness -> exn;
+  guard : 'a. (unit -> 'a) -> ('a, ('i, 'o) Nondet.witness) result;
 }
 
 let m_batches = Metrics.counter Metrics.default "exec.batches"
@@ -111,7 +113,8 @@ let worker_quarantines labels id =
   Metrics.counter_l Metrics.default "exec.worker.quarantines"
     (worker_label labels id)
 
-let create ?(config = default) ?(labels = []) ?cache ~factory () =
+let create (type i o) ?(config = default) ?(labels = []) ?cache
+    ~(factory : int -> (i, o) Sul.t) () =
   if config.workers < 1 then invalid_arg "Engine.create: workers must be >= 1";
   if config.replicas < 1 then
     invalid_arg "Engine.create: replicas must be >= 1";
@@ -140,6 +143,9 @@ let create ?(config = default) ?(labels = []) ?cache ~factory () =
           Metrics.gauge_l Metrics.default "exec.worker.steps"
             (worker_label labels id) ))
   in
+  (* This engine's own exception: {!guard} catches the verdicts of its
+     engine only, so a fleet session never takes another's. *)
+  let exception Verdict of (i, o) Nondet.witness in
   {
     config;
     workers;
@@ -150,7 +156,11 @@ let create ?(config = default) ?(labels = []) ?cache ~factory () =
     rr = 0;
     labels;
     worker_gauges;
+    verdict = (fun w -> Verdict w);
+    guard = (fun f -> try Ok (f ()) with Verdict w -> Error w);
   }
+
+let guard t f = t.guard f
 
 (* --- checkpointable pool state ---
 
@@ -323,18 +333,6 @@ let pick_replicas t n =
   t.rr <- t.rr + 1;
   List.init n (fun i -> a.((start + i) mod k))
 
-let tally answers =
-  let rec add obs a =
-    match obs with
-    | [] -> [ { Nondet.answer = a; count = 1 } ]
-    | o :: rest ->
-        if o.Nondet.answer = a then { o with Nondet.count = o.count + 1 } :: rest
-        else o :: add rest a
-  in
-  List.sort
-    (fun a b -> compare b.Nondet.count a.Nondet.count)
-    (List.fold_left add [] (List.map snd answers))
-
 let strike t worker =
   worker.strikes <- worker.strikes + 1;
   Metrics.inc (worker_strikes t.labels worker.id);
@@ -362,24 +360,22 @@ let strike t worker =
    workers; agreement returns immediately, disagreement escalates to
    every active worker and takes the strict-majority answer, striking
    the outvoted workers (quarantine after [max_strikes], re-admitted
-   after [cooldown] runs). No majority means the pool as a whole
-   answers nondeterministically — exactly the situation the paper's §5
-   check reports. *)
+   after [cooldown] runs). No majority is the pool's verdict, the word
+   with the tally of its answers — the paper's §5 check. *)
 let vote t acct ids word =
-  let len = Array.length ids in
   let run w = (w, run_word acct w ~from:(-1) ids word) in
   let answers = List.map run (pick_replicas t t.config.replicas) in
   t.stats.vote_runs <- t.stats.vote_runs + List.length answers - 1;
   if List.length answers > 1 then
     Metrics.inc ~by:(List.length answers - 1) m_vote_runs;
-  match tally answers with
+  match Nondet.tally (List.map snd answers) with
   | [ only ] -> only.Nondet.answer
   | _ ->
       t.stats.disagreements <- t.stats.disagreements + 1;
       Metrics.inc m_disagreements;
       if Trace.enabled () then
         Trace.event
-          ~attrs:[ ("word_len", Jsonx.Int len) ]
+          ~attrs:[ ("word_len", Jsonx.Int (Array.length ids)) ]
           "exec.disagreement";
       let chosen_ids = List.map (fun (w, _) -> w.id) answers in
       let rest =
@@ -391,7 +387,7 @@ let vote t acct ids word =
       t.stats.vote_runs <- t.stats.vote_runs + List.length more;
       if more <> [] then Metrics.inc ~by:(List.length more) m_vote_runs;
       let all = answers @ more in
-      let obs = tally all in
+      let obs = Nondet.tally (List.map snd all) in
       let best = List.hd obs in
       let total = List.length all in
       if 2 * best.Nondet.count > total then begin
@@ -399,13 +395,26 @@ let vote t acct ids word =
         List.iter (fun (w, a) -> if a <> majority then strike t w) all;
         majority
       end
-      else
-        raise
-          (Nondet.Nondeterministic_sul
-             (Printf.sprintf
-                "query pool: no majority on a %d-symbol word (%d distinct \
-                 answers over %d runs)"
-                len (List.length obs) total))
+      else raise (t.verdict { Nondet.word; answers = obs })
+
+(* The first [n] of [l]: a run's outputs cut to the length of a word
+   it answers, or a word cut to a prefix. *)
+let rec cut n l =
+  match l with
+  | _ when n = 0 -> []
+  | x :: xs -> x :: cut (n - 1) xs
+  | [] -> assert false
+
+(* Records a run in the cache. A conflict with a cached answer is the
+   engine's other verdict: [word] cut after the first differing output,
+   with the cached and the fresh answer. *)
+let insert t ids word fresh =
+  try Cache.insert_coded t.cache ids fresh
+  with Cache.Conflict i ->
+    let word = cut (i + 1) word in
+    let answer a = { Nondet.answer = cut (i + 1) a; count = 1 } in
+    let cached = Option.get (Cache.lookup t.cache word) in
+    raise (t.verdict { Nondet.word; answers = [ answer cached; answer fresh ] })
 
 (* A sequential run, with the worker picked for the longest resume. *)
 let run_picked t acct ids word =
@@ -420,14 +429,6 @@ let exec_word t ids word =
   in
   flush t acct;
   outs
-
-(* The first [n] of [outs]: a run's outputs cut to the length of a word
-   it answers. *)
-let rec cut n outs =
-  match outs with
-  | _ when n = 0 -> []
-  | o :: os -> o :: cut (n - 1) os
-  | [] -> assert false
 
 (* Plan the batch of coded words, insert each run into the cache as it
    completes, and answer every word from the outputs of the run that
@@ -452,7 +453,7 @@ let exec_batch t (batch : (int array * 'i list) array) =
   let outs = Array.make (Array.length runs) [] in
   let acct = fresh_acct () in
   let finish r o =
-    Cache.insert_coded t.cache (fst runs.(r)) o;
+    insert t (fst runs.(r)) (snd runs.(r)) o;
     outs.(r) <- o
   in
   let execute () =
@@ -501,7 +502,7 @@ let membership t =
           Oracle.run_query stats (Array.length ids) (fun () ->
               exec_word t ids word)
         in
-        Cache.insert_coded t.cache ids answer;
+        insert t ids word answer;
         answer
   in
   (* One cache walk per word: hits are answered from it, and only the

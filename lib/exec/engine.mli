@@ -24,9 +24,8 @@
       pool and takes the strict-majority answer (the per-query retry),
       striking outvoted workers. A worker reaching [max_strikes] is
       quarantined — a circuit breaker — and re-admitted after
-      [cooldown] further pool runs. No majority raises
-      {!Prognosis_sul.Nondet.Nondeterministic_sul}: a pool that cannot
-      agree is the paper's §5 nondeterminism diagnosis.
+      [cooldown] further pool runs. A pool that cannot agree is the
+      paper's §5 nondeterminism diagnosis: a verdict ({!guard}).
 
     The engine fronts everything with one
     {!Prognosis_learner.Cache} view, so {!membership} is a drop-in
@@ -74,6 +73,18 @@ val create :
     tallies.
     @raise Invalid_argument on a non-positive worker count or
     [replicas] outside [1, workers]. *)
+
+val guard :
+  ('i, 'o) t ->
+  (unit -> 'a) ->
+  ('a, ('i, 'o) Prognosis_sul.Nondet.witness) result
+(** [guard e f] runs [f] (a learn or an identification over [e]'s
+    {!membership}) and returns [e]'s nondeterminism verdict as [Error].
+    The engine has two detectors: a vote with no strict majority (the
+    witness is the word with the tally of its answers) and a fresh
+    answer that contradicts a cached one (the word cut after the first
+    differing output, with the cached and the fresh answer). A verdict
+    of another engine, or any other exception, propagates. *)
 
 val freeze : ('i, 'o) t -> string
 (** Snapshot of the pool's robustness bookkeeping (per-worker run

@@ -56,6 +56,6 @@ val run :
 val to_json : result -> Prognosis_obs.Jsonx.t
 (** Schema-versioned ["prognosis.identification/1"] object — the
     ["identification"] block of [prognosis.report/1]
-    ({!Prognosis.Report.with_identification}). *)
+    ([Report.t.identification]). *)
 
 val pp : Format.formatter -> result -> unit

@@ -1,6 +1,6 @@
 module Metrics = Prognosis_obs.Metrics
 
-exception Conflict
+exception Conflict of int
 
 (* Dense int ids for one symbol type. A coder is an immutable snapshot
    behind an [Atomic.t]: interning installs an extended copy with one
@@ -154,7 +154,7 @@ module Trie = struct
       if j = Array.length kid.path then at_node kid i
       else if i < len then
         if word.(i) = kid.path.(j) then begin
-          if outs.(i) <> kid.pouts.(j) then raise Conflict;
+          if outs.(i) <> kid.pouts.(j) then raise (Conflict i);
           in_edge parent kid (j + 1) (i + 1)
         end
         else begin

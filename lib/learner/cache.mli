@@ -22,10 +22,11 @@
     ({!shared}). Every operation below works on either; the view keeps
     its own hit/miss tallies. *)
 
-exception Conflict
+exception Conflict of int
 (** Raised by {!insert} and {!wrap} when the same word is answered
     with different outputs — the system under learning answered
-    nondeterministically (the paper's §5 check). *)
+    nondeterministically (the paper's §5 check). The payload is the
+    position of the first output that differs from the cached one. *)
 
 type ('i, 'o) t
 

@@ -58,8 +58,5 @@ let of_fun ?stats f =
 
 let of_sul ?stats sul = of_fun ?stats (Prognosis_sul.Sul.query sul)
 
-let of_sul_checked ?stats ?(config = Prognosis_sul.Nondet.default) ~pp sul =
-  of_fun ?stats (Prognosis_sul.Nondet.deterministic_query config ~pp sul)
-
 type ('i, 'o) equivalence =
   ('i, 'o) membership -> ('i, 'o) Prognosis_automata.Mealy.t -> 'i list option

@@ -41,17 +41,6 @@ val run_query : stats -> int -> (unit -> 'o list) -> 'o list
 
 val of_sul : ?stats:stats -> ('i, 'o) Prognosis_sul.Sul.t -> ('i, 'o) membership
 
-val of_sul_checked :
-  ?stats:stats ->
-  ?config:Prognosis_sul.Nondet.config ->
-  pp:('i list -> string) ->
-  ('i, 'o) Prognosis_sul.Sul.t ->
-  ('i, 'o) membership
-(** Membership oracle guarded by the nondeterminism check: every query
-    is executed repeatedly per the config and must reach the agreement
-    threshold.
-    @raise Prognosis_sul.Nondet.Nondeterministic_sul otherwise. *)
-
 type ('i, 'o) equivalence =
   ('i, 'o) membership -> ('i, 'o) Prognosis_automata.Mealy.t -> 'i list option
 (** [eq mq hypothesis] is [Some w] for a counterexample word [w] on

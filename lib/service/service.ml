@@ -7,6 +7,7 @@ module Splitter = Prognosis_fingerprint.Splitter
 module Identify = Prognosis_fingerprint.Identify
 module Jsonx = Prognosis_obs.Jsonx
 module Trace = Prognosis_obs.Trace
+module Nondet = Prognosis_sul.Nondet
 open Prognosis
 
 type op = Learn | Identify
@@ -121,8 +122,15 @@ type shared_cache = {
   nodes : int;
 }
 
+type verdict = {
+  at : int;
+  job : job;
+  witness : (string, string) Nondet.witness;
+}
+
 type t = {
   sessions : session list;
+  verdicts : verdict list;
   shared : shared_cache list;
   domains : int;
   elapsed_s : float;
@@ -141,14 +149,15 @@ let shared_hits t = List.fold_left (fun acc c -> acc + c.hits) 0 t.shared
    one cache layer and the view's tallies are the session's own. Learn
    sessions take the engine-level learn path at the string level, with
    the descriptor's equivalence oracle and SULs from the subject's
-   [factory], so they share the cache with identify sessions. *)
+   [factory], so they share the cache with identify sessions. Either
+   returns the engine's verdict when the endpoint answers
+   inconsistently. *)
 let run_learn ~cache ~config ~labels (job : job) =
   let s = job.subject in
-  let model, r =
-    Pipeline.learn ~exec:config ~cache ~labels ~subject:s.Subject.name
-      ~seed:job.seed ~algorithm:job.algorithm ~inputs:s.Subject.inputs
-      ~factory:s.Subject.factory ~eq:(s.Subject.eq ~seed:job.seed) ()
-  in
+  Pipeline.learn ~exec:config ~cache ~labels ~subject:s.Subject.name
+    ~seed:job.seed ~algorithm:job.algorithm ~inputs:s.Subject.inputs
+    ~factory:s.Subject.factory ~eq:(s.Subject.eq ~seed:job.seed) ()
+  |> Result.map @@ fun (model, r) ->
   ( Learned
       {
         canonical =
@@ -172,10 +181,11 @@ let run_identify ~cache ~tree ~config ~labels (job : job) =
            ~workers:config.Engine.workers)
       ()
   in
-  let outcome = Identified (Identify.run ~mq:(Engine.membership engine) tree) in
+  Engine.guard engine (fun () -> Identify.run ~mq:(Engine.membership engine) tree)
+  |> Result.map @@ fun r ->
   let stats = Engine.oracle_stats engine in
   let hits, misses = Engine.cache_stats engine in
-  ( outcome,
+  ( Identified r,
     ( stats.Prognosis_learner.Oracle.membership_queries,
       stats.Prognosis_learner.Oracle.membership_symbols,
       stats.Prognosis_learner.Oracle.test_words,
@@ -183,8 +193,6 @@ let run_identify ~cache ~tree ~config ~labels (job : job) =
       misses ) )
 
 (* --- the scheduler --- *)
-
-exception Service_error of string
 
 let default_config = { Engine.default with Engine.batch = true }
 
@@ -195,148 +203,136 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
   (* Resident splitter forest: built (and its entry models packed)
      once on this domain before fan-out — [Mealy.Packed.pack]
      memoizes on the model record and is not safe to race. *)
-  let forest =
+  let* forest =
     if Array.exists (fun j -> j.op = Identify) jobs then
       match library with
       | None -> Error "identify jobs require a model library"
-      | Some lib -> (
+      | Some lib ->
           List.iter
             (fun (e : Library.entry) ->
               ignore (Mealy.Packed.pack e.Library.model))
             lib.Library.entries;
-          match Splitter.of_library lib with
-          | Ok forest -> Ok forest
-          | Error e -> Error e)
+          Splitter.of_library lib
     else Ok []
   in
-  match forest with
-  | Error e -> Error e
-  | Ok forest ->
-      (* One shared sharded cache per endpoint configuration: sessions
-         probing behaviourally identical endpoints (same subject name —
-         SUL answers are seed-invariant) pool their answers; distinct
-         configurations must not, they answer differently. *)
-      let caches = Hashtbl.create 8 in
-      Array.iter
-        (fun j ->
-          let name = j.subject.Subject.name in
-          if not (Hashtbl.mem caches name) then
-            Hashtbl.add caches name (Cache.Sharded.create ~shards ()))
-        jobs;
-      let tree_for (j : job) =
-        Option.value ~default:(Splitter.Leaf None)
-          (List.assoc_opt j.subject.Subject.kind forest)
-      in
-      let results = Array.make n None in
-      let failures = Array.make n None in
-      let next = Atomic.make 0 in
-      let run_session i (job : job) =
-        let cache =
-          Cache.shared (Hashtbl.find caches job.subject.Subject.name)
-        in
-        let labels = [ ("session", string_of_int i) ] in
-        let t0 = Unix.gettimeofday () in
-        let outcome, (queries, symbols, test_words, hits, misses) =
-          match job.op with
-          | Learn -> run_learn ~cache ~config ~labels job
-          | Identify ->
-              run_identify ~cache ~tree:(tree_for job) ~config ~labels job
-        in
-        {
-          index = i;
-          s_op = job.op;
-          endpoint = job.subject.Subject.name;
-          s_seed = job.seed;
-          s_algorithm = job.algorithm;
-          outcome;
-          membership_queries = queries;
-          membership_symbols = symbols;
-          test_words;
-          cache_hits = hits;
-          cache_misses = misses;
-          elapsed_s = Unix.gettimeofday () -. t0;
-        }
-      in
-      let worker () =
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            (match run_session i jobs.(i) with
-            | session -> results.(i) <- Some session
-            | exception e ->
-                failures.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-            loop ()
-          end
-        in
+  (* One shared sharded cache per endpoint configuration: sessions
+     probing behaviourally identical endpoints (same subject name —
+     SUL answers are seed-invariant) pool their answers; distinct
+     configurations must not, they answer differently. *)
+  let caches = Hashtbl.create 8 in
+  Array.iter
+    (fun j ->
+      let name = j.subject.Subject.name in
+      if not (Hashtbl.mem caches name) then
+        Hashtbl.add caches name (Cache.Sharded.create ~shards ()))
+    jobs;
+  let tree_for (j : job) =
+    Option.value ~default:(Splitter.Leaf None)
+      (List.assoc_opt j.subject.Subject.kind forest)
+  in
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let run_session i (job : job) =
+    let cache = Cache.shared (Hashtbl.find caches job.subject.Subject.name) in
+    let labels = [ ("session", string_of_int i) ] in
+    let t0 = Unix.gettimeofday () in
+    (match job.op with
+    | Learn -> run_learn ~cache ~config ~labels job
+    | Identify -> run_identify ~cache ~tree:(tree_for job) ~config ~labels job)
+    |> Result.map_error (fun witness -> { at = i; job; witness })
+    |> Result.map
+       @@ fun (outcome, (queries, symbols, test_words, hits, misses)) ->
+    {
+      index = i;
+      s_op = job.op;
+      endpoint = job.subject.Subject.name;
+      s_seed = job.seed;
+      s_algorithm = job.algorithm;
+      outcome;
+      membership_queries = queries;
+      membership_symbols = symbols;
+      test_words;
+      cache_hits = hits;
+      cache_misses = misses;
+      elapsed_s = Unix.gettimeofday () -. t0;
+    }
+  in
+  let worker () =
+    let rec loop () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <-
+          Some
+            (try Ok (run_session i jobs.(i))
+             with e -> Error (e, Printexc.get_raw_backtrace ()));
         loop ()
-      in
-      (* The trace sink is not domain-safe, so a traced run degrades to
-         a sequential fleet. *)
-      let domains =
-        let d = max 1 (min domains (max n 1)) in
-        if Trace.enabled () then 1 else d
-      in
-      let t0 = Unix.gettimeofday () in
-      if domains = 1 then worker ()
-      else begin
-        let spawned =
-          Array.init (domains - 1) (fun _ -> Domain.spawn worker)
-        in
-        worker ();
-        Array.iter Domain.join spawned
-      end;
-      let elapsed_s = Unix.gettimeofday () -. t0 in
-      (* Failures surface in job order, so a multi-failure fleet
-         reports deterministically whichever job comes first. *)
-      Array.iter
-        (function
-          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-          | None -> ())
-        failures;
-      let sessions =
-        Array.to_list
-          (Array.map
-             (function
-               | Some s -> s
-               | None -> raise (Service_error "session produced no result"))
-             results)
-      in
-      let shared =
-        (* first-appearance order over distinct endpoints, from the
-           job list (Hashtbl order is not deterministic); a cache's
-           tallies are the sum of its sessions' views *)
-        let seen = Hashtbl.create 8 in
-        Array.to_list jobs
-        |> List.filter_map (fun j ->
-               let name = j.subject.Subject.name in
-               if Hashtbl.mem seen name then None
-               else begin
-                 Hashtbl.add seen name ();
-                 let c = Hashtbl.find caches name in
-                 let sum f =
-                   List.fold_left
-                     (fun acc s -> if s.endpoint = name then acc + f s else acc)
-                     0 sessions
-                 in
-                 Some
-                   {
-                     cache_endpoint = name;
-                     shard_count = Cache.Sharded.shards c;
-                     hits = sum (fun s -> s.cache_hits);
-                     misses = sum (fun s -> s.cache_misses);
-                     nodes = Cache.Sharded.size c;
-                   }
-               end)
-      in
-      Ok
-        {
-          sessions;
-          shared;
-          domains;
-          elapsed_s;
-          sessions_per_sec =
-            (if elapsed_s > 0.0 then float_of_int n /. elapsed_s else 0.0);
-        }
+      end
+    in
+    loop ()
+  in
+  (* The trace sink is not domain-safe, so a traced run degrades to
+     a sequential fleet. *)
+  let domains =
+    let d = max 1 (min domains (max n 1)) in
+    if Trace.enabled () then 1 else d
+  in
+  let t0 = Unix.gettimeofday () in
+  if domains = 1 then worker ()
+  else begin
+    let spawned = Array.init (domains - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    Array.iter Domain.join spawned
+  end;
+  let elapsed_s = Unix.gettimeofday () -. t0 in
+  (* A verdict belongs to its session; any other failure is a bug
+     and surfaces in job order, so a multi-failure fleet reports
+     deterministically whichever job comes first. *)
+  let sessions, verdicts =
+    List.partition_map
+      (function
+        | Some (Ok (Ok s)) -> Either.Left s
+        | Some (Ok (Error v)) -> Either.Right v
+        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+        | None -> assert false)
+      (Array.to_list results)
+  in
+  let shared =
+    (* first-appearance order over distinct endpoints, from the
+       job list (Hashtbl order is not deterministic); a cache's
+       tallies are the sum of its sessions' views *)
+    let seen = Hashtbl.create 8 in
+    Array.to_list jobs
+    |> List.filter_map (fun j ->
+           let name = j.subject.Subject.name in
+           if Hashtbl.mem seen name then None
+           else begin
+             Hashtbl.add seen name ();
+             let c = Hashtbl.find caches name in
+             let sum f =
+               List.fold_left
+                 (fun acc s -> if s.endpoint = name then acc + f s else acc)
+                 0 sessions
+             in
+             Some
+               {
+                 cache_endpoint = name;
+                 shard_count = Cache.Sharded.shards c;
+                 hits = sum (fun s -> s.cache_hits);
+                 misses = sum (fun s -> s.cache_misses);
+                 nodes = Cache.Sharded.size c;
+               }
+           end)
+  in
+  Ok
+    {
+      sessions;
+      verdicts;
+      shared;
+      domains;
+      elapsed_s;
+      sessions_per_sec =
+        (if elapsed_s > 0.0 then float_of_int n /. elapsed_s else 0.0);
+    }
 
 (* --- report block --- *)
 
@@ -398,12 +394,28 @@ let shared_json c =
       ("nodes", Jsonx.Int c.nodes);
     ]
 
-let to_json t =
+let verdict_json v =
+  let strings l = Jsonx.List (List.map (fun x -> Jsonx.String x) l) in
+  let answer (o : _ Nondet.observation) =
+    Jsonx.Obj [ ("answer", strings o.answer); ("count", Jsonx.Int o.count) ]
+  in
   Jsonx.Obj
     [
+      ("index", Jsonx.Int v.at);
+      ("op", Jsonx.String (op_name v.job.op));
+      ("endpoint", Jsonx.String v.job.subject.Subject.name);
+      ("word", strings v.witness.Nondet.word);
+      ("answers", Jsonx.List (List.map answer v.witness.Nondet.answers));
+    ]
+
+(* A clean fleet's block is unchanged: "verdicts" appears only when a
+   session was stopped by one. *)
+let to_json t =
+  Jsonx.Obj
+    ([
       ("schema", Jsonx.String schema);
       ("domains", Jsonx.Int t.domains);
-      ("jobs", Jsonx.Int (List.length t.sessions));
+      ("jobs", Jsonx.Int (List.length t.sessions + List.length t.verdicts));
       ("elapsed_s", Jsonx.Float t.elapsed_s);
       ("sessions_per_sec", Jsonx.Float t.sessions_per_sec);
       ("total_membership_queries", Jsonx.Int (total_membership_queries t));
@@ -411,6 +423,10 @@ let to_json t =
       ("sessions", Jsonx.List (List.map session_json t.sessions));
       ("shared_caches", Jsonx.List (List.map shared_json t.shared));
     ]
+    @
+    match t.verdicts with
+    | [] -> []
+    | vs -> [ ("verdicts", Jsonx.List (List.map verdict_json vs)) ])
 
 let pp_session fmt s =
   let outcome =
@@ -425,11 +441,20 @@ let pp_session fmt s =
     (op_name s.s_op) s.endpoint s.s_seed outcome s.membership_queries
     s.elapsed_s
 
+let pp_verdict fmt v =
+  Format.fprintf fmt "#%d %s %s (seed %Ld): nondeterministic" v.at
+    (op_name v.job.op) v.job.subject.Subject.name v.job.seed
+
+(* Finished and stopped sessions, one line each in job order. *)
 let pp fmt t =
+  let lines =
+    List.map (fun s -> (s.index, Format.asprintf "%a" pp_session s)) t.sessions
+    @ List.map (fun v -> (v.at, Format.asprintf "%a" pp_verdict v)) t.verdicts
+  in
   Format.fprintf fmt "@[<v>";
-  List.iter (fun s -> Format.fprintf fmt "%a@," pp_session s) t.sessions;
+  List.iter (fun (_, l) -> Format.fprintf fmt "%s@," l) (List.sort compare lines);
   Format.fprintf fmt
     "%d session(s) on %d domain(s) in %.3fs (%.2f sessions/s), %d shared \
      cache hit(s)@]"
-    (List.length t.sessions) t.domains t.elapsed_s t.sessions_per_sec
+    (List.length lines) t.domains t.elapsed_s t.sessions_per_sec
     (shared_hits t)

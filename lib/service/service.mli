@@ -90,8 +90,18 @@ type shared_cache = {
   nodes : int;
 }
 
+type verdict = {
+  at : int;  (** the job's position in the job list *)
+  job : job;
+  witness : (string, string) Prognosis_sul.Nondet.witness;
+      (** what stopped the session: a word its endpoint answered
+          inconsistently ({!Prognosis_exec.Engine.guard}) *)
+}
+
 type t = {
-  sessions : session list;  (** merged in job order, always *)
+  sessions : session list;
+      (** the sessions that finished, merged in job order, always *)
+  verdicts : verdict list;  (** the sessions a verdict stopped, in job order *)
   shared : shared_cache list;
       (** one per distinct endpoint, in first-appearance order *)
   domains : int;  (** domains actually used *)
@@ -103,8 +113,6 @@ type t = {
 
 val total_membership_queries : t -> int
 val shared_hits : t -> int
-
-exception Service_error of string
 
 val default_config : Prognosis_exec.Engine.config
 (** {!Prognosis_exec.Engine.default} with batching on. *)
@@ -123,9 +131,10 @@ val run :
     [config] (default {!default_config}) applies to every session's
     engine. [library] is required when any job identifies ([Error]
     otherwise; also on a library whose splitter tree fails to
-    compile). A session raising (nondeterministic SUL, conflicting
-    cache insert) re-raises here after every domain has joined —
-    the first failure in job order wins. *)
+    compile). An endpoint answering a query inconsistently stops only
+    its own session, which lands in [verdicts] instead of [sessions].
+    Any other exception a session raises is a bug: it re-raises here
+    after every domain has joined, the first in job order winning. *)
 
 val schema : string
 (** ["prognosis.service/1"] *)
@@ -135,6 +144,7 @@ val to_json : t -> Prognosis_obs.Jsonx.t
     by index — sessions deliberately carry an ["endpoint"] field, not
     ["subject"], so {!Prognosis_obs.Report_diff} aligns repeated
     endpoints by position) plus aggregate throughput and shared-cache
-    totals. *)
+    totals, and a ["verdicts"] list (index, op, endpoint, witness word
+    and answers) when a verdict stopped a session. *)
 
 val pp : Format.formatter -> t -> unit

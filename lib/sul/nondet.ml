@@ -11,15 +11,20 @@ type 'o verdict =
   | Deterministic of 'o list
   | Nondeterministic of 'o observation list
 
+(* Distinct answers in first-seen order, then a stable sort by count:
+   equal counts keep first-seen order, so a tally prints the same on
+   every run. *)
 let tally answers =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun a ->
-      let n = try Hashtbl.find tbl a with Not_found -> 0 in
-      Hashtbl.replace tbl a (n + 1))
-    answers;
-  let obs = Hashtbl.fold (fun answer count acc -> { answer; count } :: acc) tbl [] in
-  List.sort (fun a b -> compare b.count a.count) obs
+  let rec add obs a =
+    match obs with
+    | [] -> [ { answer = a; count = 1 } ]
+    | o :: rest ->
+        if o.answer = a then { o with count = o.count + 1 } :: rest
+        else o :: add rest a
+  in
+  List.stable_sort
+    (fun a b -> compare b.count a.count)
+    (List.fold_left add [] answers)
 
 let m_checks = Metrics.counter Metrics.default "nondet.checks"
 let m_runs = Metrics.counter Metrics.default "nondet.sul_runs"
@@ -29,57 +34,48 @@ let m_nondet = Metrics.counter Metrics.default "nondet.nondeterministic"
 let query cfg sul word =
   if cfg.min_runs < 1 then invalid_arg "Nondet.query: min_runs must be >= 1";
   Metrics.inc m_checks;
-  let answers = ref [] in
-  let run () =
-    Metrics.inc m_runs;
-    answers := Sul.query sul word :: !answers
+  let runs n =
+    Metrics.inc ~by:n m_runs;
+    List.init n (fun _ -> Sul.query sul word)
   in
-  for _ = 1 to cfg.min_runs do
-    run ()
-  done;
-  let all_equal l =
-    match l with [] -> true | x :: rest -> List.for_all (( = ) x) rest
-  in
-  if all_equal !answers then Deterministic (List.hd !answers)
-  else begin
-    (* Disagreement among the first min_runs executions: retry up to
-       the run budget and take a sufficiently dominant plurality. *)
-    let retries = cfg.max_runs - List.length !answers in
-    if retries > 0 then Metrics.inc ~by:retries m_retries;
-    if Trace.enabled () then
-      Trace.event
-        ~attrs:
-          [
-            ("word_len", Prognosis_obs.Jsonx.Int (List.length word));
-            ("min_runs", Prognosis_obs.Jsonx.Int cfg.min_runs);
-            ("extra_runs", Prognosis_obs.Jsonx.Int (max retries 0));
-          ]
-        "nondet.retry";
-    while List.length !answers < cfg.max_runs do
-      run ()
-    done;
-    let obs = tally !answers in
-    let total = List.length !answers in
-    match obs with
-    | best :: _ when float_of_int best.count /. float_of_int total >= cfg.agreement ->
-        Deterministic best.answer
-    | _ ->
-        Metrics.inc m_nondet;
-        if Trace.enabled () then
-          Trace.event
-            ~attrs:
-              [
-                ("word_len", Prognosis_obs.Jsonx.Int (List.length word));
-                ("variants", Prognosis_obs.Jsonx.Int (List.length obs));
-                ("runs", Prognosis_obs.Jsonx.Int total);
-              ]
-            "nondet.verdict_nondeterministic";
-        Nondeterministic obs
-  end
+  let first = runs cfg.min_runs in
+  match tally first with
+  | [ only ] -> Deterministic only.answer
+  | _ -> (
+      (* Disagreement among the first min_runs executions: retry up to
+         the run budget and take a sufficiently dominant plurality. *)
+      let retries = max 0 (cfg.max_runs - cfg.min_runs) in
+      if retries > 0 then Metrics.inc ~by:retries m_retries;
+      if Trace.enabled () then
+        Trace.event
+          ~attrs:
+            [
+              ("word_len", Prognosis_obs.Jsonx.Int (List.length word));
+              ("min_runs", Prognosis_obs.Jsonx.Int cfg.min_runs);
+              ("extra_runs", Prognosis_obs.Jsonx.Int retries);
+            ]
+          "nondet.retry";
+      let all = first @ runs retries in
+      let obs = tally all in
+      let total = List.length all in
+      match obs with
+      | best :: _ when float_of_int best.count /. float_of_int total >= cfg.agreement ->
+          Deterministic best.answer
+      | _ ->
+          Metrics.inc m_nondet;
+          if Trace.enabled () then
+            Trace.event
+              ~attrs:
+                [
+                  ("word_len", Prognosis_obs.Jsonx.Int (List.length word));
+                  ("variants", Prognosis_obs.Jsonx.Int (List.length obs));
+                  ("runs", Prognosis_obs.Jsonx.Int total);
+                ]
+              "nondet.verdict_nondeterministic";
+          Nondeterministic obs)
 
 let distribution ~runs sul word =
-  let answers = List.init runs (fun _ -> Sul.query sul word) in
-  tally answers
+  tally (List.init runs (fun _ -> Sul.query sul word))
 
 let frequency obs pred =
   let total = List.fold_left (fun n o -> n + o.count) 0 obs in
@@ -88,23 +84,9 @@ let frequency obs pred =
   in
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
-exception Nondeterministic_sul of string
+type ('i, 'o) witness = { word : 'i list; answers : 'o observation list }
 
-let deterministic_query cfg ~pp sul word =
-  match query cfg sul word with
-  | Deterministic answer -> answer
-  | Nondeterministic obs ->
-      let variants = List.length obs in
-      raise
-        (Nondeterministic_sul
-           (Printf.sprintf "query %s produced %d distinct answers" (pp word) variants))
-
-let plurality_query ~runs sul word =
-  if runs < 1 then invalid_arg "Nondet.plurality_query: runs must be >= 1";
-  let answers = List.init runs (fun _ -> Sul.query sul word) in
-  match tally answers with
-  | best :: _ -> best.answer
-  | [] -> assert false
+exception Nondeterministic of (string, string) witness
 
 let modal_oracle ~runs sul =
   if runs < 1 then invalid_arg "Nondet.modal_oracle: runs must be >= 1";
@@ -116,28 +98,16 @@ let modal_oracle ~runs sul =
         let a =
           match List.rev word with
           | [] -> []
-          | _last_sym :: rev_prefix ->
+          | _last_sym :: rev_prefix -> (
               let prefix_answer = answer (List.rev rev_prefix) in
               (* Plurality of the final output over fresh runs. *)
-              let tally = Hashtbl.create 4 in
-              for _ = 1 to runs do
-                match List.rev (Sul.query sul word) with
-                | last :: _ ->
-                    let n = try Hashtbl.find tally last with Not_found -> 0 in
-                    Hashtbl.replace tally last (n + 1)
-                | [] -> ()
-              done;
-              let best =
-                Hashtbl.fold
-                  (fun o n acc ->
-                    match acc with
-                    | Some (_, n') when n' >= n -> acc
-                    | _ -> Some (o, n))
-                  tally None
+              let lasts =
+                List.init runs (fun _ -> List.rev (Sul.query sul word))
+                |> List.filter_map (function o :: _ -> Some [ o ] | [] -> None)
               in
-              (match best with
-              | Some (o, _) -> prefix_answer @ [ o ]
-              | None -> invalid_arg "Nondet.modal_oracle: SUL returned no outputs")
+              match tally lasts with
+              | { answer = [ o ]; _ } :: _ -> prefix_answer @ [ o ]
+              | _ -> invalid_arg "Nondet.modal_oracle: SUL returned no outputs")
         in
         Hashtbl.replace memo word a;
         a

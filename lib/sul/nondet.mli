@@ -25,6 +25,10 @@ type 'o verdict =
   | Nondeterministic of 'o observation list
       (** distinct answers, most frequent first *)
 
+val tally : 'o list list -> 'o observation list
+(** The distinct answers with their counts, most frequent first; equal
+    counts keep first-seen order. *)
+
 val query : config -> ('i, 'o) Sul.t -> 'i list -> 'o verdict
 
 val distribution : runs:int -> ('i, 'o) Sul.t -> 'i list -> 'o observation list
@@ -35,20 +39,14 @@ val distribution : runs:int -> ('i, 'o) Sul.t -> 'i list -> 'o observation list
 val frequency : 'o observation list -> ('o list -> bool) -> float
 (** Fraction of runs whose answer satisfies the predicate. *)
 
-exception Nondeterministic_sul of string
-(** Raised by {!deterministic_query} when no answer reaches the
-    agreement threshold. The payload describes the query. *)
+type ('i, 'o) witness = { word : 'i list; answers : 'o observation list }
+(** The nondeterminism verdict: a word the implementation answered
+    inconsistently, with the answers it gave (at least two, most
+    frequent first). *)
 
-val deterministic_query :
-  config -> pp:('i list -> string) -> ('i, 'o) Sul.t -> 'i list -> 'o list
-(** Majority answer under [config].
-    @raise Nondeterministic_sul when the check fails. *)
-
-val plurality_query : runs:int -> ('i, 'o) Sul.t -> 'i list -> 'o list
-(** The most frequent answer across [runs] executions, with no
-    agreement requirement. Whole-answer plurality is not
-    prefix-consistent across separate calls; learners should use
-    {!modal_oracle} instead. *)
+exception Nondeterministic of (string, string) witness
+(** A learn stopped by a verdict, its witness rendered with the
+    protocol's printers ({!Prognosis.Protocol.learn}). *)
 
 val modal_oracle : runs:int -> ('i, 'o) Sul.t -> 'i list -> 'o list
 (** A memoized, prefix-consistent query function approximating the

@@ -310,9 +310,28 @@ let adversarial_worker_quarantined () =
   Alcotest.(check bool) "saw disagreements" true (s.Engine.disagreements > 0);
   Alcotest.(check bool) "quarantined the liar" true (s.Engine.quarantines >= 1)
 
+let witness =
+  Alcotest.testable
+    (fun fmt (w : (char, string) Nondet.witness) ->
+      Format.fprintf fmt "%s: %s"
+        (String.init (List.length w.Nondet.word) (List.nth w.Nondet.word))
+        (String.concat " | "
+           (List.map
+              (fun o ->
+                Printf.sprintf "%dx %s" o.Nondet.count
+                  (String.concat " " o.Nondet.answer))
+              w.Nondet.answers)))
+    ( = )
+
+let verdict_of e f =
+  match Engine.guard e f with
+  | Ok _ -> Alcotest.fail "expected a nondeterminism verdict"
+  | Error w -> w
+
 (* Two workers that answer differently can produce no majority: the
-   pool as a whole is nondeterministic and says so. *)
-let no_majority_raises () =
+   pool as a whole is nondeterministic, and the verdict is the word with
+   the tally of its answers. *)
+let no_majority_verdict () =
   let config = { Engine.default with Engine.workers = 2; replicas = 2 } in
   let e =
     Engine.create ~config
@@ -321,9 +340,58 @@ let no_majority_raises () =
       ()
   in
   let mq = Engine.membership e in
-  match mq.Oracle.ask [ 'a' ] with
-  | _ -> Alcotest.fail "expected Nondeterministic_sul"
-  | exception Nondet.Nondeterministic_sul _ -> ()
+  Alcotest.check witness "word and both answers"
+    {
+      Nondet.word = [ 'a' ];
+      answers =
+        [ { Nondet.answer = [ "0" ]; count = 1 }; { answer = [ "1" ]; count = 1 } ];
+    }
+    (verdict_of e (fun () -> mq.Oracle.ask [ 'a' ]))
+
+(* With one replica the other detector speaks: a fresh run contradicting
+   a cached answer, through either insert site. The witness is cut after
+   the first differing output. *)
+let conflict_verdict () =
+  let expected =
+    {
+      Nondet.word = [ 'a' ];
+      answers =
+        [ { Nondet.answer = [ "0" ]; count = 1 }; { answer = [ "1" ]; count = 1 } ];
+    }
+  in
+  let ask batch =
+    let cache = Cache.create () in
+    Cache.insert cache [ 'a' ] [ "0" ];
+    let e =
+      Engine.create ~config:{ Engine.default with Engine.batch } ~cache
+        ~factory:(fun _ ->
+          Sul.make ~reset:(fun () -> ()) ~step:(fun _ -> "1") ())
+        ()
+    in
+    let mq = Engine.membership e in
+    verdict_of e (fun () ->
+        match mq.Oracle.ask_batch with
+        | Some ask_batch -> ignore (ask_batch [ [ 'a'; 'a'; 'a' ] ])
+        | None -> ignore (mq.Oracle.ask [ 'a'; 'a'; 'a' ]))
+  in
+  Alcotest.check witness "single-word insert" expected (ask false);
+  Alcotest.check witness "batch insert" expected (ask true)
+
+(* A verdict belongs to the engine that reached it: another engine's
+   guard lets it through. *)
+let verdict_stays_with_its_engine () =
+  let config = { Engine.default with Engine.workers = 2; replicas = 2 } in
+  let liar =
+    Engine.create ~config
+      ~factory:(fun i ->
+        Sul.make ~reset:(fun () -> ()) ~step:(fun _ -> string_of_int i) ())
+      ()
+  in
+  let other = engine_for counter3 in
+  let inner () = (Engine.membership liar).Oracle.ask [ 'a' ] in
+  match Engine.guard liar (fun () -> Engine.guard other inner) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "the other engine's guard took the verdict"
 
 (* Replicated answers that agree do not disturb the result. *)
 let replicas_agreeing () =
@@ -485,7 +553,10 @@ let () =
         [
           Alcotest.test_case "adversarial worker" `Quick
             adversarial_worker_quarantined;
-          Alcotest.test_case "no majority" `Quick no_majority_raises;
+          Alcotest.test_case "no majority" `Quick no_majority_verdict;
+          Alcotest.test_case "cache conflict" `Quick conflict_verdict;
+          Alcotest.test_case "verdict stays with its engine" `Quick
+            verdict_stays_with_its_engine;
           Alcotest.test_case "agreeing replicas" `Quick replicas_agreeing;
         ] );
       ( "checkpoint",

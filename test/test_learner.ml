@@ -95,13 +95,13 @@ let wrap_checks_prefix_replay () =
   let c2 = Cache.create () in
   Cache.insert c2 [ 'a' ] [ 1 ];
   let cached2 = Cache.wrap c2 lying in
-  Alcotest.check_raises "prefix conflict" Cache.Conflict (fun () ->
+  Alcotest.check_raises "prefix conflict" (Cache.Conflict 0) (fun () ->
       ignore (cached2.Oracle.ask [ 'a'; 'b' ]))
 
 let cache_detects_conflict () =
   let c = Cache.create () in
   Cache.insert c [ 'a' ] [ 1 ];
-  Alcotest.check_raises "conflict" Cache.Conflict (fun () ->
+  Alcotest.check_raises "conflict" (Cache.Conflict 0) (fun () ->
       Cache.insert c [ 'a'; 'b' ] [ 2; 2 ])
 
 let cache_saves_queries () =
@@ -167,7 +167,7 @@ let prop_coded_cache =
                 let raised =
                   match Cache.insert c w o with
                   | () -> false
-                  | exception Cache.Conflict -> true
+                  | exception Cache.Conflict _ -> true
                 in
                 if not raised then entries := (w, o) :: !entries;
                 raised = expected

@@ -18,6 +18,7 @@ module Nondet = Prognosis_sul.Nondet
 module Oracle = Prognosis_learner.Oracle
 module Cache = Prognosis_learner.Cache
 module Learn = Prognosis_learner.Learn
+module Engine = Prognosis_exec.Engine
 open Prognosis
 
 (* A deterministic clock: each call advances 1000 ns. *)
@@ -625,8 +626,8 @@ let lossy_learning_emits_fault_events () =
     losses
 
 (* Satellite: membership_queries must count only queries that reached
-   the SUL, also when the oracle is wrapped by both the nondeterminism
-   check and the cache. *)
+   the SUL pool, also when the engine both caches and votes across
+   replicas. *)
 let no_double_count_with_cache_and_nondet () =
   let machine =
     (* a 2-state toggle machine as deterministic SUL *)
@@ -634,32 +635,34 @@ let no_double_count_with_cache_and_nondet () =
       ~delta:[| [| 1; 0 |]; [| 0; 1 |] |]
       ~lambda:[| [| 'x'; 'y' |]; [| 'z'; 'y' |] |]
   in
-  let sul, counts = Sul.counting (Sul.of_mealy machine) in
-  let min_runs = 3 in
-  let checked =
-    Oracle.of_sul_checked
-      ~config:{ Nondet.default with Nondet.min_runs }
-      ~pp:(fun w -> String.init (List.length w) (List.nth w))
-      sul
+  let replicas = 3 in
+  let suls = Array.init replicas (fun _ -> Sul.counting (Sul.of_mealy machine)) in
+  (* one word at a time, so each miss is one vote *)
+  let engine =
+    Engine.create
+      ~config:
+        { Engine.default with Engine.workers = replicas; replicas; batch = false }
+      ~factory:(fun i -> fst suls.(i))
+      ()
   in
-  let cache = Cache.create () in
-  let mq = Cache.wrap cache checked in
   let result =
-    Learn.run_mq ~inputs:[| 'a'; 'b' |] ~mq
+    Learn.run_mq ~inputs:[| 'a'; 'b' |] ~mq:(Engine.membership engine)
       ~eq:(Prognosis_learner.Eq_oracle.w_method ~extra_states:1 ())
       ()
   in
   Alcotest.(check int) "learned the toggle" 2 (Mealy.size result.Learn.model);
   let stats = result.Learn.stats in
+  let _hits, misses = Engine.cache_stats engine in
   Alcotest.(check bool) "some queries" true (stats.Oracle.membership_queries > 0);
-  Alcotest.(check int) "only SUL-reaching queries counted"
-    (Cache.misses cache) stats.Oracle.membership_queries;
-  (* the nondeterminism check ran each SUL-reaching query exactly
-     min_runs times (deterministic SUL => no retries) *)
-  let resets, _steps = counts () in
-  Alcotest.(check int) "SUL executions = min_runs * misses"
-    (min_runs * Cache.misses cache)
-    resets
+  Alcotest.(check int) "only SUL-reaching queries counted" misses
+    stats.Oracle.membership_queries;
+  (* every vote ran each SUL-reaching query once per replica (a
+     deterministic SUL => no escalation) *)
+  let resets =
+    Array.fold_left (fun n (_, counts) -> n + fst (counts ())) 0 suls
+  in
+  Alcotest.(check int) "SUL executions = replicas * misses"
+    (replicas * misses) resets
 
 let learn_run_asserts_cache_consistency () =
   (* Pipeline.learn's queries = misses check must hold on a full study

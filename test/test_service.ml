@@ -13,6 +13,8 @@ module Identify = Prognosis_fingerprint.Identify
 module Jsonx = Prognosis_obs.Jsonx
 module Metrics = Prognosis_obs.Metrics
 module Learn = Prognosis_learner.Learn
+module Sul = Prognosis_sul.Sul
+module Nondet = Prognosis_sul.Nondet
 
 let subject name =
   match Subject.of_name name with
@@ -132,6 +134,82 @@ let shared_cache_saves_queries () =
     [ "tcp"; "quic:quiche-like"; "tcp:no-challenge"; "dtls" ]
     (List.map (fun c -> c.Service.cache_endpoint) fleet.Service.shared)
 
+(* An injected misbehaving endpoint: tcp under its own name (so its own
+   shared cache), whose SUL flips the first output after every second
+   reset. *)
+let flaky =
+  let tcp = subject "tcp" in
+  let factory ~seed ~workers i =
+    let sul = tcp.Subject.factory ~seed ~workers i in
+    let resets = ref 0 and first = ref false in
+    Sul.make
+      ~reset:(fun () ->
+        incr resets;
+        first := true;
+        sul.Sul.reset ())
+      ~step:(fun x ->
+        let o = sul.Sul.step x in
+        let flip = !first && !resets mod 2 = 0 in
+        first := false;
+        if flip then "FLIPPED" else o)
+      ()
+  in
+  { tcp with Subject.name = "tcp:flaky"; factory }
+
+let counters (s : Service.session) =
+  [
+    s.Service.membership_queries;
+    s.Service.membership_symbols;
+    s.Service.test_words;
+    s.Service.cache_hits;
+    s.Service.cache_misses;
+  ]
+
+(* One flaky endpoint stops its own session with a verdict; every other
+   session comes back as in the clean fleet (counters too, at one
+   domain), and the witness word replays the disagreement. *)
+let verdict_is_the_sessions_own () =
+  let clean_jobs = mixed_jobs () in
+  let at = 4 in
+  let jobs =
+    List.filteri (fun i _ -> i < at) clean_jobs
+    @ [ Service.job Service.Learn flaky ]
+    @ List.filteri (fun i _ -> i >= at) clean_jobs
+  in
+  let clean = run_fleet clean_jobs in
+  List.iter
+    (fun domains ->
+      let fleet = run_fleet ~domains jobs in
+      Alcotest.(check (list int))
+        "every other session finished"
+        (List.init 8 (fun i -> if i < at then i else i + 1))
+        (List.map (fun s -> s.Service.index) fleet.Service.sessions);
+      List.iter2
+        (fun (a : Service.session) (b : Service.session) ->
+          Alcotest.(check string)
+            (Printf.sprintf "session %d outcome as clean" b.Service.index)
+            (outcome_key a.Service.outcome)
+            (outcome_key b.Service.outcome);
+          if domains = 1 then
+            Alcotest.(check (list int))
+              (Printf.sprintf "session %d counters as clean" b.Service.index)
+              (counters a) (counters b))
+        clean.Service.sessions fleet.Service.sessions;
+      match fleet.Service.verdicts with
+      | [ v ] ->
+          Alcotest.(check int) "verdict of the flaky session" at v.Service.at;
+          let w = v.Service.witness in
+          let sul = flaky.Subject.factory ~seed:1L ~workers:1 0 in
+          let a1 = Sul.query sul w.Nondet.word in
+          let a2 = Sul.query sul w.Nondet.word in
+          let answers = List.map (fun o -> o.Nondet.answer) w.Nondet.answers in
+          Alcotest.(check bool) "two different answers" true (a1 <> a2);
+          Alcotest.(check bool) "both among the witness's answers" true
+            (List.mem a1 answers && List.mem a2 answers)
+      | vs ->
+          Alcotest.failf "expected one verdict, got %d" (List.length vs))
+    [ 1; 4 ]
+
 let jobs_roundtrip () =
   let text =
     {|{"schema": "prognosis.jobs/1", "jobs": [
@@ -198,7 +276,7 @@ let service_json_schema () =
    committed golden where there is one — and, under the service's
    engine config, spend exactly the same queries. A subject that
    cannot be learned (mvfst-like answers nondeterministically) must
-   fail the same way on both paths. *)
+   fail the same way on both paths: a nondeterminism verdict. *)
 let concrete_subjects =
   List.concat_map
     (fun name ->
@@ -246,6 +324,8 @@ let learn_serve_golden () =
               Service.run ~jobs:[ Service.job ~seed:1L Service.Learn s ] ()
             with
             | Ok { Service.sessions = [ session ]; _ } -> session
+            | Ok { Service.verdicts = [ v ]; _ } ->
+                raise (Nondet.Nondeterministic v.Service.witness)
             | Ok _ -> Alcotest.failf "%s: expected one session" name
             | Error e -> Alcotest.failf "%s: %s" name e)
       in
@@ -329,6 +409,8 @@ let () =
             throughput_scales;
           Alcotest.test_case "learn == serve == golden" `Slow
             learn_serve_golden;
+          Alcotest.test_case "a verdict is the session's own" `Slow
+            verdict_is_the_sessions_own;
         ] );
       ( "schema",
         [

@@ -372,6 +372,13 @@ let nondet_majority_tolerance () =
       Alcotest.(check (list string)) "majority answer" [ "ok" ] answer
   | Nondet.Nondeterministic _ -> Alcotest.fail "2% flake should pass 0.9 agreement"
 
+let nondet_tally_stable () =
+  let obs = Nondet.tally [ [ "b" ]; [ "a" ]; [ "c" ]; [ "a" ]; [ "b" ] ] in
+  Alcotest.(check (list (pair (list string) int)))
+    "by count, ties in first-seen order"
+    [ ([ "b" ], 2); ([ "a" ], 2); ([ "c" ], 1) ]
+    (List.map (fun o -> (o.Nondet.answer, o.Nondet.count)) obs)
+
 let nondet_distribution_counts () =
   let sul = flaky_sul (Rng.create 4L) 0.3 "ok" "bad" in
   let obs = Nondet.distribution ~runs:1000 sul [ () ] in
@@ -380,21 +387,6 @@ let nondet_distribution_counts () =
     (Printf.sprintf "rate %.3f near 0.3" rate)
     true
     (rate > 0.26 && rate < 0.34)
-
-let nondet_raises () =
-  let sul = flaky_sul (Rng.create 5L) 0.5 "ok" "bad" in
-  match
-    Nondet.deterministic_query
-      { Nondet.min_runs = 10; max_runs = 40; agreement = 0.99 }
-      ~pp:(fun _ -> "q") sul [ () ]
-  with
-  | exception Nondet.Nondeterministic_sul _ -> ()
-  | _ -> Alcotest.fail "expected Nondeterministic_sul"
-
-let plurality_picks_modal () =
-  let sul = flaky_sul (Rng.create 6L) 0.2 "ok" "bad" in
-  Alcotest.(check (list string)) "modal answer" [ "ok" ]
-    (Nondet.plurality_query ~runs:101 sul [ () ])
 
 let modal_oracle_prefix_consistent () =
   let rng = Rng.create 7L in
@@ -535,8 +527,7 @@ let () =
           Alcotest.test_case "detects" `Quick nondet_detects;
           Alcotest.test_case "majority tolerance" `Quick nondet_majority_tolerance;
           Alcotest.test_case "distribution" `Quick nondet_distribution_counts;
-          Alcotest.test_case "raises" `Quick nondet_raises;
-          Alcotest.test_case "plurality" `Quick plurality_picks_modal;
+          Alcotest.test_case "tally is stable" `Quick nondet_tally_stable;
           Alcotest.test_case "modal prefix consistency" `Quick modal_oracle_prefix_consistent;
           Alcotest.test_case "modal memoizes" `Quick modal_oracle_memoizes;
         ] );
