@@ -23,8 +23,6 @@ and ('i, 'o) packed = {
   p_next : int array; (* state transition: p_next.((s * p_alpha) + i) *)
   p_out : int array; (* output id per (state, input) pair *)
   p_outputs : 'o array; (* interned output table, id -> symbol *)
-  p_inputs : 'i array;
-  p_index : ('i, int) Hashtbl.t; (* input symbol -> alphabet position *)
 }
 
 let m_packed_steps = Metrics.counter Metrics.default "packed.steps"
@@ -146,8 +144,6 @@ module Packed = struct
       done
     done;
     let outputs = Array.of_list (List.rev !out_list) in
-    let index = Hashtbl.create (2 * n) in
-    Array.iteri (fun i x -> Hashtbl.add index x i) m.inputs;
     Metrics.inc m_packs;
     {
       p_size = m.size;
@@ -156,8 +152,6 @@ module Packed = struct
       p_next = next;
       p_out = out;
       p_outputs = outputs;
-      p_inputs = m.inputs;
-      p_index = index;
     }
 
   (* Memoized: repeated packs of the same machine are one field read.
@@ -170,38 +164,6 @@ module Packed = struct
         let p = build m in
         m.packed_ <- Some p;
         p
-
-  (* [x]'s alphabet position: the physical probe, then the structural
-     table when it misses. *)
-  let input_index p x =
-    let i = probe p.p_inputs x in
-    if i >= 0 then i
-    else match Hashtbl.find_opt p.p_index x with Some i -> i | None -> raise Not_found
-
-  let run_from p s0 word =
-    let s = ref s0 and n = ref 0 in
-    let outs =
-      List.map
-        (fun x ->
-          let base = (!s * p.p_alpha) + input_index p x in
-          let o = Array.unsafe_get p.p_out base in
-          s := Array.unsafe_get p.p_next base;
-          incr n;
-          Array.unsafe_get p.p_outputs o)
-        word
-    in
-    Metrics.inc ~by:!n m_packed_steps;
-    outs
-
-  let state_after p word =
-    let s = ref p.p_initial and n = ref 0 in
-    List.iter
-      (fun x ->
-        s := Array.unsafe_get p.p_next ((!s * p.p_alpha) + input_index p x);
-        incr n)
-      word;
-    Metrics.inc ~by:!n m_packed_steps;
-    !s
 
   (* Pure id-level stepping over pre-interned words. *)
   let run_ids p s0 word_ids =
@@ -216,17 +178,24 @@ module Packed = struct
     Metrics.inc ~by:len m_packed_steps;
     out
 
-  let intern_word p word =
-    let a = Array.make (List.length word) 0 in
-    List.iteri (fun k x -> Array.unsafe_set a k (input_index p x)) word;
-    a
+  let outputs p = p.p_outputs
 end
 
 let pack = Packed.pack
 
-let run_from m s word = Packed.run_from (pack m) s word
+let positions m word = Array.of_list (List.map (input_index m) word)
+
+let run_from m s word =
+  let p = pack m in
+  Array.fold_right
+    (fun o w -> p.p_outputs.(o) :: w)
+    (Packed.run_ids p s (positions m word))
+    []
+
 let run m word = run_from m m.initial word
-let state_after m word = Packed.state_after (pack m) word
+
+let state_after m word =
+  Array.fold_left (fun s i -> m.delta.(s).(i)) m.initial (positions m word)
 
 (* Functional reference stepping, bypassing the packed form: the
    differential baseline the QCheck observational-equality property and
@@ -378,13 +347,14 @@ let same_alphabet a b =
   Array.length a.inputs = Array.length b.inputs
   && Array.for_all2 (fun x y -> x = y) a.inputs b.inputs
 
-(* BFS over the product machine on packed transition tables: product
-   states are encoded as [sa * |b| + sb] into a byte-per-state visited
-   map and an int queue, so the search allocates nothing per edge. The
-   dequeue order (FIFO, inputs in alphabet order) is exactly the order
-   the historical Hashtbl-based search used, so the returned word — the
-   first separating edge encountered — is unchanged. *)
-let product_bfs_packed pa pb =
+(* BFS over the product of two packed machines from states [sa] and
+   [sb]: product states are encoded as [sa * |b| + sb] into a
+   byte-per-state visited map and an int queue, so the search allocates
+   nothing per edge. [differs] compares two output ids (of [pa] and
+   [pb]). The dequeue order (FIFO, inputs in alphabet order) is fixed,
+   so the returned word — alphabet positions along the first separating
+   edge encountered — is deterministic. *)
+let product_bfs pa pb sa sb differs =
   let n = pa.p_alpha in
   let nb = pb.p_size in
   let total = pa.p_size * nb in
@@ -393,7 +363,7 @@ let product_bfs_packed pa pb =
   (* parent pointer encodes (predecessor product state, input index) *)
   let queue = Array.make total 0 in
   let head = ref 0 and tail = ref 0 in
-  let start = (pa.p_initial * nb) + pb.p_initial in
+  let start = (sa * nb) + sb in
   Bytes.unsafe_set seen start '\001';
   queue.(!tail) <- start;
   incr tail;
@@ -402,13 +372,14 @@ let product_bfs_packed pa pb =
      while !head < !tail do
        let pq = queue.(!head) in
        incr head;
-       let sa = pq / nb and sb = pq mod nb in
-       let base_a = sa * n and base_b = sb * n in
+       let base_a = pq / nb * n and base_b = pq mod nb * n in
        for i = 0 to n - 1 do
          if !result < 0 then begin
-           let oa = Array.unsafe_get pa.p_outputs (Array.unsafe_get pa.p_out (base_a + i)) in
-           let ob = Array.unsafe_get pb.p_outputs (Array.unsafe_get pb.p_out (base_b + i)) in
-           if oa <> ob then begin
+           if
+             differs
+               (Array.unsafe_get pa.p_out (base_a + i))
+               (Array.unsafe_get pb.p_out (base_b + i))
+           then begin
              result := pq;
              result_i := i;
              raise Exit
@@ -434,18 +405,23 @@ let product_bfs_packed pa pb =
       if pq = start && parent.(pq) < 0 then acc
       else
         let enc = parent.(pq) in
-        path (pa.p_inputs.(enc mod n) :: acc) (enc / n)
+        path ((enc mod n) :: acc) (enc / n)
     in
-    Some (path [ pa.p_inputs.(!result_i) ] !result)
+    Some (Array.of_list (path [ !result_i ] !result))
   end
+
+let decode inputs ids = Array.fold_right (fun i w -> inputs.(i) :: w) ids []
 
 let equivalent a b =
   if not (same_alphabet a b) then
     invalid_arg "Mealy.equivalent: machines have different alphabets";
-  product_bfs_packed (pack a) (pack b)
+  let pa = pack a and pb = pack b in
+  product_bfs pa pb pa.p_initial pb.p_initial (fun oa ob ->
+      Array.unsafe_get pa.p_outputs oa <> Array.unsafe_get pb.p_outputs ob)
+  |> Option.map (decode a.inputs)
 
-let access_words m =
-  let words = Array.make m.size [] in
+let access_ids m =
+  let words = Array.make m.size [||] in
   let seen = Array.make m.size false in
   let queue = Queue.create () in
   seen.(m.initial) <- true;
@@ -456,90 +432,40 @@ let access_words m =
       (fun i s' ->
         if not seen.(s') then begin
           seen.(s') <- true;
-          words.(s') <- words.(s) @ [ m.inputs.(i) ];
+          words.(s') <- Array.append words.(s) [| i |];
           Queue.add s' queue
         end)
       m.delta.(s)
   done;
   words
 
-(* Same packed product BFS, between two states of one machine. *)
-let distinguishing_word m p q =
-  let pm = pack m in
-  let n = pm.p_alpha in
-  let nb = pm.p_size in
-  let total = nb * nb in
-  let seen = Bytes.make total '\000' in
-  let parent = Array.make total (-1) in
-  let queue = Array.make total 0 in
-  let head = ref 0 and tail = ref 0 in
-  let start = (p * nb) + q in
-  Bytes.unsafe_set seen start '\001';
-  queue.(!tail) <- start;
-  incr tail;
-  let result = ref (-1) and result_i = ref (-1) in
-  (try
-     while !head < !tail do
-       let pq2 = queue.(!head) in
-       incr head;
-       let sp = pq2 / nb and sq = pq2 mod nb in
-       let base_p = sp * n and base_q = sq * n in
-       for i = 0 to n - 1 do
-         if !result < 0 then begin
-           let op = Array.unsafe_get pm.p_out (base_p + i) in
-           let oq = Array.unsafe_get pm.p_out (base_q + i) in
-           if op <> oq then begin
-             result := pq2;
-             result_i := i;
-             raise Exit
-           end;
-           let pq' =
-             (Array.unsafe_get pm.p_next (base_p + i) * nb)
-             + Array.unsafe_get pm.p_next (base_q + i)
-           in
-           if Bytes.unsafe_get seen pq' = '\000' then begin
-             Bytes.unsafe_set seen pq' '\001';
-             parent.(pq') <- (pq2 * n) + i;
-             queue.(!tail) <- pq';
-             incr tail
-           end
-         end
-       done
-     done
-   with Exit -> ());
-  if !result < 0 then None
-  else begin
-    let rec path acc pq2 =
-      if pq2 = start && parent.(pq2) < 0 then acc
-      else
-        let enc = parent.(pq2) in
-        path (pm.p_inputs.(enc mod n) :: acc) (enc / n)
-    in
-    Some (path [ pm.p_inputs.(!result_i) ] !result)
-  end
+let access_words m = Array.map (decode m.inputs) (access_ids m)
 
-let characterizing_set m =
+(* The same product BFS, between two states of one machine. *)
+let distinguishing_ids m p q =
+  let pm = pack m in
+  product_bfs pm pm p q ( <> )
+
+let distinguishing_word m p q =
+  Option.map (decode m.inputs) (distinguishing_ids m p q)
+
+let characterizing_ids m =
   let pm = pack m in
   let words = ref [] in
-  (* Words are kept pre-interned alongside so the cover check steps
-     packed ids instead of re-hashing symbols per pair. *)
-  let interned = ref [] in
   let covered p q =
     List.exists
-      (fun ids -> Packed.run_ids pm p ids <> Packed.run_ids pm q ids)
-      !interned
+      (fun w -> Packed.run_ids pm p w <> Packed.run_ids pm q w)
+      !words
   in
   for p = 0 to m.size - 1 do
     for q = p + 1 to m.size - 1 do
       if not (covered p q) then
-        match distinguishing_word m p q with
-        | Some w ->
-            words := w :: !words;
-            interned := Packed.intern_word pm w :: !interned
-        | None -> ()
+        Option.iter (fun w -> words := w :: !words) (distinguishing_ids m p q)
     done
   done;
-  if !words = [] then [ [] ] else !words
+  if !words = [] then [ [||] ] else !words
+
+let characterizing_set m = List.map (decode m.inputs) (characterizing_ids m)
 
 let count_words ~alphabet ~max_len =
   let rec loop k pow acc =

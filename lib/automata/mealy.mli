@@ -102,11 +102,13 @@ module Packed : sig
   val pack : ('i, 'o) machine -> ('i, 'o) t
   (** Compile (memoized — subsequent calls are one field read). *)
 
-  val input_index : ('i, 'o) t -> 'i -> int
-  (** Alphabet position of a symbol: a physical probe of the alphabet
-      first, the structural table only when it misses. Word runs step
-      through it.
-      @raise Not_found if the symbol is not in the alphabet. *)
+  val run_ids : ('i, 'o) t -> int -> int array -> int array
+  (** [run_ids p s w] steps alphabet positions [w] from state [s] and
+      returns the output ids (indices into {!outputs}): two array loads
+      a step, no symbol in sight. *)
+
+  val outputs : ('i, 'o) t -> 'o array
+  (** The interned output table: output id -> symbol. *)
 end
 
 val pack : ('i, 'o) t -> ('i, 'o) packed
@@ -142,6 +144,13 @@ val equivalent : ('i, 'o) t -> ('i, 'o) t -> 'i list option
     witness word is deterministic.
     @raise Invalid_argument if the alphabets differ. *)
 
+val decode : 'i array -> int array -> 'i list
+(** [decode inputs w] is the word of the symbols at alphabet positions
+    [w]. *)
+
+val access_ids : ('i, 'o) t -> int array array
+(** {!access_words} as alphabet positions. *)
+
 val access_words : ('i, 'o) t -> 'i list array
 (** BFS access word for each state; unreachable states map to the empty
     word (use {!reachable} to tell them apart from the initial state). *)
@@ -151,6 +160,9 @@ val characterizing_set : ('i, 'o) t -> 'i list list
     (used by W-method test generation). Never empty for machines with
     more than one state; contains the empty word only as a fallback for
     one-state machines. *)
+
+val characterizing_ids : ('i, 'o) t -> int array list
+(** {!characterizing_set} as alphabet positions, in the same order. *)
 
 val distinguishing_word : ('i, 'o) t -> int -> int -> 'i list option
 (** Shortest input word on which two states of the same machine produce

@@ -28,6 +28,15 @@ val wp_method : ?extra_states:int -> ('i, 'o) Mealy.t -> 'i list list
 (** The Wp-method suite: like the W-method but phase two uses
     state-local identification sets, producing smaller suites. *)
 
+val w_method_ids : ?extra_states:int -> ('i, 'o) Mealy.t -> int array list
+val wp_method_ids : ?extra_states:int -> ('i, 'o) Mealy.t -> int array list
+(** {!w_method} and {!wp_method} as alphabet positions, in the same
+    order: the suites the equivalence oracles run. *)
+
+val middle_ids : int -> int -> int array list
+(** [middle_ids n k] is {!middle_words} over an alphabet of [n]
+    symbols, as positions. *)
+
 val suite_size : 'i list list -> int
 val suite_symbols : 'i list list -> int
 (** Total number of input symbols across a suite. *)

@@ -2,6 +2,7 @@ module Sul = Prognosis_sul.Sul
 module Nondet = Prognosis_sul.Nondet
 module Cache = Prognosis_learner.Cache
 module Oracle = Prognosis_learner.Oracle
+module Coder = Oracle.Coder
 module Metrics = Prognosis_obs.Metrics
 module Trace = Prognosis_obs.Trace
 module Jsonx = Prognosis_obs.Jsonx
@@ -26,9 +27,9 @@ let default =
 type ('i, 'o) worker = {
   id : int;
   sul : ('i, 'o) Sul.t;
-  mutable position : (int array * 'o list) option;
-      (* coded word replayed since the last reset, and the outputs this
-         worker observed; [None] = state unknown, the next run must
+  mutable position : (int array * int array) option;
+      (* coded word replayed since the last reset, and the output ids
+         this worker observed; [None] = state unknown, the next run must
          reset *)
   mutable runs_done : int;
   mutable resets_done : int;
@@ -218,9 +219,6 @@ let active_workers t =
     | [] -> t.workers (* unreachable: quarantine never empties the pool *)
     | a -> Array.of_list a
 
-let rec drop n l =
-  if n = 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
-
 (* Per-call accounting, merged into the shared stats (and the
    quarantine clock) by [flush] once the call's runs are done. *)
 type acct = {
@@ -232,14 +230,6 @@ type acct = {
 
 let fresh_acct () = { a_runs = 0; a_resumed = 0; a_resets = 0; a_steps = 0 }
 
-let step_word acct worker word =
-  List.map
-    (fun x ->
-      acct.a_steps <- acct.a_steps + 1;
-      worker.steps_done <- worker.steps_done + 1;
-      worker.sul.Sul.step x)
-    word
-
 (* How far [worker] can resume into coded word [ids]: the length of its
    position when that is a non-empty strict prefix of [ids], else -1. *)
 let resume_len worker ids =
@@ -249,28 +239,37 @@ let resume_len worker ids =
       if k > 0 && k < Array.length ids && Plan.is_prefix pos ids then k else -1
   | None -> -1
 
-(* Execute [word] (coded [ids]) on [worker]. With [from] > 0 (a
-   {!resume_len}) the worker skips the reset and steps only the suffix
-   — the prefix outputs are the ones it observed getting there. Votes
-   run with [from] = -1 so replicated answers stay independent of
-   earlier runs. *)
-let run_word acct worker ~from ids word =
+(* Execute coded word [ids] on [worker], the one place symbols meet
+   the SUL: each id is stepped as its symbol and each output comes back
+   as its id. With [from] > 0 (a {!resume_len}) the worker skips the
+   reset and steps only the suffix — the prefix outputs are the ones it
+   observed getting there. Votes run with [from] = -1 so replicated
+   answers stay independent of earlier runs. *)
+let run_word t acct worker ~from ids =
   acct.a_runs <- acct.a_runs + 1;
   worker.runs_done <- worker.runs_done + 1;
   let pos = worker.position in
   worker.position <- None;
-  let prefix_outs, suffix =
+  let outs = Array.make (Array.length ids) 0 in
+  let start =
     match pos with
     | Some (_, pos_outs) when from > 0 ->
         acct.a_resumed <- acct.a_resumed + 1;
-        (pos_outs, drop from word)
+        Array.blit pos_outs 0 outs 0 from;
+        from
     | _ ->
         worker.sul.Sul.reset ();
         acct.a_resets <- acct.a_resets + 1;
         worker.resets_done <- worker.resets_done + 1;
-        ([], word)
+        0
   in
-  let outs = prefix_outs @ step_word acct worker suffix in
+  let syms = Coder.symbols (Cache.inputs t.cache) in
+  let coder = Cache.outputs t.cache in
+  for k = start to Array.length ids - 1 do
+    acct.a_steps <- acct.a_steps + 1;
+    worker.steps_done <- worker.steps_done + 1;
+    outs.(k) <- Coder.intern coder (worker.sul.Sul.step syms.(ids.(k)))
+  done;
   worker.position <- Some (ids, outs);
   outs
 
@@ -362,14 +361,15 @@ let strike t worker =
    the outvoted workers (quarantine after [max_strikes], re-admitted
    after [cooldown] runs). No majority is the pool's verdict, the word
    with the tally of its answers — the paper's §5 check. *)
-let vote t acct ids word =
-  let run w = (w, run_word acct w ~from:(-1) ids word) in
+let vote t acct ids =
+  let run w = (w, run_word t acct w ~from:(-1) ids) in
+  let tally answers = Nondet.tally (List.map (fun (_, a) -> Array.to_list a) answers) in
   let answers = List.map run (pick_replicas t t.config.replicas) in
   t.stats.vote_runs <- t.stats.vote_runs + List.length answers - 1;
   if List.length answers > 1 then
     Metrics.inc ~by:(List.length answers - 1) m_vote_runs;
-  match Nondet.tally (List.map snd answers) with
-  | [ only ] -> only.Nondet.answer
+  match tally answers with
+  | [ only ] -> Array.of_list only.Nondet.answer
   | _ ->
       t.stats.disagreements <- t.stats.disagreements + 1;
       Metrics.inc m_disagreements;
@@ -387,45 +387,45 @@ let vote t acct ids word =
       t.stats.vote_runs <- t.stats.vote_runs + List.length more;
       if more <> [] then Metrics.inc ~by:(List.length more) m_vote_runs;
       let all = answers @ more in
-      let obs = Nondet.tally (List.map snd all) in
+      let obs = tally all in
       let best = List.hd obs in
       let total = List.length all in
       if 2 * best.Nondet.count > total then begin
-        let majority = best.Nondet.answer in
-        List.iter (fun (w, a) -> if a <> majority then strike t w) all;
+        let majority = Array.of_list best.Nondet.answer in
+        List.iter
+          (fun (w, a) -> if not (Oracle.equal_ids a majority) then strike t w)
+          all;
         majority
       end
-      else raise (t.verdict { Nondet.word; answers = obs })
-
-(* The first [n] of [l]: a run's outputs cut to the length of a word
-   it answers, or a word cut to a prefix. *)
-let rec cut n l =
-  match l with
-  | _ when n = 0 -> []
-  | x :: xs -> x :: cut (n - 1) xs
-  | [] -> assert false
+      else
+        let outs = Coder.symbols (Cache.outputs t.cache) in
+        let decode (o : _ Nondet.observation) =
+          { o with answer = List.map (Array.get outs) o.answer }
+        in
+        let word = Coder.decode (Cache.inputs t.cache) ids in
+        raise (t.verdict { Nondet.word; answers = List.map decode obs })
 
 (* Records a run in the cache. A conflict with a cached answer is the
-   engine's other verdict: [word] cut after the first differing output,
-   with the cached and the fresh answer. *)
-let insert t ids word fresh =
+   engine's other verdict: the word cut after the first differing
+   output, with the cached and the fresh answer. *)
+let insert t ids fresh =
   try Cache.insert_coded t.cache ids fresh
   with Cache.Conflict i ->
-    let word = cut (i + 1) word in
-    let answer a = { Nondet.answer = cut (i + 1) a; count = 1 } in
+    let word = Coder.decode (Cache.inputs t.cache) (Array.sub ids 0 (i + 1)) in
     let cached = Option.get (Cache.lookup t.cache word) in
+    let fresh = Coder.decode (Cache.outputs t.cache) (Array.sub fresh 0 (i + 1)) in
+    let answer a = { Nondet.answer = a; count = 1 } in
     raise (t.verdict { Nondet.word; answers = [ answer cached; answer fresh ] })
 
 (* A sequential run, with the worker picked for the longest resume. *)
-let run_picked t acct ids word =
+let run_picked t acct ids =
   let worker, from = pick_worker t ids in
-  run_word acct worker ~from ids word
+  run_word t acct worker ~from ids
 
-let exec_word t ids word =
+let exec_word t ids =
   let acct = fresh_acct () in
   let outs =
-    if t.config.replicas > 1 then vote t acct ids word
-    else run_picked t acct ids word
+    if t.config.replicas > 1 then vote t acct ids else run_picked t acct ids
   in
   flush t acct;
   outs
@@ -433,8 +433,8 @@ let exec_word t ids word =
 (* Plan the batch of coded words, insert each run into the cache as it
    completes, and answer every word from the outputs of the run that
    covers it. *)
-let exec_batch t (batch : (int array * 'i list) array) =
-  let plan = Plan.build (Array.map fst batch) in
+let exec_batch t (batch : int array array) =
+  let plan = Plan.build batch in
   let s = t.stats in
   s.batches <- s.batches + 1;
   Metrics.inc m_batches;
@@ -450,19 +450,19 @@ let exec_batch t (batch : (int array * 'i list) array) =
     Metrics.inc ~by:plan.Plan.subsumed m_prefix_answers
   end;
   let runs = Array.map (fun i -> batch.(i)) plan.Plan.runs in
-  let outs = Array.make (Array.length runs) [] in
+  let outs = Array.make (Array.length runs) [||] in
   let acct = fresh_acct () in
   let finish r o =
-    insert t (fst runs.(r)) (snd runs.(r)) o;
+    insert t runs.(r) o;
     outs.(r) <- o
   in
   let execute () =
     if t.config.replicas > 1 then
-      Array.iteri (fun r (ids, w) -> finish r (vote t acct ids w)) runs
+      Array.iteri (fun r ids -> finish r (vote t acct ids)) runs
     else
       Array.iteri
-        (fun r (ids, w) ->
-          let run () = finish r (run_picked t acct ids w) in
+        (fun r ids ->
+          let run () = finish r (run_picked t acct ids) in
           if Trace.enabled () then
             Trace.with_span
               ~attrs:[ ("len", Jsonx.Int (Array.length ids)) ]
@@ -481,10 +481,10 @@ let exec_batch t (batch : (int array * 'i list) array) =
   else execute ();
   flush t acct;
   Array.mapi
-    (fun i (ids, _) ->
-      let r = plan.Plan.cover.(i) in
+    (fun i ids ->
+      let o = outs.(plan.Plan.cover.(i)) in
       let n = Array.length ids in
-      if n = Array.length (fst runs.(r)) then outs.(r) else cut n outs.(r))
+      if n = Array.length o then o else Array.sub o 0 n)
     batch
 
 (* Every word crossing this boundary counts toward the no-reuse
@@ -492,43 +492,39 @@ let exec_batch t (batch : (int array * 'i list) array) =
    words that miss reach the pool and count as the oracle's queries. *)
 let membership t =
   let stats = t.oracle_stats in
-  let ask word =
-    let ids = Cache.code t.cache word in
+  let run ids =
     count_baseline t ids;
     match Cache.find_coded t.cache ids with
     | Some answer -> answer
     | None ->
         let answer =
-          Oracle.run_query stats (Array.length ids) (fun () ->
-              exec_word t ids word)
+          Oracle.run_query stats (Array.length ids) (fun () -> exec_word t ids)
         in
-        insert t ids word answer;
+        insert t ids answer;
         answer
   in
   (* One cache walk per word: hits are answered from it, and only the
      misses go on to be planned. *)
-  let ask_batch words =
-    let coded =
-      List.map
-        (fun w ->
-          let ids = Cache.code t.cache w in
-          count_baseline t ids;
-          (ids, w))
-        words
-    in
-    let found = List.map (fun (ids, _) -> Cache.find_coded t.cache ids) coded in
+  let run_batch words =
+    Array.iter (count_baseline t) words;
+    let found = Array.map (Cache.find_coded t.cache) words in
     let missing =
-      List.fold_right2
-        (fun c a acc -> if Option.is_none a then c :: acc else acc)
-        coded found []
+      Array.to_list words
+      |> List.filteri (fun i _ -> Option.is_none found.(i))
       |> Array.of_list
     in
-    Array.iter (fun (ids, _) -> Oracle.count_query stats (Array.length ids)) missing;
-    let answers = if Array.length missing = 0 then [||] else exec_batch t missing in
+    Array.iter (fun ids -> Oracle.count_query stats (Array.length ids)) missing;
+    let answers = if missing = [||] then [||] else exec_batch t missing in
     let next = ref (-1) in
-    List.map (function Some a -> a | None -> incr next; answers.(!next)) found
+    Array.map (function Some a -> a | None -> incr next; answers.(!next)) found
   in
-  { Oracle.ask; ask_batch = (if t.config.batch then Some ask_batch else None); stats }
+  Oracle.of_coded stats
+    {
+      inputs = Cache.inputs t.cache;
+      outputs = Cache.outputs t.cache;
+      run;
+      run_batch = (if t.config.batch then Some run_batch else None);
+    }
 
 let config t = t.config
 let stats t = t.stats

@@ -36,7 +36,7 @@
 
 type config = {
   workers : int;  (** pool size (>= 1) *)
-  batch : bool;  (** advertise [ask_batch] to suite-driven oracles *)
+  batch : bool;  (** advertise [run_batch] to suite-driven oracles *)
   replicas : int;  (** full runs per word for cross-validation (>= 1,
                        <= workers) *)
   max_strikes : int;  (** outvoted answers before quarantine *)
@@ -98,15 +98,16 @@ val thaw : ('i, 'o) t -> string -> unit
     @raise Invalid_argument on a foreign blob or a changed pool size. *)
 
 val membership : ('i, 'o) t -> ('i, 'o) Prognosis_learner.Oracle.membership
-(** The engine as a membership oracle, behind the engine's cache view.
-    Each word is coded once ({!Prognosis_learner.Cache.code}); the
-    cache walk, the plan, worker resume and the insert use that
-    coding. [ask] answers one word as {!Prognosis_learner.Cache.wrap}
-    would. [ask_batch] (present when [config.batch]) looks each word
-    up once (every word counts as one hit or one miss), plans the
-    misses, inserts each run into the cache as it completes, and
-    answers each missing word from the outputs of the run that covers
-    it. Answers are observationally identical to
+(** The engine as a membership oracle, behind the engine's cache view,
+    coded by that view's coders: the cache walk, the plan, worker
+    resume and the insert all work on input and output ids, and a
+    symbol appears only where a worker steps its SUL. [run] answers
+    one word as {!Prognosis_learner.Cache.wrap} would. [run_batch]
+    (present when [config.batch]) looks each word up once (every word
+    counts as one hit or one miss), plans the misses, inserts each run
+    into the cache as it completes, and answers each missing word from
+    the outputs of the run that covers it. [ask]/[ask_batch] are their
+    symbol views. Answers are observationally identical to
     a direct sequential oracle over one [factory] instance — batching
     and pooling only change cost. The oracle's [stats] count the words
     that reached the pool (= the engine's cache misses). *)

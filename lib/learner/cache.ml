@@ -2,63 +2,7 @@ module Metrics = Prognosis_obs.Metrics
 
 exception Conflict of int
 
-(* Dense int ids for one symbol type. A coder is an immutable snapshot
-   behind an [Atomic.t]: interning installs an extended copy with one
-   compare-and-set, so a lock-free {!Sharded} reader always sees a
-   consistent coder and concurrent writers never hand out one id
-   twice. Symbols are few (an alphabet's worth): copies are rare. *)
-module Coder = struct
-  type 'a snap = { syms : 'a array; ids : ('a, int) Hashtbl.t }
-  type 'a t = 'a snap Atomic.t
-
-  let create () = Atomic.make { syms = [||]; ids = Hashtbl.create 1 }
-
-  let rec scan a x i =
-    if i = Array.length a then -1
-    else if Array.unsafe_get a i == x then i
-    else scan a x (i + 1)
-
-  (* The id of [x] in [s], or -1: a short table is scanned with [==]
-     before [x] is hashed. *)
-  let probe s x =
-    let i = if Array.length s.syms > 32 then -1 else scan s.syms x 0 in
-    if i >= 0 then i
-    else match Hashtbl.find_opt s.ids x with Some i -> i | None -> -1
-
-  let rec intern c x =
-    let s = Atomic.get c in
-    let i = probe s x in
-    if i >= 0 then i
-    else begin
-      let id = Array.length s.syms in
-      let ids = Hashtbl.copy s.ids in
-      Hashtbl.add ids x id;
-      let s' = { syms = Array.append s.syms [| x |]; ids } in
-      if Atomic.compare_and_set c s s' then id else intern c x
-    end
-
-  (* Fills [a] from position [k] with the ids of [word]'s symbols. A
-     symbol not seen before is interned when [fresh], and otherwise
-     stops the fill with [false]. *)
-  let rec fill c s fresh a k = function
-    | [] -> true
-    | x :: rest ->
-        let i = probe s x in
-        let i = if i < 0 && fresh then intern c x else i in
-        i >= 0 && (Array.unsafe_set a k i; fill c s fresh a (k + 1) rest)
-
-  let intern_word c word =
-    let a = Array.make (List.length word) 0 in
-    ignore (fill c (Atomic.get c) true a 0 word);
-    a
-
-  (* [None] when a symbol was never interned: no cached word holds it. *)
-  let find_word c word =
-    let a = Array.make (List.length word) 0 in
-    if fill c (Atomic.get c) false a 0 word then Some a else None
-
-  let symbols c = (Atomic.get c).syms
-end
+module Coder = Oracle.Coder
 
 module Trie = struct
   (* Compacted trie over coded words: path-compressed edges, each an
@@ -87,12 +31,13 @@ module Trie = struct
   let create () =
     { root = { path = [||]; pouts = [||]; kids = [] }; prefixes = 0; phys = 1 }
 
-  let find_kid kids x =
-    let rec go = function
-      | [] -> None
-      | k :: rest -> if Array.unsafe_get k.path 0 = x then Some k else go rest
-    in
-    go kids
+  (* The child whose edge starts with [x], or [nil]. *)
+  let nil = { path = [||]; pouts = [||]; kids = [] }
+
+  let rec find_kid kids x =
+    match kids with
+    | [] -> nil
+    | k :: rest -> if Array.unsafe_get k.path 0 = x then k else find_kid rest x
 
   let insert_sorted kid kids =
     let x = kid.path.(0) in
@@ -147,9 +92,9 @@ module Trie = struct
     in
     let rec at_node node i =
       if i < len then
-        match find_kid node.kids word.(i) with
-        | None -> node.kids <- insert_sorted (fresh_leaf i) node.kids
-        | Some kid -> in_edge node kid 0 i
+        let kid = find_kid node.kids word.(i) in
+        if kid == nil then node.kids <- insert_sorted (fresh_leaf i) node.kids
+        else in_edge node kid 0 i
     and in_edge parent kid j i =
       if j = Array.length kid.path then at_node kid i
       else if i < len then
@@ -165,27 +110,27 @@ module Trie = struct
     in
     at_node t.root 0
 
-  (* The outputs cached for coded [word], decoded through [outs] (the
-     output coder's symbols). An output id past [outs] can only come
-     from a read racing a writer; it reads as a miss, which the
-     {!Sharded} generation check then voids. *)
-  let rec lookup_at (word : int array) outs node i acc =
-    if i = Array.length word then Some (List.rev acc)
+  (* Fills [out] with the output ids cached along coded [word]; false
+     when the word leaves the trie. *)
+  let rec lookup_at word out node i =
+    i = Array.length word
+    ||
+    let kid = find_kid node.kids (Array.unsafe_get word i) in
+    kid != nil && lookup_edge word out kid 0 i
+
+  and lookup_edge word out kid j i =
+    if j = Array.length kid.path then lookup_at word out kid i
     else
-      match find_kid node.kids (Array.unsafe_get word i) with
-      | None -> None
-      | Some kid -> lookup_edge word outs kid 0 i acc
+      i = Array.length word
+      || Array.unsafe_get word i = Array.unsafe_get kid.path j
+         && begin
+              Array.unsafe_set out i (Array.unsafe_get kid.pouts j);
+              lookup_edge word out kid (j + 1) (i + 1)
+            end
 
-  and lookup_edge word outs kid j i acc =
-    if j = Array.length kid.path then lookup_at word outs kid i acc
-    else if i = Array.length word then Some (List.rev acc)
-    else if Array.unsafe_get word i = Array.unsafe_get kid.path j then
-      let o = Array.unsafe_get kid.pouts j in
-      if o >= Array.length outs then None
-      else lookup_edge word outs kid (j + 1) (i + 1) (Array.unsafe_get outs o :: acc)
-    else None
-
-  let lookup t word outs = lookup_at word outs t.root 0 []
+  let lookup t (word : int array) =
+    let out = Array.make (Array.length word) 0 in
+    if lookup_at word out t.root 0 then Some out else None
 
   let size t = t.prefixes + 1
   let compacted_nodes t = t.phys
@@ -301,12 +246,9 @@ module Sharded = struct
       let v = f () in
       if Atomic.get s.gen = g then v else locked s f
 
-  (* The output symbols are read inside the read section, after the
-     generation: an insert that finished before it published its ids
-     first. *)
   let lookup_coded t word =
     let s = shard t word in
-    read s (fun () -> Trie.lookup s.trie word (Coder.symbols t.outs))
+    read s (fun () -> Trie.lookup s.trie word)
 
   (* Counts include the root once across all shards, matching the
      unsharded accounting (each shard's trie counts its own root). *)
@@ -356,11 +298,11 @@ let create () =
 let shared (s : _ Sharded.t) =
   { store = Shared s; syms = s.syms; outs = s.outs; hits = 0; misses = 0 }
 
-let code t word = Coder.intern_word t.syms word
+let inputs t = t.syms
+let outputs t = t.outs
 
 (* Sharded stores keep per-shard gauges of their own. *)
 let insert_coded t word outs =
-  let outs = Coder.intern_word t.outs outs in
   match t.store with
   | Private x ->
       Trie.insert x word outs;
@@ -370,12 +312,17 @@ let insert_coded t word outs =
 
 let lookup_coded t word =
   match t.store with
-  | Private x -> Trie.lookup x word (Coder.symbols t.outs)
+  | Private x -> Trie.lookup x word
   | Shared s -> Sharded.lookup_coded s word
 
-let insert t word outs = insert_coded t (code t word) outs
+let insert t word outs =
+  insert_coded t (Coder.intern_word t.syms word) (Coder.intern_word t.outs outs)
 
-let lookup t word = Option.bind (Coder.find_word t.syms word) (lookup_coded t)
+(* A symbol never interned is in no cached word. *)
+let lookup t word =
+  let ids = Array.of_list (List.map (Coder.find t.syms) word) in
+  if Array.exists (fun i -> i < 0) ids then None
+  else Option.map (Coder.decode t.outs) (lookup_coded t ids)
 
 let size t =
   match t.store with Private x -> Trie.size x | Shared s -> Sharded.size s
@@ -405,19 +352,19 @@ let count t answer =
   answer
 
 let find_coded t word = count t (lookup_coded t word)
-let find t word = count t (lookup t word)
 
 let wrap t (mq : ('i, 'o) Oracle.membership) =
   (* A miss replays the full word and records it; [insert_coded]
      raises [Conflict] when the fresh outputs contradict a cached
      prefix, which is the nondeterminism check. *)
-  let ask word =
-    let ids = code t word in
+  let run ids =
     match find_coded t ids with
     | Some answer -> answer
     | None ->
-        let answer = mq.ask word in
+        let answer = mq.ask (Coder.decode t.syms ids) in
+        let answer = Coder.intern_word t.outs answer in
         insert_coded t ids answer;
         answer
   in
-  { mq with Oracle.ask; ask_batch = None }
+  Oracle.of_coded mq.stats
+    { inputs = t.syms; outputs = t.outs; run; run_batch = None }

@@ -7,13 +7,11 @@
     without touching the SUL.
 
     Symbols become ids once: each store owns an input and an output
-    coder giving every symbol a dense int id (a {!Sharded} store one
-    pair for all its shards and views). The trie holds coded words in
-    path-compressed edges, so walks, inserts and the {!Conflict} check
-    scan int arrays; the list API codes the word, then walks. Coding a
-    symbol scans the (at most 32) known ones for a physically equal
-    value — symbols normally come from one alphabet array — and hashes
-    it only when that fails. {!lookup} never mutates the trie, so
+    {!Oracle.Coder} giving every symbol a dense int id (a {!Sharded}
+    store one pair for all its shards and views). The trie holds coded
+    words and output ids in path-compressed edges, so walks, inserts
+    and the {!Conflict} check scan int arrays; the list API codes the
+    word, then walks. {!lookup} never mutates the trie, so
     {!Sharded}'s lock-free readers can probe a trie while one writer
     inserts into it.
 
@@ -40,17 +38,18 @@ val insert : ('i, 'o) t -> 'i list -> 'o list -> unit
 
 val lookup : ('i, 'o) t -> 'i list -> 'o list option
 
-val find : ('i, 'o) t -> 'i list -> 'o list option
-(** {!lookup} counted as one {!hits} or one {!misses} on this view:
-    the probe a caching oracle makes for each word it is asked. *)
+val inputs : ('i, 'o) t -> 'i Oracle.Coder.t
+val outputs : ('i, 'o) t -> 'o Oracle.Coder.t
+(** The store's coders: a coded word's input ids and its answer's
+    output ids. *)
 
-val code : ('i, 'o) t -> 'i list -> int array
-(** The word's ids in this view's store, coding unseen symbols: a
-    caller meeting a word several times (the engine) codes it once. *)
+val find_coded : ('i, 'o) t -> int array -> int array option
+(** The output ids cached for a coded word, counted as one {!hits} or
+    one {!misses} on this view: the probe a caching oracle makes for
+    each word it is asked. *)
 
-val find_coded : ('i, 'o) t -> int array -> 'o list option
-val insert_coded : ('i, 'o) t -> int array -> 'o list -> unit
-(** {!find} and {!insert} on a word {!code}d by this view's store. *)
+val insert_coded : ('i, 'o) t -> int array -> int array -> unit
+(** {!insert} of a coded word and its coded answer. *)
 
 val size : ('i, 'o) t -> int
 (** Number of logical trie nodes — one per distinct cached non-empty
@@ -62,11 +61,11 @@ val compacted_nodes : ('i, 'o) t -> int
     (exported as the [cache.trie.nodes] gauge). Always ≤ {!size}. *)
 
 val hits : ('i, 'o) t -> int
-(** {!find} hits through this view. *)
+(** {!find_coded} hits through this view. *)
 
 val misses : ('i, 'o) t -> int
-(** {!find} misses through this view: the words a caching oracle sent
-    on to the SUL. *)
+(** {!find_coded} misses through this view: the words a caching
+    oracle sent on to the SUL. *)
 
 val dump : ('i, 'o) t -> ('i list * 'o list) list
 (** The maximal cached words with their outputs — enough to rebuild the
@@ -82,12 +81,13 @@ val restore : ('i, 'o) t -> ('i list * 'o list) list -> unit
     misses; conflicting outputs raise like {!insert}. *)
 
 val wrap : ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membership
-(** Caching view of a membership oracle: only cache misses reach the
-    underlying oracle (and are counted in its statistics, so they equal
-    {!misses}). Each miss is replayed in full and inserted; a fresh
-    answer that contradicts a cached prefix raises {!Conflict}. The
-    wrapped oracle has no [ask_batch]: batching through a cache is the
-    engine's job ({!Prognosis_exec.Engine.membership}). *)
+(** Caching view of a membership oracle, coded by this view's store:
+    only cache misses reach the underlying oracle, through its [ask]
+    (and are counted in its statistics, so they equal {!misses}). Each
+    miss is replayed in full and inserted; a fresh answer that
+    contradicts a cached prefix raises {!Conflict}. The wrapped oracle
+    does not batch: batching through a cache is the engine's job
+    ({!Prognosis_exec.Engine.membership}). *)
 
 (** Concurrent sharded store over K independent tries, for fleet
     sessions that populate one shared membership cache from several

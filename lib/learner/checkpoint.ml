@@ -186,20 +186,14 @@ let check t =
   | _ -> ()
 
 let instrument t (mq : ('i, 'o) Oracle.membership) =
-  let ask word =
-    let answer = mq.Oracle.ask word in
+  let checked run words =
+    let answers = run words in
     check t;
-    answer
+    answers
   in
-  let ask_batch =
-    Option.map
-      (fun f words ->
-        let answers = f words in
-        check t;
-        answers)
-      mq.Oracle.ask_batch
-  in
-  { mq with Oracle.ask; ask_batch }
+  let c = mq.Oracle.coded in
+  Oracle.of_coded mq.Oracle.stats
+    { c with run = checked c.run; run_batch = Option.map checked c.run_batch }
 
 let on_round t ~round:_ ~states:_ = if queries t > t.last_saved then write t
 

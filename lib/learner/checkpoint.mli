@@ -99,8 +99,9 @@ val set_exec_state : ('i, 'o) session -> (unit -> string) -> unit
 
 val instrument :
   ('i, 'o) session -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membership
-(** Checkpointing view of a membership oracle: answers pass through
-    untouched; after each (batch of) answers the session snapshots if
+(** Checkpointing view of a membership oracle's coded face (and so of
+    its symbol views): answers pass through untouched; after each
+    (batch of) answers the session snapshots if
     [every] new SUL queries accumulated since the last write, and
     raises {!Budget_exhausted} (after a final snapshot) once the
     cumulative query count reaches [spec.budget]. Wrap the {e cached}

@@ -11,152 +11,98 @@ let m_shards = Metrics.counter Metrics.default "eq.shards"
 (* one per word-chunk handed to a batch-capable oracle: each shard is
    one batch the engine plans and runs on its worker pool *)
 
-let check_word (mq : ('i, 'o) Oracle.membership) h word =
-  if word = [] then None
-  else begin
-    mq.Oracle.stats.test_words <- mq.Oracle.stats.test_words + 1;
-    Metrics.inc m_test_words;
-    let sul_out = mq.ask word in
-    let hyp_out = Mealy.run h word in
-    if sul_out <> hyp_out then begin
-      Metrics.inc m_counterexamples;
-      if Trace.enabled () then
-        Trace.event
-          ~attrs:[ ("len", Prognosis_obs.Jsonx.Int (List.length word)) ]
-          "eq.counterexample";
-      Some word
-    end
-    else None
-  end
-
-(* When the oracle can plan whole batches (the query-execution
-   engine), suites are executed [batch_chunk] words at a time: the
-   batch executor shares resets across prefix-related words, and the
-   first in-suite-order counterexample is still the one the sequential
-   fold would have returned. Words after the counterexample within its
-   chunk do get executed (and cached) — honest accounting counts them
-   as test words. *)
+(* The one suite runner. [words] is the suite (alphabet positions),
+   drawn in order, each word once. With a batching oracle the words run
+   [batch_chunk] at a time: the engine shares resets across
+   prefix-related words, and the first in-suite-order counterexample is
+   still the one a word-at-a-time run returns. Words after the
+   counterexample within its chunk do get executed (and cached) —
+   honest accounting counts them as test words. Without batching a
+   chunk is one word. Empty words are dropped, uncounted. *)
 let batch_chunk = 128
 
-let check_batched mq batch h words =
-  let words = List.filter (fun w -> w <> []) words in
-  match words with
-  | [] -> None
-  | _ ->
-      List.iter
-        (fun _ ->
-          mq.Oracle.stats.test_words <- mq.Oracle.stats.test_words + 1;
-          Metrics.inc m_test_words)
-        words;
-      Metrics.inc m_shards;
-      let answers = batch words in
-      let rec find words answers =
-        match (words, answers) with
-        | word :: words', out :: answers' ->
-            if out <> Mealy.run h word then begin
-              Metrics.inc m_counterexamples;
-              if Trace.enabled () then
-                Trace.event
-                  ~attrs:[ ("len", Prognosis_obs.Jsonx.Int (List.length word)) ]
-                  "eq.counterexample";
-              Some word
-            end
-            else find words' answers'
-        | _ -> None
-      in
-      find words answers
-
-let rec split_chunk n l =
-  if n = 0 then ([], l)
-  else
-    match l with
-    | [] -> ([], [])
-    | x :: rest ->
-        let a, b = split_chunk (n - 1) rest in
-        (x :: a, b)
-
-let check_suite mq h suite =
-  match mq.Oracle.ask_batch with
-  | Some batch ->
-      let rec loop = function
-        | [] -> None
-        | words -> (
-            let chunk, rest = split_chunk batch_chunk words in
-            match check_batched mq batch h chunk with
-            | Some cex -> Some cex
-            | None -> loop rest)
-      in
-      loop suite
-  | None ->
-      List.fold_left
-        (fun acc word ->
-          match acc with Some _ -> acc | None -> check_word mq h word)
-        None suite
-
-let random_word rng inputs len =
-  List.init len (fun _ -> inputs.(Rng.int rng (Array.length inputs)))
+let run_suite mq h words =
+  let b = Oracle.bind mq (Mealy.inputs h) in
+  let hyp = Oracle.replay b h in
+  let query_batch = Oracle.query_batch b in
+  let chunk = if Option.is_some query_batch then batch_chunk else 1 in
+  let buf = Array.make chunk [||] in
+  (* Draws up to [n] words into [buf] from [k], dropping empty ones:
+     the count kept, and the rest of the suite ([None] at its end). *)
+  let rec take n words k =
+    if n = 0 then (k, Some words)
+    else
+      match words () with
+      | Seq.Nil -> (k, None)
+      | Seq.Cons (w, rest) ->
+          if Array.length w = 0 then take (n - 1) rest k
+          else begin
+            buf.(k) <- w;
+            take (n - 1) rest (k + 1)
+          end
+  in
+  let rec loop words =
+    match take chunk words 0 with
+    | 0, None -> None
+    | k, rest -> (
+        let words = Array.sub buf 0 k in
+        mq.Oracle.stats.test_words <- mq.Oracle.stats.test_words + k;
+        Metrics.inc ~by:k m_test_words;
+        let answers =
+          match query_batch with
+          | Some run when k > 0 ->
+              Metrics.inc m_shards;
+              run words
+          | _ -> Array.map (Oracle.query b) words
+        in
+        let rec find i =
+          if i = k then None
+          else if Oracle.equal_ids (hyp words.(i)) answers.(i) then find (i + 1)
+          else Some words.(i)
+        in
+        match (find 0, rest) with
+        | None, Some rest -> loop rest
+        | None, None -> None
+        | Some w, _ ->
+            Metrics.inc m_counterexamples;
+            if Trace.enabled () then
+              Trace.event
+                ~attrs:[ ("len", Prognosis_obs.Jsonx.Int (Array.length w)) ]
+                "eq.counterexample";
+            Some (Mealy.decode (Mealy.inputs h) w))
+  in
+  loop words
 
 let random_words ~rng ~max_tests ~min_len ~max_len mq h =
-  let inputs = Mealy.inputs h in
-  match mq.Oracle.ask_batch with
-  | Some batch ->
-      (* Words are pre-drawn a chunk at a time so the engine can plan
-         them together. The rng stream is consumed in the same
-         len-then-symbols order as the sequential path, though chunks
-         past a counterexample-bearing word never get drawn. *)
-      let draw () =
-        let len = min_len + Rng.int rng (max_len - min_len + 1) in
-        random_word rng inputs len
-      in
-      let rec draw_chunk n acc =
-        if n = 0 then List.rev acc else draw_chunk (n - 1) (draw () :: acc)
-      in
-      let rec loop k =
-        if k = 0 then None
-        else
-          let n = min batch_chunk k in
-          match check_batched mq batch h (draw_chunk n []) with
-          | Some cex -> Some cex
-          | None -> loop (k - n)
-      in
-      loop max_tests
-  | None ->
-      let rec loop k =
-        if k = 0 then None
-        else
-          let len = min_len + Rng.int rng (max_len - min_len + 1) in
-          match check_word mq h (random_word rng inputs len) with
-          | Some cex -> Some cex
-          | None -> loop (k - 1)
-      in
-      loop max_tests
+  let n = Mealy.alphabet_size h in
+  (* Length first, then the symbols, one word at a time: a chunk draws
+     its words in the same order a word-at-a-time run does. *)
+  run_suite mq h
+    (Seq.init max_tests (fun _ ->
+         let len = min_len + Rng.int rng (max_len - min_len + 1) in
+         Array.init len (fun _ -> Rng.int rng n)))
 
 let random_walk ~rng ~max_tests ~stop_prob mq h =
-  let inputs = Mealy.inputs h in
-  let rec draw acc =
-    let acc = inputs.(Rng.int rng (Array.length inputs)) :: acc in
-    if Rng.bool rng stop_prob then List.rev acc else draw acc
+  let n = Mealy.alphabet_size h in
+  let rec walk acc =
+    let acc = Rng.int rng n :: acc in
+    if Rng.bool rng stop_prob then Array.of_list (List.rev acc) else walk acc
   in
-  let rec loop k =
-    if k = 0 then None
-    else
-      match check_word mq h (draw []) with
-      | Some cex -> Some cex
-      | None -> loop (k - 1)
-  in
-  loop max_tests
+  run_suite mq h (Seq.init max_tests (fun _ -> walk []))
 
 let w_method ?(extra_states = 0) () mq h =
-  check_suite mq h (Testing.w_method ~extra_states h)
+  run_suite mq h (List.to_seq (Testing.w_method_ids ~extra_states h))
 
 let wp_method ?(extra_states = 0) () mq h =
-  check_suite mq h (Testing.wp_method ~extra_states h)
+  run_suite mq h (List.to_seq (Testing.wp_method_ids ~extra_states h))
 
-let fixed_words words mq h = check_suite mq h words
+let fixed_words words mq h =
+  let b = Oracle.bind mq (Mealy.inputs h) in
+  run_suite mq h (Seq.map (Oracle.encode b) (List.to_seq words))
 
 let exhaustive ~max_len mq h =
-  let words = Testing.middle_words (Mealy.inputs h) max_len in
-  check_suite mq h words
+  run_suite mq h
+    (List.to_seq (Testing.middle_ids (Mealy.alphabet_size h) max_len))
 
 let against target _mq h = Mealy.equivalent target h
 
@@ -165,18 +111,23 @@ let combine oracles mq h =
     (fun acc oracle -> match acc with Some _ -> acc | None -> oracle mq h)
     None oracles
 
-let shrink (mq : ('i, 'o) Oracle.membership) h cex =
-  let distinguishes word =
-    word <> [] && mq.ask word <> Mealy.run h word
+let shrink mq h cex =
+  let b = Oracle.bind mq (Mealy.inputs h) in
+  let hyp = Oracle.replay b h in
+  let distinguishes w =
+    Array.length w > 0 && not (Oracle.equal_ids (Oracle.query b w) (hyp w))
   in
-  let rec remove_one prefix = function
-    | [] -> None
-    | x :: rest ->
-        let candidate = List.rev_append prefix rest in
-        if distinguishes candidate then Some candidate
-        else remove_one (x :: prefix) rest
+  (* The first word with one symbol removed that still distinguishes. *)
+  let remove_one w =
+    let n = Array.length w in
+    let rec at i =
+      if i = n then None
+      else
+        let c = Array.append (Array.sub w 0 i) (Array.sub w (i + 1) (n - i - 1)) in
+        if distinguishes c then Some c else at (i + 1)
+    in
+    at 0
   in
-  let rec loop word =
-    match remove_one [] word with Some shorter -> loop shorter | None -> word
-  in
-  if distinguishes cex then loop cex else cex
+  let rec loop w = match remove_one w with Some c -> loop c | None -> w in
+  let w = Oracle.encode b cex in
+  if distinguishes w then Mealy.decode (Mealy.inputs h) (loop w) else cex

@@ -5,12 +5,15 @@
     while "no counterexample" only means none was found by the chosen
     test strategy.
 
-    When the membership oracle advertises [ask_batch] (see
-    {!Oracle.membership}), suite-driven oracles execute their words in
-    chunks through it — the engine behind the batch shares resets
-    across prefix-related words — and still return the first
-    counterexample in suite order. With a plain oracle the behaviour
-    is exactly the historical word-at-a-time fold. *)
+    Every oracle here runs its words through one coded runner: words
+    are alphabet positions ({!Oracle.bind}) and answers are compared
+    with the hypothesis's as output ids ({!Oracle.replay}). When the
+    membership oracle batches ([coded.run_batch], see
+    {!Oracle.coded}), words run in chunks of 128 — the engine behind
+    the batch shares resets across prefix-related words — and the first
+    counterexample in suite order is still the one returned. With a
+    plain oracle a chunk is one word. A word holding a symbol outside
+    the hypothesis's alphabet raises [Invalid_argument]. *)
 
 val random_words :
   rng:Prognosis_sul.Rng.t ->

@@ -7,25 +7,20 @@ let m_rounds = Metrics.counter Metrics.default "learner.rounds"
 let m_cex = Metrics.counter Metrics.default "learner.counterexamples"
 let h_cex_len = Metrics.histogram Metrics.default "learner.cex_length"
 
+(* Access words and suffixes are alphabet positions, cells are output
+   ids. *)
 type ('i, 'o) state = {
-  inputs : 'i array;
-  mq : ('i, 'o) Oracle.membership;
-  mutable s : 'i list list; (* prefix-closed access words, insertion order *)
-  mutable e : 'i list list; (* suffix-closed, nonempty columns *)
+  b : ('i, 'o) Oracle.bound;
+  mutable s : int array list; (* prefix-closed access words, insertion order *)
+  mutable e : int array list; (* suffix-closed, nonempty columns *)
 }
 
 let create ~inputs mq =
   if Array.length inputs = 0 then invalid_arg "Lstar.create: empty alphabet";
-  { inputs; mq; s = [ [] ]; e = Array.to_list (Array.map (fun a -> [ a ]) inputs) }
+  let e = List.init (Array.length inputs) (fun i -> [| i |]) in
+  { b = Oracle.bind mq inputs; s = [ [||] ]; e }
 
-(* Output word for the suffix [e] after access word [u]: the last |e|
-   outputs of the full query u·e. *)
-let suffix_output t u e =
-  let answer = t.mq.Oracle.ask (u @ e) in
-  let n = List.length answer and k = List.length e in
-  List.filteri (fun i _ -> i >= n - k) answer
-
-let row t u = List.map (fun e -> suffix_output t u e) t.e
+let row t u = List.map (Oracle.suffix t.b u) t.e
 
 let rows t = List.length t.s
 let columns t = List.length t.e
@@ -43,11 +38,11 @@ let close t =
         (fun u ->
           List.filter_map
             (fun a ->
-              let ua = u @ [ a ] in
+              let ua = Array.append u [| a |] in
               if List.mem ua t.s then None
               else if Hashtbl.mem s_rows (row t ua) then None
               else Some ua)
-            (Array.to_list t.inputs))
+            (List.init (Array.length (Oracle.alphabet t.b)) Fun.id))
         t.s
     in
     match missing with
@@ -73,32 +68,30 @@ let hypothesis t =
     t.s;
   let reps = Array.of_list (List.rev !reps) in
   let size = Array.length reps in
-  let n = Array.length t.inputs in
+  let n = Array.length (Oracle.alphabet t.b) in
   let state_of u = Hashtbl.find row_ids (row t u) in
   let delta = Array.init size (fun _ -> Array.make n 0) in
   let lambda =
     Array.init size (fun q ->
         Array.init n (fun i ->
-            match suffix_output t reps.(q) [ t.inputs.(i) ] with
-            | [ o ] -> o
-            | _ -> assert false))
+            Oracle.output t.b (Oracle.suffix t.b reps.(q) [| i |]).(0)))
   in
   for q = 0 to size - 1 do
     for i = 0 to n - 1 do
-      delta.(q).(i) <- state_of (reps.(q) @ [ t.inputs.(i) ])
+      delta.(q).(i) <- state_of (Array.append reps.(q) [| i |])
     done
   done;
-  Mealy.make ~size ~initial:(state_of []) ~inputs:t.inputs ~delta ~lambda
+  Mealy.make ~size ~initial:(state_of [||]) ~inputs:(Oracle.alphabet t.b) ~delta
+    ~lambda
 
 let refine t cex =
   (* Shahbaz–Groz: add every nonempty suffix of the counterexample to E. *)
-  let rec suffixes = function
-    | [] -> []
-    | _ :: rest as w -> w :: suffixes rest
-  in
-  List.iter
-    (fun suffix -> if not (List.mem suffix t.e) then t.e <- t.e @ [ suffix ])
-    (suffixes cex)
+  let w = Oracle.encode t.b cex in
+  let n = Array.length w in
+  for i = 0 to n - 1 do
+    let suffix = Array.sub w i (n - i) in
+    if not (List.mem suffix t.e) then t.e <- t.e @ [ suffix ]
+  done
 
 let learn ?(max_rounds = 100) ?(on_round = fun ~round:_ ~states:_ -> ()) ~inputs
     ~mq ~eq () =

@@ -9,52 +9,40 @@ let m_rounds = Metrics.counter Metrics.default "learner.rounds"
 let m_cex = Metrics.counter Metrics.default "learner.counterexamples"
 let h_cex_len = Metrics.histogram Metrics.default "learner.cex_length"
 
-type ('i, 'o) cell = { mutable contents : ('i, 'o) contents }
+(* Leaves are leaf ids; access words and discriminators are alphabet
+   positions, tree keys are output ids: the tree never touches a
+   symbol. *)
+type cell = { mutable contents : contents }
+and contents = Leaf of int | Node of node
 
-and ('i, 'o) contents =
-  | Leaf of ('i, 'o) leaf
-  | Node of ('i, 'o) node
-
-and ('i, 'o) leaf = { access : 'i list; id : int }
-
-and ('i, 'o) node = {
-  discriminator : 'i list;
-  mutable children : ('o list * ('i, 'o) cell) list;
+and node = {
+  discriminator : int array;
+  mutable children : (int array * cell) list;
 }
 
 type ('i, 'o) state = {
-  inputs : 'i array;
-  mq : ('i, 'o) Oracle.membership;
-  root : ('i, 'o) cell;
+  b : ('i, 'o) Oracle.bound;
+  root : cell;
   mutable next_id : int;
-  cells : (int, ('i, 'o) cell) Hashtbl.t; (* leaf id -> enclosing cell *)
-  accesses : (int, 'i list) Hashtbl.t;
+  cells : (int, cell) Hashtbl.t; (* leaf id -> enclosing cell *)
+  accesses : (int, int array) Hashtbl.t;
 }
-
-let create ~inputs mq =
-  if Array.length inputs = 0 then invalid_arg "Ttt.create: empty alphabet";
-  let leaf = { access = []; id = 0 } in
-  let root = { contents = Leaf leaf } in
-  let cells = Hashtbl.create 16 in
-  let accesses = Hashtbl.create 16 in
-  Hashtbl.add cells 0 root;
-  Hashtbl.add accesses 0 [];
-  { inputs; mq; root; next_id = 1; cells; accesses }
 
 let leaves t = t.next_id
 
-(* Outputs produced for the suffix [v] when running u·v from the
-   initial state. *)
-let suffix_output t u v =
-  let answer = t.mq.Oracle.ask (u @ v) in
-  let n = List.length answer and k = List.length v in
-  List.filteri (fun i _ -> i >= n - k) answer
-
 let fresh_leaf t access =
-  let leaf = { access; id = t.next_id } in
+  let leaf = t.next_id in
   t.next_id <- t.next_id + 1;
-  Hashtbl.add t.accesses leaf.id access;
+  Hashtbl.add t.accesses leaf access;
   leaf
+
+let create ~inputs mq =
+  if Array.length inputs = 0 then invalid_arg "Ttt.create: empty alphabet";
+  let root = { contents = Leaf 0 } and cells = Hashtbl.create 16 in
+  let accesses = Hashtbl.create 16 in
+  let t = { b = Oracle.bind mq inputs; root; next_id = 0; cells; accesses } in
+  Hashtbl.add cells (fresh_leaf t [||]) root;
+  t
 
 (* Sift an access word down the tree to the leaf representing its
    SUL state, extending the tree with a fresh leaf when the word
@@ -63,21 +51,21 @@ let rec sift t cell u =
   match cell.contents with
   | Leaf l -> l
   | Node n -> (
-      let out = suffix_output t u n.discriminator in
-      match List.assoc_opt out n.children with
-      | Some child -> sift t child u
+      let out = Oracle.suffix t.b u n.discriminator in
+      match List.find_opt (fun (o, _) -> Oracle.equal_ids o out) n.children with
+      | Some (_, child) -> sift t child u
       | None ->
           let leaf = fresh_leaf t u in
           let child = { contents = Leaf leaf } in
           n.children <- (out, child) :: n.children;
-          Hashtbl.add t.cells leaf.id child;
+          Hashtbl.add t.cells leaf child;
           leaf)
 
 let hypothesis t =
-  let n = Array.length t.inputs in
-  let transitions : (int, int array * 'o array) Hashtbl.t = Hashtbl.create 16 in
+  let n = Array.length (Oracle.alphabet t.b) in
+  let transitions : (int, int array * int array) Hashtbl.t = Hashtbl.create 16 in
   let pending = Queue.create () in
-  let initial = (sift t t.root []).id in
+  let initial = sift t t.root [||] in
   Queue.add initial pending;
   let enqueued = Hashtbl.create 16 in
   Hashtbl.add enqueued initial ();
@@ -86,14 +74,9 @@ let hypothesis t =
     if not (Hashtbl.mem transitions q) then begin
       let u = Hashtbl.find t.accesses q in
       let targets = Array.make n 0 in
-      let outputs =
-        Array.init n (fun i ->
-            match suffix_output t u [ t.inputs.(i) ] with
-            | [ o ] -> o
-            | _ -> assert false)
-      in
+      let outputs = Array.init n (fun i -> (Oracle.suffix t.b u [| i |]).(0)) in
       for i = 0 to n - 1 do
-        let target = (sift t t.root (u @ [ t.inputs.(i) ])).id in
+        let target = sift t t.root (Array.append u [| i |]) in
         targets.(i) <- target;
         if not (Hashtbl.mem enqueued target) then begin
           Hashtbl.add enqueued target ();
@@ -111,52 +94,49 @@ let hypothesis t =
   Array.iteri (fun idx id -> Hashtbl.add renumber id idx) ids;
   let size = Array.length ids in
   let delta = Array.init size (fun _ -> Array.make n 0) in
-  let first_outputs = snd (Hashtbl.find transitions ids.(0)) in
-  let lambda = Array.init size (fun _ -> Array.make n first_outputs.(0)) in
+  let lambda =
+    Array.map
+      (fun id -> Array.map (Oracle.output t.b) (snd (Hashtbl.find transitions id)))
+      ids
+  in
   Array.iteri
     (fun idx id ->
-      let targets, outputs = Hashtbl.find transitions id in
+      let targets, _ = Hashtbl.find transitions id in
       for i = 0 to n - 1 do
-        delta.(idx).(i) <- Hashtbl.find renumber targets.(i);
-        lambda.(idx).(i) <- outputs.(i)
+        delta.(idx).(i) <- Hashtbl.find renumber targets.(i)
       done)
     ids;
   let machine =
-    Mealy.make ~size ~initial:(Hashtbl.find renumber initial) ~inputs:t.inputs
-      ~delta ~lambda
+    Mealy.make ~size ~initial:(Hashtbl.find renumber initial)
+      ~inputs:(Oracle.alphabet t.b) ~delta ~lambda
   in
-  (machine, fun state_idx -> Hashtbl.find t.accesses ids.(state_idx))
-
-let take k l = List.filteri (fun i _ -> i < k) l
-let drop k l = List.filteri (fun i _ -> i >= k) l
-
-(* Recover the leaf id carrying a given access word. *)
-let find_leaf_id t access =
-  let found = ref (-1) in
-  Hashtbl.iter (fun id a -> if a = access then found := id) t.accesses;
-  assert (!found >= 0);
-  !found
+  (machine, fun state_idx -> ids.(state_idx))
 
 let refine t cex =
-  let h, access_of = hypothesis t in
-  let sul_out = t.mq.Oracle.ask cex in
-  let hyp_out = Mealy.run h cex in
-  if sul_out = hyp_out then false
+  let h, leaf_of = hypothesis t in
+  let access_of q = Hashtbl.find t.accesses (leaf_of q) in
+  let w = Oracle.encode t.b cex in
+  let hyp_out = Oracle.replay t.b h w in
+  if Oracle.equal_ids (Oracle.query t.b w) hyp_out then false
   else begin
-    let n = List.length cex in
-    (* phi i = hypothesis outputs on cex[:i] followed by the SUL's
-       outputs for cex[i:] after replaying the access word of the
-       hypothesis state reached on cex[:i]. phi 0 <> phi n, and any
+    let n = Array.length w in
+    (* states.(i) is the hypothesis state reached on w[:i]. *)
+    let states = Array.make (n + 1) (Mealy.initial h) in
+    for i = 0 to n - 1 do
+      states.(i + 1) <- fst (Mealy.step_idx h states.(i) w.(i))
+    done;
+    (* phi i = hypothesis outputs on w[:i] followed by the SUL's
+       outputs for w[i:] after replaying the access word of the
+       hypothesis state reached on w[:i]. phi 0 <> phi n, and any
        adjacent disagreement yields a state to split. *)
     let memo = Hashtbl.create 8 in
     let phi i =
       match Hashtbl.find_opt memo i with
       | Some v -> v
       | None ->
-          let prefix = take i cex and suffix = drop i cex in
-          let state = Mealy.state_after h prefix in
           let v =
-            Mealy.run h prefix @ suffix_output t (access_of state) suffix
+            Array.append (Array.sub hyp_out 0 i)
+              (Oracle.suffix t.b (access_of states.(i)) (Array.sub w i (n - i)))
           in
           Hashtbl.add memo i v;
           v
@@ -164,45 +144,36 @@ let refine t cex =
     let lo = ref 0 and hi = ref n in
     while !hi - !lo > 1 do
       let mid = (!lo + !hi) / 2 in
-      if phi mid <> phi !hi then lo := mid else hi := mid
+      if Oracle.equal_ids (phi mid) (phi !hi) then hi := mid else lo := mid
     done;
     let i = !lo in
-    let u = take i cex and rest = drop i cex in
-    match rest with
-    | [] -> false
-    | a :: v ->
-        if v = [] then false
-        else begin
-          let q_i = Mealy.state_after h u in
-          let q' = fst (Mealy.step h q_i a) in
-          let old_access = access_of q' in
-          let new_access = access_of q_i @ [ a ] in
-          let out_old = suffix_output t old_access v in
-          let out_new = suffix_output t new_access v in
-          if out_old = out_new then false
-          else begin
-            (* Split the leaf of q': its cell becomes an inner node
-               discriminating with v between the old and the new state. *)
-            let old_leaf =
-              match (Hashtbl.find t.cells (find_leaf_id t old_access)).contents with
-              | Leaf l -> l
-              | Node _ -> assert false
-            in
-            let new_leaf = fresh_leaf t new_access in
-            let cell = Hashtbl.find t.cells old_leaf.id in
-            let old_cell = { contents = Leaf old_leaf } in
-            let new_cell = { contents = Leaf new_leaf } in
-            cell.contents <-
-              Node
-                {
-                  discriminator = v;
-                  children = [ (out_old, old_cell); (out_new, new_cell) ];
-                };
-            Hashtbl.replace t.cells old_leaf.id old_cell;
-            Hashtbl.replace t.cells new_leaf.id new_cell;
-            true
-          end
-        end
+    (* Splitting needs the symbol w.(i) and a non-empty suffix v after it. *)
+    n - i >= 2
+    &&
+    let v = Array.sub w (i + 1) (n - i - 1) in
+    let old_access = access_of states.(i + 1) in
+    let new_access = Array.append (access_of states.(i)) [| w.(i) |] in
+    let out_old = Oracle.suffix t.b old_access v in
+    let out_new = Oracle.suffix t.b new_access v in
+    (not (Oracle.equal_ids out_old out_new))
+    &&
+    (* Split the leaf of the state after w[:i+1]: its cell becomes an
+       inner node discriminating with v between the old and the new
+       state. *)
+    let old_leaf = leaf_of states.(i + 1) in
+    let cell = Hashtbl.find t.cells old_leaf in
+    let new_leaf = fresh_leaf t new_access in
+    let old_cell = { contents = Leaf old_leaf } in
+    let new_cell = { contents = Leaf new_leaf } in
+    cell.contents <-
+      Node
+        {
+          discriminator = v;
+          children = [ (out_old, old_cell); (out_new, new_cell) ];
+        };
+    Hashtbl.replace t.cells old_leaf old_cell;
+    Hashtbl.replace t.cells new_leaf new_cell;
+    true
   end
 
 let hypothesis t = fst (hypothesis t)

@@ -45,7 +45,8 @@ let random_word rng inputs max_len =
    as the word it executes. *)
 let plan words =
   let c = Cache.create () in
-  let coded = Array.of_list (List.map (Cache.code c) words) in
+  let code = Oracle.Coder.intern_word (Cache.inputs c) in
+  let coded = Array.of_list (List.map code words) in
   let p = Plan.build coded in
   let ws = Array.of_list words in
   (p, coded, List.map (fun i -> ws.(i)) (Array.to_list p.Plan.runs))

@@ -174,11 +174,15 @@ let prop_coded_cache =
               end
               else begin
                 let expected = lookup w in
-                if expected = None then incr misses else incr hits;
-                (* half the probes through the coded entry points *)
+                (* half the probes through the uncounted list lookup,
+                   half through the counted coded entry point *)
                 let got =
-                  if flip = None then Cache.find c w
-                  else Cache.find_coded c (Cache.code c w)
+                  if flip = None then Cache.lookup c w
+                  else begin
+                    if expected = None then incr misses else incr hits;
+                    Cache.find_coded c (Oracle.Coder.intern_word (Cache.inputs c) w)
+                    |> Option.map (Oracle.Coder.decode (Cache.outputs c))
+                  end
                 in
                 got = expected
               end)
@@ -384,6 +388,30 @@ let prop_agreement =
       in
       Mealy.equivalent m1 m2 = None)
 
+(* A scenario word holding a symbol outside the learn's alphabet fails
+   with an error naming it, and coding it mints no cache id. *)
+let unknown_symbol_rejected () =
+  let m =
+    Mealy.make ~size:1 ~initial:0 ~inputs:[| "a"; "b" |] ~delta:[| [| 0; 0 |] |]
+      ~lambda:[| [| "x"; "y" |] |]
+  in
+  let engine =
+    Prognosis_exec.Engine.create ~factory:(fun _ -> Sul.of_mealy m) ()
+  in
+  let mq = Prognosis_exec.Engine.membership engine in
+  (match Eq_oracle.fixed_words [ [ "a" ]; [ "b"; "zz" ] ] mq m with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      let named =
+        let rec at i =
+          i + 4 <= String.length msg && (String.sub msg i 4 = "\"zz\"" || at (i + 1))
+        in
+        at 0
+      in
+      Alcotest.(check bool) ("names the symbol: " ^ msg) true named);
+  Alcotest.(check int) "no id minted" (-1)
+    (Oracle.Coder.find mq.Oracle.coded.Oracle.inputs "zz")
+
 let () =
   Alcotest.run "learner"
     [
@@ -417,6 +445,7 @@ let () =
           Alcotest.test_case "exhaustive" `Quick exhaustive_finds_difference;
           Alcotest.test_case "combine" `Quick combine_order;
           Alcotest.test_case "shrink" `Quick shrink_shortens;
+          Alcotest.test_case "unknown symbol" `Quick unknown_symbol_rejected;
         ] );
       ( "driver",
         [

@@ -2,8 +2,8 @@
    stepping agrees with the functional reference on arbitrary machines,
    the compacted trie cache round-trips through the checkpoint format
    byte-identically, the sharded equivalence oracle produces the same
-   model as a sequential run, and one QUIC and one DTLS SUL query stay
-   within their allocation budgets. These run under the @perf alias,
+   model as a sequential run, and one QUIC and one DTLS SUL query and
+   one TCP golden learn stay within their allocation budgets. These run under the @perf alias,
    next to the counter gate in CI. *)
 
 module Mealy = Prognosis_automata.Mealy
@@ -68,7 +68,6 @@ let prop_input_index =
         Mealy.make ~size:1 ~initial:0 ~inputs ~delta:[| Array.make n 0 |]
           ~lambda:[| Array.make n "o" |]
       in
-      let p = Mealy.pack m in
       List.for_all
         (fun (kind, i) ->
           let x =
@@ -82,8 +81,7 @@ let prop_input_index =
             find 0
           in
           let position f = match f x with j -> Some j | exception Not_found -> None in
-          position (Mealy.Packed.input_index p) = structural
-          && position (Mealy.input_index m) = structural)
+          position (Mealy.input_index m) = structural)
         probes)
 
 (* --- compacted trie preserves the checkpoint dump format --- *)
@@ -284,6 +282,41 @@ let dtls_scenario_budget () =
        (Prognosis_dtls.Dtls_adapter.sul ~seed:1L ())
        (List.hd Dtls_study.scenarios))
 
+(* Minor words of one warm TTT learn of the tcp golden through a fresh
+   engine: the golden as a table SUL, the study's W-method + random eq
+   oracle. Everything above the SUL allocates here — learner queries,
+   suite generation, cache walks, planning — so words decoded back into
+   symbol lists on the way fail it. The budget is 1.25x the figure
+   measured when it was set: 260634 words with the learner, suites and
+   engine on coded words, against 405415 when they traded symbol lists
+   (OCaml 5.1, dune's default profile). *)
+let tcp_learn_words () =
+  let path =
+    List.find Sys.file_exists
+      [ "../examples/golden/tcp.model"; "examples/golden/tcp.model" ]
+  in
+  let model =
+    match Persist.load_text ~path Persist.Tcp_model with
+    | Ok m -> m
+    | Error e -> Alcotest.fail (Persist.load_error_to_string e)
+  in
+  let d = Protocol.strings (Tcp_study.protocol ()) in
+  let learn () =
+    let engine = Engine.create ~factory:(fun _ -> Sul.of_mealy model) () in
+    ignore
+      (Prognosis_learner.Learn.run_mq
+         ~cache_stats:(fun () -> Engine.cache_stats engine)
+         ~inputs:(Mealy.inputs model) ~mq:(Engine.membership engine)
+         ~eq:(Protocol.eq_oracle d ~seed:1L) ())
+  in
+  learn ();
+  let before = Gc.minor_words () in
+  learn ();
+  Gc.minor_words () -. before
+
+let tcp_learn_budget () =
+  check_budget "TCP learn" (1.25 *. 260634.) (tcp_learn_words ())
+
 let () =
   Alcotest.run "perf"
     [
@@ -311,6 +344,7 @@ let () =
           Alcotest.test_case "QUIC handshake query" `Quick
             quic_handshake_budget;
           Alcotest.test_case "DTLS scenario query" `Quick dtls_scenario_budget;
+          Alcotest.test_case "TCP golden learn" `Quick tcp_learn_budget;
         ] );
       (* The longest group name sets the column Alcotest truncates case
          names to; "eq-sharding" keeps it at 11 characters, so the

@@ -822,6 +822,124 @@ let prop_minimize_fixpoint =
       let m2 = Mealy.minimize m1 in
       Mealy.size m1 = Mealy.size m2 && Mealy.equivalent m1 m2 = None)
 
+(* --- the coded face and its symbol views --- *)
+
+module Engine = Prognosis_exec.Engine
+module Learn = Prognosis_learner.Learn
+
+(* Random machines over string symbols. Every output cell is its own
+   string, so equal outputs are physically distinct values. *)
+let gen_string_mealy =
+  QCheck2.Gen.(
+    let* size = gen 1 5 in
+    let* k = gen 1 4 in
+    let* delta = array_size (return size) (array_size (return k) (gen 0 (size - 1))) in
+    let* lambda = array_size (return size) (array_size (return k) (gen 0 2)) in
+    let inputs = Array.init k (fun i -> "i" ^ string_of_int i) in
+    let lambda = Array.map (Array.map (fun o -> "o" ^ string_of_int o)) lambda in
+    return (Mealy.make ~size ~initial:0 ~inputs ~delta ~lambda))
+
+let gen_machine_words =
+  QCheck2.Gen.(
+    let* m = gen_string_mealy in
+    let k = Mealy.alphabet_size m in
+    let+ words = list_size (gen 1 15) (list_size (gen 0 8) (gen 0 (k - 1))) in
+    (m, List.map (List.map (fun i -> (Mealy.inputs m).(i))) words))
+
+let prop_coded_face_matches_ask =
+  QCheck2.Test.make ~count:100 ~name:"decoded coded answers == ask"
+    gen_machine_words
+    (fun (m, words) ->
+      let agrees (mq : _ Oracle.membership) =
+        let c = mq.Oracle.coded in
+        List.for_all
+          (fun w ->
+            let ids = Oracle.Coder.intern_word c.Oracle.inputs w in
+            Oracle.Coder.decode c.Oracle.outputs (c.Oracle.run ids) = mq.ask w)
+          words
+      in
+      let engine = Engine.create ~factory:(fun _ -> Sul.of_mealy m) () in
+      agrees (Oracle.of_sul (Sul.of_mealy m)) && agrees (Engine.membership engine))
+
+(* The list-level W-method construction, as suites were built before
+   they were coded: transition cover x middles x characterizing set,
+   first occurrences in order. *)
+let w_method_reference ~extra_states m =
+  let seen = Hashtbl.create 64 in
+  let mid = Testing.middle_words (Mealy.inputs m) extra_states in
+  List.concat_map
+    (fun p ->
+      List.concat_map
+        (fun middle -> List.map (fun s -> p @ middle @ s) (Mealy.characterizing_set m))
+        mid)
+    (Testing.transition_cover m)
+  |> List.filter (fun w ->
+         (not (Hashtbl.mem seen w)) && (Hashtbl.add seen w (); true))
+
+let prop_w_method_list_is_decoded_ids =
+  QCheck2.Test.make ~count:100 ~name:"w-method list suite == decoded id suite"
+    QCheck2.Gen.(pair gen_string_mealy (gen 0 2))
+    (fun (m, extra_states) ->
+      let suite = Testing.w_method ~extra_states m in
+      suite
+      = List.map (Mealy.decode (Mealy.inputs m)) (Testing.w_method_ids ~extra_states m)
+      && suite = w_method_reference ~extra_states m)
+
+(* The learner's alphabet is a structurally equal, physically distinct
+   copy of the target's, so every symbol the table SUL steps and every
+   output the engine codes misses the coders' physical probe and takes
+   the hash fallback. *)
+let prop_engine_learns_copied_symbols =
+  QCheck2.Test.make ~count:40 ~name:"engine learns over copied symbols"
+    gen_string_mealy
+    (fun target ->
+      let inputs = Array.map (fun x -> Bytes.to_string (Bytes.of_string x)) (Mealy.inputs target) in
+      List.for_all
+        (fun (batch, workers) ->
+          let config = { Engine.default with Engine.batch; workers } in
+          let engine = Engine.create ~config ~factory:(fun _ -> Sul.of_mealy target) () in
+          let r =
+            Learn.run_mq
+              ~cache_stats:(fun () -> Engine.cache_stats engine)
+              ~inputs ~mq:(Engine.membership engine)
+              ~eq:
+                (Eq_oracle.combine
+                   [ Eq_oracle.w_method ~extra_states:1 (); Eq_oracle.against target ])
+              ()
+          in
+          Mealy.equivalent r.Learn.model target = None)
+        [ (true, 1); (false, 1); (true, 3); (false, 3) ])
+
+(* pipeline.mli: without [?exec] the engine asks one query at a time,
+   the query stream of a plain cached SUL oracle. *)
+let prop_pipeline_counters_match_learn_run =
+  QCheck2.Test.make ~count:40 ~name:"Pipeline.learn counters == Learn.run"
+    gen_string_mealy
+    (fun target ->
+      let eq () =
+        let rng = Rng.create 7L in
+        Eq_oracle.combine
+          [
+            Eq_oracle.w_method ~extra_states:1 ();
+            Eq_oracle.random_words ~rng ~max_tests:50 ~min_len:1 ~max_len:6;
+          ]
+      in
+      let inputs = Mealy.inputs target in
+      let r = Learn.run ~inputs ~sul:(Sul.of_mealy target) ~eq:(eq ()) () in
+      match
+        Prognosis.Pipeline.learn ~subject:"random" ~seed:1L
+          ~algorithm:Learn.Ttt_tree ~inputs
+          ~factory:(fun ~seed:_ ~workers:_ _ -> Sul.of_mealy target)
+          ~eq:(eq ()) ()
+      with
+      | Error _ -> false
+      | Ok (_, report) ->
+          let s = r.Learn.stats in
+          report.Prognosis.Report.membership_queries = s.Oracle.membership_queries
+          && report.membership_symbols = s.membership_symbols
+          && report.test_words = s.test_words
+          && report.equivalence_rounds = r.rounds)
+
 let () =
   Alcotest.run "properties"
     [
@@ -882,5 +1000,9 @@ let () =
             prop_learners_agree_3sym;
             prop_w_method_kills_output_mutants;
             prop_minimize_fixpoint;
+            prop_coded_face_matches_ask;
+            prop_w_method_list_is_decoded_ids;
+            prop_engine_learns_copied_symbols;
+            prop_pipeline_counters_match_learn_run;
           ] );
     ]
