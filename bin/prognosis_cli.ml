@@ -115,13 +115,15 @@ let read_file path =
 let algo_name = function Learn.Ttt_tree -> "ttt" | Learn.L_star -> "lstar"
 let algo_of_name = function "lstar" -> Learn.L_star | _ -> Learn.Ttt_tree
 
-(* Every command that sizes a worker pool or a sharded cache checks the
-   sizes here first, so a bad flag (or manifest entry) is a usage error
-   instead of an [Invalid_argument] escaping from the engine or the
-   cache. *)
-let check_pool ?(shards = 1) ~workers ~replicas () =
+(* Every command that sizes a worker pool, a domain pool or a sharded
+   cache checks the sizes here first, so a bad flag (or manifest entry)
+   is a usage error instead of an [Invalid_argument] escaping from the
+   engine or the cache, or a silent clamp. *)
+let check_pool ?(shards = 1) ?(domains = 1) ~workers ~replicas () =
   or_die
-    (if workers < 1 then
+    (if domains < 1 then
+       Error (Printf.sprintf "domains must be at least 1 (got %d)" domains)
+     else if workers < 1 then
        Error (Printf.sprintf "workers must be at least 1 (got %d)" workers)
      else if replicas < 1 || replicas > workers then
        Error
@@ -1441,7 +1443,7 @@ let identify_cmd =
 
 let do_serve () jobs_file domains shards workers replicas library_dir
     metrics_out =
-  check_pool ~shards ~workers ~replicas ();
+  check_pool ~shards ~domains ~workers ~replicas ();
   Prognosis_obs.Metrics.reset Prognosis_obs.Metrics.default;
   let jobs = or_die (Result.bind (read_file jobs_file) Service.jobs_of_string) in
   let library =
@@ -1507,8 +1509,8 @@ let serve_cmd =
   in
   let domains_arg =
     let doc =
-      "Number of OCaml domains running sessions (clamped to the job count; 1 \
-       keeps the fleet sequential and its per-session counters \
+      "Number of OCaml domains running sessions (at least 1; clamped to the \
+       job count; 1 keeps the fleet sequential and its per-session counters \
        deterministic)."
     in
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)

@@ -221,17 +221,18 @@ module Sharded = struct
     if Array.length word = 0 then t.shards.(0)
     else t.shards.(word.(0) mod Array.length t.shards)
 
-  let locked s f =
-    Mutex.lock s.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
-
+  (* One critical section per insert; the generation is even again on
+     the way out whether the insert returns or raises ({!Conflict}). *)
   let insert_coded t word outs =
     let s = shard t word in
-    locked s (fun () ->
+    Mutex.protect s.lock (fun () ->
         Atomic.incr s.gen;
-        Fun.protect
-          ~finally:(fun () -> Atomic.incr s.gen)
-          (fun () -> Trie.insert s.trie word outs);
+        (match Trie.insert s.trie word outs with
+        | () -> Atomic.incr s.gen
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Atomic.incr s.gen;
+            Printexc.raise_with_backtrace e bt);
         Metrics.set s.g_sh_nodes (float_of_int (Trie.size s.trie)))
 
   (* Optimistic read: lock-free thanks to publication-safe inserts, but
@@ -241,10 +242,10 @@ module Sharded = struct
      one that does is a bug to surface, not a race to retry. *)
   let read s f =
     let g = Atomic.get s.gen in
-    if g land 1 = 1 then locked s f
+    if g land 1 = 1 then Mutex.protect s.lock f
     else
       let v = f () in
-      if Atomic.get s.gen = g then v else locked s f
+      if Atomic.get s.gen = g then v else Mutex.protect s.lock f
 
   let lookup_coded t word =
     let s = shard t word in

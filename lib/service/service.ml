@@ -7,6 +7,7 @@ module Splitter = Prognosis_fingerprint.Splitter
 module Identify = Prognosis_fingerprint.Identify
 module Jsonx = Prognosis_obs.Jsonx
 module Trace = Prognosis_obs.Trace
+module Metrics = Prognosis_obs.Metrics
 module Nondet = Prognosis_sul.Nondet
 open Prognosis
 
@@ -196,6 +197,106 @@ let run_identify ~cache ~tree ~config ~labels (job : job) =
 
 let default_config = { Engine.default with Engine.batch = true }
 
+(* The next job for a domain that needs work: the first untaken job, in
+   job order, whose endpoint has no session running, so that sessions
+   of one endpoint follow each other and each finds the answers the
+   last one cached; else the first untaken job. With nothing running
+   (one domain) that is job order. *)
+let pick ~endpoint ~taken ~busy =
+  let n = Array.length endpoint in
+  let rec go i first =
+    if i = n then first
+    else if taken.(i) then go (i + 1) first
+    else if not (busy endpoint.(i)) then Some i
+    else go (i + 1) (if first = None then Some i else first)
+  in
+  go 0 None
+
+(* Resident helper domains, spawned on first use and kept for the life
+   of the process (spawning and joining a domain per run churns the
+   major heap). Between runs they wait on [wake]. A run offers [seats];
+   a helper that takes one runs [work] and leaves ([inside]), and the
+   run, once its own share of the work is done, withdraws the seats
+   nobody took and waits on [back] for the rest. Helpers are counted
+   when spawned, so a process never holds more than the largest
+   [domains - 1] it was asked for. [work] never raises: each session's
+   exception is kept for its job. *)
+type pool = {
+  lock : Mutex.t;
+  wake : Condition.t;
+  back : Condition.t;
+  mutable helpers : int;
+  mutable work : unit -> unit;
+  mutable seats : int;
+  mutable inside : int;
+  mutable held : bool; (* a run is using the helpers *)
+}
+
+let pool =
+  {
+    lock = Mutex.create ();
+    wake = Condition.create ();
+    back = Condition.create ();
+    helpers = 0;
+    work = ignore;
+    seats = 0;
+    inside = 0;
+    held = false;
+  }
+
+let g_helpers = Metrics.gauge Metrics.default "service.helper_domains"
+
+let helper () =
+  while true do
+    let work =
+      Mutex.protect pool.lock (fun () ->
+          while pool.seats = 0 do
+            Condition.wait pool.wake pool.lock
+          done;
+          pool.seats <- pool.seats - 1;
+          pool.inside <- pool.inside + 1;
+          pool.work)
+    in
+    work ();
+    Mutex.protect pool.lock (fun () ->
+        pool.inside <- pool.inside - 1;
+        if pool.inside = 0 then Condition.signal pool.back)
+  done
+
+(* Runs [work] on the calling domain and up to [domains - 1] helpers;
+   returns the number of domains offered it. A run that finds the
+   helpers held by a concurrent one runs alone. *)
+let on_domains domains work =
+  let seats =
+    if domains = 1 then 0
+    else
+      Mutex.protect pool.lock (fun () ->
+          if pool.held then 0
+          else begin
+            while pool.helpers < domains - 1 do
+              ignore (Domain.spawn helper : unit Domain.t);
+              pool.helpers <- pool.helpers + 1
+            done;
+            (* on every run: [Metrics.reset] zeroes gauges *)
+            Metrics.set g_helpers (float_of_int pool.helpers);
+            pool.held <- true;
+            pool.work <- work;
+            pool.seats <- domains - 1;
+            Condition.broadcast pool.wake;
+            domains - 1
+          end)
+  in
+  work ();
+  if seats > 0 then
+    Mutex.protect pool.lock (fun () ->
+        pool.seats <- 0;
+        while pool.inside > 0 do
+          Condition.wait pool.back pool.lock
+        done;
+        pool.held <- false;
+        pool.work <- ignore);
+  1 + seats
+
 let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
     () =
   let jobs = Array.of_list jobs in
@@ -218,22 +319,30 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
   (* One shared sharded cache per endpoint configuration: sessions
      probing behaviourally identical endpoints (same subject name —
      SUL answers are seed-invariant) pool their answers; distinct
-     configurations must not, they answer differently. *)
-  let caches = Hashtbl.create 8 in
-  Array.iter
-    (fun j ->
-      let name = j.subject.Subject.name in
-      if not (Hashtbl.mem caches name) then
-        Hashtbl.add caches name (Cache.Sharded.create ~shards ()))
-    jobs;
+     configurations must not, they answer differently. Endpoints are
+     numbered in first-appearance order. *)
+  let ids = Hashtbl.create 8 and names = ref [] in
+  let endpoint =
+    Array.map
+      (fun j ->
+        let name = j.subject.Subject.name in
+        match Hashtbl.find_opt ids name with
+        | Some e -> e
+        | None ->
+            let e = Hashtbl.length ids in
+            Hashtbl.add ids name e;
+            names := name :: !names;
+            e)
+      jobs
+  in
+  let names = Array.of_list (List.rev !names) in
+  let caches = Array.map (fun _ -> Cache.Sharded.create ~shards ()) names in
   let tree_for (j : job) =
     Option.value ~default:(Splitter.Leaf None)
       (List.assoc_opt j.subject.Subject.kind forest)
   in
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
   let run_session i (job : job) =
-    let cache = Cache.shared (Hashtbl.find caches job.subject.Subject.name) in
+    let cache = Cache.shared caches.(endpoint.(i)) in
     let labels = [ ("session", string_of_int i) ] in
     let t0 = Unix.gettimeofday () in
     (match job.op with
@@ -257,18 +366,33 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
       elapsed_s = Unix.gettimeofday () -. t0;
     }
   in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
+  let results = Array.make n None in
+  let m = Mutex.create () in
+  let taken = Array.make n false in
+  let running = Array.make (Array.length names) 0 in
+  (* One critical section per session: release the endpoint of the job
+     just finished, then take the next job. *)
+  let next finished =
+    Mutex.protect m (fun () ->
+        let count i d = running.(endpoint.(i)) <- running.(endpoint.(i)) + d in
+        Option.iter (fun i -> count i (-1)) finished;
+        let i = pick ~endpoint ~taken ~busy:(fun e -> running.(e) > 0) in
+        Option.iter
+          (fun i ->
+            taken.(i) <- true;
+            count i 1)
+          i;
+        i)
+  in
+  let rec work finished =
+    match next finished with
+    | None -> ()
+    | Some i ->
         results.(i) <-
           Some
             (try Ok (run_session i jobs.(i))
              with e -> Error (e, Printexc.get_raw_backtrace ()));
-        loop ()
-      end
-    in
-    loop ()
+        work (Some i)
   in
   (* The trace sink is not domain-safe, so a traced run degrades to
      a sequential fleet. *)
@@ -277,12 +401,7 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
     if Trace.enabled () then 1 else d
   in
   let t0 = Unix.gettimeofday () in
-  if domains = 1 then worker ()
-  else begin
-    let spawned = Array.init (domains - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join spawned
-  end;
+  let domains = on_domains domains (fun () -> work None) in
   let elapsed_s = Unix.gettimeofday () -. t0 in
   (* A verdict belongs to its session; any other failure is a bug
      and surfaces in job order, so a multi-failure fleet reports
@@ -296,32 +415,24 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
         | None -> assert false)
       (Array.to_list results)
   in
+  (* one per distinct endpoint, in first-appearance order; a cache's
+     tallies are the sum of its sessions' views *)
   let shared =
-    (* first-appearance order over distinct endpoints, from the
-       job list (Hashtbl order is not deterministic); a cache's
-       tallies are the sum of its sessions' views *)
-    let seen = Hashtbl.create 8 in
-    Array.to_list jobs
-    |> List.filter_map (fun j ->
-           let name = j.subject.Subject.name in
-           if Hashtbl.mem seen name then None
-           else begin
-             Hashtbl.add seen name ();
-             let c = Hashtbl.find caches name in
-             let sum f =
-               List.fold_left
-                 (fun acc s -> if s.endpoint = name then acc + f s else acc)
-                 0 sessions
-             in
-             Some
-               {
-                 cache_endpoint = name;
-                 shard_count = Cache.Sharded.shards c;
-                 hits = sum (fun s -> s.cache_hits);
-                 misses = sum (fun s -> s.cache_misses);
-                 nodes = Cache.Sharded.size c;
-               }
-           end)
+    Array.to_list names
+    |> List.mapi (fun e name ->
+           let c = caches.(e) in
+           let sum f =
+             List.fold_left
+               (fun acc s -> if s.endpoint = name then acc + f s else acc)
+               0 sessions
+           in
+           {
+             cache_endpoint = name;
+             shard_count = Cache.Sharded.shards c;
+             hits = sum (fun s -> s.cache_hits);
+             misses = sum (fun s -> s.cache_misses);
+             nodes = Cache.Sharded.size c;
+           })
   in
   Ok
     {

@@ -125,16 +125,31 @@ val run :
   jobs:job list ->
   unit ->
   (t, string) result
-(** Run the fleet. [domains] (default 1) is clamped to the job count
-    and forced to 1 while a trace sink is set (the sink is not
-    domain-safe); [shards] (default 8) sizes each shared cache;
-    [config] (default {!default_config}) applies to every session's
-    engine. [library] is required when any job identifies ([Error]
-    otherwise; also on a library whose splitter tree fails to
-    compile). An endpoint answering a query inconsistently stops only
-    its own session, which lands in [verdicts] instead of [sessions].
-    Any other exception a session raises is a bug: it re-raises here
-    after every domain has joined, the first in job order winning. *)
+(** Run the fleet on the calling domain plus [domains - 1] helper
+    domains ([domains], default 1, is clamped to the job count and
+    forced to 1 while a trace sink is set: the sink is not
+    domain-safe). Helpers are spawned on first use and stay resident,
+    so a process holds at most the largest [domains - 1] it was asked
+    for (gauge [service.helper_domains]); a run that finds them busy
+    with a concurrent run runs alone. Each domain takes the next job
+    by {!pick}. [shards] (default 8) sizes each shared cache; [config]
+    (default {!default_config}) applies to every session's engine.
+    [library] is required when any job identifies ([Error] otherwise;
+    also on a library whose splitter tree fails to compile). An
+    endpoint answering a query inconsistently stops only its own
+    session, which lands in [verdicts] instead of [sessions]. Any
+    other exception a session raises is a bug: it re-raises here once
+    every session has ended, the first in job order winning, and the
+    helper that ran it lives on. *)
+
+val pick :
+  endpoint:int array -> taken:bool array -> busy:(int -> bool) -> int option
+(** The job a domain takes next, where job [i] probes endpoint
+    [endpoint.(i)]: the first job, in job order, not [taken] and whose
+    endpoint is not [busy] (has no session running), else the first
+    job not [taken]. Sessions of one endpoint thus follow each other,
+    each finding in the shared cache what the last one asked. At one
+    domain nothing is busy, so this is job order. *)
 
 val schema : string
 (** ["prognosis.service/1"] *)

@@ -210,6 +210,114 @@ let verdict_is_the_sessions_own () =
           Alcotest.failf "expected one verdict, got %d" (List.length vs))
     [ 1; 4 ]
 
+(* --- the pick and the resident helpers --- *)
+
+(* [Service.pick] against its definition, over random job lists of up
+   to four endpoints and random taken / busy sets. *)
+let pick_gen =
+  QCheck2.Gen.(
+    let* n = int_range 0 12 in
+    triple
+      (array_size (return n) (int_range 0 3))
+      (array_size (return n) bool)
+      (array_size (return 4) bool))
+
+let pick_is_first_free =
+  QCheck2.Test.make ~count:500
+    ~name:"pick: first free-endpoint job, else first untaken"
+    ~print:(fun (e, t, b) ->
+      let show f a = String.concat "," (Array.to_list (Array.map f a)) in
+      Printf.sprintf "endpoint [%s] taken [%s] busy [%s]"
+        (show string_of_int e) (show string_of_bool t) (show string_of_bool b))
+    pick_gen
+    (fun (endpoint, taken, busy) ->
+      let untaken =
+        List.init (Array.length endpoint) Fun.id
+        |> List.filter (fun i -> not taken.(i))
+      in
+      let expected =
+        match List.find_opt (fun i -> not busy.(endpoint.(i))) untaken with
+        | None -> List.nth_opt untaken 0
+        | free -> free
+      in
+      Service.pick ~endpoint ~taken ~busy:(Array.get busy) = expected)
+
+(* One domain picks with nothing running: job order, whatever the
+   endpoints. *)
+let pick_one_domain =
+  QCheck2.Test.make ~count:200 ~name:"pick: job order at one domain"
+    QCheck2.Gen.(array_size (int_range 0 12) (int_range 0 3))
+    (fun endpoint ->
+      let taken = Array.make (Array.length endpoint) false in
+      let rec order acc =
+        match Service.pick ~endpoint ~taken ~busy:(fun _ -> false) with
+        | None -> List.rev acc
+        | Some i ->
+            taken.(i) <- true;
+            order (i :: acc)
+      in
+      order [] = List.init (Array.length endpoint) Fun.id)
+
+let helper_gauge () =
+  int_of_float !(Metrics.gauge Metrics.default "service.helper_domains")
+
+(* Runs reuse the resident helpers: twenty runs at two domains give the
+   same results and leave the process with one helper (or with the
+   helpers an earlier, wider run spawned); a wider run adds only what
+   it needs, and later narrower runs spawn none. *)
+let helpers_stay_resident () =
+  let jobs = mixed_jobs () in
+  let first = helper_gauge () in
+  let results fleet =
+    List.map (fun s -> outcome_key s.Service.outcome) fleet.Service.sessions
+  in
+  let reference = results (run_fleet ~domains:1 jobs) in
+  for run = 1 to 20 do
+    let fleet = run_fleet ~domains:2 jobs in
+    Alcotest.(check (list string))
+      (Printf.sprintf "run %d results" run)
+      reference (results fleet);
+    Alcotest.(check int)
+      (Printf.sprintf "run %d helpers" run)
+      (max first 1) (helper_gauge ())
+  done;
+  let wider = max first 2 in
+  ignore (run_fleet ~domains:3 jobs);
+  Alcotest.(check int) "a 3-domain run adds what it needs" wider
+    (helper_gauge ());
+  for _ = 1 to 3 do
+    ignore (run_fleet ~domains:2 jobs)
+  done;
+  Alcotest.(check int) "narrower runs spawn none" wider (helper_gauge ())
+
+(* Two sessions that meet before raising: they run at the same time, so
+   one of them raised on the helper. The run re-raises the first in
+   job order, and the helper lives on to serve the next run. *)
+let helper_survives_a_raise () =
+  let arrived = Atomic.make 0 and met = Atomic.make 0 in
+  let raising name =
+    let tcp = subject "tcp" in
+    let factory ~seed:_ ~workers:_ =
+      Atomic.incr arrived;
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Atomic.get arrived < 2 && Unix.gettimeofday () < deadline do
+        Domain.cpu_relax ()
+      done;
+      if Atomic.get arrived = 2 then Atomic.incr met;
+      failwith name
+    in
+    Service.job Service.Learn { tcp with Subject.name = name; factory }
+  in
+  (match run_fleet ~domains:2 [ raising "boom:0"; raising "boom:1" ] with
+  | _ -> Alcotest.fail "a raising session must re-raise from Service.run"
+  | exception Failure msg ->
+      Alcotest.(check string) "first in job order" "boom:0" msg);
+  Alcotest.(check int) "both sessions ran together" 2 (Atomic.get met);
+  let jobs = mixed_jobs () in
+  let fleet = run_fleet ~domains:2 jobs in
+  Alcotest.(check int) "the next run completes" (List.length jobs)
+    (List.length fleet.Service.sessions)
+
 let jobs_roundtrip () =
   let text =
     {|{"schema": "prognosis.jobs/1", "jobs": [
@@ -397,6 +505,15 @@ let () =
   Metrics.reset Metrics.default;
   Alcotest.run "service"
     [
+      ( "helpers",
+        [
+          QCheck_alcotest.to_alcotest pick_is_first_free;
+          QCheck_alcotest.to_alcotest pick_one_domain;
+          Alcotest.test_case "twenty runs, one helper" `Slow
+            helpers_stay_resident;
+          Alcotest.test_case "a helper survives a raising session" `Slow
+            helper_survives_a_raise;
+        ] );
       ( "fleet",
         [
           Alcotest.test_case "fleet == solo, per job" `Slow fleet_matches_solo;
