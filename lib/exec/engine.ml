@@ -27,10 +27,10 @@ let default =
 type ('i, 'o) worker = {
   id : int;
   sul : ('i, 'o) Sul.t;
-  mutable position : (int array * int array) option;
-      (* coded word replayed since the last reset, and the output ids
-         this worker observed; [None] = state unknown, the next run must
-         reset *)
+  mutable position : int array;
+      (* coded word replayed since the last reset; [||] = state
+         unknown, the next run must reset *)
+  mutable position_outs : int array; (* the output ids observed on it *)
   mutable runs_done : int;
   mutable resets_done : int;
   mutable steps_done : int;
@@ -126,7 +126,8 @@ let create (type i o) ?(config = default) ?(labels = []) ?cache
         {
           id;
           sul = factory id;
-          position = None;
+          position = [||];
+          position_outs = [||];
           runs_done = 0;
           resets_done = 0;
           steps_done = 0;
@@ -206,7 +207,7 @@ let thaw t blob =
           w.runs_done <- runs_done;
           w.strikes <- strikes;
           w.quarantined_until <- quarantined_until;
-          w.position <- None)
+          w.position <- [||])
         t.workers;
       t.clock <- f.f_clock;
       t.rr <- f.f_rr
@@ -233,11 +234,9 @@ let fresh_acct () = { a_runs = 0; a_resumed = 0; a_resets = 0; a_steps = 0 }
 (* How far [worker] can resume into coded word [ids]: the length of its
    position when that is a non-empty strict prefix of [ids], else -1. *)
 let resume_len worker ids =
-  match worker.position with
-  | Some (pos, _) ->
-      let k = Array.length pos in
-      if k > 0 && k < Array.length ids && Plan.is_prefix pos ids then k else -1
-  | None -> -1
+  let pos = worker.position in
+  let k = Array.length pos in
+  if k > 0 && k < Array.length ids && Plan.is_prefix pos ids then k else -1
 
 (* Execute coded word [ids] on [worker], the one place symbols meet
    the SUL: each id is stepped as its symbol and each output comes back
@@ -248,20 +247,18 @@ let resume_len worker ids =
 let run_word t acct worker ~from ids =
   acct.a_runs <- acct.a_runs + 1;
   worker.runs_done <- worker.runs_done + 1;
-  let pos = worker.position in
-  worker.position <- None;
+  worker.position <- [||];
   let outs = Array.make (Array.length ids) 0 in
   let start =
-    match pos with
-    | Some (_, pos_outs) when from > 0 ->
-        acct.a_resumed <- acct.a_resumed + 1;
-        Array.blit pos_outs 0 outs 0 from;
-        from
-    | _ ->
-        worker.sul.Sul.reset ();
-        acct.a_resets <- acct.a_resets + 1;
-        worker.resets_done <- worker.resets_done + 1;
-        0
+    if from > 0 then (
+      acct.a_resumed <- acct.a_resumed + 1;
+      Array.blit worker.position_outs 0 outs 0 from;
+      from)
+    else (
+      worker.sul.Sul.reset ();
+      acct.a_resets <- acct.a_resets + 1;
+      worker.resets_done <- worker.resets_done + 1;
+      0)
   in
   let syms = Coder.symbols (Cache.inputs t.cache) in
   let coder = Cache.outputs t.cache in
@@ -270,7 +267,8 @@ let run_word t acct worker ~from ids =
     worker.steps_done <- worker.steps_done + 1;
     outs.(k) <- Coder.intern coder (worker.sul.Sul.step syms.(ids.(k)))
   done;
-  worker.position <- Some (ids, outs);
+  worker.position <- ids;
+  worker.position_outs <- outs;
   outs
 
 let flush t acct =
@@ -341,7 +339,7 @@ let strike t worker =
   then begin
     worker.quarantined_until <- t.clock + t.config.cooldown;
     worker.strikes <- 0;
-    worker.position <- None;
+    worker.position <- [||];
     t.stats.quarantines <- t.stats.quarantines + 1;
     Metrics.inc m_quarantines;
     Metrics.inc (worker_quarantines t.labels worker.id);
@@ -462,12 +460,12 @@ let exec_batch t (batch : int array array) =
     else
       Array.iteri
         (fun r ids ->
-          let run () = finish r (run_picked t acct ids) in
           if Trace.enabled () then
             Trace.with_span
               ~attrs:[ ("len", Jsonx.Int (Array.length ids)) ]
-              "oracle.mq" run
-          else run ())
+              "oracle.mq"
+              (fun () -> finish r (run_picked t acct ids))
+          else finish r (run_picked t acct ids))
         runs
   in
   if Trace.enabled () then
@@ -508,13 +506,15 @@ let membership t =
   let run_batch words =
     Array.iter (count_baseline t) words;
     let found = Array.map (Cache.find_coded t.cache) words in
-    let missing =
-      Array.to_list words
-      |> List.filteri (fun i _ -> Option.is_none found.(i))
-      |> Array.of_list
-    in
+    let missing = Array.make (Array.length words) [||] and n = ref 0 in
+    for i = 0 to Array.length words - 1 do
+      if Option.is_none found.(i) then (
+        missing.(!n) <- words.(i);
+        incr n)
+    done;
+    let missing = Array.sub missing 0 !n in
     Array.iter (fun ids -> Oracle.count_query stats (Array.length ids)) missing;
-    let answers = if missing = [||] then [||] else exec_batch t missing in
+    let answers = if !n = 0 then [||] else exec_batch t missing in
     let next = ref (-1) in
     Array.map (function Some a -> a | None -> incr next; answers.(!next)) found
   in

@@ -17,6 +17,27 @@ let rec prefix_from (p : int array) (w : int array) i =
 
 let is_prefix p w = Array.length p <= Array.length w && prefix_from p w 0
 
+(* Stable merge sort of the word indices [a.(lo) .. a.(hi - 1)] by
+   their words in [w]: monomorphic and closure-free, and, being stable,
+   the order [Array.stable_sort] gives with [compare_words]. *)
+let rec sort_indices w (a : int array) tmp lo hi =
+  if hi - lo > 1 then begin
+    let mid = (lo + hi) / 2 in
+    sort_indices w a tmp lo mid;
+    sort_indices w a tmp mid hi;
+    if compare_words w.(a.(mid - 1)) w.(a.(mid)) > 0 then begin
+      Array.blit a lo tmp lo (hi - lo);
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        let left =
+          !j = hi || (!i < mid && compare_words w.(tmp.(!i)) w.(tmp.(!j)) <= 0)
+        in
+        a.(k) <- tmp.(if left then !i else !j);
+        if left then incr i else incr j
+      done
+    end
+  end
+
 type t = {
   runs : int array;
   cover : int array;
@@ -32,9 +53,8 @@ type t = {
    successor's run; any other word starts a new one. *)
 let build ws =
   let n = Array.length ws in
-  let order = Array.init n Fun.id in
-  Array.stable_sort (fun a b -> compare_words ws.(a) ws.(b)) order;
-  let cover = Array.make n 0 in
+  let order = Array.init n Fun.id and cover = Array.make n 0 in
+  sort_indices ws order cover 0 n;
   let runs = ref [] and n_runs = ref 0 and dupes = ref 0 in
   for k = n - 1 downto 0 do
     let i = order.(k) in

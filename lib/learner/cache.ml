@@ -8,18 +8,19 @@ module Trie = struct
   (* Compacted trie over coded words: path-compressed edges, each an
      [int array] of input ids with the matching output ids alongside,
      so a chain of single-child nodes costs one node and walking it is
-     an int-array scan. Children are kept sorted by first edge id for
-     cheap insertion; [dump] re-sorts siblings by the symbols
-     themselves so the checkpoint order is canonical.
-
-     [lookup] never mutates the structure, so {!Sharded}'s lock-free
-     readers can probe a trie while one writer inserts into it. *)
+     an int-array scan. A node's children sit in an array indexed by
+     the first input id of their edge, [nil] in the empty slots; [dump]
+     sorts siblings by the symbols themselves so the checkpoint order
+     is canonical. Every change is one pointer write of a fully built
+     value (a filled slot, a grown copy of a child array, a split
+     edge's slot), so {!Sharded}'s lock-free readers see a node before
+     or after it (see the interface). *)
 
   type node = {
-    path : int array; (* compressed edge into this subtree; immutable
-                         once the node is reachable (see [split]) *)
+    path : int array; (* compressed edge into this subtree *)
     pouts : int array; (* output ids along the edge; same length *)
-    mutable kids : node list; (* sorted by [path.(0)]; first ids distinct *)
+    mutable kids : node array; (* slot x: the child whose edge starts
+                                  with id x, or [nil] *)
   }
 
   type t = {
@@ -28,34 +29,29 @@ module Trie = struct
     mutable phys : int; (* physical (compacted) nodes, root included *)
   }
 
-  let create () =
-    { root = { path = [||]; pouts = [||]; kids = [] }; prefixes = 0; phys = 1 }
+  let nil = { path = [||]; pouts = [||]; kids = [||] }
+
+  let create () = { root = { nil with kids = [||] }; prefixes = 0; phys = 1 }
 
   (* The child whose edge starts with [x], or [nil]. *)
-  let nil = { path = [||]; pouts = [||]; kids = [] }
+  let find_kid node x =
+    let kids = node.kids in
+    if x < Array.length kids then Array.unsafe_get kids x else nil
 
-  let rec find_kid kids x =
-    match kids with
-    | [] -> nil
-    | k :: rest -> if Array.unsafe_get k.path 0 = x then k else find_kid rest x
+  (* Links [kid] under [node] in the slot of its first id. *)
+  let set_kid node kid =
+    let x = kid.path.(0) and kids = node.kids in
+    let len = Array.length kids in
+    if x < len then kids.(x) <- kid
+    else
+      let grown = Array.make (max (x + 1) (2 * len)) nil in
+      Array.blit kids 0 grown 0 len;
+      grown.(x) <- kid;
+      node.kids <- grown
 
-  let insert_sorted kid kids =
-    let x = kid.path.(0) in
-    let rec go = function
-      | [] -> [ kid ]
-      | k :: _ as l when x < k.path.(0) -> kid :: l
-      | k :: rest -> k :: go rest
-    in
-    go kids
-
-  (* Split [kid]'s edge after its first [j] symbols. Mutation is
-     publication-safe for lock-free concurrent readers ({!Sharded}): a
-     reachable node's [path]/[pouts] arrays are never shrunk or
-     overwritten in place. Instead a fresh head node (carrying the first
-     [j] symbols, with a fresh tail inheriting the rest) replaces [kid]
-     in [parent]'s child list with one pointer write, so a racing lookup
-     sees either the old consistent node or the new consistent pair —
-     never a half-mutated edge. *)
+  (* Splits [kid]'s edge after its first [j] symbols: a fresh head
+     carrying them, over a fresh tail inheriting the rest and [kid]'s
+     children, takes [kid]'s slot in [parent]. *)
   let split t parent kid j =
     let len = Array.length kid.path in
     let tail =
@@ -69,68 +65,71 @@ module Trie = struct
       {
         path = Array.sub kid.path 0 j;
         pouts = Array.sub kid.pouts 0 j;
-        kids = [ tail ];
+        kids = [||];
       }
     in
-    parent.kids <- List.map (fun k -> if k == kid then head else k) parent.kids;
+    set_kid head tail;
+    set_kid parent head;
     t.phys <- t.phys + 1;
     head
 
+  (* The leaf holding [word]/[outs] from position [i] on. *)
+  let fresh_leaf t word outs i =
+    let len = Array.length word - i in
+    t.phys <- t.phys + 1;
+    t.prefixes <- t.prefixes + len;
+    { path = Array.sub word i len; pouts = Array.sub outs i len; kids = [||] }
+
+  let rec insert_at t word outs node i =
+    if i < Array.length word then
+      let kid = find_kid node word.(i) in
+      if kid == nil then set_kid node (fresh_leaf t word outs i)
+      else insert_edge t word outs node kid 0 i
+
+  and insert_edge t word outs parent kid j i =
+    if j = Array.length kid.path then insert_at t word outs kid i
+    else if i < Array.length word then
+      if word.(i) = kid.path.(j) then (
+        if outs.(i) <> kid.pouts.(j) then raise (Conflict i);
+        insert_edge t word outs parent kid (j + 1) (i + 1))
+      else
+        (* Diverges mid-edge: split, then branch off the head. *)
+        set_kid (split t parent kid j) (fresh_leaf t word outs i)
+
   (* [word] and [outs] are coded and of equal length. *)
   let insert t (word : int array) (outs : int array) =
-    let len = Array.length word in
-    if Array.length outs <> len then
+    if Array.length outs <> Array.length word then
       invalid_arg "Cache.insert: word/outputs length mismatch";
-    let fresh_leaf i =
-      t.phys <- t.phys + 1;
-      t.prefixes <- t.prefixes + (len - i);
-      {
-        path = Array.sub word i (len - i);
-        pouts = Array.sub outs i (len - i);
-        kids = [];
-      }
-    in
-    let rec at_node node i =
-      if i < len then
-        let kid = find_kid node.kids word.(i) in
-        if kid == nil then node.kids <- insert_sorted (fresh_leaf i) node.kids
-        else in_edge node kid 0 i
-    and in_edge parent kid j i =
-      if j = Array.length kid.path then at_node kid i
-      else if i < len then
-        if word.(i) = kid.path.(j) then begin
-          if outs.(i) <> kid.pouts.(j) then raise (Conflict i);
-          in_edge parent kid (j + 1) (i + 1)
-        end
-        else begin
-          (* Diverges mid-edge: split, then branch off the head. *)
-          let head = split t parent kid j in
-          head.kids <- insert_sorted (fresh_leaf i) head.kids
-        end
-    in
-    at_node t.root 0
+    insert_at t word outs t.root 0
 
-  (* Fills [out] with the output ids cached along coded [word]; false
-     when the word leaves the trie. *)
-  let rec lookup_at word out node i =
+  let rec on_edge word kid i j m =
+    j = m
+    || Array.unsafe_get word (i + j) = Array.unsafe_get kid.path j
+       && on_edge word kid i (j + 1) m
+
+  (* Whether coded [word] stays inside the trie from [node] on. A walk
+     with a non-empty [out] follows a word already found: it skips the
+     comparisons and copies the output ids along it into [out]. *)
+  let rec walk word out node i =
     i = Array.length word
     ||
-    let kid = find_kid node.kids (Array.unsafe_get word i) in
-    kid != nil && lookup_edge word out kid 0 i
+    let kid = find_kid node (Array.unsafe_get word i) in
+    let r = Array.length word - i and p = Array.length kid.path in
+    let m = if r < p then r else p in
+    kid != nil
+    && (Array.length out > 0 || on_edge word kid i 1 m)
+    &&
+    (if Array.length out > 0 then Array.blit kid.pouts 0 out i m;
+     walk word out kid (i + m))
 
-  and lookup_edge word out kid j i =
-    if j = Array.length kid.path then lookup_at word out kid i
-    else
-      i = Array.length word
-      || Array.unsafe_get word i = Array.unsafe_get kid.path j
-         && begin
-              Array.unsafe_set out i (Array.unsafe_get kid.pouts j);
-              lookup_edge word out kid (j + 1) (i + 1)
-            end
-
+  (* A miss walks the trie once and allocates nothing; a hit walks it
+     again to fill its answer. *)
   let lookup t (word : int array) =
-    let out = Array.make (Array.length word) 0 in
-    if lookup_at word out t.root 0 then Some out else None
+    if not (walk word [||] t.root 0) then None
+    else
+      let out = Array.make (Array.length word) 0 in
+      ignore (walk word out t.root 0);
+      Some out
 
   let size t = t.prefixes + 1
   let compacted_nodes t = t.phys
@@ -147,7 +146,8 @@ module Trie = struct
   let dump t syms outs =
     let acc = ref [] in
     let rec go node rev_in rev_out =
-      match node.kids with
+      let kids = List.filter (fun k -> k != nil) (Array.to_list node.kids) in
+      match kids with
       | [] ->
           if rev_in <> [] then
             acc := (List.rev rev_in, List.rev rev_out) :: !acc
@@ -193,7 +193,6 @@ module Sharded = struct
     trie : Trie.t;
     lock : Mutex.t;
     gen : int Atomic.t; (* odd while an insert is in flight *)
-    g_sh_nodes : float ref; (* cache.shard.nodes{shard=..} *)
   }
 
   type ('i, 'o) t = {
@@ -204,14 +203,8 @@ module Sharded = struct
 
   let create ?(shards = 8) () =
     if shards < 1 then invalid_arg "Cache.Sharded.create: shards must be >= 1";
-    let mk i =
-      let l = [ ("shard", string_of_int i) ] in
-      {
-        trie = Trie.create ();
-        lock = Mutex.create ();
-        gen = Atomic.make 0;
-        g_sh_nodes = Metrics.gauge_l Metrics.default "cache.shard.nodes" l;
-      }
+    let mk _ =
+      { trie = Trie.create (); lock = Mutex.create (); gen = Atomic.make 0 }
     in
     { shards = Array.init shards mk; syms = Coder.create (); outs = Coder.create () }
 
@@ -232,24 +225,23 @@ module Sharded = struct
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
             Atomic.incr s.gen;
-            Printexc.raise_with_backtrace e bt);
-        Metrics.set s.g_sh_nodes (float_of_int (Trie.size s.trie)))
+            Printexc.raise_with_backtrace e bt))
 
   (* Optimistic read: lock-free thanks to publication-safe inserts, but
      any overlap with a writer (generation moved, or odd at the start)
-     voids the attempt — fall back to the mutex. An exception from [f]
-     propagates: the read section cannot raise on a consistent trie, so
-     one that does is a bug to surface, not a race to retry. *)
-  let read s f =
-    let g = Atomic.get s.gen in
-    if g land 1 = 1 then Mutex.protect s.lock f
-    else
-      let v = f () in
-      if Atomic.get s.gen = g then v else Mutex.protect s.lock f
+     voids the attempt — fall back to the mutex. An exception from the
+     walk propagates: it cannot raise on a consistent trie, so one that
+     does is a bug to surface, not a race to retry. *)
+  let locked_lookup s word =
+    Mutex.protect s.lock (fun () -> Trie.lookup s.trie word)
 
   let lookup_coded t word =
     let s = shard t word in
-    read s (fun () -> Trie.lookup s.trie word)
+    let g = Atomic.get s.gen in
+    if g land 1 = 1 then locked_lookup s word
+    else
+      let v = Trie.lookup s.trie word in
+      if Atomic.get s.gen = g then v else locked_lookup s word
 
   (* Counts include the root once across all shards, matching the
      unsharded accounting (each shard's trie counts its own root). *)
@@ -302,7 +294,8 @@ let shared (s : _ Sharded.t) =
 let inputs t = t.syms
 let outputs t = t.outs
 
-(* Sharded stores keep per-shard gauges of their own. *)
+(* A shared store's size is its endpoint's [nodes] in a fleet report,
+   not a process-wide gauge every endpoint would overwrite. *)
 let insert_coded t word outs =
   match t.store with
   | Private x ->

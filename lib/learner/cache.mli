@@ -11,9 +11,14 @@
     store one pair for all its shards and views). The trie holds coded
     words and output ids in path-compressed edges, so walks, inserts
     and the {!Conflict} check scan int arrays; the list API codes the
-    word, then walks. {!lookup} never mutates the trie, so
-    {!Sharded}'s lock-free readers can probe a trie while one writer
-    inserts into it.
+    word, then walks. A node's children sit in an array indexed by the
+    first input id of their edge; a lookup that misses allocates
+    nothing. Lookups never mutate the trie, and an insert changes it
+    only by single pointer writes of fully built values: a new child
+    fills its empty slot or goes into a grown copy of the child array
+    that replaces the old one; a split builds its head and tail, then
+    overwrites the split edge's slot. So {!Sharded}'s lock-free readers
+    see each change before or after, never half made.
 
     A cache value is a {e view} over one of two stores: a private trie
     ({!create}) or a {!Sharded} cache shared across domains
@@ -101,9 +106,9 @@ val wrap : ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membershi
     which case the answer is discarded and the probe retried under the
     mutex. Coders publish new ids as an immutable snapshot with one
     atomic swap, so a lock-free reader never sees a half-added symbol.
-    The per-shard
-    [cache.shard.nodes{shard=..}] labelled gauges land in
-    {!Prognosis_obs.Metrics.default}. *)
+    A store's size is {!size}, reported per endpoint as [nodes] in a
+    fleet's {!Prognosis_service.Service.shared_cache}: a process-wide
+    gauge would be written by every endpoint's store. *)
 module Sharded : sig
   type ('i, 'o) t
 

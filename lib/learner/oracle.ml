@@ -147,15 +147,19 @@ let id b p =
   if b.ids.(p) < 0 then b.ids.(p) <- Coder.intern b.mq.coded.inputs b.alphabet.(p);
   b.ids.(p)
 
-let query b w = b.mq.coded.run (Array.map (id b) w)
+(* Once every position is interned as its own id (a learn's first
+   queries meet the alphabet in order), a word is its own coded form. *)
+let rec same_ids ids p =
+  p = Array.length ids || (ids.(p) = p && same_ids ids (p + 1))
+
+let ids_of b w = if same_ids b.ids 0 then w else Array.map (id b) w
+let query b w = b.mq.coded.run (ids_of b w)
 
 let suffix b u v =
   Array.sub (query b (Array.append u v)) (Array.length u) (Array.length v)
 
 let query_batch b =
-  Option.map
-    (fun run ws -> run (Array.map (Array.map (id b)) ws))
-    b.mq.coded.run_batch
+  Option.map (fun run ws -> run (Array.map (ids_of b) ws)) b.mq.coded.run_batch
 
 (* A symbol's position, scanned for physically, then structurally. An
    unknown symbol is named when it is a string or an immediate. *)
@@ -176,8 +180,11 @@ let position b x =
 let encode b word = Array.of_list (List.map (position b) word)
 let output b o = (Coder.symbols b.mq.coded.outputs).(o)
 
+let rec equal_from (a : int array) b i =
+  i = Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+
 let equal_ids (a : int array) b =
-  Array.length a = Array.length b && Array.for_all2 Int.equal a b
+  Array.length a = Array.length b && equal_from a b 0
 
 let replay b h =
   let p = Mealy.pack h and s0 = Mealy.initial h in

@@ -97,7 +97,8 @@ val bind : ('i, 'o) membership -> 'i array -> ('i, 'o) bound
 val alphabet : ('i, 'o) bound -> 'i array
 
 val query : ('i, 'o) bound -> int array -> int array
-(** The output ids answering a word of positions. *)
+(** The output ids answering a word of positions. The word may reach
+    the coded face uncopied, so it must not be written to afterwards. *)
 
 val suffix : ('i, 'o) bound -> int array -> int array -> int array
 (** [suffix b u v]: the outputs answering [v] after [u], the tail of

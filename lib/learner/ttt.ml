@@ -61,7 +61,8 @@ let rec sift t cell u =
           Hashtbl.add t.cells leaf child;
           leaf)
 
-let hypothesis t =
+(* The hypothesis with, for each of its states, the leaf it stands for. *)
+let build t =
   let n = Array.length (Oracle.alphabet t.b) in
   let transitions : (int, int array * int array) Hashtbl.t = Hashtbl.create 16 in
   let pending = Queue.create () in
@@ -112,8 +113,8 @@ let hypothesis t =
   in
   (machine, fun state_idx -> ids.(state_idx))
 
-let refine t cex =
-  let h, leaf_of = hypothesis t in
+(* [refine] with the round's own [build t]: the tree has not changed. *)
+let refine_with t (h, leaf_of) cex =
   let access_of q = Hashtbl.find t.accesses (leaf_of q) in
   let w = Oracle.encode t.b cex in
   let hyp_out = Oracle.replay t.b h w in
@@ -176,7 +177,8 @@ let refine t cex =
     true
   end
 
-let hypothesis t = fst (hypothesis t)
+let refine t cex = refine_with t (build t) cex
+let hypothesis t = fst (build t)
 
 let learn ?(max_rounds = 200) ?(on_round = fun ~round:_ ~states:_ -> ()) ~inputs
     ~mq ~eq () =
@@ -184,7 +186,7 @@ let learn ?(max_rounds = 200) ?(on_round = fun ~round:_ ~states:_ -> ()) ~inputs
   let rec loop round =
     if round > max_rounds then failwith "Ttt.learn: max_rounds exceeded";
     Metrics.inc m_rounds;
-    let h, cex =
+    let ((h, _) as built), cex =
       Trace.with_span
         ~attrs:
           [
@@ -194,8 +196,8 @@ let learn ?(max_rounds = 200) ?(on_round = fun ~round:_ ~states:_ -> ()) ~inputs
           ]
         "learner.round"
         (fun () ->
-          let h =
-            Trace.with_span "learner.hypothesis" (fun () -> hypothesis t)
+          let ((h, _) as built) =
+            Trace.with_span "learner.hypothesis" (fun () -> build t)
           in
           Trace.add_attr "hypothesis_states" (Jsonx.Int (Mealy.size h));
           Trace.add_attr "tree_leaves" (Jsonx.Int (leaves t));
@@ -208,7 +210,7 @@ let learn ?(max_rounds = 200) ?(on_round = fun ~round:_ ~states:_ -> ()) ~inputs
               "learner.eq_query"
               (fun () -> eq mq h)
           in
-          (h, cex))
+          (built, cex))
     in
     match cex with
     | None -> (h, round)
@@ -219,7 +221,7 @@ let learn ?(max_rounds = 200) ?(on_round = fun ~round:_ ~states:_ -> ()) ~inputs
           Trace.with_span
             ~attrs:[ ("cex_len", Jsonx.Int (List.length cex)) ]
             "learner.refine"
-            (fun () -> refine t cex)
+            (fun () -> refine_with t built cex)
         in
         if usable then loop (round + 1)
         else failwith "Ttt.learn: unusable counterexample (nondeterministic SUL?)"

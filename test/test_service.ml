@@ -15,6 +15,7 @@ module Metrics = Prognosis_obs.Metrics
 module Learn = Prognosis_learner.Learn
 module Sul = Prognosis_sul.Sul
 module Nondet = Prognosis_sul.Nondet
+module Cache = Prognosis_learner.Cache
 
 let subject name =
   match Subject.of_name name with
@@ -379,6 +380,52 @@ let service_json_schema () =
       | _ -> Alcotest.fail "shared_caches must be a list")
   | _ -> Alcotest.fail "service block must be an object"
 
+(* Each endpoint's shared store reports its own size. The sessions of
+   a two-domain tcp + quic fleet run side by side; each endpoint's
+   [nodes] must equal the size of a store filled by its session alone,
+   and the process-wide registry must hold no per-shard size series,
+   which both stores would write. *)
+let shared_nodes_per_endpoint () =
+  let jobs =
+    [
+      Service.job ~seed:1L Service.Learn (subject "tcp");
+      Service.job ~seed:3L Service.Learn (subject "quic:quiche-like");
+    ]
+  in
+  let fleet = run_fleet ~domains:2 jobs in
+  let alone (job : Service.job) =
+    let s = job.Service.subject and seed = job.Service.seed in
+    let store = Cache.Sharded.create () in
+    match
+      Prognosis.Pipeline.learn ~exec:Service.default_config
+        ~cache:(Cache.shared store) ~subject:s.Subject.name ~seed
+        ~algorithm:job.Service.algorithm ~inputs:s.Subject.inputs
+        ~factory:s.Subject.factory ~eq:(s.Subject.eq ~seed) ()
+    with
+    | Ok _ -> Cache.Sharded.size store
+    | Error _ -> Alcotest.failf "%s: nondeterminism verdict" s.Subject.name
+  in
+  Alcotest.(check int) "one shared cache per endpoint" 2
+    (List.length fleet.Service.shared);
+  List.iter2
+    (fun (job : Service.job) (c : Service.shared_cache) ->
+      let name = job.Service.subject.Subject.name in
+      Alcotest.(check string) "endpoint order" name c.Service.cache_endpoint;
+      Alcotest.(check int)
+        (name ^ ": nodes == its own store's size")
+        (alone job) c.Service.nodes)
+    jobs fleet.Service.shared;
+  (match fleet.Service.shared with
+  | [ a; b ] ->
+      Alcotest.(check bool) "the two stores differ in size" true
+        (a.Service.nodes <> b.Service.nodes)
+  | _ -> ());
+  List.iter
+    (fun (series, _) ->
+      if String.starts_with ~prefix:"cache.shard.nodes" series then
+        Alcotest.failf "per-shard gauge %s in the registry" series)
+    (Metrics.snapshot Metrics.default)
+
 (* One learn path: for every concrete subject, [Subject.learn] and a
    solo serve session produce byte-identical canonical text — the
    committed golden where there is one — and, under the service's
@@ -528,6 +575,8 @@ let () =
             learn_serve_golden;
           Alcotest.test_case "a verdict is the session's own" `Slow
             verdict_is_the_sessions_own;
+          Alcotest.test_case "each endpoint reports its own nodes" `Slow
+            shared_nodes_per_endpoint;
         ] );
       ( "schema",
         [
