@@ -279,6 +279,8 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
     | outputs -> outputs
     | exception Prognosis_sul.Nondet.Nondeterministic w ->
         nondeterministic [ ("the implementation", w) ]
+    | exception Prognosis_learner.Checkpoint.Unusable e ->
+        or_die (Error (Prognosis_learner.Checkpoint.error_to_string e))
     | exception Prognosis_learner.Checkpoint.Budget_exhausted { queries; path } ->
         Format.eprintf "interrupted: query budget reached after %d SUL queries@."
           queries;
@@ -1310,6 +1312,7 @@ let do_identify () dir subject_name name_override seed algorithm workers batch
   let exec = exec_of_flags ~workers ~batch:true ~replicas in
   let s = or_die (Subject.of_name subject_name) in
   let lib = or_die (Library.load ~dir) in
+  or_die (Subject.check_library s lib);
   let forest = or_die (Splitter.of_library lib) in
   let tree =
     Option.value ~default:(Splitter.Leaf None) (List.assoc_opt s.Subject.kind forest)

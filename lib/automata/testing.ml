@@ -1,9 +1,13 @@
 (* Suites are built as alphabet positions; the list views decode them. *)
 let decode m = List.map (Mealy.decode (Mealy.inputs m))
 
-let state_cover_ids m =
+(* The reachable states and their access words, in state order. *)
+let access_list m =
   let words = Mealy.access_ids m and seen = Mealy.reachable m in
-  List.filteri (fun s _ -> seen.(s)) (Array.to_list words)
+  List.filter (fun s -> seen.(s)) (List.init (Mealy.size m) Fun.id)
+  |> List.map (fun s -> (s, words.(s)))
+
+let state_cover_ids m = List.map snd (access_list m)
 
 let transition_cover_ids m =
   let n = Mealy.alphabet_size m in
@@ -28,44 +32,103 @@ let transition_cover m = decode m (transition_cover_ids m)
 let middle_words alphabet k =
   List.map (Mealy.decode alphabet) (middle_ids (Array.length alphabet) k)
 
-module Words = Hashtbl.Make (struct
-  type t = int array
+(* --- the suite builder ---
 
-  let equal (a : t) b =
-    Array.length a = Array.length b && Array.for_all2 Int.equal a b
+   A suite is its candidates' first occurrences, in candidate order.
+   Candidates are walked into a trie over alphabet positions: node
+   [v]'s child on input [i] is slot [v * stride + i] (0 is none, as
+   the root is nobody's child) and slot [v * stride + n] marks a node
+   a kept word ended on. A candidate is kept, and only then copied,
+   when its walk ends on an unmarked node: no hashing, no appending.
+   Slots are 32-bit, in one buffer the process keeps between suites:
+   a build takes it (a build racing it on another domain makes its
+   own), clears the previous suite's slots and gives it back, so a
+   suite allocates only the words it keeps and their list. *)
 
-  let hash (a : t) =
-    let h = ref 0 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h * 31) + Array.unsafe_get a i + 1
-    done;
-    !h
-end)
+type arena = {
+  mutable kids : Bytes.t;
+  mutable used : int;
+  mutable stride : int;
+}
 
-(* The words [gen] emits, first occurrences only, in emission order;
-   [n] bounds their number. One hash per word: a word is new when
-   [replace] grows the table. *)
-let dedup n gen =
-  let seen = Words.create n and acc = ref [] in
-  gen (fun w ->
-      let k = Words.length seen in
-      Words.replace seen w ();
-      if Words.length seen > k then acc := w :: !acc);
-  List.rev !acc
+let spare = Atomic.make None
+let get a slot = Int32.to_int (Bytes.get_int32_ne a.kids (slot lsl 2))
+let set a slot v = Bytes.set_int32_ne a.kids (slot lsl 2) (Int32.of_int v)
 
-(* Emits prefix · middle · suffix for every middle and suffix. *)
-let emit add mid suffixes prefix =
-  List.iter
-    (fun middle ->
-      let pm = Array.append prefix middle in
-      List.iter (fun s -> add (Array.append pm s)) (suffixes middle))
-    mid
+let take n =
+  let a =
+    match Atomic.exchange spare None with
+    | Some a -> a
+    | None -> { kids = Bytes.empty; used = 0; stride = 0 }
+  in
+  Bytes.fill a.kids 0 (a.used * a.stride * 4) '\000';
+  a.stride <- n + 1;
+  a.used <- 1;
+  if Bytes.length a.kids < 1024 * a.stride then
+    a.kids <- Bytes.make (1024 * a.stride) '\000';
+  a
+
+let give a = Atomic.set spare (Some a)
+
+let child a v i =
+  let slot = (v * a.stride) + i in
+  let c = get a slot in
+  if c <> 0 then c
+  else begin
+    let c = a.used in
+    if (c + 1) * a.stride * 4 > Bytes.length a.kids then begin
+      let kids = Bytes.make (2 * Bytes.length a.kids) '\000' in
+      Bytes.blit a.kids 0 kids 0 (c * a.stride * 4);
+      a.kids <- kids
+    end;
+    a.used <- c + 1;
+    set a slot c;
+    c
+  end
+
+let rec walk a v w k =
+  if k = Array.length w then v else walk a (child a v w.(k)) w (k + 1)
+
+let blit src dst off =
+  for k = 0 to Array.length src - 1 do
+    Array.unsafe_set dst (off + k) (Array.unsafe_get src k)
+  done
+
+(* Keeps [p · x · mid · s] ([x] < 0: no symbol) when its walk, already
+   at [v] after [p · x · mid], ends on an unmarked node. *)
+let keep a acc v p x mid s =
+  let e = walk a v s 0 in
+  let mark = (e * a.stride) + a.stride - 1 in
+  if get a mark = 0 then begin
+    set a mark 1;
+    let lp = Array.length p and lx = if x < 0 then 0 else 1 in
+    let lm = Array.length mid in
+    let w = Array.make (lp + lx + lm + Array.length s) 0 in
+    blit p w 0;
+    if lx = 1 then w.(lp) <- x;
+    blit mid w (lp + lx);
+    blit s w (lp + lx + lm);
+    acc := w :: !acc
+  end
 
 let w_method_ids ?(extra_states = 0) m =
-  let mid = middle_ids (Mealy.alphabet_size m) extra_states in
-  let w = Mealy.characterizing_ids m and tc = transition_cover_ids m in
-  dedup (List.length tc * List.length mid * List.length w) (fun add ->
-      List.iter (emit add mid (fun _ -> w)) tc)
+  let n = Mealy.alphabet_size m in
+  let mid = middle_ids n extra_states and w = Mealy.characterizing_ids m in
+  let a = take n and acc = ref [] in
+  List.iter
+    (fun (_, p) ->
+      let vp = walk a 0 p 0 in
+      for x = 0 to n - 1 do
+        let vx = child a vp x in
+        List.iter
+          (fun middle ->
+            let vm = walk a vx middle 0 in
+            List.iter (fun s -> keep a acc vm p x middle s) w)
+          mid
+      done)
+    (access_list m);
+  give a;
+  List.rev !acc
 
 let w_method ?extra_states m = decode m (w_method_ids ?extra_states m)
 
@@ -85,25 +148,46 @@ let identification_sets m w =
         w)
 
 let wp_method_ids ?(extra_states = 0) m =
+  let n = Mealy.alphabet_size m in
   let w = Mealy.characterizing_ids m in
   let ids = identification_sets m w in
-  let mid = middle_ids (Mealy.alphabet_size m) extra_states in
-  let sc = state_cover_ids m in
-  dedup 256 (fun add ->
-      (* Phase 1: state cover × middles × W. *)
-      List.iter (emit add mid (fun _ -> w)) sc;
-      (* Phase 2: remaining transition-cover words × middles × W_{target}. *)
+  let mid = middle_ids n extra_states and access = access_list m in
+  let a = take n and acc = ref [] in
+  (* Phase 1: state cover × middles × W. *)
+  List.iter
+    (fun (_, p) ->
+      let vp = walk a 0 p 0 in
       List.iter
-        (fun prefix ->
-          if not (List.mem prefix sc) then
-            emit add mid
-              (fun middle ->
-                let w = Mealy.decode (Mealy.inputs m) (Array.append prefix middle) in
-                match ids.(Mealy.state_after m w) with
-                | [] -> [ [||] ]
-                | id -> id)
-              prefix)
-        (transition_cover_ids m))
+        (fun middle ->
+          let vm = walk a vp middle 0 in
+          List.iter (fun s -> keep a acc vm p (-1) middle s) w)
+        mid)
+    access;
+  (* Phase 2: the other transition-cover words × middles × W of the
+     state reached. [p · x] is in the state cover exactly when it is
+     the access word of the state it leads to. *)
+  let words = Mealy.access_ids m and after s i = fst (Mealy.step_idx m s i) in
+  List.iter
+    (fun (q, p) ->
+      let vp = walk a 0 p 0 in
+      for x = 0 to n - 1 do
+        let t = after q x in
+        let wt = words.(t) and lp = Array.length p in
+        let rec is_p k = k = lp || (wt.(k) = p.(k) && is_p (k + 1)) in
+        if not (Array.length wt = lp + 1 && wt.(lp) = x && is_p 0) then begin
+          let vx = child a vp x in
+          List.iter
+            (fun middle ->
+              let vm = walk a vx middle 0 in
+              match ids.(Array.fold_left after t middle) with
+              | [] -> keep a acc vm p x middle [||]
+              | id -> List.iter (fun s -> keep a acc vm p x middle s) id)
+            mid
+        end
+      done)
+    access;
+  give a;
+  List.rev !acc
 
 let wp_method ?extra_states m = decode m (wp_method_ids ?extra_states m)
 

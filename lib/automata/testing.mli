@@ -31,7 +31,12 @@ val wp_method : ?extra_states:int -> ('i, 'o) Mealy.t -> 'i list list
 val w_method_ids : ?extra_states:int -> ('i, 'o) Mealy.t -> int array list
 val wp_method_ids : ?extra_states:int -> ('i, 'o) Mealy.t -> int array list
 (** {!w_method} and {!wp_method} as alphabet positions, in the same
-    order: the suites the equivalence oracles run. *)
+    order: the suites the equivalence oracles run. Each candidate
+    (prefix · middle · suffix, in cover, middle and suffix order) is
+    walked into a trie over positions and copied out only when its
+    walk ends on a node no earlier candidate ended on, so a suite is
+    its candidates' first occurrences and allocates only the words it
+    keeps. Every word is a fresh array. *)
 
 val middle_ids : int -> int -> int array list
 (** [middle_ids n k] is {!middle_words} over an alphabet of [n]

@@ -103,6 +103,7 @@ let spec ?(every = 500) ?budget ?(resume = false) ~dir () =
   { dir; every; budget; resume }
 
 exception Budget_exhausted of { queries : int; path : string }
+exception Unusable of error
 
 type ('i, 'o) session = {
   path : string;
@@ -132,7 +133,16 @@ let start ~kind s =
     else
       match load ~path ~kind with
       | Ok snap ->
-          Cache.restore c snap.words;
+          (* A payload that unmarshals but whose words do not fit
+             together is as corrupt as one that does not unmarshal. *)
+          (try Cache.restore c snap.words with
+          | Invalid_argument detail ->
+              raise (Unusable (Corrupt { path; detail }))
+          | Cache.Conflict i ->
+              let detail =
+                Printf.sprintf "cached words disagree at symbol %d" i
+              in
+              raise (Unusable (Corrupt { path; detail })));
           Trace.event
             ~attrs:
               [
@@ -143,7 +153,7 @@ let start ~kind s =
             "checkpoint.resume";
           (snap.queries, snap.exec)
       | Error (Missing_file _) -> (0, None)
-      | Error e -> failwith (error_to_string e)
+      | Error e -> raise (Unusable e)
   in
   {
     path;

@@ -69,14 +69,20 @@ exception Budget_exhausted of { queries : int; path : string }
     budget is reached. The snapshot at [path] is written before the
     raise, so a later [resume] run loses nothing. *)
 
+exception Unusable of error
+(** Raised by {!start} when a snapshot cannot be resumed from: a
+    foreign, mismatched or unreadable file, or words that do not fit
+    together (a word/outputs length mismatch, or two words answering a
+    shared prefix differently), each a [Corrupt]. The CLI prints it as
+    [error: …] and exits 1. *)
+
 type ('i, 'o) session
 
 val start : kind:string -> spec -> ('i, 'o) session
 (** Creates [spec.dir] if needed. With [spec.resume], loads
     [dir/kind.ckpt] into a fresh cache (a missing file degrades to a
-    fresh start; any other load failure raises [Failure] with the
-    structured error rendered).
-    @raise Failure on a foreign / mismatched / corrupt snapshot. *)
+    fresh start).
+    @raise Unusable on any other load or restore failure. *)
 
 val file : ('i, 'o) session -> string
 (** [dir/kind.ckpt], where snapshots are written. *)

@@ -313,6 +313,17 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
             (fun (e : Library.entry) ->
               ignore (Mealy.Packed.pack e.Library.model))
             lib.Library.entries;
+          (* An entry holding an input the endpoint lacks is refused
+             here, before any session steps the endpoint on it. *)
+          let rec check i =
+            if i = n then Ok ()
+            else if jobs.(i).op <> Identify then check (i + 1)
+            else
+              match Subject.check_library jobs.(i).subject lib with
+              | Ok () -> check (i + 1)
+              | Error e -> Error (Printf.sprintf "job %d: %s" i e)
+          in
+          let* () = check 0 in
           Splitter.of_library lib
     else Ok []
   in

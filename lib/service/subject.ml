@@ -44,6 +44,22 @@ let make (d : (_, _) Protocol.t) =
     learn;
   }
 
+let check_library s (lib : Prognosis_fingerprint.Library.t) =
+  let foreign (e : Prognosis_fingerprint.Library.entry) =
+    if e.kind <> s.kind then None
+    else
+      Mealy.inputs e.model
+      |> Array.find_opt (fun x -> not (Array.mem x s.inputs))
+      |> Option.map (fun x -> (e.name, x))
+  in
+  match List.find_map foreign lib.entries with
+  | None -> Ok ()
+  | Some (entry, x) ->
+      Error
+        (Printf.sprintf
+           "library entry %S has input %S, which the %s endpoint does not have"
+           entry x s.name)
+
 let names =
   [
     "tcp";

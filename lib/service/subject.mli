@@ -33,6 +33,14 @@ type t = {
 val make : ('i, 'o) Prognosis.Protocol.t -> t
 (** The subject of a descriptor, named after it. *)
 
+val check_library :
+  t -> Prognosis_fingerprint.Library.t -> (unit, string) result
+(** [Error] naming the first library entry of the subject's kind with
+    an input symbol outside the subject's alphabet, and that symbol:
+    identifying the subject against such an entry would step the
+    endpoint on an input it does not have. Checked before any session
+    probes the endpoint. *)
+
 val names : string list
 (** The accepted {!of_name} spellings (["quic:<profile>"] standing
     for any {!Prognosis_quic.Quic_profile} name). *)

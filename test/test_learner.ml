@@ -7,6 +7,7 @@ module Lstar = Prognosis_learner.Lstar
 module Ttt = Prognosis_learner.Ttt
 module Eq_oracle = Prognosis_learner.Eq_oracle
 module Learn = Prognosis_learner.Learn
+module Checkpoint = Prognosis_learner.Checkpoint
 
 (* --- fixtures --- *)
 
@@ -412,6 +413,29 @@ let unknown_symbol_rejected () =
   Alcotest.(check int) "no id minted" (-1)
     (Oracle.Coder.find mq.Oracle.coded.Oracle.inputs "zz")
 
+(* A snapshot whose payload unmarshals but whose words do not fit
+   together is refused as corrupt, the way an unreadable one is. *)
+let checkpoint_restore_corrupt () =
+  let dir = Filename.temp_dir "prognosis-ck" "" in
+  let start resume : (string, string) Checkpoint.session =
+    Checkpoint.start ~kind:"t" (Checkpoint.spec ~resume ~dir ())
+  in
+  let refused words =
+    Checkpoint.save ~path:(Checkpoint.file (start false)) ~kind:"t"
+      { queries = 1; words; exec = None };
+    match start true with
+    | _ -> false
+    | exception Checkpoint.Unusable (Corrupt _) -> true
+  in
+  let length_mismatch = refused [ ([ "a"; "b" ], [ "x" ]) ] in
+  let disagreeing =
+    refused [ ([ "a"; "b" ], [ "x"; "y" ]); ([ "a"; "c" ], [ "z"; "y" ]) ]
+  in
+  Sys.remove (Filename.concat dir "t.ckpt");
+  Sys.rmdir dir;
+  Alcotest.(check bool) "length mismatch" true length_mismatch;
+  Alcotest.(check bool) "disagreeing words" true disagreeing
+
 let () =
   Alcotest.run "learner"
     [
@@ -437,6 +461,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_coded_cache;
         ] );
       ("oracle", [ Alcotest.test_case "stats" `Quick stats_counted ]);
+      ( "checkpoint",
+        [
+          Alcotest.test_case "corrupt words" `Quick checkpoint_restore_corrupt;
+        ] );
       ( "eq-oracle",
         [
           Alcotest.test_case "random words" `Quick random_words_find_difference;

@@ -371,21 +371,23 @@ let dtls_scenario_budget () =
    suite generation, cache walks, planning — so words decoded back into
    symbol lists on the way fail it, and so does a cache miss that
    allocates again. The budget is 1.25x the figure measured when it was
-   set: 179943 words with array-indexed trie children, allocation-free
+   set: 158943 words with W/Wp suites built by the trie builder, against
+   179943 when suites were appended out and deduplicated through a hash
+   table, 260634 before array-indexed trie children, allocation-free
    misses, uncopied coded words and no rebuilt hypothesis in
-   refinement, against 260634 before that and 405415 when learner,
-   suites and engine traded symbol lists (OCaml 5.1, dune's default
-   profile). *)
-let tcp_learn_words () =
+   refinement, and 405415 when learner, suites and engine traded symbol
+   lists (OCaml 5.1, dune's default profile). *)
+let golden file kind =
   let path =
     List.find Sys.file_exists
-      [ "../examples/golden/tcp.model"; "examples/golden/tcp.model" ]
+      [ "../examples/golden/" ^ file; "examples/golden/" ^ file ]
   in
-  let model =
-    match Persist.load_text ~path Persist.Tcp_model with
-    | Ok m -> m
-    | Error e -> Alcotest.fail (Persist.load_error_to_string e)
-  in
+  match Persist.load_text ~path kind with
+  | Ok m -> m
+  | Error e -> Alcotest.fail (Persist.load_error_to_string e)
+
+let tcp_learn_words () =
+  let model = golden "tcp.model" Persist.Tcp_model in
   let d = Protocol.strings (Tcp_study.protocol ()) in
   let learn () =
     let engine = Engine.create ~factory:(fun _ -> Sul.of_mealy model) () in
@@ -401,7 +403,36 @@ let tcp_learn_words () =
   Gc.minor_words () -. before
 
 let tcp_learn_budget () =
-  check_budget "TCP learn" (1.25 *. 179943.) (tcp_learn_words ())
+  check_budget "TCP learn" (1.25 *. 158943.) (tcp_learn_words ())
+
+(* Minor words of one warm W-method suite (one extra state) on each
+   golden: the words kept, their list, and the cover and characterizing
+   set it starts from. Appending each candidate out in full and
+   deduplicating through a hash table, as suites were built before the
+   trie builder, costs 16966 / 38338 / 30976 words on tcp / quic /
+   dtls and fails here. The budgets are 1.25x the figures measured when
+   they were set (OCaml 5.1, dune's default profile). *)
+let suite_words model =
+  let suite () =
+    Prognosis_automata.Testing.w_method_ids ~extra_states:1 model
+  in
+  ignore (suite ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (suite ()));
+  Gc.minor_words () -. before
+
+let suite_budgets () =
+  List.iter
+    (fun (name, file, kind, words) ->
+      check_budget name (1.25 *. words) (suite_words (golden file kind)))
+    [
+      ("tcp W-method suite", "tcp.model", Persist.Tcp_model, 11195.);
+      ( "quic W-method suite",
+        "quic-quiche-like.model",
+        Persist.Quic_model,
+        25186. );
+      ("dtls W-method suite", "dtls.model", Persist.Dtls_model, 20003.);
+    ]
 
 let () =
   Alcotest.run "perf"
@@ -432,6 +463,7 @@ let () =
             quic_handshake_budget;
           Alcotest.test_case "DTLS scenario query" `Quick dtls_scenario_budget;
           Alcotest.test_case "TCP golden learn" `Quick tcp_learn_budget;
+          Alcotest.test_case "W-method suites" `Quick suite_budgets;
         ] );
       (* The longest group name sets the column Alcotest truncates case
          names to; "eq-sharding" keeps it at 11 characters, so the

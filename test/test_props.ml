@@ -885,6 +885,90 @@ let prop_w_method_list_is_decoded_ids =
       = List.map (Mealy.decode (Mealy.inputs m)) (Testing.w_method_ids ~extra_states m)
       && suite = w_method_reference ~extra_states m)
 
+(* The id-level W/Wp suites as they were built before the trie
+   builder: every candidate appended out in full, first occurrences
+   kept through a hash table. The builder must return the same words
+   in the same order. *)
+let reference_dedup gen =
+  let seen = Hashtbl.create 64 and acc = ref [] in
+  gen (fun w ->
+      if not (Hashtbl.mem seen w) then begin
+        Hashtbl.add seen w ();
+        acc := w :: !acc
+      end);
+  List.rev !acc
+
+let reference_emit add mid suffixes prefix =
+  List.iter
+    (fun middle ->
+      let pm = Array.append prefix middle in
+      List.iter (fun s -> add (Array.append pm s)) (suffixes middle))
+    mid
+
+let reference_state_cover m =
+  let words = Mealy.access_ids m and seen = Mealy.reachable m in
+  List.filteri (fun s _ -> seen.(s)) (Array.to_list words)
+
+let reference_transition_cover m =
+  let n = Mealy.alphabet_size m in
+  List.concat_map
+    (fun w -> List.init n (fun i -> Array.append w [| i |]))
+    (reference_state_cover m)
+
+let w_method_ids_reference ~extra_states m =
+  let mid = Testing.middle_ids (Mealy.alphabet_size m) extra_states in
+  let w = Mealy.characterizing_ids m in
+  reference_dedup (fun add ->
+      List.iter
+        (reference_emit add mid (fun _ -> w))
+        (reference_transition_cover m))
+
+let wp_method_ids_reference ~extra_states m =
+  let w = Mealy.characterizing_ids m and p = Mealy.pack m in
+  let states = List.init (Mealy.size m) Fun.id in
+  let differs s word =
+    let out = Mealy.Packed.run_ids p s word in
+    List.exists (fun t -> t <> s && Mealy.Packed.run_ids p t word <> out) states
+  in
+  let ids = Array.init (Mealy.size m) (fun s -> List.filter (differs s) w) in
+  let mid = Testing.middle_ids (Mealy.alphabet_size m) extra_states in
+  let sc = reference_state_cover m in
+  let target prefix middle =
+    let w = Mealy.decode (Mealy.inputs m) (Array.append prefix middle) in
+    match ids.(Mealy.state_after m w) with [] -> [ [||] ] | id -> id
+  in
+  reference_dedup (fun add ->
+      List.iter (reference_emit add mid (fun _ -> w)) sc;
+      List.iter
+        (fun prefix ->
+          if not (List.mem prefix sc) then
+            reference_emit add mid (target prefix) prefix)
+        (reference_transition_cover m))
+
+(* Random machines whose last [orphans] states no transition enters, so
+   they are unreachable; one draw in fifteen is a one-state machine. *)
+let gen_suite_machine =
+  QCheck2.Gen.(
+    let* size = gen 1 5 in
+    let* orphans = gen 0 2 in
+    let* k = gen 1 4 in
+    let total = size + orphans in
+    let row g = array_size (return total) (array_size (return k) g) in
+    let* delta = row (gen 0 (size - 1)) in
+    let* lambda = row (gen 0 2) in
+    return
+      (Mealy.make ~size:total ~initial:0 ~inputs:(Array.init k Fun.id) ~delta
+         ~lambda))
+
+let prop_suite_builder_is_reference =
+  QCheck2.Test.make ~count:300 ~name:"w/wp suite builder == reference"
+    QCheck2.Gen.(pair gen_suite_machine (gen 0 2))
+    (fun (m, extra_states) ->
+      Testing.w_method_ids ~extra_states m
+      = w_method_ids_reference ~extra_states m
+      && Testing.wp_method_ids ~extra_states m
+         = wp_method_ids_reference ~extra_states m)
+
 (* The learner's alphabet is a structurally equal, physically distinct
    copy of the target's, so every symbol the table SUL steps and every
    output the engine codes misses the coders' physical probe and takes
@@ -1002,6 +1086,7 @@ let () =
             prop_minimize_fixpoint;
             prop_coded_face_matches_ask;
             prop_w_method_list_is_decoded_ids;
+            prop_suite_builder_is_reference;
             prop_engine_learns_copied_symbols;
             prop_pipeline_counters_match_learn_run;
           ] );
