@@ -226,8 +226,7 @@ let read_manifest dir =
                 }))
 
 let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
-    ~dot_out ~save_out ~text_out ~trace_out ~metrics_out ~flight_out
-    ~openmetrics_out =
+    ~dot_out ~text_out ~trace_out ~metrics_out ~flight_out ~openmetrics_out =
   (* Telemetry: zero the process-wide registry so the metrics snapshot
      describes exactly this run, and tee spans into a JSONL file and/or
      a flight-recorder ring when asked (docs/OBSERVABILITY.md documents
@@ -257,8 +256,8 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
         | None, None -> assert false
       in
       Prognosis_obs.Trace.set_sink sink);
-  (* report, dot rendering, binary save, canonical text save *)
-  let report, dot, save, save_text =
+  (* report, dot rendering, canonical text save *)
+  let report, dot, save_text =
     match
       Fun.protect
         ~finally:(fun () -> if tracing then Prognosis_obs.Trace.unset_sink ())
@@ -270,7 +269,6 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
               in
               ( report,
                 Protocol.model_dot d model,
-                (fun path -> Persist.save ~path d.Protocol.kind model),
                 fun path ->
                   Persist.save_text ~path d.Protocol.kind
                     ~input_to_string:d.Protocol.input_to_string
@@ -327,11 +325,6 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
   | Some path ->
       Prognosis_analysis.Visualize.write_file ~path dot;
       Format.printf "model written to %s@." path);
-  (match save_out with
-  | None -> ()
-  | Some path ->
-      save path;
-      Format.printf "model saved to %s (reload with `prognosis replay`)@." path);
   match text_out with
   | None -> ()
   | Some path ->
@@ -339,8 +332,8 @@ let run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint
       Format.printf "canonical model written to %s@." path
 
 let do_learn () protocol profile_name seed algorithm workers batch replicas
-    dot_out save_out text_out trace_out metrics_out flight_out
-    openmetrics_out checkpoint_dir checkpoint_every query_budget resume =
+    dot_out text_out trace_out metrics_out flight_out openmetrics_out
+    checkpoint_dir checkpoint_every query_budget resume =
   let exec = exec_of_flags ~workers ~batch ~replicas in
   if Option.is_some query_budget && Option.is_none checkpoint_dir then
     or_die (Error "--query-budget needs --checkpoint DIR");
@@ -368,11 +361,7 @@ let do_learn () protocol profile_name seed algorithm workers batch replicas
         })
     checkpoint_dir;
   run_learn ~protocol ~profile_name ~seed ~algorithm ~exec ~checkpoint ~dot_out
-    ~save_out ~text_out ~trace_out ~metrics_out ~flight_out ~openmetrics_out
-
-let save_out =
-  let doc = "Persist the learned model to $(docv) for later replay." in
-  Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE" ~doc)
+    ~text_out ~trace_out ~metrics_out ~flight_out ~openmetrics_out
 
 let text_out =
   let doc =
@@ -465,15 +454,15 @@ let learn_cmd =
     (Cmd.info "learn" ~doc)
     Term.(
       const do_learn $ verbose $ protocol $ profile_arg $ seed $ algorithm
-      $ workers_arg $ batch_arg $ replicas_arg $ dot_out
-      $ save_out $ text_out $ trace_out $ metrics_out $ flight_out
-      $ openmetrics_out $ checkpoint_dir_arg $ checkpoint_every_arg
-      $ query_budget_arg $ resume_flag)
+      $ workers_arg $ batch_arg $ replicas_arg $ dot_out $ text_out
+      $ trace_out $ metrics_out $ flight_out $ openmetrics_out
+      $ checkpoint_dir_arg $ checkpoint_every_arg $ query_budget_arg
+      $ resume_flag)
 
 (* --- resume --- *)
 
-let do_resume () dir query_budget dot_out save_out text_out trace_out
-    metrics_out flight_out openmetrics_out =
+let do_resume () dir query_budget dot_out text_out trace_out metrics_out
+    flight_out openmetrics_out =
   let m = or_die (read_manifest dir) in
   let exec =
     exec_of_flags ~workers:m.m_workers ~batch:m.m_batch ~replicas:m.m_replicas
@@ -484,8 +473,8 @@ let do_resume () dir query_budget dot_out save_out text_out trace_out
          ~resume:true ~dir ())
   in
   run_learn ~protocol:m.m_protocol ~profile_name:m.m_profile ~seed:m.m_seed
-    ~algorithm:m.m_algorithm ~exec ~checkpoint ~dot_out ~save_out ~text_out
-    ~trace_out ~metrics_out ~flight_out ~openmetrics_out
+    ~algorithm:m.m_algorithm ~exec ~checkpoint ~dot_out ~text_out ~trace_out
+    ~metrics_out ~flight_out ~openmetrics_out
 
 let resume_cmd =
   let doc =
@@ -505,8 +494,8 @@ let resume_cmd =
   Cmd.v
     (Cmd.info "resume" ~doc)
     Term.(
-      const do_resume $ verbose $ dir $ query_budget_arg $ dot_out $ save_out
-      $ text_out $ trace_out $ metrics_out $ flight_out $ openmetrics_out)
+      const do_resume $ verbose $ dir $ query_budget_arg $ dot_out $ text_out
+      $ trace_out $ metrics_out $ flight_out $ openmetrics_out)
 
 (* --- compare --- *)
 
@@ -758,41 +747,31 @@ let render_cmd =
 
 (* --- replay --- *)
 
-let parse_word all to_string tokens =
-  List.map
-    (fun token ->
-      match Array.to_list all |> List.find_opt (fun s -> to_string s = token) with
-      | Some s -> s
-      | None ->
-          or_die
-            (Error
-               (Printf.sprintf "unknown symbol %S (known: %s)" token
-                  (String.concat ", "
-                     (Array.to_list (Array.map to_string all))))))
-    tokens
-
 let do_replay () protocol model_path word =
   let tokens =
     String.split_on_char ' ' word |> List.filter (fun t -> t <> "")
   in
   if tokens = [] then or_die (Error "empty word; pass --word \"SYM SYM ...\"");
   (* the profile only picks a live implementation, which replay never runs *)
-  match descriptor protocol ~profile_name:"quiche-like" with
-  | D d ->
-      let model = or_die_load (Protocol.load d ~path:model_path) in
-      (* the model's own alphabet: a model learned over fewer symbols
-         than the protocol offers has no transition on the others *)
-      let print = d.Protocol.input_to_string in
-      let inputs = Mealy.inputs model in
-      let input = parse_word inputs print tokens in
-      let width =
-        Array.fold_left (fun w i -> max w (String.length (print i))) 0 inputs
-      in
-      List.iter2
-        (fun i o ->
-          Format.printf "%-*s -> %s@." width (print i)
-            (d.Protocol.output_to_string o))
-        input (Mealy.run model input)
+  let (D d) = descriptor protocol ~profile_name:"quiche-like" in
+  let model =
+    or_die_load (Persist.load_text ~path:model_path d.Protocol.kind)
+  in
+  (* the model's own alphabet: a model learned over fewer symbols than
+     the protocol offers has no transition on the others *)
+  let inputs = Mealy.inputs model in
+  List.iter
+    (fun token ->
+      if not (Array.mem token inputs) then
+        or_die
+          (Error
+             (Printf.sprintf "unknown symbol %S (known: %s)" token
+                (String.concat ", " (Array.to_list inputs)))))
+    tokens;
+  let width = Array.fold_left (fun w i -> max w (String.length i)) 0 inputs in
+  List.iter2
+    (fun i o -> Format.printf "%-*s -> %s@." width i o)
+    tokens (Mealy.run model tokens)
 
 let replay_cmd =
   let doc =
@@ -801,7 +780,8 @@ let replay_cmd =
   in
   let model_path =
     Arg.(required & opt (some string) None
-         & info [ "model" ] ~docv:"FILE" ~doc:"Model file from `learn --save`.")
+         & info [ "model" ] ~docv:"FILE"
+             ~doc:"$(b,prognosis.model/1) file from `learn --save-text`.")
   in
   let word =
     Arg.(required & opt (some string) None

@@ -31,84 +31,12 @@ let load_error_to_string = function
       Printf.sprintf "%s holds a %s model, expected %s" path found expected
   | Version_mismatch { path; found; running } ->
       Printf.sprintf
-        "%s was written by OCaml %s; this binary runs %s (re-learn and \
+        "%s is in model format %s; this binary reads %s (re-learn and \
          re-save)"
         path found running
   | Corrupt { path; detail } -> path ^ ": " ^ detail
 
-(* --- the Marshal cache format (fast, local, version-locked) --- *)
-
-let magic = "prognosis-model/1"
-
-(* The payload is the raw Mealy record; private rows are reconstructed
-   through Mealy.make on load so invariants are revalidated. *)
-type ('i, 'o) payload = {
-  size : int;
-  initial : int;
-  inputs : 'i array;
-  delta : int array array;
-  lambda : 'o array array;
-}
-
-let save ~path kind model =
-  let payload =
-    {
-      size = Mealy.size model;
-      initial = Mealy.initial model;
-      inputs = Mealy.inputs model;
-      delta =
-        Array.init (Mealy.size model) (fun s ->
-            Array.init (Mealy.alphabet_size model) (fun i ->
-                fst (Mealy.step_idx model s i)));
-      lambda =
-        Array.init (Mealy.size model) (fun s ->
-            Array.init (Mealy.alphabet_size model) (fun i ->
-                snd (Mealy.step_idx model s i)));
-    }
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (kind_to_string kind);
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf Sys.ocaml_version;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Marshal.to_string payload []);
-  (* temp-file + rename: a crash mid-save never leaves a truncated
-     model where a good one may have stood *)
-  Prognosis_obs.Atomic_file.write ~path (Buffer.contents buf)
-
-let load ~path kind =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error (Missing_file { path; detail = msg })
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let read_line_opt () = try Some (input_line ic) with End_of_file -> None in
-          match (read_line_opt (), read_line_opt (), read_line_opt ()) with
-          | Some m, _, _ when m <> magic ->
-              Error (Foreign_magic { path; found = m })
-          | _, Some k, _ when k <> kind_to_string kind ->
-              Error
-                (Kind_mismatch
-                   { path; found = k; expected = kind_to_string kind })
-          | _, _, Some v when v <> Sys.ocaml_version ->
-              Error
-                (Version_mismatch { path; found = v; running = Sys.ocaml_version })
-          | Some _, Some _, Some _ -> (
-              match (Marshal.from_channel ic : ('i, 'o) payload) with
-              | exception _ -> Error (Corrupt { path; detail = "corrupt payload" })
-              | p ->
-                  (try
-                     Ok
-                       (Mealy.make ~size:p.size ~initial:p.initial
-                          ~inputs:p.inputs ~delta:p.delta ~lambda:p.lambda)
-                   with Invalid_argument msg ->
-                     Error (Corrupt { path; detail = "invalid machine: " ^ msg })))
-          | _ -> Error (Corrupt { path; detail = "truncated header" }))
-
-(* --- the portable canonical textual format (prognosis.model/1) ---
+(* --- the canonical text format (prognosis.model/1) ---
 
    A line-oriented plain-text serialization meant to be committed,
    diffed and reviewed: symbols are printed one per line (a symbol is
@@ -118,8 +46,8 @@ let load ~path kind =
    serialize to byte-identical files, on any OCaml version or
    architecture. *)
 
-let text_magic = "prognosis.model/1"
-let text_magic_prefix = "prognosis.model/"
+let magic = "prognosis.model/1"
+let magic_prefix = "prognosis.model/"
 
 let to_string_model ~input_to_string ~output_to_string model =
   let inputs = Array.map input_to_string (Mealy.inputs model) in
@@ -168,7 +96,7 @@ let text_of_model ~kind ~input_to_string ~output_to_string model =
   List.iteri (fun idx o -> Hashtbl.add out_index o idx) out_table;
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  line "%s" text_magic;
+  line "%s" magic;
   line "kind %s" (kind_to_string kind);
   line "states %d" (Mealy.size m);
   line "initial %d" (Mealy.initial m);
@@ -228,11 +156,11 @@ let parse_text ~path kind text =
     | None -> corrupt_at ln (Printf.sprintf "%s is not a number: %S" name v)
   in
   let* _, m = next "magic" in
-  if m <> text_magic then
+  if m <> magic then
     if
-      String.length m >= String.length text_magic_prefix
-      && String.sub m 0 (String.length text_magic_prefix) = text_magic_prefix
-    then Error (Version_mismatch { path; found = m; running = text_magic })
+      String.length m >= String.length magic_prefix
+      && String.sub m 0 (String.length magic_prefix) = magic_prefix
+    then Error (Version_mismatch { path; found = m; running = magic })
     else Error (Foreign_magic { path; found = m })
   else
     let* _, k = field "kind" in

@@ -5,18 +5,13 @@
     are cheap. Saving learned models lets `compare`, `check`, `replay`
     and `difftest` style workflows reuse them across invocations.
 
-    Two formats coexist:
-
-    - the {b Marshal cache} ({!save}/{!load}): fast and exact, but a
-      local format — not portable across OCaml versions or
-      architectures (the header stores enough to fail loudly instead
-      of corrupting);
-    - the {b canonical text format} [prognosis.model/1]
-      ({!save_text}/{!load_text}): line-oriented plain text with
-      sorted output table and BFS-renumbered states, designed to be
-      committed, diffed and reviewed. Two equivalent learned machines
-      serialize byte-identically — the property the `prognosis ci`
-      golden-model regression gate relies on. *)
+    Models are stored in one {b canonical text format},
+    [prognosis.model/1] ({!save_text}/{!load_text}): line-oriented plain
+    text with a sorted output table and BFS-renumbered states, designed
+    to be committed, diffed and reviewed, and readable on any OCaml
+    version or architecture. Two equivalent learned machines serialize
+    byte-identically — the property the `prognosis ci` golden-model
+    regression gate relies on. *)
 
 type kind = Tcp_model | Quic_model | Dtls_model | Tcp_client_model
 
@@ -29,27 +24,17 @@ val all_kinds : kind list
 
 (** Structured load failures — every case a caller might want to
     branch on (a missing golden is refreshable, a kind mismatch is a
-    usage error, a version mismatch means re-learn). *)
+    usage error, a format-version mismatch means re-learn). *)
 type load_error =
   | Missing_file of { path : string; detail : string }
   | Foreign_magic of { path : string; found : string }
   | Kind_mismatch of { path : string; found : string; expected : string }
   | Version_mismatch of { path : string; found : string; running : string }
-      (** Marshal cache: OCaml version; text format: format version. *)
+      (** The file's [prognosis.model/N] magic names a format version
+          this binary does not read. *)
   | Corrupt of { path : string; detail : string }
 
 val load_error_to_string : load_error -> string
-
-val save :
-  path:string -> kind -> ('i, 'o) Prognosis_automata.Mealy.t -> unit
-
-val load :
-  path:string ->
-  kind ->
-  (('i, 'o) Prognosis_automata.Mealy.t, load_error) result
-(** The ['i]/['o] types must match what was saved — the [kind] tag is
-    the guard, so application code loads through a descriptor
-    ({!Protocol.load}), which ties the kind to its symbol types. *)
 
 (** {2 The canonical text format}
 

@@ -77,8 +77,6 @@ let strings d =
     scenarios = List.map (List.map d.input_to_string) d.scenarios;
   }
 
-let load d ~path = Persist.load ~path d.kind
-
 let model_dot d model =
   let pp print fmt x = Format.pp_print_string fmt (print x) in
   Prognosis_analysis.Visualize.model_dot ~name:(Persist.kind_to_string d.kind)

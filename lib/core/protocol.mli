@@ -59,12 +59,6 @@ val strings : ('i, 'o) t -> (string, string) t
     scenarios, and a SUL wrapped by {!Prognosis_sul.Sul.strings}. Learns
     the same model in printed form. *)
 
-val load :
-  ('i, 'o) t ->
-  path:string ->
-  (('i, 'o) Prognosis_automata.Mealy.t, Persist.load_error) result
-(** {!Persist.load} of a model saved under the descriptor's kind. *)
-
 val model_dot : ('i, 'o) t -> ('i, 'o) Prognosis_automata.Mealy.t -> string
 (** Graphviz rendering, the graph named after the descriptor's kind. *)
 

@@ -171,46 +171,40 @@ let guard t f = t.guard f
    stood. Worker resume positions are deliberately dropped — a thawed
    pool's SUL instances start from reset, so a remembered position
    would be a lie. The blob is opaque to callers ({!Checkpoint} stores
-   it verbatim). *)
-
-type frozen = {
-  f_workers : int;
-  f_state : (int * int * int) array; (* runs_done, strikes, quarantined_until *)
-  f_clock : int;
-  f_rr : int;
-}
+   it verbatim): space-separated non-negative decimals, the worker
+   count, clock and round-robin cursor, then runs done, strikes and
+   quarantine end per worker. *)
 
 let freeze t =
-  Marshal.to_string
-    {
-      f_workers = t.config.workers;
-      f_state =
-        Array.map (fun w -> (w.runs_done, w.strikes, w.quarantined_until)) t.workers;
-      f_clock = t.clock;
-      f_rr = t.rr;
-    }
-    []
+  let per_worker w = [ w.runs_done; w.strikes; w.quarantined_until ] in
+  t.config.workers :: t.clock :: t.rr
+  :: List.concat_map per_worker (Array.to_list t.workers)
+  |> List.map string_of_int |> String.concat " "
 
 let thaw t blob =
-  match (Marshal.from_string blob 0 : frozen) with
-  | exception _ -> invalid_arg "Engine.thaw: unreadable state blob"
-  | f ->
-      if f.f_workers <> t.config.workers then
+  let unreadable () = invalid_arg "Engine.thaw: unreadable state blob" in
+  let int s =
+    match int_of_string_opt s with Some n when n >= 0 -> n | _ -> unreadable ()
+  in
+  match List.map int (String.split_on_char ' ' blob) with
+  | workers :: clock :: rr :: state when List.length state = 3 * workers ->
+      if workers <> t.config.workers then
         invalid_arg
           (Printf.sprintf
              "Engine.thaw: pool size changed (checkpointed %d workers, pool \
               has %d)"
-             f.f_workers t.config.workers);
+             workers t.config.workers);
+      let state = Array.of_list state in
       Array.iteri
         (fun i w ->
-          let runs_done, strikes, quarantined_until = f.f_state.(i) in
-          w.runs_done <- runs_done;
-          w.strikes <- strikes;
-          w.quarantined_until <- quarantined_until;
+          w.runs_done <- state.(3 * i);
+          w.strikes <- state.((3 * i) + 1);
+          w.quarantined_until <- state.((3 * i) + 2);
           w.position <- [||])
         t.workers;
-      t.clock <- f.f_clock;
-      t.rr <- f.f_rr
+      t.clock <- clock;
+      t.rr <- rr
+  | _ -> unreadable ()
 
 let active_workers t =
   let active w = w.quarantined_until <= t.clock in

@@ -37,10 +37,12 @@ type ('i, 'o) snapshot = {
 }
 
 val save : path:string -> kind:string -> ('i, 'o) snapshot -> unit
-(** Atomic write: the snapshot lands at [path] completely or not at
-    all (tmp file + rename). The header records [kind] and the OCaml
-    version (the payload is [Marshal], a local crash-recovery format —
-    portability is the model format's job, not the checkpoint's). *)
+(** Atomic write through {!Prognosis_obs.Atomic_file.write}: the
+    snapshot lands at [path] completely or not at all. The header
+    records [kind] and the OCaml version (the payload is OCaml's own
+    value serialization, a local crash-recovery format — portability
+    is the model format's job, not the checkpoint's). The
+    [checkpoint.bytes] gauge is the written length. *)
 
 val load : path:string -> kind:string -> (('i, 'o) snapshot, error) result
 

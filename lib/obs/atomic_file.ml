@@ -1,8 +1,7 @@
 (* Atomic whole-file writes: temp file in the target directory, then
-   rename. This is the discipline the checkpoint subsystem already
-   follows; every other report/trace/snapshot writer goes through here
-   so a crash mid-write never leaves a truncated artifact where a
-   complete one is expected. *)
+   rename. Every report, model, checkpoint and snapshot writer goes
+   through here, so a crash mid-write never leaves a truncated artifact
+   where a complete one is expected. *)
 
 let write ~path contents =
   let tmp = path ^ ".tmp" in

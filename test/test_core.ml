@@ -220,83 +220,7 @@ let quic_packet_numbers_increase () =
         = Prognosis_analysis.Safety.Holds))
     seqs
 
-(* --- model persistence --- *)
-
-let persist_roundtrip () =
-  let result = Protocol.learn ~seed:5L tcp in
-  let path = Filename.temp_file "prognosis" ".model" in
-  Persist.save ~path Persist.Tcp_model (fst result);
-  (match Protocol.load tcp ~path with
-  | Error e -> Alcotest.fail (Persist.load_error_to_string e)
-  | Ok model ->
-      Alcotest.(check bool) "identical behaviour" true
-        (Prognosis_analysis.Model_diff.equivalent model (fst result)));
-  Sys.remove path
-
-let persist_kind_guard () =
-  let result = Protocol.learn ~seed:5L tcp in
-  let path = Filename.temp_file "prognosis" ".model" in
-  Persist.save ~path Persist.Tcp_model (fst result);
-  (match Protocol.load (Quic_study.protocol Quic_study.Profile.quiche_like) ~path with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "kind mismatch must be refused");
-  Sys.remove path
-
-let persist_rejects_garbage () =
-  let path = Filename.temp_file "prognosis" ".model" in
-  let oc = open_out path in
-  output_string oc "not a model at all";
-  close_out oc;
-  (match Protocol.load tcp ~path with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage must be refused");
-  Sys.remove path;
-  match Protocol.load tcp ~path:"/nonexistent/nowhere.model" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing file must be an error"
-
-(* Every load failure is a distinct variant a caller can branch on —
-   not a pre-formatted string. *)
-let persist_error_cases () =
-  let path = Filename.temp_file "prognosis" ".model" in
-  let write text =
-    let oc = open_out_bin path in
-    output_string oc text;
-    close_out oc
-  in
-  let expect what = function
-    | Error e ->
-        Alcotest.fail
-          (Printf.sprintf "expected %s, got: %s" what
-             (Persist.load_error_to_string e))
-    | Ok _ -> Alcotest.fail (Printf.sprintf "expected %s, got a model" what)
-  in
-  write "something else\nentirely\n1.0\n";
-  (match Protocol.load tcp ~path with
-  | Error (Persist.Foreign_magic { found = "something else"; _ }) -> ()
-  | r -> expect "Foreign_magic" r);
-  write "prognosis-model/1\nquic\n0.00.0\n";
-  (match Protocol.load tcp ~path with
-  | Error (Persist.Kind_mismatch { found = "quic"; expected = "tcp"; _ }) -> ()
-  | r -> expect "Kind_mismatch" r);
-  write ("prognosis-model/1\ntcp\n0.00.0\n");
-  (match Protocol.load tcp ~path with
-  | Error (Persist.Version_mismatch { found = "0.00.0"; _ }) -> ()
-  | r -> expect "Version_mismatch" r);
-  write ("prognosis-model/1\ntcp\n" ^ Sys.ocaml_version ^ "\ngarbage payload");
-  (match Protocol.load tcp ~path with
-  | Error (Persist.Corrupt _) -> ()
-  | r -> expect "Corrupt" r);
-  write "prognosis-model/1\n";
-  (match Protocol.load tcp ~path with
-  | Error (Persist.Corrupt { detail = "truncated header"; _ }) -> ()
-  | r -> expect "Corrupt (truncated header)" r);
-  Sys.remove path;
-  match Protocol.load tcp ~path with
-  | Error (Persist.Missing_file _) -> ()
-  | r -> expect "Missing_file" r
-
-(* --- the canonical text format --- *)
+(* --- model persistence: the canonical text format --- *)
 
 module Tcp_alpha = Prognosis_tcp.Tcp_alphabet
 
@@ -437,10 +361,6 @@ let () =
       ("report", [ Alcotest.test_case "roundtrip" `Quick report_roundtrip ]);
       ( "persist",
         [
-          Alcotest.test_case "roundtrip" `Slow persist_roundtrip;
-          Alcotest.test_case "kind guard" `Slow persist_kind_guard;
-          Alcotest.test_case "garbage" `Quick persist_rejects_garbage;
-          Alcotest.test_case "structured errors" `Quick persist_error_cases;
           Alcotest.test_case "text roundtrip" `Slow persist_text_roundtrip;
           Alcotest.test_case "text canonical across runs" `Slow
             persist_text_canonical_across_runs;

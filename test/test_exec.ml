@@ -451,6 +451,45 @@ let thaw_guards () =
     (Invalid_argument "Engine.thaw: unreadable state blob") (fun () ->
       Engine.thaw smaller "gibberish")
 
+(* A real blob cut short, or with one or two bytes overwritten, thaws
+   or is refused as unreadable: never another exception. *)
+let prop_thaw_mutated =
+  let config = { Engine.default with Engine.workers = 3 } in
+  let blob =
+    lazy
+      (let e = engine_for ~config counter3 in
+       let mq = Engine.membership e in
+       for n = 1 to 12 do
+         ignore (mq.Oracle.ask (List.init n (fun i -> "ab".[i mod 2])))
+       done;
+       Engine.freeze e)
+  in
+  let set_byte = QCheck2.Gen.(pair (int_range 0 100) (int_range 0 255)) in
+  QCheck2.Test.make ~count:500 ~name:"thaw of mutated blobs"
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun k -> `Cut k) (int_range 0 100);
+          map (fun edits -> `Set edits) (list_size (int_range 1 2) set_byte);
+        ])
+    (fun m ->
+      let blob = Lazy.force blob in
+      let n = String.length blob in
+      let blob =
+        match m with
+        | `Cut k -> String.sub blob 0 (k mod (n + 1))
+        | `Set edits ->
+            let edit b (p, c) =
+              String.mapi (fun i x -> if i = p mod n then Char.chr c else x) b
+            in
+            List.fold_left edit blob edits
+      in
+      match Engine.thaw (engine_for ~config counter3) blob with
+      | () -> true
+      | exception Invalid_argument msg ->
+          msg = "Engine.thaw: unreadable state blob"
+          || QCheck2.Test.fail_reportf "%S: %s" blob msg)
+
 let external_cache_short_circuits () =
   (* A pre-warmed cache (a checkpoint session's) answers without
      touching the pool — the mechanism behind crash-free resume. *)
@@ -565,6 +604,7 @@ let () =
           Alcotest.test_case "freeze/thaw roundtrip" `Quick freeze_thaw_roundtrip;
           Alcotest.test_case "thaw guards" `Quick thaw_guards;
           Alcotest.test_case "external cache" `Quick external_cache_short_circuits;
+          QCheck_alcotest.to_alcotest prop_thaw_mutated;
         ] );
       ( "studies",
         [

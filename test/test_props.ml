@@ -771,6 +771,41 @@ let prop_fuzz_tcp =
       never_raises Tcp_wire.decode
         (if repair then tcp_fix_checksum wire else wire))
 
+(* The committed goldens as mutated model files: [dune runtest] runs
+   from _build/default/test, [dune exec] from the project root. *)
+let golden_texts =
+  lazy
+    (List.map
+       (fun (file, kind) ->
+         let path =
+           List.find Sys.file_exists
+             [ "../examples/golden/" ^ file; "examples/golden/" ^ file ]
+         in
+         (kind, In_channel.with_open_bin path In_channel.input_all))
+       Prognosis.Persist.
+         [
+           ("tcp.model", Tcp_model);
+           ("quic-quiche-like.model", Quic_model);
+           ("dtls.model", Dtls_model);
+         ])
+
+let prop_fuzz_model_text =
+  QCheck2.Test.make ~count:1500 ~name:"Persist.parse_text of mutated goldens"
+    QCheck2.Gen.(
+      pair (gen 0 2)
+        (list_size (gen 1 4)
+           (oneof
+              [
+                map2 (fun p b -> Flip (p, b)) (gen 0 10_000) (gen 0 7);
+                map (fun n -> Truncate n) (gen 0 10_000);
+                map2 (fun p v -> Set_byte (p, v)) (gen 0 10_000) (gen 0 255);
+              ])))
+    (fun (g, ms) ->
+      let kind, text = List.nth (Lazy.force golden_texts) g in
+      never_raises
+        (Prognosis.Persist.parse_text ~path:"(fuzz)" kind)
+        (mutate_all ~lengths:[] text ms))
+
 (* --- learning pipeline over random machines, 3-symbol alphabet --- *)
 
 let gen_mealy3 =
@@ -1077,6 +1112,7 @@ let () =
             prop_fuzz_frames;
             prop_fuzz_dtls;
             prop_fuzz_tcp;
+            prop_fuzz_model_text;
           ] );
       ( "learning",
         List.map QCheck_alcotest.to_alcotest
