@@ -1099,14 +1099,14 @@ let f1_fingerprint () =
       ("novel_reidentify_words", Jsonx.Int second.Identify.words_asked);
     ]
 
-(* --- F2: fleet identification over a shared, sharded cache --- *)
+(* --- F2: fleet identification over one shared cache per endpoint --- *)
 
 module Service = Prognosis_service.Service
 
 let f2_fleet () =
   section "F2"
-    "Fleet identification: domain-parallel sessions over one shared sharded \
-     cache (new)";
+    "Fleet identification: domain-parallel sessions over one shared cache \
+     per endpoint (new)";
   let module Jsonx = Prognosis_obs.Jsonx in
   (* the F1 population doubles as an in-memory library: its entry
      names are exactly the service's subject spellings *)

@@ -115,11 +115,11 @@ let read_file path =
 let algo_name = function Learn.Ttt_tree -> "ttt" | Learn.L_star -> "lstar"
 let algo_of_name = function "lstar" -> Learn.L_star | _ -> Learn.Ttt_tree
 
-(* Every command that sizes a worker pool, a domain pool or a sharded
-   cache checks the sizes here first, so a bad flag (or manifest entry)
-   is a usage error instead of an [Invalid_argument] escaping from the
-   engine or the cache, or a silent clamp. *)
-let check_pool ?(shards = 1) ?(domains = 1) ~workers ~replicas () =
+(* Every command that sizes a worker pool or a domain pool checks the
+   sizes here first, so a bad flag (or manifest entry) is a usage error
+   instead of an [Invalid_argument] escaping from the engine, or a
+   silent clamp. *)
+let check_pool ?(domains = 1) ~workers ~replicas () =
   or_die
     (if domains < 1 then
        Error (Printf.sprintf "domains must be at least 1 (got %d)" domains)
@@ -129,8 +129,6 @@ let check_pool ?(shards = 1) ?(domains = 1) ~workers ~replicas () =
        Error
          (Printf.sprintf "replicas must be between 1 and workers (%d), got %d"
             workers replicas)
-     else if shards < 1 then
-       Error (Printf.sprintf "shards must be at least 1 (got %d)" shards)
      else Ok ())
 
 let exec_of_flags ~workers ~batch ~replicas =
@@ -1197,7 +1195,7 @@ let do_library_build () dir subjects seed algorithm workers batch replicas =
         report.Report.states report.Report.membership_queries
         entry.Library.file)
     subjects;
-  let lib, notes = or_die (Library.build ~dir) in
+  let lib, notes = or_die (Library.build ~check:Subject.check_entry ~dir) in
   List.iter (fun n -> Format.printf "note: %s@." n) notes;
   Format.printf "library %s: %d entr%s@." dir
     (List.length lib.Library.entries)
@@ -1424,9 +1422,8 @@ let identify_cmd =
 
 (* --- serve: domain-parallel fleet sessions --- *)
 
-let do_serve () jobs_file domains shards workers replicas library_dir
-    metrics_out =
-  check_pool ~shards ~domains ~workers ~replicas ();
+let do_serve () jobs_file domains workers replicas library_dir metrics_out =
+  check_pool ~domains ~workers ~replicas ();
   Prognosis_obs.Metrics.reset Prognosis_obs.Metrics.default;
   let jobs = or_die (Result.bind (read_file jobs_file) Service.jobs_of_string) in
   let library =
@@ -1435,7 +1432,7 @@ let do_serve () jobs_file domains shards workers replicas library_dir
   let config =
     { Service.default_config with Prognosis_exec.Engine.workers; replicas }
   in
-  let summary = or_die (Service.run ~domains ~shards ~config ?library ~jobs ()) in
+  let summary = or_die (Service.run ~domains ~config ?library ~jobs ()) in
   Format.printf "@[<v>%a@]@." Service.pp summary;
   (match metrics_out with
   | None -> ()
@@ -1478,9 +1475,9 @@ let serve_cmd =
   let doc =
     "Run a fleet of learning and identification sessions on an OCaml domain \
      pool: every session owns its own query-execution engine, sessions \
-     probing the same endpoint configuration share one sharded membership \
-     cache, and identify sessions walk one resident classification tree. \
-     Results merge deterministically in job order."
+     probing the same endpoint configuration share one membership cache, \
+     and identify sessions walk one resident classification tree. Results \
+     merge deterministically in job order."
   in
   let jobs_arg =
     let doc =
@@ -1498,10 +1495,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
   in
-  let shards_arg =
-    let doc = "Shard count of each shared membership cache." in
-    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"K" ~doc)
-  in
   let library_arg =
     let doc =
       "Model library directory, required when any job identifies (see \
@@ -1512,8 +1505,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const do_serve $ verbose $ jobs_arg $ domains_arg $ shards_arg
-      $ workers_arg $ replicas_arg $ library_arg $ metrics_out)
+      const do_serve $ verbose $ jobs_arg $ domains_arg $ workers_arg
+      $ replicas_arg $ library_arg $ metrics_out)
 
 let main =
   let doc = "closed-box learning and analysis of protocol implementations" in

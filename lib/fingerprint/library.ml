@@ -141,7 +141,7 @@ let load ~dir =
   in
   Ok { dir; entries = List.rev entries }
 
-let build ~dir =
+let build ~check ~dir =
   Trace.with_span "library.build" @@ fun () ->
   let* files =
     match Sys.readdir dir with
@@ -165,6 +165,7 @@ let build ~dir =
         let* entry =
           load_entry ~dir ~name:(Filename.chop_suffix file ".model") ~file kind
         in
+        let* () = Result.map_error (fun m -> path ^ ": " ^ m) (check entry) in
         match
           List.find_opt
             (fun e -> e.kind = entry.kind && String.equal e.text entry.text)

@@ -57,12 +57,16 @@ val load : dir:string -> (t, string) result
     offending file — and, for corrupt model text, the 1-based line
     ({!Prognosis.Persist.parse_text}). *)
 
-val build : dir:string -> (t * string list, string) result
+val build :
+  check:(entry -> (unit, string) result) ->
+  dir:string ->
+  (t * string list, string) result
 (** Scan [dir] for [*.model] files, parse each (kind sniffed from the
     header), drop byte-identical duplicates, and write a fresh
     manifest. Returns the library plus human-readable notes about
     skipped duplicates. Fails — pinpointing file and line — on a
-    corrupt model file. *)
+    corrupt model file, and — naming the file — on the first entry
+    [check] refuses; no manifest is written then. *)
 
 type add_outcome =
   | Added of t

@@ -13,7 +13,7 @@ module Trie = struct
      sorts siblings by the symbols themselves so the checkpoint order
      is canonical. Every change is one pointer write of a fully built
      value (a filled slot, a grown copy of a child array, a split
-     edge's slot), so {!Sharded}'s lock-free readers see a node before
+     edge's slot), so {!Shared}'s lock-free readers see a node before
      or after it (see the interface). *)
 
   type node = {
@@ -176,100 +176,74 @@ let m_misses = Metrics.counter Metrics.default "cache.misses"
 let g_nodes = Metrics.gauge Metrics.default "cache.nodes"
 let g_trie_nodes = Metrics.gauge Metrics.default "cache.trie.nodes"
 
-(* --- Sharded store ---------------------------------------------------
+(* --- Shared store ------------------------------------------------------
 
-   K tries over one pair of coders, a word going to the shard its first
-   input id picks (see the interface), each with a mutex taken only on
-   insert. Lookups are optimistic: combined with the publication-safe
+   One trie over one pair of coders, with a mutex taken only on insert.
+   Lookups are optimistic: combined with the publication-safe
    [Trie.insert] above (reachable nodes are never mutated into
    inconsistent states, and every id a reachable node holds was
    published by its coder before the node was linked in), a racing
    reader can at worst observe a stale-but-consistent trie — and the
-   shard's generation check rejects even that before the answer
-   escapes. *)
+   generation check rejects even that before the answer escapes. *)
 
-module Sharded = struct
-  type shard = {
+module Shared = struct
+  type ('i, 'o) t = {
     trie : Trie.t;
     lock : Mutex.t;
     gen : int Atomic.t; (* odd while an insert is in flight *)
-  }
-
-  type ('i, 'o) t = {
-    shards : shard array;
     syms : 'i Coder.t;
     outs : 'o Coder.t;
   }
 
-  let create ?(shards = 8) () =
-    if shards < 1 then invalid_arg "Cache.Sharded.create: shards must be >= 1";
-    let mk _ =
-      { trie = Trie.create (); lock = Mutex.create (); gen = Atomic.make 0 }
-    in
-    { shards = Array.init shards mk; syms = Coder.create (); outs = Coder.create () }
-
-  let shards t = Array.length t.shards
-
-  let shard t word =
-    if Array.length word = 0 then t.shards.(0)
-    else t.shards.(word.(0) mod Array.length t.shards)
+  let create () =
+    {
+      trie = Trie.create ();
+      lock = Mutex.create ();
+      gen = Atomic.make 0;
+      syms = Coder.create ();
+      outs = Coder.create ();
+    }
 
   (* One critical section per insert; the generation is even again on
      the way out whether the insert returns or raises ({!Conflict}). *)
   let insert_coded t word outs =
-    let s = shard t word in
-    Mutex.protect s.lock (fun () ->
-        Atomic.incr s.gen;
-        (match Trie.insert s.trie word outs with
-        | () -> Atomic.incr s.gen
+    Mutex.protect t.lock (fun () ->
+        Atomic.incr t.gen;
+        match Trie.insert t.trie word outs with
+        | () -> Atomic.incr t.gen
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
-            Atomic.incr s.gen;
-            Printexc.raise_with_backtrace e bt))
+            Atomic.incr t.gen;
+            Printexc.raise_with_backtrace e bt)
+
+  let locked t f = Mutex.protect t.lock (fun () -> f t.trie)
 
   (* Optimistic read: lock-free thanks to publication-safe inserts, but
      any overlap with a writer (generation moved, or odd at the start)
      voids the attempt — fall back to the mutex. An exception from the
      walk propagates: it cannot raise on a consistent trie, so one that
      does is a bug to surface, not a race to retry. *)
-  let locked_lookup s word =
-    Mutex.protect s.lock (fun () -> Trie.lookup s.trie word)
+  let locked_lookup t word = locked t (fun x -> Trie.lookup x word)
 
   let lookup_coded t word =
-    let s = shard t word in
-    let g = Atomic.get s.gen in
-    if g land 1 = 1 then locked_lookup s word
+    let g = Atomic.get t.gen in
+    if g land 1 = 1 then locked_lookup t word
     else
-      let v = Trie.lookup s.trie word in
-      if Atomic.get s.gen = g then v else locked_lookup s word
+      let v = Trie.lookup t.trie word in
+      if Atomic.get t.gen = g then v else locked_lookup t word
 
-  (* Counts include the root once across all shards, matching the
-     unsharded accounting (each shard's trie counts its own root). *)
-  let total f t = Array.fold_left (fun acc s -> acc + f s.trie - 1) 1 t.shards
-  let size t = total Trie.size t
-  let compacted_nodes t = total Trie.compacted_nodes t
-
-  (* The unsharded canonical dump is a symbol-sorted DFS, i.e. the
-     maximal cached words in lexicographic symbol order; shards
-     partition words by first symbol, so sorting the concatenation of
-     the per-shard canonical dumps restores exactly that order —
-     byte-identical to the dump of one trie holding every word. *)
-  let dump t =
-    let syms = Coder.symbols t.syms and outs = Coder.symbols t.outs in
-    Array.to_list t.shards
-    |> List.concat_map (fun s -> Trie.dump s.trie syms outs)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let size t = Trie.size t.trie
 end
 
 (* --- the store interface --------------------------------------------
 
    A cache value is a view over one of the two stores: a private trie
-   with its own coders, or a shared {!Sharded} cache, whose coders
-   every view shares. Hit/miss tallies belong to the view, so a fleet
+   with its own coders, or a {!Shared} store, whose coders every view
+   shares. Hit/miss tallies belong to the view, so a fleet
    session's counts describe its own traffic even though the answers
    are pooled. *)
 
-type ('i, 'o) store = Private of Trie.t | Shared of ('i, 'o) Sharded.t
+type ('i, 'o) store = Private of Trie.t | Shared of ('i, 'o) Shared.t
 
 type ('i, 'o) t = {
   store : ('i, 'o) store;
@@ -288,7 +262,7 @@ let create () =
     misses = 0;
   }
 
-let shared (s : _ Sharded.t) =
+let shared (s : _ Shared.t) =
   { store = Shared s; syms = s.syms; outs = s.outs; hits = 0; misses = 0 }
 
 let inputs t = t.syms
@@ -302,12 +276,12 @@ let insert_coded t word outs =
       Trie.insert x word outs;
       Metrics.set g_nodes (float_of_int (Trie.size x));
       Metrics.set g_trie_nodes (float_of_int (Trie.compacted_nodes x))
-  | Shared s -> Sharded.insert_coded s word outs
+  | Shared s -> Shared.insert_coded s word outs
 
 let lookup_coded t word =
   match t.store with
   | Private x -> Trie.lookup x word
-  | Shared s -> Sharded.lookup_coded s word
+  | Shared s -> Shared.lookup_coded s word
 
 let insert t word outs =
   insert_coded t (Coder.intern_word t.syms word) (Coder.intern_word t.outs outs)
@@ -318,18 +292,13 @@ let lookup t word =
   if Array.exists (fun i -> i < 0) ids then None
   else Option.map (Coder.decode t.outs) (lookup_coded t ids)
 
-let size t =
-  match t.store with Private x -> Trie.size x | Shared s -> Sharded.size s
-
-let compacted_nodes t =
-  match t.store with
-  | Private x -> Trie.compacted_nodes x
-  | Shared s -> Sharded.compacted_nodes s
+let trie t = match t.store with Private x -> x | Shared s -> s.trie
+let size t = Trie.size (trie t)
+let compacted_nodes t = Trie.compacted_nodes (trie t)
 
 let dump t =
-  match t.store with
-  | Private x -> Trie.dump x (Coder.symbols t.syms) (Coder.symbols t.outs)
-  | Shared s -> Sharded.dump s
+  let go x = Trie.dump x (Coder.symbols t.syms) (Coder.symbols t.outs) in
+  match t.store with Private x -> go x | Shared s -> Shared.locked s go
 
 let restore t words = List.iter (fun (w, outs) -> insert t w outs) words
 let hits t = t.hits

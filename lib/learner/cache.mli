@@ -7,8 +7,8 @@
     without touching the SUL.
 
     Symbols become ids once: each store owns an input and an output
-    {!Oracle.Coder} giving every symbol a dense int id (a {!Sharded}
-    store one pair for all its shards and views). The trie holds coded
+    {!Oracle.Coder} giving every symbol a dense int id (a {!Shared}
+    store one pair for all its views). The trie holds coded
     words and output ids in path-compressed edges, so walks, inserts
     and the {!Conflict} check scan int arrays; the list API codes the
     word, then walks. A node's children sit in an array indexed by the
@@ -17,11 +17,11 @@
     only by single pointer writes of fully built values: a new child
     fills its empty slot or goes into a grown copy of the child array
     that replaces the old one; a split builds its head and tail, then
-    overwrites the split edge's slot. So {!Sharded}'s lock-free readers
+    overwrites the split edge's slot. So {!Shared}'s lock-free readers
     see each change before or after, never half made.
 
     A cache value is a {e view} over one of two stores: a private trie
-    ({!create}) or a {!Sharded} cache shared across domains
+    ({!create}) or a {!Shared} trie shared across domains
     ({!shared}). Every operation below works on either; the view keeps
     its own hit/miss tallies. *)
 
@@ -79,7 +79,9 @@ val dump : ('i, 'o) t -> ('i list * 'o list) list
     symbol (polymorphic compare), independent of insertion history —
     so [dump]→[restore]→[dump] round-trips byte-identically, including
     for dumps produced by the pre-compaction implementation, whose
-    entry type is unchanged but whose hash-table order was arbitrary. *)
+    entry type is unchanged but whose hash-table order was arbitrary.
+    A view over a {!Shared} store dumps it under the store's mutex, so
+    inserts may be in flight on other domains. *)
 
 val restore : ('i, 'o) t -> ('i list * 'o list) list -> unit
 (** Re-inserts a {!dump}. Restored entries do not count as hits or
@@ -94,39 +96,26 @@ val wrap : ('i, 'o) t -> ('i, 'o) Oracle.membership -> ('i, 'o) Oracle.membershi
     does not batch: batching through a cache is the engine's job
     ({!Prognosis_exec.Engine.membership}). *)
 
-(** Concurrent sharded store over K independent tries, for fleet
-    sessions that populate one shared membership cache from several
-    domains ({!Prognosis_service}). Sessions reach it through their
-    own {!shared} views.
+(** Concurrent store: one trie shared by the fleet sessions that
+    probe one endpoint from several domains ({!Prognosis_service}).
+    Sessions reach it through their own {!shared} views.
 
-    A word goes to the shard its first input id picks (id mod K), so
-    every prefix of a word lands in the same shard. Each shard's mutex
-    is taken only on insert; lookups run lock-free and optimistic — a
-    shard-level generation counter detects an overlapping insert, in
-    which case the answer is discarded and the probe retried under the
-    mutex. Coders publish new ids as an immutable snapshot with one
-    atomic swap, so a lock-free reader never sees a half-added symbol.
-    A store's size is {!size}, reported per endpoint as [nodes] in a
-    fleet's {!Prognosis_service.Service.shared_cache}: a process-wide
-    gauge would be written by every endpoint's store. *)
-module Sharded : sig
+    The store's mutex is taken only on insert; lookups run lock-free
+    and optimistic — a generation counter detects an overlapping
+    insert, in which case the answer is discarded and the probe
+    retried under the mutex. Coders publish new ids as an immutable
+    snapshot with one atomic swap, so a lock-free reader never sees a
+    half-added symbol. A store's size is {!size}, reported per endpoint
+    as [nodes] in a fleet's {!Prognosis_service.Service.shared_cache}:
+    a process-wide gauge would be written by every endpoint's store. *)
+module Shared : sig
   type ('i, 'o) t
 
-  val create : ?shards:int -> unit -> ('i, 'o) t
-  (** [shards] defaults to 8. @raise Invalid_argument when < 1. *)
-
-  val shards : ('i, 'o) t -> int
-
+  val create : unit -> ('i, 'o) t
   val size : ('i, 'o) t -> int
-
-  val dump : ('i, 'o) t -> ('i list * 'o list) list
-  (** Canonical merged dump, byte-identical to the unsharded
-      {!Cache.dump} of one trie holding the same words: per-shard
-      canonical dumps merged back into global lexicographic symbol
-      order. Safe only while no insert is in flight. *)
 end
 
-val shared : ('i, 'o) Sharded.t -> ('i, 'o) t
+val shared : ('i, 'o) Shared.t -> ('i, 'o) t
 (** A fresh view over a shared store, with its own {!hits} and
     {!misses}. One view per session: a view's tallies are not
     synchronized, the store underneath is. *)

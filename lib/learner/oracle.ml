@@ -20,7 +20,7 @@ let fresh_stats () =
 
 (* Dense int ids for one symbol type. A coder is an immutable snapshot
    behind an [Atomic.t]: interning installs an extended copy with one
-   compare-and-set, so a lock-free {!Cache.Sharded} reader always sees
+   compare-and-set, so a lock-free {!Cache.Shared} reader always sees
    a consistent coder and concurrent writers never hand out one id
    twice. Symbols are few (an alphabet's worth): copies are rare. *)
 module Coder = struct

@@ -117,7 +117,6 @@ type session = {
 
 type shared_cache = {
   cache_endpoint : string;
-  shard_count : int;
   hits : int;
   misses : int;
   nodes : int;
@@ -297,8 +296,7 @@ let on_domains domains work =
         pool.work <- ignore);
   1 + seats
 
-let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
-    () =
+let run ?(domains = 1) ?(config = default_config) ?library ~jobs () =
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
   (* Resident splitter forest: built (and its entry models packed)
@@ -327,7 +325,7 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
           Splitter.of_library lib
     else Ok []
   in
-  (* One shared sharded cache per endpoint configuration: sessions
+  (* One shared cache per endpoint configuration: sessions
      probing behaviourally identical endpoints (same subject name —
      SUL answers are seed-invariant) pool their answers; distinct
      configurations must not, they answer differently. Endpoints are
@@ -347,7 +345,7 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
       jobs
   in
   let names = Array.of_list (List.rev !names) in
-  let caches = Array.map (fun _ -> Cache.Sharded.create ~shards ()) names in
+  let caches = Array.map (fun _ -> Cache.Shared.create ()) names in
   let tree_for (j : job) =
     Option.value ~default:(Splitter.Leaf None)
       (List.assoc_opt j.subject.Subject.kind forest)
@@ -439,10 +437,9 @@ let run ?(domains = 1) ?(shards = 8) ?(config = default_config) ?library ~jobs
            in
            {
              cache_endpoint = name;
-             shard_count = Cache.Sharded.shards c;
              hits = sum (fun s -> s.cache_hits);
              misses = sum (fun s -> s.cache_misses);
-             nodes = Cache.Sharded.size c;
+             nodes = Cache.Shared.size c;
            })
   in
   Ok
@@ -510,7 +507,6 @@ let shared_json c =
   Jsonx.Obj
     [
       ("endpoint", Jsonx.String c.cache_endpoint);
-      ("shards", Jsonx.Int c.shard_count);
       ("hits", Jsonx.Int c.hits);
       ("misses", Jsonx.Int c.misses);
       ("nodes", Jsonx.Int c.nodes);

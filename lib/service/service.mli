@@ -1,11 +1,11 @@
 (** Fleet scheduler: domain-parallel learning and identification
-    sessions over shared, sharded membership caches.
+    sessions over shared membership caches.
 
     A fleet is a list of jobs — learn or identify, any mix of
     subjects — executed on an OCaml 5 domain pool. Each session owns
     its own {!Prognosis_exec.Engine} (its own SUL workers), placed in
     front of its own {!Prognosis_learner.Cache.shared} view of the one
-    {!Prognosis_learner.Cache.Sharded} cache every session probing the
+    {!Prognosis_learner.Cache.Shared} store every session probing the
     same endpoint configuration shares — so each query crosses exactly
     one cache. Learn sessions take {!Prognosis.Pipeline.learn} over the
     subject's string view ({!Subject.t.factory}, {!Subject.t.eq}) and
@@ -84,7 +84,6 @@ type session = {
 
 type shared_cache = {
   cache_endpoint : string;
-  shard_count : int;
   hits : int;  (** summed over the endpoint's sessions *)
   misses : int;
   nodes : int;
@@ -119,7 +118,6 @@ val default_config : Prognosis_exec.Engine.config
 
 val run :
   ?domains:int ->
-  ?shards:int ->
   ?config:Prognosis_exec.Engine.config ->
   ?library:Prognosis_fingerprint.Library.t ->
   jobs:job list ->
@@ -132,8 +130,8 @@ val run :
     so a process holds at most the largest [domains - 1] it was asked
     for (gauge [service.helper_domains]); a run that finds them busy
     with a concurrent run runs alone. Each domain takes the next job
-    by {!pick}. [shards] (default 8) sizes each shared cache; [config]
-    (default {!default_config}) applies to every session's engine.
+    by {!pick}. [config] (default {!default_config}) applies to every
+    session's engine.
     [library] is required when any job identifies ([Error] otherwise;
     also on a library whose splitter tree fails to compile). An
     endpoint answering a query inconsistently stops only its own

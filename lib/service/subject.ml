@@ -44,21 +44,23 @@ let make (d : (_, _) Protocol.t) =
     learn;
   }
 
-let check_library s (lib : Prognosis_fingerprint.Library.t) =
-  let foreign (e : Prognosis_fingerprint.Library.entry) =
-    if e.kind <> s.kind then None
-    else
-      Mealy.inputs e.model
-      |> Array.find_opt (fun x -> not (Array.mem x s.inputs))
-      |> Option.map (fun x -> (e.name, x))
-  in
-  match List.find_map foreign lib.entries with
+(* [Error] when [e] holds an input symbol outside [s]'s alphabet. *)
+let foreign_input s (e : Prognosis_fingerprint.Library.entry) =
+  let foreign x = not (Array.mem x s.inputs) in
+  match Array.find_opt foreign (Mealy.inputs e.model) with
   | None -> Ok ()
-  | Some (entry, x) ->
+  | Some x ->
       Error
         (Printf.sprintf
            "library entry %S has input %S, which the %s endpoint does not have"
-           entry x s.name)
+           e.name x s.name)
+
+let check_library s (lib : Prognosis_fingerprint.Library.t) =
+  List.fold_left
+    (fun acc (e : Prognosis_fingerprint.Library.entry) ->
+      Result.bind acc (fun () ->
+          if e.kind = s.kind then foreign_input s e else Ok ()))
+    (Ok ()) lib.entries
 
 let names =
   [
@@ -92,3 +94,23 @@ let of_name name =
       Error
         (Printf.sprintf "unknown subject %S (available: %s)" name
            (String.concat ", " names))
+
+(* Subjects of one kind differ in server configuration or QUIC
+   profile, never in inputs, so one of them stands in for every
+   endpoint of its kind, under the kind's name. No subject drives a
+   TCP client: a tcp-client entry has no endpoint to be checked
+   against. *)
+let check_entry (e : Prognosis_fingerprint.Library.entry) =
+  let stand_in =
+    match e.kind with
+    | Persist.Tcp_model -> Some (make (Tcp_study.protocol ()))
+    | Persist.Quic_model ->
+        let profile = Prognosis_quic.Quic_profile.quiche_like in
+        Some (make (Quic_study.protocol profile))
+    | Persist.Dtls_model -> Some (make (Dtls_study.protocol ()))
+    | Persist.Tcp_client_model -> None
+  in
+  match stand_in with
+  | None -> Ok ()
+  | Some s ->
+      foreign_input { s with name = Persist.kind_to_string e.kind } e

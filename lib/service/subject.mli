@@ -41,6 +41,12 @@ val check_library :
     endpoint on an input it does not have. Checked before any session
     probes the endpoint. *)
 
+val check_entry : Prognosis_fingerprint.Library.entry -> (unit, string) result
+(** {!check_library}'s check of one entry against every endpoint of
+    the entry's kind, which share one input alphabet; a tcp-client
+    entry passes, as no subject drives a TCP client. [library build]
+    runs it on each entry before writing the manifest. *)
+
 val names : string list
 (** The accepted {!of_name} spellings (["quic:<profile>"] standing
     for any {!Prognosis_quic.Quic_profile} name). *)

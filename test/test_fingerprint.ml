@@ -416,7 +416,7 @@ let library_round_trip () =
   save m_deep "deep" dir;
   save m_base "base-again" dir;
   let lib, notes =
-    match Library.build ~dir with
+    match Library.build ~check:(fun _ -> Ok ()) ~dir with
     | Ok r -> r
     | Error msg -> Alcotest.fail msg
   in
@@ -458,7 +458,7 @@ let library_corrupt_file_pinpointed () =
   let oc = open_out path in
   output_string oc "prognosis.model/1\nkind tcp\nstates nope\n";
   close_out oc;
-  match Library.build ~dir with
+  match Library.build ~check:(fun _ -> Ok ()) ~dir with
   | Error msg ->
       let contains sub =
         let n = String.length sub and h = String.length msg in

@@ -116,8 +116,8 @@ let cache_saves_queries () =
   Alcotest.(check int) "two hits" 2 (Cache.hits c)
 
 (* The coded cache against a naive reference: an assoc list of the
-   inserted (word, outputs) pairs, for a private trie and for views
-   over sharded stores. Symbols are drawn from three strings, each
+   inserted (word, outputs) pairs, for a private trie and for a view
+   over a shared store. Symbols are drawn from three strings, each
    either the alphabet's own value or a structurally equal copy, so
    coding must fall back from the physical probe. Answers depend on
    the prefix, except where an op flips one output to provoke a
@@ -201,8 +201,7 @@ let prop_coded_cache =
         && Cache.dump c = List.sort_uniq compare maximal
       in
       check (Cache.create ())
-      && check (Cache.shared (Cache.Sharded.create ~shards:1 ()))
-      && check (Cache.shared (Cache.Sharded.create ~shards:3 ())))
+      && check (Cache.shared (Cache.Shared.create ())))
 
 let cached_learning_equivalent () =
   (* Learning through a cache must give the same model. *)

@@ -1,10 +1,11 @@
 (* The compiled-hot-path invariants behind the CI perf gate: packed
    stepping agrees with the functional reference on arbitrary machines,
    the compacted trie cache round-trips through the checkpoint format
-   byte-identically, the sharded equivalence oracle produces the same
-   model as a sequential run, and one QUIC and one DTLS SUL query and
-   one TCP golden learn stay within their allocation budgets. These run under the @perf alias,
-   next to the counter gate in CI. *)
+   byte-identically (from a private or a shared store), the sharded
+   equivalence oracle produces the same model as a sequential run, and
+   one QUIC and one DTLS SUL query and one TCP golden learn stay within
+   their allocation budgets. These run under the @perf alias, next to
+   the counter gate in CI. *)
 
 module Mealy = Prognosis_automata.Mealy
 module Cache = Prognosis_learner.Cache
@@ -149,7 +150,7 @@ let trie_restores_old_format_order () =
    insert must raise [Conflict i] exactly when the reference holds the
    word's prefix of length [i + 1] with another last output (the first
    such [i]), leaving the cache unchanged; otherwise it caches every
-   prefix. Run on a private trie and on a view of a 3-shard store. *)
+   prefix. Run on a private trie and on a view of a shared store. *)
 type trie_op = Insert of int list * int list | Lookup of int list
 
 let gen_trie_ops =
@@ -220,14 +221,15 @@ let prop_trie_reference =
           let c' = Cache.create () in
           Cache.restore c' d;
           Cache.dump c' = d && Cache.size c' = Cache.size c)
-        [ Cache.create; (fun () -> Cache.shared (Cache.Sharded.create ~shards:3 ())) ])
+        [ Cache.create; (fun () -> Cache.shared (Cache.Shared.create ())) ])
 
-(* --- sharded cache == one trie, under any shard count --- *)
+(* --- shared store == private trie --- *)
 
 (* Random prefix-consistent word sets (answered by a fixed machine,
-   like [consistent_queries]) dumped from a [Cache.Sharded] must be
-   byte-identical to the unsharded canonical dump — that is what lets
-   a fleet checkpoint interchange with a solo one. *)
+   like [consistent_queries]) dumped through a view of a
+   [Cache.Shared] store must be byte-identical to a private trie's
+   canonical dump of the same words — that is what lets a fleet
+   checkpoint interchange with a solo one. *)
 let gen_word_set =
   let open QCheck2.Gen in
   let m =
@@ -238,30 +240,25 @@ let gen_word_set =
     (list_size (int_range 0 10) (int_range 0 3))
   >>= fun words -> return (List.map (fun w -> (w, Mealy.run m w)) words)
 
-let prop_sharded_dump_canonical =
-  QCheck2.Test.make ~count:60
-    ~name:"Sharded.dump == unsharded dump for K in {1,4,8}"
+let prop_shared_dump_canonical =
+  QCheck2.Test.make ~count:60 ~name:"shared dump == private trie dump"
     gen_word_set (fun qs ->
       let flat = Cache.create () in
       List.iter (fun (w, o) -> Cache.insert flat w o) qs;
-      let reference = Cache.dump flat in
-      List.for_all
-        (fun k ->
-          let sharded = Cache.Sharded.create ~shards:k () in
-          let view = Cache.shared sharded in
-          List.iter (fun (w, o) -> Cache.insert view w o) qs;
-          Cache.Sharded.dump sharded = reference
-          && Cache.Sharded.size sharded = Cache.size flat
-          && List.for_all (fun (w, o) -> Cache.lookup view w = Some o) qs)
-        [ 1; 4; 8 ])
+      let store = Cache.Shared.create () in
+      let view = Cache.shared store in
+      List.iter (fun (w, o) -> Cache.insert view w o) qs;
+      Cache.dump view = Cache.dump flat
+      && Cache.Shared.size store = Cache.size flat
+      && List.for_all (fun (w, o) -> Cache.lookup view w = Some o) qs)
 
-(* Four domains hammering the same sharded cache, each through its own
+(* Four domains hammering the same shared store, each through its own
    view: two inserting disjoint prefix-consistent sets (and coding new
    symbols into the shared coders at once), two doing optimistic
    lookups the whole time. Every lookup that returns must return the
    machine's answer (the seqlock may retry but never tears), and the
    final dump equals a sequential insert of everything. *)
-let sharded_stress_four_domains () =
+let shared_stress_four_domains () =
   let m =
     Mealy.of_fun ~size:7 ~initial:0 ~inputs:[| 0; 1; 2; 3; 4 |]
       ~step:(fun s i -> ((s + i + 2) mod 7, (s * 7) + (2 * i)))
@@ -274,7 +271,7 @@ let sharded_stress_four_domains () =
         List.init len (fun _ -> Prognosis_sul.Rng.int rng 5))
   in
   let batch_a = words_of 31L 400 and batch_b = words_of 32L 400 in
-  let cache = Cache.Sharded.create ~shards:8 () in
+  let cache = Cache.Shared.create () in
   let torn = Atomic.make 0 and looked = Atomic.make 0 in
   let inserter batch () =
     let view = Cache.shared cache in
@@ -306,7 +303,7 @@ let sharded_stress_four_domains () =
     (fun w -> Cache.insert sequential w (answers w))
     (batch_a @ batch_b);
   Alcotest.(check bool) "dump == sequential insert of both batches" true
-    (Cache.Sharded.dump cache = Cache.dump sequential)
+    (Cache.dump (Cache.shared cache) = Cache.dump sequential)
 
 (* --- pooled, batched equivalence testing is deterministic --- *)
 
@@ -451,11 +448,11 @@ let () =
             trie_restores_old_format_order;
           QCheck_alcotest.to_alcotest prop_trie_reference;
         ] );
-      ( "sharded",
+      ( "shared",
         [
-          QCheck_alcotest.to_alcotest prop_sharded_dump_canonical;
+          QCheck_alcotest.to_alcotest prop_shared_dump_canonical;
           Alcotest.test_case "4-domain stress" `Slow
-            sharded_stress_four_domains;
+            shared_stress_four_domains;
         ] );
       ( "alloc",
         [

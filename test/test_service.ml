@@ -395,14 +395,14 @@ let shared_nodes_per_endpoint () =
   let fleet = run_fleet ~domains:2 jobs in
   let alone (job : Service.job) =
     let s = job.Service.subject and seed = job.Service.seed in
-    let store = Cache.Sharded.create () in
+    let store = Cache.Shared.create () in
     match
       Prognosis.Pipeline.learn ~exec:Service.default_config
         ~cache:(Cache.shared store) ~subject:s.Subject.name ~seed
         ~algorithm:job.Service.algorithm ~inputs:s.Subject.inputs
         ~factory:s.Subject.factory ~eq:(s.Subject.eq ~seed) ()
     with
-    | Ok _ -> Cache.Sharded.size store
+    | Ok _ -> Cache.Shared.size store
     | Error _ -> Alcotest.failf "%s: nondeterminism verdict" s.Subject.name
   in
   Alcotest.(check int) "one shared cache per endpoint" 2
