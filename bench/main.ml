@@ -381,21 +381,38 @@ let e9 () =
 
 (* --- Ablations: the design choices DESIGN.md calls out --- *)
 
+(* One prebuilt SUL through the engine's sequential path (Pipeline.learn
+   without ?exec), so the SUL's and the equivalence oracle's seeds stay
+   the caller's. *)
+let learn_sul ?(algorithm = Learn.Ttt_tree) ~inputs ~sul ~eq () =
+  match
+    Pipeline.learn ~subject:sul.Prognosis_sul.Sul.description ~seed:0L
+      ~algorithm ~inputs
+      ~factory:(fun ~seed:_ ~workers:_ _ -> sul)
+      ~eq ()
+  with
+  | Ok learned -> learned
+  | Error _ -> failwith "bench: the SUL answered nondeterministically"
+
 let a1_algorithm_and_cache () =
   section "A1" "Ablation: learning algorithm x query cache (TCP)";
-  let run algorithm cache =
-    let sul = Prognosis_tcp.Tcp_adapter.sul ~seed:1L () in
-    Learn.run ~algorithm ~cache ~inputs:Prognosis_tcp.Tcp_alphabet.all ~sul
-      ~eq:(Protocol.eq_oracle tcp ~seed:1L) ()
-  in
   let row name algorithm cache =
-    let r = run algorithm cache in
+    let sul = Prognosis_tcp.Tcp_adapter.sul ~seed:1L () in
+    let inputs = Prognosis_tcp.Tcp_alphabet.all in
+    let eq = Protocol.eq_oracle tcp ~seed:1L in
+    let r =
+      if cache then snd (learn_sul ~algorithm ~inputs ~sul ~eq ())
+      else
+        Report.of_learn_result ~subject:"tcp" ~algorithm:""
+          (Learn.run_mq ~algorithm ~inputs
+             ~mq:(Prognosis_learner.Oracle.of_sul sul) ~eq ())
+    in
     [
       name;
-      string_of_int (Mealy.size r.Learn.model);
-      string_of_int r.Learn.stats.Prognosis_learner.Oracle.membership_queries;
-      string_of_int r.Learn.cache_hits;
-      string_of_int r.Learn.rounds;
+      string_of_int r.Report.states;
+      string_of_int r.Report.membership_queries;
+      string_of_int r.Report.cache_hits;
+      string_of_int r.Report.equivalence_rounds;
     ]
   in
   print_table
@@ -417,13 +434,14 @@ let a2_equivalence_oracles () =
   let target = fst (Lazy.force tcp_ttt) in
   let run name eq =
     let sul = Prognosis_tcp.Tcp_adapter.sul ~seed:1L () in
-    let r = Learn.run ~inputs:Prognosis_tcp.Tcp_alphabet.all ~sul ~eq () in
-    let correct = Mealy.equivalent r.Learn.model target = None in
+    let model, r =
+      learn_sul ~inputs:Prognosis_tcp.Tcp_alphabet.all ~sul ~eq ()
+    in
     [
       name;
-      string_of_int (Mealy.size r.Learn.model);
-      string_of_int r.Learn.stats.Prognosis_learner.Oracle.test_words;
-      string_of_bool correct;
+      string_of_int (Mealy.size model);
+      string_of_int r.Report.test_words;
+      string_of_bool (Mealy.equivalent model target = None);
     ]
   in
   let rng1 = Prognosis_sul.Rng.create 21L in
@@ -479,7 +497,7 @@ let a4_passive_hybrid () =
   section "A4" "Ablation: passive/active hybrid (paper §8 future work)";
   let module Passive = Prognosis_learner.Passive in
   let module Cache = Prognosis_learner.Cache in
-  let module Oracle = Prognosis_learner.Oracle in
+  let module Engine = Prognosis_exec.Engine in
   let inputs = Prognosis_tcp.Tcp_alphabet.all in
   let learn ~log_words =
     let rng = Prognosis_sul.Rng.create 17L in
@@ -488,16 +506,22 @@ let a4_passive_hybrid () =
       if log_words = 0 then []
       else Passive.random_sample ~rng ~inputs ~words:log_words ~max_len:8 log_sul
     in
-    let raw = Oracle.of_sul (Prognosis_tcp.Tcp_adapter.sul ~seed:31L ()) in
+    let sul = Prognosis_tcp.Tcp_adapter.sul ~seed:31L () in
     let cache = Cache.create () in
     Passive.preload cache logs;
-    let mq = Cache.wrap cache raw in
+    let engine =
+      Engine.create
+        ~config:{ Engine.default with Engine.batch = false }
+        ~cache
+        ~factory:(fun _ -> sul)
+        ()
+    in
     let _model, _ =
-      Prognosis_learner.Ttt.learn ~inputs ~mq
+      Prognosis_learner.Ttt.learn ~inputs ~mq:(Engine.membership engine)
         ~eq:(Prognosis_learner.Eq_oracle.w_method ~extra_states:1 ())
         ()
     in
-    raw.Oracle.stats.Oracle.membership_queries
+    (Engine.oracle_stats engine).Prognosis_learner.Oracle.membership_queries
   in
   print_table
     [ "logged words preloaded"; "live SUL queries" ]
@@ -838,10 +862,10 @@ let x3_client_role () =
       max_len = 10;
     }
   in
-  (* one SUL and a cached oracle, as X3 has always run: SUL seed 51,
+  (* one SUL behind the cache, as X3 has always run: SUL seed 51,
      random test words from the stream of seed 52 (= 45 + 7) *)
-  let r =
-    Learn.run ~inputs:Study.all ~sul:(client.Protocol.sul ~seed:51L)
+  let model, r =
+    learn_sul ~inputs:Study.all ~sul:(client.Protocol.sul ~seed:51L)
       ~eq:(Protocol.eq_oracle client ~seed:45L) ()
   in
   print_table
@@ -850,14 +874,14 @@ let x3_client_role () =
       [
         "tcp client (CONNECT/SEND/CLOSE + wire)";
         string_of_int (Array.length Study.all);
-        string_of_int (Mealy.size r.Learn.model);
-        string_of_int (Mealy.transitions r.Learn.model);
-        string_of_int r.Learn.stats.Prognosis_learner.Oracle.membership_queries;
+        string_of_int (Mealy.size model);
+        string_of_int (Mealy.transitions model);
+        string_of_int r.Report.membership_queries;
       ];
     ];
   print_newline ();
   let path =
-    Mealy.run r.Learn.model
+    Mealy.run model
       Study.[ Cmd_connect; In_syn_ack; Cmd_close; In_ack; In_fin_ack ]
   in
   Printf.printf "active close in the learned model:\n  %s\n"
@@ -1238,14 +1262,13 @@ let f2_fleet () =
 let figs () =
   section "FIGS" "Graphviz renderings of the learned models (paper Fig. 3, App. A)";
   let dir = "figures" in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let write name dot =
     let path = Filename.concat dir name in
     Prognosis_analysis.Visualize.write_file ~path dot;
     Printf.printf "  %s\n" path
   in
-  (match Sys.is_directory dir with
-  | true ->
+  (match Prognosis_obs.Atomic_file.mkdir_p dir with
+  | () ->
       let quic_dot run =
         Protocol.model_dot (quic Profile.quiche_like) (fst (Lazy.force run))
       in
@@ -1259,8 +1282,8 @@ let figs () =
            ~output_pp:Quic_study.Alphabet.pp_output
            (fst (Lazy.force quic_tolerant))
            (fst (Lazy.force quic_strict)))
-  | false -> print_endline "  (cannot create figures/ directory, skipped)"
-  | exception Sys_error _ -> print_endline "  (cannot create figures/ directory, skipped)")
+  | exception Sys_error _ ->
+      print_endline "  (cannot create figures/ directory, skipped)")
 
 (* --- Bechamel micro-benchmarks --- *)
 
@@ -1294,7 +1317,7 @@ let benchmarks () =
           (Staged.stage
              (let a = fst (Lazy.force quic_tolerant) in
               let b = fst (Lazy.force quic_strict) in
-              fun () -> ignore (Model_diff.first_difference a b)));
+              fun () -> ignore (Model_diff.shortest_difference a b)));
         Test.make ~name:"w-method-suite"
           (Staged.stage
              (let m = fst (Lazy.force quic_tolerant) in

@@ -102,11 +102,8 @@ let descriptor protocol ~profile_name =
 
 let or_die_load r = or_die (Result.map_error Persist.load_error_to_string r)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let mkdir_p dir =
+  try Prognosis_obs.Atomic_file.mkdir_p dir with Sys_error msg -> or_die (Error msg)
 
 let read_file path =
   try Ok (In_channel.with_open_bin path In_channel.input_all)
@@ -137,13 +134,7 @@ let exec_of_flags ~workers ~batch ~replicas =
      sequential path. *)
   check_pool ~workers ~replicas ();
   if workers > 1 || batch || replicas > 1 then
-    Some
-      {
-        Prognosis_exec.Engine.default with
-        Prognosis_exec.Engine.workers;
-        batch;
-        replicas;
-      }
+    Some { Prognosis_exec.Engine.workers; batch; replicas }
   else None
 
 (* The checkpoint directory carries a manifest describing the run it
@@ -716,7 +707,7 @@ let difftest_cmd =
 (* --- render --- *)
 
 let do_render () seed dir =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  mkdir_p dir;
   let write name dot =
     let path = Filename.concat dir name in
     Prognosis_analysis.Visualize.write_file ~path dot;
@@ -861,7 +852,7 @@ let do_ci () golden_dir seed update summary_out =
               | Ok golden_m -> (
                   let module D = Prognosis_analysis.Model_diff in
                   let canon = Mealy.canonicalize (Mealy.minimize model) in
-                  match D.first_difference canon golden_m with
+                  match D.shortest_difference canon golden_m with
                   | exception Invalid_argument _ ->
                       Format.printf
                         "       input alphabet changed — refresh the golden \
@@ -1281,9 +1272,8 @@ let fresh_entry_name lib base =
     in
     go 2
 
-let do_identify () dir subject_name name_override seed algorithm workers batch
+let do_identify () dir subject_name name_override seed algorithm workers
     replicas no_extend metrics_out trace_out =
-  ignore batch;
   (* Always drive the endpoint through the query-execution engine:
      identification gets the cache, batched confirmation suites and
      (with --replicas) voting for free. *)
@@ -1417,8 +1407,8 @@ let identify_cmd =
     (Cmd.info "identify" ~doc)
     Term.(
       const do_identify $ verbose $ library_arg $ subject_arg $ name_arg $ seed
-      $ algorithm $ workers_arg $ batch_arg $ replicas_arg $ no_extend
-      $ metrics_out $ trace_out)
+      $ algorithm $ workers_arg $ replicas_arg $ no_extend $ metrics_out
+      $ trace_out)
 
 (* --- serve: domain-parallel fleet sessions --- *)
 

@@ -9,74 +9,57 @@ type ('i, 'o) witness = {
 let make_witness a b word =
   { word; outputs_a = Mealy.run a word; outputs_b = Mealy.run b word }
 
-(* Breadth-first search over the product automaton, dequeuing product
-   states in FIFO order and scanning inputs in alphabet order. The
-   first disagreeing edge therefore has minimal depth, and ties break
-   on (BFS discovery order, alphabet position) — both functions of the
-   two machines alone, so the returned word is deterministic across
-   runs. The fingerprint splitter relies on both properties: shortest
-   words keep classification trees shallow, determinism keeps them
+(* Mealy's packed product BFS (FIFO, inputs in alphabet order): the
+   first disagreeing edge has minimal depth, and ties break on (BFS
+   discovery order, alphabet position) — both functions of the two
+   machines alone, so the returned word is deterministic across runs.
+   The fingerprint splitter relies on both properties: shortest words
+   keep classification trees shallow, determinism keeps them
    byte-stable. *)
 let shortest_difference a b =
+  Option.map
+    (fun w -> make_witness a b (Mealy.decode (Mealy.inputs a) w))
+    (Mealy.difference_ids a b)
+
+let iter_product a b edge =
   let n = Mealy.alphabet_size a in
   if n <> Mealy.alphabet_size b then
-    invalid_arg "Model_diff.shortest_difference: different alphabets";
+    invalid_arg "Model_diff.iter_product: different alphabets";
   let seen = Hashtbl.create 64 in
   let queue = Queue.create () in
-  Hashtbl.add seen (Mealy.initial a, Mealy.initial b) ();
-  Queue.add (Mealy.initial a, Mealy.initial b, []) queue;
-  let result = ref None in
-  while !result = None && not (Queue.is_empty queue) do
-    let sa, sb, path = Queue.pop queue in
+  let start = (Mealy.initial a, Mealy.initial b) in
+  Hashtbl.add seen start ();
+  Queue.add (start, []) queue;
+  let go = ref true in
+  while !go && not (Queue.is_empty queue) do
+    let ((sa, sb) as pair), path = Queue.pop queue in
     let i = ref 0 in
-    while !result = None && !i < n do
+    while !go && !i < n do
       let sa', oa = Mealy.step_idx a sa !i in
       let sb', ob = Mealy.step_idx b sb !i in
-      if oa <> ob then
-        result := Some (List.rev ((Mealy.inputs a).(!i) :: path))
-      else if not (Hashtbl.mem seen (sa', sb')) then begin
-        Hashtbl.add seen (sa', sb') ();
-        Queue.add (sa', sb', (Mealy.inputs a).(!i) :: path) queue
+      let next = (sa', sb') in
+      go := edge ~path pair !i next oa ob;
+      if not (Hashtbl.mem seen next) then begin
+        Hashtbl.add seen next ();
+        Queue.add (next, (Mealy.inputs a).(!i) :: path) queue
       end;
       incr i
     done
-  done;
-  Option.map (make_witness a b) !result
+  done
 
-let first_difference = shortest_difference
-let equivalent a b = first_difference a b = None
-
-(* BFS over the product, collecting one witness per (state-pair, input)
-   whose outputs disagree; exploration continues past disagreements so
-   several divergence sites are sampled. *)
+(* One witness per disagreeing (state-pair, input) edge; exploration
+   continues past disagreements so several divergence sites are
+   sampled. *)
 let differences ~max a b =
-  let n = Mealy.alphabet_size a in
-  if n <> Mealy.alphabet_size b then
-    invalid_arg "Model_diff.differences: different alphabets";
-  let seen = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let found = ref [] in
-  let count = ref 0 in
-  Hashtbl.add seen (Mealy.initial a, Mealy.initial b) ();
-  Queue.add (Mealy.initial a, Mealy.initial b, []) queue;
-  while (not (Queue.is_empty queue)) && !count < max do
-    let sa, sb, path = Queue.pop queue in
-    for i = 0 to n - 1 do
-      if !count < max then begin
-        let sa', oa = Mealy.step_idx a sa i in
-        let sb', ob = Mealy.step_idx b sb i in
-        let word = List.rev ((Mealy.inputs a).(i) :: path) in
+  let found = ref [] and count = ref 0 in
+  if max > 0 then
+    iter_product a b (fun ~path _ i _ oa ob ->
         if oa <> ob then begin
-          found := make_witness a b word :: !found;
+          found :=
+            make_witness a b (List.rev ((Mealy.inputs a).(i) :: path)) :: !found;
           incr count
         end;
-        if not (Hashtbl.mem seen (sa', sb')) then begin
-          Hashtbl.add seen (sa', sb') ();
-          Queue.add (sa', sb', (Mealy.inputs a).(i) :: path) queue
-        end
-      end
-    done
-  done;
+        !count < max);
   List.rev !found
 
 type ('i, 'o) summary = {

@@ -4,7 +4,8 @@
     Model equivalence is decided by product construction; when models
     differ, the shortest distinguishing input words are concrete,
     replayable evidence — the paper used exactly such witnesses to
-    explain Issues 1 and 3 to developers. *)
+    explain Issues 1 and 3 to developers. Equivalence is
+    [Prognosis_automata.Mealy.equivalent a b = None]. *)
 
 type ('i, 'o) witness = {
   word : 'i list;
@@ -12,27 +13,34 @@ type ('i, 'o) witness = {
   outputs_b : 'o list;
 }
 
-val equivalent : ('i, 'o) Prognosis_automata.Mealy.t -> ('i, 'o) Prognosis_automata.Mealy.t -> bool
-
 val shortest_difference :
   ('i, 'o) Prognosis_automata.Mealy.t ->
   ('i, 'o) Prognosis_automata.Mealy.t ->
   ('i, 'o) witness option
 (** A {e shortest} input word on which the models disagree, with both
     output words, found by breadth-first search over the product
-    automaton. Deterministic: product states are dequeued in FIFO
-    order and inputs scanned in alphabet order, so equal-length
+    automaton ({!Prognosis_automata.Mealy.difference_ids}).
+    Deterministic: product states are dequeued in FIFO order and
+    inputs scanned in alphabet order, so equal-length
     candidates tie-break identically on every run — the property that
     keeps fingerprint classification trees minimal and byte-stable.
     Machines are aligned positionally; only the alphabet {e sizes}
     must match.
     @raise Invalid_argument if the alphabet sizes differ. *)
 
-val first_difference :
+val iter_product :
   ('i, 'o) Prognosis_automata.Mealy.t ->
   ('i, 'o) Prognosis_automata.Mealy.t ->
-  ('i, 'o) witness option
-(** Alias for {!shortest_difference}. *)
+  (path:'i list -> int * int -> int -> int * int -> 'o -> 'o -> bool) ->
+  unit
+(** [iter_product a b edge] walks every edge of the product reachable
+    from the pair of initial states, breadth first (FIFO, inputs in
+    alphabet order): [edge ~path (sa, sb) i (sa', sb') oa ob] for the
+    [i]-th input from [(sa, sb)], where [path] is the reversed BFS
+    word reaching [(sa, sb)]. The walk stops after an edge for which
+    [edge] returns [false]. {!differences} and
+    {!Visualize.diff_dot} are this walk.
+    @raise Invalid_argument if the alphabet sizes differ. *)
 
 val differences :
   max:int ->

@@ -1,47 +1,27 @@
 module Mealy = Prognosis_automata.Mealy
 
-let model_dot ?name ~input_pp ~output_pp m = Mealy.to_dot ?name ~input_pp ~output_pp m
-
 let escape label = String.concat "\\\"" (String.split_on_char '"' label)
 
 let diff_dot ?(name = "diff") ~input_pp ~output_pp a b =
-  let n = Mealy.alphabet_size a in
-  if n <> Mealy.alphabet_size b then
-    invalid_arg "Visualize.diff_dot: different alphabets";
   let buf = Buffer.create 2048 in
   let fmt = Format.formatter_of_buffer buf in
   Format.fprintf fmt "digraph %s {@\n  rankdir=LR;@\n  node [shape=circle];@\n" name;
-  let seen = Hashtbl.create 64 in
-  let queue = Queue.create () in
   let id (sa, sb) = Printf.sprintf "s%d_%d" sa sb in
-  let start = (Mealy.initial a, Mealy.initial b) in
-  Hashtbl.add seen start ();
-  Queue.add start queue;
   Format.fprintf fmt "  __start [shape=none,label=\"\"];@\n  __start -> %s;@\n"
-    (id start);
-  while not (Queue.is_empty queue) do
-    let ((sa, sb) as pair) = Queue.pop queue in
-    for i = 0 to n - 1 do
-      let sa', oa = Mealy.step_idx a sa i in
-      let sb', ob = Mealy.step_idx b sb i in
+    (id (Mealy.initial a, Mealy.initial b));
+  Model_diff.iter_product a b (fun ~path:_ pair i next oa ob ->
       let sym = (Mealy.inputs a).(i) in
       if oa = ob then
-        Format.fprintf fmt "  %s -> %s [label=\"%s\"];@\n" (id pair)
-          (id (sa', sb'))
+        Format.fprintf fmt "  %s -> %s [label=\"%s\"];@\n" (id pair) (id next)
           (escape (Format.asprintf "%a / %a" input_pp sym output_pp oa))
       else
         Format.fprintf fmt
           "  %s -> %s [color=red,fontcolor=red,label=\"%s\"];@\n" (id pair)
-          (id (sa', sb'))
+          (id next)
           (escape
              (Format.asprintf "%a / A:%a | B:%a" input_pp sym output_pp oa
                 output_pp ob));
-      if not (Hashtbl.mem seen (sa', sb')) then begin
-        Hashtbl.add seen (sa', sb') ();
-        Queue.add (sa', sb') queue
-      end
-    done
-  done;
+      true);
   Format.fprintf fmt "}@.";
   Buffer.contents buf
 

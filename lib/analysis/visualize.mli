@@ -1,13 +1,7 @@
-(** Model visualisation (paper §5): Graphviz renderings of learned
-    models and of the differences between two models, used to explain
-    anomalies to developers. *)
-
-val model_dot :
-  ?name:string ->
-  input_pp:(Format.formatter -> 'i -> unit) ->
-  output_pp:(Format.formatter -> 'o -> unit) ->
-  ('i, 'o) Prognosis_automata.Mealy.t ->
-  string
+(** Model visualisation (paper §5): Graphviz renderings of the
+    differences between two models, used to explain anomalies to
+    developers. A single model renders with
+    {!Prognosis_automata.Mealy.to_dot}. *)
 
 val diff_dot :
   ?name:string ->

@@ -211,22 +211,34 @@ let run_reference_from m s0 word =
 
 let run_reference m word = run_reference_from m m.initial word
 
-let reachable m =
+(* The one breadth-first search from the initial state (FIFO, inputs in
+   alphabet order) behind {!reachable}, {!canonicalize} and
+   {!access_ids}: the reachable states in discovery order, and for each
+   state the edge that discovered it, [(predecessor * alphabet) +
+   input] (-1 for the initial state and the unreachable ones). *)
+let bfs m =
+  let n = Array.length m.inputs in
+  let via = Array.make m.size (-1) in
   let seen = Array.make m.size false in
-  let queue = Queue.create () in
+  let order = Array.make m.size m.initial in
   seen.(m.initial) <- true;
-  Queue.add m.initial queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    Array.iter
-      (fun s' ->
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let s = order.(!head) in
+    incr head;
+    Array.iteri
+      (fun i s' ->
         if not seen.(s') then begin
           seen.(s') <- true;
-          Queue.add s' queue
+          via.(s') <- (s * n) + i;
+          order.(!tail) <- s';
+          incr tail
         end)
       m.delta.(s)
   done;
-  seen
+  (Array.sub order 0 !tail, via)
+
+let reachable m = Array.mapi (fun s e -> e >= 0 || s = m.initial) (snd (bfs m))
 
 let trim m =
   let seen = reachable m in
@@ -314,34 +326,14 @@ let minimize m =
    delta/lambda matrices — the property the canonical textual model
    format relies on for byte-identical serialization. *)
 let canonicalize m =
-  let n = Array.length m.inputs in
-  let order = Array.make m.size (-1) in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  order.(m.initial) <- !count;
-  incr count;
-  Queue.add m.initial queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    for i = 0 to n - 1 do
-      let s' = m.delta.(s).(i) in
-      if order.(s') < 0 then begin
-        order.(s') <- !count;
-        incr count;
-        Queue.add s' queue
-      end
-    done
-  done;
-  let size = !count in
-  let rep = Array.make size 0 in
-  for s = 0 to m.size - 1 do
-    if order.(s) >= 0 then rep.(order.(s)) <- s
-  done;
+  let order = fst (bfs m) in
+  let rank = Array.make m.size (-1) in
+  Array.iteri (fun q s -> rank.(s) <- q) order;
   let delta =
-    Array.init size (fun q -> Array.init n (fun i -> order.(m.delta.(rep.(q)).(i))))
+    Array.map (fun s -> Array.map (fun s' -> rank.(s')) m.delta.(s)) order
   in
-  let lambda = Array.init size (fun q -> Array.copy m.lambda.(rep.(q))) in
-  make ~size ~initial:0 ~inputs:m.inputs ~delta ~lambda
+  let lambda = Array.map (fun s -> Array.copy m.lambda.(s)) order in
+  make ~size:(Array.length order) ~initial:0 ~inputs:m.inputs ~delta ~lambda
 
 let same_alphabet a b =
   Array.length a.inputs = Array.length b.inputs
@@ -412,31 +404,27 @@ let product_bfs pa pb sa sb differs =
 
 let decode inputs ids = Array.fold_right (fun i w -> inputs.(i) :: w) ids []
 
-let equivalent a b =
-  if not (same_alphabet a b) then
-    invalid_arg "Mealy.equivalent: machines have different alphabets";
+let difference_ids a b =
+  if Array.length a.inputs <> Array.length b.inputs then
+    invalid_arg "Mealy.difference_ids: different alphabet sizes";
   let pa = pack a and pb = pack b in
   product_bfs pa pb pa.p_initial pb.p_initial (fun oa ob ->
       Array.unsafe_get pa.p_outputs oa <> Array.unsafe_get pb.p_outputs ob)
-  |> Option.map (decode a.inputs)
+
+let equivalent a b =
+  if not (same_alphabet a b) then
+    invalid_arg "Mealy.equivalent: machines have different alphabets";
+  Option.map (decode a.inputs) (difference_ids a b)
 
 let access_ids m =
+  let n = Array.length m.inputs in
+  let order, via = bfs m in
   let words = Array.make m.size [||] in
-  let seen = Array.make m.size false in
-  let queue = Queue.create () in
-  seen.(m.initial) <- true;
-  Queue.add m.initial queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    Array.iteri
-      (fun i s' ->
-        if not seen.(s') then begin
-          seen.(s') <- true;
-          words.(s') <- Array.append words.(s) [| i |];
-          Queue.add s' queue
-        end)
-      m.delta.(s)
-  done;
+  Array.iter
+    (fun s ->
+      let e = via.(s) in
+      if e >= 0 then words.(s) <- Array.append words.(e / n) [| e mod n |])
+    order;
   words
 
 let access_words m = Array.map (decode m.inputs) (access_ids m)

@@ -144,6 +144,14 @@ val equivalent : ('i, 'o) t -> ('i, 'o) t -> 'i list option
     witness word is deterministic.
     @raise Invalid_argument if the alphabets differ. *)
 
+val difference_ids : ('i, 'o) t -> ('i, 'o) t -> int array option
+(** The product BFS behind {!equivalent} with the machines aligned by
+    alphabet position: a shortest word, as alphabet positions, on which
+    their outputs differ, or [None]. Only the alphabet {e sizes} must
+    match; outputs are compared structurally. The witness is the one
+    {!equivalent} returns.
+    @raise Invalid_argument if the alphabet sizes differ. *)
+
 val decode : 'i array -> int array -> 'i list
 (** [decode inputs w] is the word of the symbols at alphabet positions
     [w]. *)

@@ -1,13 +1,15 @@
 (* Suites are built as alphabet positions; the list views decode them. *)
 let decode m = List.map (Mealy.decode (Mealy.inputs m))
 
-(* The reachable states and their access words, in state order. *)
-let access_list m =
-  let words = Mealy.access_ids m and seen = Mealy.reachable m in
-  List.filter (fun s -> seen.(s)) (List.init (Mealy.size m) Fun.id)
-  |> List.map (fun s -> (s, words.(s)))
+(* The reachable states and their access words [words]
+   ({!Mealy.access_ids}), in state order: only the initial state and
+   the unreachable ones have an empty access word. *)
+let access_list m words =
+  List.filter
+    (fun (s, w) -> s = Mealy.initial m || Array.length w > 0)
+    (List.init (Mealy.size m) (fun s -> (s, words.(s))))
 
-let state_cover_ids m = List.map snd (access_list m)
+let state_cover_ids m = List.map snd (access_list m (Mealy.access_ids m))
 
 let transition_cover_ids m =
   let n = Mealy.alphabet_size m in
@@ -126,7 +128,7 @@ let w_method_ids ?(extra_states = 0) m =
             List.iter (fun s -> keep a acc vm p x middle s) w)
           mid
       done)
-    (access_list m);
+    (access_list m (Mealy.access_ids m));
   give a;
   List.rev !acc
 
@@ -151,7 +153,8 @@ let wp_method_ids ?(extra_states = 0) m =
   let n = Mealy.alphabet_size m in
   let w = Mealy.characterizing_ids m in
   let ids = identification_sets m w in
-  let mid = middle_ids n extra_states and access = access_list m in
+  let words = Mealy.access_ids m in
+  let mid = middle_ids n extra_states and access = access_list m words in
   let a = take n and acc = ref [] in
   (* Phase 1: state cover × middles × W. *)
   List.iter
@@ -166,7 +169,7 @@ let wp_method_ids ?(extra_states = 0) m =
   (* Phase 2: the other transition-cover words × middles × W of the
      state reached. [p · x] is in the state cover exactly when it is
      the access word of the state it leads to. *)
-  let words = Mealy.access_ids m and after s i = fst (Mealy.step_idx m s i) in
+  let after s i = fst (Mealy.step_idx m s i) in
   List.iter
     (fun (q, p) ->
       let vp = walk a 0 p 0 in

@@ -79,7 +79,7 @@ let strings d =
 
 let model_dot d model =
   let pp print fmt x = Format.pp_print_string fmt (print x) in
-  Prognosis_analysis.Visualize.model_dot ~name:(Persist.kind_to_string d.kind)
+  Prognosis_automata.Mealy.to_dot ~name:(Persist.kind_to_string d.kind)
     ~input_pp:(pp d.input_to_string) ~output_pp:(pp d.output_to_string) model
 
 type ('ci, 'co) fields = {

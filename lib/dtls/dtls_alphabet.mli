@@ -26,8 +26,6 @@ type arecord =
   | A_app_data
   | A_alert
 
-val arecord_to_string : arecord -> string
-
 type output = arecord list
 
 val output_to_string : output -> string

@@ -4,12 +4,6 @@ type content_type =
   | Handshake
   | Application_data
 
-let content_type_to_string = function
-  | Change_cipher_spec -> "CCS"
-  | Alert -> "ALERT"
-  | Handshake -> "HANDSHAKE"
-  | Application_data -> "APPDATA"
-
 let content_type_byte = function
   | Change_cipher_spec -> 20
   | Alert -> 21
@@ -31,15 +25,6 @@ type handshake_type =
   | Server_hello_done
   | Client_key_exchange
   | Finished
-
-let handshake_type_to_string = function
-  | Client_hello -> "CLIENT_HELLO"
-  | Server_hello -> "SERVER_HELLO"
-  | Hello_verify_request -> "HELLO_VERIFY_REQUEST"
-  | Certificate -> "CERTIFICATE"
-  | Server_hello_done -> "SERVER_HELLO_DONE"
-  | Client_key_exchange -> "CLIENT_KEY_EXCHANGE"
-  | Finished -> "FINISHED"
 
 let handshake_type_byte = function
   | Client_hello -> 1
@@ -115,12 +100,6 @@ type record_ = {
   seq : int;
   payload : string;
 }
-
-let pp_record fmt r =
-  Format.fprintf fmt "%s(epoch=%d,seq=%d,len=%d)"
-    (content_type_to_string r.content)
-    r.epoch r.seq
-    (String.length r.payload)
 
 let dtls_version = 0xFEFD (* DTLS 1.2 *)
 

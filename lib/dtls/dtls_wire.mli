@@ -14,8 +14,6 @@ type content_type =
   | Handshake
   | Application_data
 
-val content_type_to_string : content_type -> string
-
 type handshake_type =
   | Client_hello
   | Server_hello
@@ -24,8 +22,6 @@ type handshake_type =
   | Server_hello_done
   | Client_key_exchange
   | Finished
-
-val handshake_type_to_string : handshake_type -> string
 
 type handshake = {
   msg_type : handshake_type;
@@ -43,8 +39,6 @@ type record_ = {
   payload : string;  (** plaintext payload (protection is applied at
                          encode time for epoch >= 1) *)
 }
-
-val pp_record : Format.formatter -> record_ -> unit
 
 val encode_record :
   ?protect:Dtls_crypto.t * Dtls_crypto.direction -> record_ -> string

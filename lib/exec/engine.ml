@@ -7,22 +7,14 @@ module Metrics = Prognosis_obs.Metrics
 module Trace = Prognosis_obs.Trace
 module Jsonx = Prognosis_obs.Jsonx
 
-type config = {
-  workers : int;
-  batch : bool;
-  replicas : int;
-  max_strikes : int;
-  cooldown : int;
-}
+type config = { workers : int; batch : bool; replicas : int }
 
-let default =
-  {
-    workers = 1;
-    batch = true;
-    replicas = 1;
-    max_strikes = 2;
-    cooldown = 256;
-  }
+let default = { workers = 1; batch = true; replicas = 1 }
+
+(* Outvoted answers before a worker is quarantined, and the pool runs
+   it then sits out. *)
+let max_strikes = 2
+let cooldown = 256
 
 type ('i, 'o) worker = {
   id : int;
@@ -328,10 +320,10 @@ let strike t worker =
   worker.strikes <- worker.strikes + 1;
   Metrics.inc (worker_strikes t.labels worker.id);
   if
-    worker.strikes >= t.config.max_strikes
+    worker.strikes >= max_strikes
     && Array.length (active_workers t) > 1
   then begin
-    worker.quarantined_until <- t.clock + t.config.cooldown;
+    worker.quarantined_until <- t.clock + cooldown;
     worker.strikes <- 0;
     worker.position <- [||];
     t.stats.quarantines <- t.stats.quarantines + 1;

@@ -22,9 +22,9 @@
     - {b robustness} — with [replicas >= 2] every run executes on that
       many distinct workers; disagreement escalates to the whole active
       pool and takes the strict-majority answer (the per-query retry),
-      striking outvoted workers. A worker reaching [max_strikes] is
-      quarantined — a circuit breaker — and re-admitted after
-      [cooldown] further pool runs. A pool that cannot agree is the
+      striking outvoted workers. A worker with two strikes is
+      quarantined — a circuit breaker — and re-admitted after 256
+      further pool runs. A pool that cannot agree is the
       paper's §5 nondeterminism diagnosis: a verdict ({!guard}).
 
     The engine fronts everything with one
@@ -39,13 +39,10 @@ type config = {
   batch : bool;  (** advertise [run_batch] to suite-driven oracles *)
   replicas : int;  (** full runs per word for cross-validation (>= 1,
                        <= workers) *)
-  max_strikes : int;  (** outvoted answers before quarantine *)
-  cooldown : int;  (** pool runs a quarantined worker sits out *)
 }
 
 val default : config
-(** [{ workers = 1; batch = true; replicas = 1; max_strikes = 2;
-      cooldown = 256 }] *)
+(** [{ workers = 1; batch = true; replicas = 1 }] *)
 
 type ('i, 'o) t
 

@@ -39,11 +39,6 @@ type result = {
   confirm_words : int;  (** confirmation-suite words *)
 }
 
-val confirmation_suite :
-  (string, string) Prognosis_automata.Mealy.t -> string list list
-(** State cover × characterizing set, deduplicated, order-stable —
-    the words {!run} uses to confirm a candidate leaf. *)
-
 val run :
   mq:(string, string) Prognosis_learner.Oracle.membership ->
   Splitter.tree ->

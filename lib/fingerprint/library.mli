@@ -35,9 +35,6 @@ type entry = {
 
 type t = { dir : string; entries : entry list }
 
-val schema : string
-(** ["prognosis.library/1"]. *)
-
 val manifest_file : string
 (** ["library.json"]. *)
 
@@ -48,9 +45,6 @@ val entry_of_model :
   entry
 (** Canonicalize a string-typed model into an entry (no disk I/O;
     [file] is derived from [name] with [':'] mapped to ['-']). *)
-
-val sniff_kind : string -> Persist.kind option
-(** Read the [kind] header line of serialized model text. *)
 
 val load : dir:string -> (t, string) result
 (** Read the manifest and every model it references. Errors name the
@@ -89,5 +83,3 @@ val group_by_kind : t -> (Persist.kind * entry list) list
 (** Entries partitioned by model kind, kinds in {!Prognosis.Persist}
     declaration order, entry order preserved. *)
 
-val to_json : t -> Prognosis_obs.Jsonx.t
-(** The manifest document. *)

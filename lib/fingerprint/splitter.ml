@@ -1,6 +1,5 @@
 module Mealy = Prognosis_automata.Mealy
 module Model_diff = Prognosis_analysis.Model_diff
-module Jsonx = Prognosis_obs.Jsonx
 module Metrics = Prognosis_obs.Metrics
 
 let g_depth = Metrics.gauge Metrics.default "splitter.depth"
@@ -194,24 +193,6 @@ let rebuild_if_skewed tree =
     | Ok rebuilt ->
         set_depth_gauge rebuilt;
         Ok (rebuilt, true)
-
-let word_json w = Jsonx.List (List.map (fun s -> Jsonx.String s) w)
-
-let rec to_json = function
-  | Leaf None -> Jsonx.Obj [ ("leaf", Jsonx.Null) ]
-  | Leaf (Some e) -> Jsonx.Obj [ ("leaf", Jsonx.String e.name) ]
-  | Node { word; branches } ->
-      Jsonx.Obj
-        [
-          ("word", word_json word);
-          ( "branches",
-            Jsonx.List
-              (List.map
-                 (fun (out, sub) ->
-                   Jsonx.Obj
-                     [ ("outputs", word_json out); ("subtree", to_json sub) ])
-                 branches) );
-        ]
 
 let pp_word ppf w =
   Fmt.pf ppf "%a" Fmt.(list ~sep:(any " ") string) w

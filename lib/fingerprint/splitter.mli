@@ -78,5 +78,4 @@ val rebuild_if_skewed : tree -> (tree * bool, string) result
     depth. Errors propagate from {!build} (they indicate a corrupted
     tree — duplicate or alphabet-mismatched leaves). *)
 
-val to_json : tree -> Prognosis_obs.Jsonx.t
 val pp : Format.formatter -> tree -> unit

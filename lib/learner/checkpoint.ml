@@ -103,15 +103,8 @@ type ('i, 'o) session = {
   mutable writes : int;
 }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let start ~kind s =
-  mkdir_p s.dir;
+  Prognosis_obs.Atomic_file.mkdir_p s.dir;
   let path = Filename.concat s.dir (kind ^ ".ckpt") in
   let c = Cache.create () in
   let base, exec0 =

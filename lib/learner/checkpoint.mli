@@ -91,7 +91,7 @@ val file : ('i, 'o) session -> string
 
 val cache : ('i, 'o) session -> ('i, 'o) Cache.t
 (** The session's query cache — pre-warmed when resuming. Pass it to
-    [Learn.run ~cache_with] or [Engine.create ~cache]. *)
+    [Engine.create ~cache]. *)
 
 val resumed_queries : ('i, 'o) session -> int
 (** Cumulative SUL queries recorded by the loaded snapshot (0 for a
@@ -117,7 +117,8 @@ val instrument :
     queries that actually reached the SUL advance the clock. *)
 
 val on_round : ('i, 'o) session -> round:int -> states:int -> unit
-(** Round-boundary hook for [Learn.run ~on_round]: snapshots whenever
+(** Round-boundary hook for the learners' [~on_round] ({!Learn.run_mq}
+    passes it): snapshots whenever
     new material accumulated since the last write — hypothesis
     construction points are the natural stable states of a run. *)
 

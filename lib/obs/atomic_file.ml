@@ -15,6 +15,21 @@ let write ~path contents =
      raise e);
   Sys.rename tmp path
 
+let rec mkdir_p dir =
+  let refuse why =
+    raise (Sys_error (Printf.sprintf "cannot create directory %S: %s" dir why))
+  in
+  if dir = "" then refuse "empty path"
+  else if Sys.file_exists dir then begin
+    if not (Sys.is_directory dir) then refuse "it exists and is not a directory"
+  end
+  else begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with
+    | Unix.Unix_error (Unix.EEXIST, _, _) when Sys.is_directory dir -> ()
+    | Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e)
+  end
+
 let write_lines ~path lines =
   let buf = Buffer.create 4096 in
   List.iter

@@ -246,5 +246,4 @@ let member key = function
   | _ -> None
 
 let to_int_opt = function Int n -> Some n | _ -> None
-let to_float_opt = function Float f -> Some f | Int n -> Some (float_of_int n) | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None

@@ -28,5 +28,4 @@ val member : string -> t -> t option
 (** [member k (Obj ...)] looks up field [k]; [None] on non-objects. *)
 
 val to_int_opt : t -> int option
-val to_float_opt : t -> float option
 val to_string_opt : t -> string option

@@ -129,7 +129,6 @@ let histogram t name =
 
 let counter_l t name labels = counter t (Labels.encode name labels)
 let gauge_l t name labels = gauge t (Labels.encode name labels)
-let histogram_l t name labels = histogram t (Labels.encode name labels)
 
 let inc ?(by = 1) r = r := !r + by
 let set g v = g := v

@@ -40,7 +40,6 @@ val set : float ref -> float -> unit
 type histogram
 
 val histogram : t -> string -> histogram
-val histogram_l : t -> string -> Labels.t -> histogram
 
 val observe : histogram -> float -> unit
 val observe_ns : histogram -> int64 -> unit

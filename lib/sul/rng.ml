@@ -27,8 +27,6 @@ let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   Int64.to_int (Int64.shift_right_logical (draw t) 2) mod n
 
-let int32 t = Int64.to_int32 (draw t)
-
 let float t =
   Int64.to_float (Int64.shift_right_logical (draw t) 11)
   /. 9007199254740992.0 (* 2^53 *)

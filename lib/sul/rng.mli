@@ -24,7 +24,6 @@ val next64 : t -> int64
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n). Requires [n > 0]. *)
 
-val int32 : t -> int32
 val float : t -> float
 (** Uniform in [0, 1). *)
 

@@ -12,7 +12,6 @@ let to_string = function
   | Ack_rst -> "ACK+RST(?,?,0)"
 
 let pp fmt s = Format.pp_print_string fmt (to_string s)
-let payload_length = function Ack_psh -> 1 | Syn | Syn_ack | Ack | Fin_ack | Rst | Ack_rst -> 0
 
 let flags s =
   let open Tcp_wire in

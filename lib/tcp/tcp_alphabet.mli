@@ -16,9 +16,6 @@ val all : symbol array
 val to_string : symbol -> string
 val pp : Format.formatter -> symbol -> unit
 
-val payload_length : symbol -> int
-(** Payload the concretization must attach (1 for ACK+PSH, else 0). *)
-
 val flags : symbol -> Tcp_wire.flags
 
 type output = symbol list

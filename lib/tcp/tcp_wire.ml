@@ -39,12 +39,6 @@ type option_ =
   | Sack_permitted
   | Timestamps of { value : int; echo : int }
 
-let option_to_string = function
-  | Mss v -> Printf.sprintf "MSS(%d)" v
-  | Window_scale v -> Printf.sprintf "WS(%d)" v
-  | Sack_permitted -> "SACK_OK"
-  | Timestamps { value; echo } -> Printf.sprintf "TS(%d,%d)" value echo
-
 type segment = {
   src_port : int;
   dst_port : int;

@@ -32,8 +32,6 @@ type option_ =
   | Sack_permitted  (** kind 4 *)
   | Timestamps of { value : int; echo : int }  (** kind 8 *)
 
-val option_to_string : option_ -> string
-
 type segment = {
   src_port : int;
   dst_port : int;

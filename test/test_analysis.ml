@@ -15,11 +15,11 @@ let m2 =
 (* --- model diff --- *)
 
 let diff_equivalent () =
-  Alcotest.(check bool) "same" true (Model_diff.equivalent m1 m1);
-  Alcotest.(check bool) "different" false (Model_diff.equivalent m1 m2)
+  Alcotest.(check bool) "same" true (Mealy.equivalent m1 m1 = None);
+  Alcotest.(check bool) "different" false (Mealy.equivalent m1 m2 = None)
 
 let diff_first_difference () =
-  match Model_diff.first_difference m1 m2 with
+  match Model_diff.shortest_difference m1 m2 with
   | None -> Alcotest.fail "expected difference"
   | Some w ->
       Alcotest.(check (list char)) "shortest word" [ 'a'; 'b' ] w.Model_diff.word;

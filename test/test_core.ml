@@ -40,8 +40,7 @@ let tcp_learn_lstar_agrees () =
     Protocol.learn ~seed:5L ~algorithm:Prognosis_learner.Learn.L_star tcp
   in
   Alcotest.(check bool) "same model" true
-    (Prognosis_analysis.Model_diff.equivalent (fst ttt)
-       (fst lstar))
+    (Mealy.equivalent (fst ttt) (fst lstar) = None)
 
 let tcp_synthesis_handshake_invariant () =
   let result = Protocol.learn ~seed:5L tcp in
@@ -116,7 +115,7 @@ let quic_same_profile_equivalent () =
   let a = Protocol.learn ~seed:5L (Quic_study.protocol Quic_study.Profile.quiche_like) in
   let b = Protocol.learn ~seed:77L (Quic_study.protocol Quic_study.Profile.quiche_like) in
   Alcotest.(check bool) "equivalent" true
-    (Prognosis_analysis.Model_diff.equivalent (fst a) (fst b))
+    (Mealy.equivalent (fst a) (fst b) = None)
 
 let quic_close_reset_rates () =
   let compliant = Quic_study.close_reset_rate ~runs:100 Quic_study.Profile.quiche_like in
@@ -245,7 +244,7 @@ let persist_text_roundtrip () =
       in
       Alcotest.(check bool)
         "parsed model is the learned model" true
-        (Prognosis_analysis.Model_diff.equivalent strm m)
+        (Mealy.equivalent strm m = None)
 
 let persist_text_canonical_across_runs () =
   (* Two independent runs — different seed, different algorithm — of

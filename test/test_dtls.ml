@@ -253,11 +253,15 @@ let learn_dtls ?server_config seed =
         Eq_oracle.random_words ~rng ~max_tests:400 ~min_len:1 ~max_len:10;
       ]
   in
-  Learn.run ~inputs:Dtls_alphabet.all ~sul ~eq ()
+  match
+    Prognosis.Pipeline.learn ~subject:"dtls" ~seed:0L ~algorithm:Learn.Ttt_tree
+      ~inputs:Dtls_alphabet.all ~factory:(fun ~seed:_ ~workers:_ _ -> sul) ~eq ()
+  with
+  | Ok (model, _) -> model
+  | Error _ -> Alcotest.fail "nondeterministic SUL"
 
 let learned_model_shape () =
-  let r = learn_dtls 17L in
-  let m = r.Learn.model in
+  let m = learn_dtls 17L in
   Alcotest.(check bool)
     (Printf.sprintf "states %d in [5..14]" (Mealy.size m))
     true
@@ -277,18 +281,17 @@ let cookie_configs_learn_different_models () =
     learn_dtls ~server_config:{ Dtls_server.require_cookie = false; strict_ccs = true } 23L
   in
   Alcotest.(check bool) "different models" false
-    (Prognosis_analysis.Model_diff.equivalent with_cookie.Learn.model
-       without.Learn.model);
+    (Mealy.equivalent with_cookie without = None);
   Alcotest.(check bool) "cookie model is larger" true
-    (Mealy.size with_cookie.Learn.model > Mealy.size without.Learn.model)
+    (Mealy.size with_cookie > Mealy.size without)
 
 let seed_independent_models () =
   let a = learn_dtls 29L and b = learn_dtls 31L in
   Alcotest.(check bool) "equivalent" true
-    (Prognosis_analysis.Model_diff.equivalent a.Learn.model b.Learn.model)
+    (Mealy.equivalent a b = None)
 
 let property_no_appdata_before_finished () =
-  let r = learn_dtls 37L in
+  let m = learn_dtls 37L in
   let prop =
     Prognosis_analysis.Safety.after_always
       "no APP_DATA before the server FINISHED"
@@ -312,7 +315,7 @@ let property_no_appdata_before_finished () =
   in
   let prop = Prognosis_analysis.Safety.of_monitor "appdata only after finished" monitor in
   Alcotest.(check (option (list pass))) "holds" None
-    (Prognosis_analysis.Safety.check prop r.Learn.model)
+    (Prognosis_analysis.Safety.check prop m)
 
 let () =
   Alcotest.run "dtls"

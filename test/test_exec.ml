@@ -285,7 +285,7 @@ let adversarial_worker_quarantined () =
       ()
   in
   let config =
-    { Engine.default with Engine.workers = 4; replicas = 2; max_strikes = 2 }
+    { Engine.default with Engine.workers = 4; replicas = 2 }
   in
   let e =
     Engine.create ~config

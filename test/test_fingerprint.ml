@@ -78,7 +78,7 @@ let diff_equivalent () =
   Alcotest.(check bool) "self-diff is empty" true
     (Model_diff.shortest_difference m_base m_base = None);
   Alcotest.(check bool) "equivalent agrees" true
-    (Model_diff.equivalent m_base m_base)
+    (Mealy.equivalent m_base m_base = None)
 
 (* --- Persist: line-numbered corruption, kind round-trip --- *)
 
@@ -372,7 +372,7 @@ let identify_mutant_then_extend () =
       tcp.Library.model
   in
   Alcotest.(check bool) "mutation changed behaviour" false
-    (Model_diff.equivalent tcp.Library.model mutated);
+    (Mealy.equivalent tcp.Library.model mutated = None);
   let r = Identify.run ~mq:(mq_of mutated) tree in
   (match r.Identify.outcome with
   | Identify.Novel e ->

@@ -203,12 +203,16 @@ let prop_coded_cache =
       check (Cache.create ())
       && check (Cache.shared (Cache.Shared.create ())))
 
+(* The driver over the plain cached oracle. *)
+let learn_cached ~eq m =
+  let c = Cache.create () in
+  Learn.run_mq
+    ~cache_stats:(fun () -> (Cache.hits c, Cache.misses c))
+    ~inputs:(Mealy.inputs m) ~mq:(Cache.wrap c (mq_for m)) ~eq ()
+
 let cached_learning_equivalent () =
   (* Learning through a cache must give the same model. *)
-  let result =
-    Learn.run ~algorithm:Learn.Ttt_tree ~inputs:(Mealy.inputs lock)
-      ~sul:(Sul.of_mealy lock) ~eq:(perfect lock) ()
-  in
+  let result = learn_cached ~eq:(perfect lock) lock in
   Alcotest.(check (option (list char))) "same model" None
     (Mealy.equivalent result.Learn.model lock)
 
@@ -284,10 +288,7 @@ let shrink_shortens () =
 (* --- full driver --- *)
 
 let driver_reports_stats () =
-  let result =
-    Learn.run ~inputs:(Mealy.inputs lock) ~sul:(Sul.of_mealy lock)
-      ~eq:(perfect lock) ()
-  in
+  let result = learn_cached ~eq:(perfect lock) lock in
   Alcotest.(check bool) "queries counted" true
     (result.Learn.stats.membership_queries > 0);
   Alcotest.(check bool) "rounds >= 1" true (result.Learn.rounds >= 1)
@@ -295,9 +296,7 @@ let driver_reports_stats () =
 let driver_random_eq () =
   let rng = Rng.create 99L in
   let eq = Eq_oracle.random_words ~rng ~max_tests:3000 ~min_len:1 ~max_len:12 in
-  let result =
-    Learn.run ~inputs:(Mealy.inputs lock) ~sul:(Sul.of_mealy lock) ~eq ()
-  in
+  let result = learn_cached ~eq lock in
   Alcotest.(check (option (list char))) "learned lock" None
     (Mealy.equivalent result.Learn.model lock)
 

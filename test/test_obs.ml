@@ -641,7 +641,7 @@ let no_double_count_with_cache_and_nondet () =
   let engine =
     Engine.create
       ~config:
-        { Engine.default with Engine.workers = replicas; replicas; batch = false }
+        { Engine.workers = replicas; replicas; batch = false }
       ~factory:(fun i -> fst suls.(i))
       ()
   in

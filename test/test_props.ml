@@ -7,6 +7,8 @@ module Testing = Prognosis_automata.Testing
 module Rng = Prognosis_sul.Rng
 module Sul = Prognosis_sul.Sul
 module Oracle = Prognosis_learner.Oracle
+module Cache = Prognosis_learner.Cache
+module Model_diff = Prognosis_analysis.Model_diff
 module Lstar = Prognosis_learner.Lstar
 module Ttt = Prognosis_learner.Ttt
 module Eq_oracle = Prognosis_learner.Eq_oracle
@@ -980,13 +982,12 @@ let wp_method_ids_reference ~extra_states m =
             reference_emit add mid (target prefix) prefix)
         (reference_transition_cover m))
 
-(* Random machines whose last [orphans] states no transition enters, so
-   they are unreachable; one draw in fifteen is a one-state machine. *)
-let gen_suite_machine =
+(* Random machines over [k] inputs whose last [orphans] states no
+   transition enters, so they are unreachable. *)
+let gen_machine_over k =
   QCheck2.Gen.(
     let* size = gen 1 5 in
     let* orphans = gen 0 2 in
-    let* k = gen 1 4 in
     let total = size + orphans in
     let row g = array_size (return total) (array_size (return k) g) in
     let* delta = row (gen 0 (size - 1)) in
@@ -994,6 +995,9 @@ let gen_suite_machine =
     return
       (Mealy.make ~size:total ~initial:0 ~inputs:(Array.init k Fun.id) ~delta
          ~lambda))
+
+(* One draw in fifteen is a one-state machine. *)
+let gen_suite_machine = QCheck2.Gen.(gen 1 4 >>= gen_machine_over)
 
 let prop_suite_builder_is_reference =
   QCheck2.Test.make ~count:300 ~name:"w/wp suite builder == reference"
@@ -1003,6 +1007,122 @@ let prop_suite_builder_is_reference =
       = w_method_ids_reference ~extra_states m
       && Testing.wp_method_ids ~extra_states m
          = wp_method_ids_reference ~extra_states m)
+
+(* The searches as they were written before Mealy and Model_diff ran
+   each breadth-first search once: a hash-table product search for the
+   shortest difference, and the queue BFS that reachability, canonical
+   numbering and access words each ran on their own. *)
+let shortest_difference_reference a b =
+  let n = Mealy.alphabet_size a in
+  let seen = Hashtbl.create 64 and queue = Queue.create () in
+  Hashtbl.add seen (Mealy.initial a, Mealy.initial b) ();
+  Queue.add (Mealy.initial a, Mealy.initial b, []) queue;
+  let result = ref None in
+  while !result = None && not (Queue.is_empty queue) do
+    let sa, sb, path = Queue.pop queue in
+    let i = ref 0 in
+    while !result = None && !i < n do
+      let sa', oa = Mealy.step_idx a sa !i in
+      let sb', ob = Mealy.step_idx b sb !i in
+      if oa <> ob then result := Some (List.rev ((Mealy.inputs a).(!i) :: path))
+      else if not (Hashtbl.mem seen (sa', sb')) then begin
+        Hashtbl.add seen (sa', sb') ();
+        Queue.add (sa', sb', (Mealy.inputs a).(!i) :: path) queue
+      end;
+      incr i
+    done
+  done;
+  !result
+
+(* One word per disagreeing product edge, exploring past them. *)
+let differences_reference ~max a b =
+  let n = Mealy.alphabet_size a in
+  let seen = Hashtbl.create 64 and queue = Queue.create () in
+  let found = ref [] and count = ref 0 in
+  Hashtbl.add seen (Mealy.initial a, Mealy.initial b) ();
+  Queue.add (Mealy.initial a, Mealy.initial b, []) queue;
+  while (not (Queue.is_empty queue)) && !count < max do
+    let sa, sb, path = Queue.pop queue in
+    for i = 0 to n - 1 do
+      if !count < max then begin
+        let sa', oa = Mealy.step_idx a sa i in
+        let sb', ob = Mealy.step_idx b sb i in
+        if oa <> ob then begin
+          found := List.rev ((Mealy.inputs a).(i) :: path) :: !found;
+          incr count
+        end;
+        if not (Hashtbl.mem seen (sa', sb')) then begin
+          Hashtbl.add seen (sa', sb') ();
+          Queue.add (sa', sb', (Mealy.inputs a).(i) :: path) queue
+        end
+      end
+    done
+  done;
+  List.rev !found
+
+(* The reachable states in discovery order, and each state's access
+   word ([None]: unreachable). *)
+let state_bfs_reference m =
+  let words = Array.make (Mealy.size m) None in
+  let queue = Queue.create () and order = ref [] in
+  words.(Mealy.initial m) <- Some [||];
+  Queue.add (Mealy.initial m) queue;
+  while not (Queue.is_empty queue) do
+    let s = Queue.pop queue in
+    order := s :: !order;
+    let w = Option.get words.(s) in
+    for i = 0 to Mealy.alphabet_size m - 1 do
+      let s' = fst (Mealy.step_idx m s i) in
+      if words.(s') = None then begin
+        words.(s') <- Some (Array.append w [| i |]);
+        Queue.add s' queue
+      end
+    done
+  done;
+  (Array.of_list (List.rev !order), words)
+
+let prop_state_bfs_is_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"reachable, access_ids, canonicalize == queue BFS" gen_suite_machine
+    (fun m ->
+      let order, words = state_bfs_reference m in
+      let rank = Array.make (Mealy.size m) (-1) in
+      Array.iteri (fun q s -> rank.(s) <- q) order;
+      let c = Mealy.canonicalize m in
+      let renumbered q i =
+        let s', o = Mealy.step_idx m order.(q) i in
+        Mealy.step_idx c q i = (rank.(s'), o)
+      in
+      Mealy.reachable m = Array.map Option.is_some words
+      && Mealy.access_ids m = Array.map (Option.value ~default:[||]) words
+      && Mealy.size c = Array.length order
+      && Mealy.initial c = 0
+      && List.for_all
+           (fun q -> List.for_all (renumbered q) (List.init (Mealy.alphabet_size m) Fun.id))
+           (List.init (Mealy.size c) Fun.id))
+
+(* Pairs over one alphabet: a machine with itself, with its canonical
+   form (equivalent, numbered apart), or with an independent draw. *)
+let gen_machine_pair =
+  QCheck2.Gen.(
+    let* k = gen 1 4 in
+    let* a = gen_machine_over k in
+    let* b =
+      oneof [ return a; return (Mealy.canonicalize a); gen_machine_over k ]
+    in
+    let* max = gen 0 6 in
+    return (a, b, max))
+
+let prop_product_searches_are_reference =
+  QCheck2.Test.make ~count:500
+    ~name:"Model_diff.shortest_difference, differences == hash-table BFS"
+    gen_machine_pair
+    (fun (a, b, max) ->
+      let word w = w.Model_diff.word in
+      Option.map word (Model_diff.shortest_difference a b)
+      = shortest_difference_reference a b
+      && List.map word (Model_diff.differences ~max a b)
+         = differences_reference ~max a b)
 
 (* The learner's alphabet is a structurally equal, physically distinct
    copy of the target's, so every symbol the table SUL steps and every
@@ -1030,9 +1150,11 @@ let prop_engine_learns_copied_symbols =
         [ (true, 1); (false, 1); (true, 3); (false, 3) ])
 
 (* pipeline.mli: without [?exec] the engine asks one query at a time,
-   the query stream of a plain cached SUL oracle. *)
-let prop_pipeline_counters_match_learn_run =
-  QCheck2.Test.make ~count:40 ~name:"Pipeline.learn counters == Learn.run"
+   the query stream of a plain cached SUL oracle. The reference is
+   [Learn.run_mq] over [Cache.wrap], what the deleted [Learn.run] was. *)
+let prop_pipeline_counters_match_cached_oracle =
+  QCheck2.Test.make ~count:40
+    ~name:"Pipeline.learn counters == Learn.run"
     gen_string_mealy
     (fun target ->
       let eq () =
@@ -1044,7 +1166,14 @@ let prop_pipeline_counters_match_learn_run =
           ]
       in
       let inputs = Mealy.inputs target in
-      let r = Learn.run ~inputs ~sul:(Sul.of_mealy target) ~eq:(eq ()) () in
+      let c = Cache.create () in
+      let r =
+        Learn.run_mq
+          ~cache_stats:(fun () -> (Cache.hits c, Cache.misses c))
+          ~inputs
+          ~mq:(Cache.wrap c (Oracle.of_sul (Sul.of_mealy target)))
+          ~eq:(eq ()) ()
+      in
       match
         Prognosis.Pipeline.learn ~subject:"random" ~seed:1L
           ~algorithm:Learn.Ttt_tree ~inputs
@@ -1123,7 +1252,9 @@ let () =
             prop_coded_face_matches_ask;
             prop_w_method_list_is_decoded_ids;
             prop_suite_builder_is_reference;
+            prop_state_bfs_is_reference;
+            prop_product_searches_are_reference;
             prop_engine_learns_copied_symbols;
-            prop_pipeline_counters_match_learn_run;
+            prop_pipeline_counters_match_cached_oracle;
           ] );
     ]

@@ -746,11 +746,15 @@ let learn_profile ?client_config profile seed =
         Eq_oracle.random_words ~rng ~max_tests:300 ~min_len:1 ~max_len:10;
       ]
   in
-  Learn.run ~inputs:Quic_alphabet.all ~sul ~eq ()
+  match
+    Prognosis.Pipeline.learn ~subject:"quic" ~seed:0L ~algorithm:Learn.Ttt_tree
+      ~inputs:Quic_alphabet.all ~factory:(fun ~seed:_ ~workers:_ _ -> sul) ~eq ()
+  with
+  | Ok (model, _) -> model
+  | Error _ -> Alcotest.fail "nondeterministic SUL"
 
 let learn_quiche_like () =
-  let result = learn_profile Quic_profile.quiche_like 53L in
-  let m = result.Learn.model in
+  let m = learn_profile Quic_profile.quiche_like 53L in
   Alcotest.(check bool)
     (Printf.sprintf "states %d in [4..16]" (Mealy.size m))
     true
@@ -776,7 +780,7 @@ let issue1_model_size_difference () =
      different sizes: the paper's Issue-1 signal (§6.2.3). *)
   let tolerant = learn_profile Quic_profile.google_like 59L in
   let strict = learn_profile Quic_profile.strict_retry 61L in
-  let st = Mealy.size tolerant.Learn.model and ss = Mealy.size strict.Learn.model in
+  let st = Mealy.size tolerant and ss = Mealy.size strict in
   Alcotest.(check bool)
     (Printf.sprintf "tolerant(%d) > strict(%d)" st ss)
     true (st > ss)

@@ -257,10 +257,16 @@ let tcp_synthesis_end_to_end () =
   (* Learn the skeleton over the same SUL. *)
   let sul = Tcp.Tcp_adapter.sul ~seed:97L () in
   let eq = Prognosis_learner.Eq_oracle.w_method ~extra_states:1 () in
-  let result =
-    Prognosis_learner.Learn.run ~inputs:Tcp.Tcp_alphabet.all ~sul ~eq ()
+  let skeleton =
+    match
+      Prognosis.Pipeline.learn ~subject:"tcp" ~seed:0L
+        ~algorithm:Prognosis_learner.Learn.Ttt_tree ~inputs:Tcp.Tcp_alphabet.all
+        ~factory:(fun ~seed:_ ~workers:_ _ -> sul)
+        ~eq ()
+    with
+    | Ok (model, _) -> model
+    | Error _ -> Alcotest.fail "nondeterministic SUL"
   in
-  let skeleton = result.Prognosis_learner.Learn.model in
   let cfg =
     { (Synthesizer.default_config ~nregs:1 ~in_arity:3 ~out_arity:2) with
       consts = [ 0 ] }

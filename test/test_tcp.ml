@@ -295,23 +295,27 @@ let learn_tcp () =
         Eq_oracle.random_words ~rng ~max_tests:500 ~min_len:1 ~max_len:12;
       ]
   in
-  Learn.run ~inputs:Tcp_alphabet.all ~sul ~eq ()
+  match
+    Prognosis.Pipeline.learn ~subject:"tcp" ~seed:0L ~algorithm:Learn.Ttt_tree
+      ~inputs:Tcp_alphabet.all ~factory:(fun ~seed:_ ~workers:_ _ -> sul) ~eq ()
+  with
+  | Ok (model, _) -> model
+  | Error _ -> Alcotest.fail "nondeterministic SUL"
 
 let tcp_model_shape () =
-  let result = learn_tcp () in
-  let m = result.Learn.model in
+  let m = learn_tcp () in
   Alcotest.(check int) "six states (paper: 6)" 6 (Mealy.size m);
   Alcotest.(check int) "42 transitions (paper: 42)" 42 (Mealy.transitions m)
 
 let tcp_model_handshake_path () =
-  let m = (learn_tcp ()).Learn.model in
+  let m = learn_tcp () in
   let out = Mealy.run m Tcp_alphabet.[ Syn; Ack ] in
   Alcotest.(check (list string)) "model handshake"
     [ "SYN+ACK(?,?,0)"; "NIL" ]
     (List.map Tcp_alphabet.output_to_string out)
 
 let tcp_model_agrees_with_sul () =
-  let m = (learn_tcp ()).Learn.model in
+  let m = learn_tcp () in
   let sul = make_sul () in
   let rng = Rng.create 123L in
   (* Random probing: model and SUL agree on fresh traces. *)
@@ -327,7 +331,7 @@ let tcp_model_agrees_with_sul () =
 let tcp_model_appendix_spot_checks () =
   (* Transitions the paper's Appendix A.1 figure shows for the Linux
      stack, checked on our learned model at the abstract level. *)
-  let m = (learn_tcp ()).Learn.model in
+  let m = learn_tcp () in
   let out_after prefix sym =
     let state = Mealy.state_after m prefix in
     Tcp_alphabet.output_to_string (snd (Mealy.step m state sym))
@@ -353,7 +357,7 @@ let learning_survives_loss () =
   (* With 3% loss, single executions disagree; the §5 repetition check
      (majority answers) restores a deterministic view and learning
      converges to the same model as the reliable channel. *)
-  let reliable_model = (learn_tcp ()).Learn.model in
+  let reliable_model = learn_tcp () in
   let lossy =
     Tcp_adapter.sul ~network:(Prognosis_sul.Network.lossy 0.03) ~seed:7L ()
   in

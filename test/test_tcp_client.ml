@@ -164,11 +164,15 @@ let learn_client seed =
         Eq_oracle.random_words ~rng ~max_tests:400 ~min_len:1 ~max_len:10;
       ]
   in
-  Learn.run ~inputs:Study.all ~sul ~eq ()
+  match
+    Prognosis.Pipeline.learn ~subject:"tcp-client" ~seed:0L ~algorithm:Learn.Ttt_tree
+      ~inputs:Study.all ~factory:(fun ~seed:_ ~workers:_ _ -> sul) ~eq ()
+  with
+  | Ok (model, _) -> model
+  | Error _ -> Alcotest.fail "nondeterministic SUL"
 
 let learned_client_shape () =
-  let r = learn_client 11L in
-  let m = r.Learn.model in
+  let m = learn_client 11L in
   Alcotest.(check bool)
     (Printf.sprintf "states %d in [7..12]" (Mealy.size m))
     true
@@ -184,11 +188,11 @@ let learned_client_shape () =
 let learned_client_seed_independent () =
   let a = learn_client 13L and b = learn_client 17L in
   Alcotest.(check bool) "equivalent" true
-    (Prognosis_analysis.Model_diff.equivalent a.Learn.model b.Learn.model)
+    (Mealy.equivalent a b = None)
 
 let client_property_syn_first () =
   (* Safety: the client never emits data before a SYN was emitted. *)
-  let r = learn_client 19L in
+  let m = learn_client 19L in
   let emits sym (o : Study.output) = List.mem sym o in
   let monitor =
     Prognosis_automata.Dfa.make ~size:3 ~initial:0
@@ -203,7 +207,7 @@ let client_property_syn_first () =
   in
   let prop = Prognosis_analysis.Safety.of_monitor "no data before SYN" monitor in
   Alcotest.(check (option (list pass))) "holds" None
-    (Prognosis_analysis.Safety.check prop r.Learn.model)
+    (Prognosis_analysis.Safety.check prop m)
 
 (* --- property-based: the machine never crashes and keeps invariants --- *)
 
