@@ -11,12 +11,14 @@ type t = {
   rng : Rng.t;
   seed : int64 option;
   mutable transmitted : int;
+  mutable transmitted_bytes : int;
   mutable dropped : int;
   mutable duplicated : int;
   mutable corrupted : int;
 }
 
 let m_transmitted = Metrics.counter Metrics.default "net.transmitted"
+let m_transmitted_bytes = Metrics.counter Metrics.default "net.transmitted_bytes"
 let m_dropped = Metrics.counter Metrics.default "net.dropped"
 let m_duplicated = Metrics.counter Metrics.default "net.duplicated"
 let m_corrupted = Metrics.counter Metrics.default "net.corrupted"
@@ -27,6 +29,7 @@ let create ?(config = reliable) ?seed rng =
     rng;
     seed;
     transmitted = 0;
+    transmitted_bytes = 0;
     dropped = 0;
     duplicated = 0;
     corrupted = 0;
@@ -59,8 +62,11 @@ let fault_event t kind payload =
       kind
 
 let transmit t payload =
+  let n = String.length payload in
   t.transmitted <- t.transmitted + 1;
+  t.transmitted_bytes <- t.transmitted_bytes + n;
   Metrics.inc m_transmitted;
+  Metrics.inc ~by:n m_transmitted_bytes;
   if t.cfg.loss = 0. && t.cfg.corrupt = 0. && t.cfg.duplicate = 0. then
     (* Fully reliable channel: skip the fault draws. No draw outcome
        can differ from the general path (every probability is zero) and
@@ -92,6 +98,7 @@ let transmit t payload =
   end
 
 let transmitted t = t.transmitted
+let transmitted_bytes t = t.transmitted_bytes
 let dropped t = t.dropped
 let duplicated t = t.duplicated
 let corrupted t = t.corrupted

@@ -35,6 +35,12 @@ val transmit : t -> string -> string list
     [net.corrupt] event carrying the payload byte count and seed. *)
 
 val transmitted : t -> int
+(** Datagrams handed to {!transmit} (the [net.transmitted] counter). *)
+
+val transmitted_bytes : t -> int
+(** Their total length in bytes, before any fault (the
+    [net.transmitted_bytes] counter). *)
+
 val dropped : t -> int
 val duplicated : t -> int
 val corrupted : t -> int

@@ -354,10 +354,43 @@ let quic_ncid_property () =
     (Prognosis_analysis.Safety.increases_by ~stride:1 buggy
     <> Prognosis_analysis.Safety.Holds)
 
+(* --- learn-path traffic --- *)
+
+(* Datagrams and bytes that a seed-1 learn of each study sends through
+   its adapter's channel, read from the [net.*] counters around the
+   learn. These are the queries the learner and eq oracle actually ask,
+   so a change to a client, server, codec or adapter that alters one
+   byte on the wire, or one datagram, shows here. *)
+let learn_traffic learn =
+  let count name = Prognosis_obs.Metrics.(counter default name) in
+  let datagrams = count "net.transmitted"
+  and bytes = count "net.transmitted_bytes" in
+  let d0 = !datagrams and b0 = !bytes in
+  ignore (learn ());
+  (!datagrams - d0, !bytes - b0)
+
+let learn_path_traffic () =
+  List.iter
+    (fun (name, learn, expected) ->
+      Alcotest.(check (pair int int)) name expected (learn_traffic learn))
+    [
+      ("tcp", (fun () -> ignore (Protocol.learn tcp)), (10271, 423635));
+      ( "quic:quiche-like",
+        (fun () ->
+          ignore
+            (Protocol.learn (Quic_study.protocol Quic_study.Profile.quiche_like))),
+        (17400, 1322962) );
+      ( "dtls",
+        (fun () -> ignore (Protocol.learn (Dtls_study.protocol ()))),
+        (12519, 820344) );
+    ]
+
 let () =
   Alcotest.run "core"
     [
       ("report", [ Alcotest.test_case "roundtrip" `Quick report_roundtrip ]);
+      ( "traffic",
+        [ Alcotest.test_case "learn path, seed 1" `Quick learn_path_traffic ] );
       ( "persist",
         [
           Alcotest.test_case "text roundtrip" `Slow persist_text_roundtrip;

@@ -110,6 +110,69 @@ let seq_add_wraps () =
   Alcotest.(check int) "wrap" 1 (Tcp_wire.seq_add 0xFFFFFFFF 2);
   Alcotest.(check int) "negative" 0xFFFFFFFF (Tcp_wire.seq_add 0 (-1))
 
+(* --- wire transcript known answer --- *)
+
+(* Drives a client and a server through the public calls only
+   (concretize, encode, handle_bytes, decode, absorb), each segment
+   inside its IPv4 datagram, and records every datagram in order as its
+   direction and [Sim_crypto.hash]. Pinning the count, the total bytes
+   and every hash fixes the traffic byte for byte: IPv4 and TCP
+   headers, options, sequence numbers, payloads and both checksums. *)
+let transcript seed word =
+  let module Inet = Prognosis_sul.Inet in
+  let rng = Rng.create seed in
+  let server = Tcp_server.create (Rng.split rng) in
+  let client = Tcp_client.create ~dst_port:443 (Rng.split rng) in
+  let client_ip = 0x0A000001 and server_ip = 0x0A000002 in
+  let datagrams = ref [] in
+  let record dir wire = datagrams := (dir, wire) :: !datagrams in
+  let unwrap datagram =
+    match Inet.unwrap_tcp datagram with Ok s -> s | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun symbol ->
+      let request =
+        Inet.wrap_tcp ~src:client_ip ~dst:server_ip
+          (Tcp_wire.encode (Tcp_client.concretize client symbol))
+      in
+      record "c" request;
+      List.iter
+        (fun segment ->
+          let response = Inet.wrap_tcp ~src:server_ip ~dst:client_ip segment in
+          record "s" response;
+          match Tcp_wire.decode (unwrap response) with
+          | Ok seg -> Tcp_client.absorb client seg
+          | Error e -> Alcotest.fail e)
+        (Tcp_server.handle_bytes server (unwrap request)))
+    word;
+  let datagrams = List.rev !datagrams in
+  ( List.length datagrams,
+    List.fold_left (fun n (_, w) -> n + String.length w) 0 datagrams,
+    String.concat " "
+      (List.map
+         (fun (dir, w) -> Printf.sprintf "%s%x" dir (Prognosis_sul.Sim_crypto.hash w))
+         datagrams) )
+
+let wire_transcript_known_answer () =
+  let count, bytes, hashes =
+    transcript 31L
+      Tcp_alphabet.
+        [
+          Ack; Syn; Syn; Ack; Ack_psh; Syn; Ack_psh; Fin_ack; Ack; Syn_ack;
+          Ack_rst; Rst; Syn;
+        ]
+  in
+  Alcotest.(check int) "datagrams" 23 count;
+  Alcotest.(check int) "bytes" 942 bytes;
+  Alcotest.(check string) "hashes"
+    "c6e5d5703d5164fee s6ec65e2b5530978d c50845de3b6c0b918 s6a834911a3693535 \
+     c3e35dec8c5177f93 s14d4a3ae8d9831d4 c2e5dfd739638018a c1b3592a9d0a00cc1 \
+     s3f67da3d53e51cd4 c5fb61de7950c8f14 s3f67da3d53e51cd4 c333b1ecb672098a3 \
+     s682b6d99f766add5 cfe4506e460b0495 s7d6ad7efeead0b00 c45488d7afa39cdd6 \
+     s46eeed3b9933bcc c78c9b0a433dba95 s46eeed3b9933bcc c2d427d93e3821a51 \
+     c6b1307c8e7c794f9 c50845de3b6c0b918 s7a27926c08c08a93"
+    hashes
+
 (* --- abstract alphabet --- *)
 
 let alphabet_size () =
@@ -400,6 +463,8 @@ let () =
           Alcotest.test_case "options roundtrip" `Quick options_roundtrip;
           Alcotest.test_case "mss negotiation" `Quick syn_negotiates_mss;
           Alcotest.test_case "seq wrap" `Quick seq_add_wraps;
+          Alcotest.test_case "wire transcript known answer" `Quick
+            wire_transcript_known_answer;
         ] );
       ( "alphabet",
         [
