@@ -53,13 +53,10 @@ let abstract (r : Dtls_wire.record_) =
   | Dtls_wire.Alert -> Some A_alert
   | Dtls_wire.Application_data -> Some A_app_data
   | Dtls_wire.Handshake -> (
-      match Dtls_wire.decode_handshake r.Dtls_wire.payload with
-      | Error _ -> None
-      | Ok h -> (
-          match h.Dtls_wire.msg_type with
-          | Dtls_wire.Hello_verify_request -> Some A_hello_verify_request
-          | Dtls_wire.Server_hello -> Some A_server_hello
-          | Dtls_wire.Certificate -> Some A_certificate
-          | Dtls_wire.Server_hello_done -> Some A_server_hello_done
-          | Dtls_wire.Finished -> Some A_finished
-          | Dtls_wire.Client_hello | Dtls_wire.Client_key_exchange -> None))
+      match Dtls_wire.handshake_type r.Dtls_wire.payload with
+      | Some Dtls_wire.Hello_verify_request -> Some A_hello_verify_request
+      | Some Dtls_wire.Server_hello -> Some A_server_hello
+      | Some Dtls_wire.Certificate -> Some A_certificate
+      | Some Dtls_wire.Server_hello_done -> Some A_server_hello_done
+      | Some Dtls_wire.Finished -> Some A_finished
+      | Some (Dtls_wire.Client_hello | Dtls_wire.Client_key_exchange) | None -> None)

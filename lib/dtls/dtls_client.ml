@@ -60,8 +60,10 @@ let echoed t = t.echoed_
 let emit t content payload =
   let seq = t.write_seq in
   t.write_seq <- seq + 1;
-  let record = { W.content; epoch = t.write_epoch; seq; payload } in
-  Some (W.encode_record ~protect:(t.crypto, C.Client_write) record, record)
+  let epoch = t.write_epoch in
+  Some
+    ( W.encode_protected t.crypto C.Client_write content ~epoch ~seq payload,
+      { W.content; epoch; seq; payload } )
 
 let emit_handshake t msg_type body =
   let message_seq = t.message_seq in
@@ -72,7 +74,7 @@ let concretize t symbol =
   match symbol with
   | Dtls_alphabet.Client_hello ->
       emit_handshake t W.Client_hello
-        (Printf.sprintf "CR:%s;COOKIE:%s" t.client_random t.cookie)
+        (String.concat "" [ "CR:"; t.client_random; ";COOKIE:"; t.cookie ])
   | Dtls_alphabet.Client_key_exchange ->
       (* Key derivation happens at send time with whatever server
          random is known — the reference implementation's state rules. *)
@@ -93,7 +95,7 @@ let concretize t symbol =
   | Dtls_alphabet.Alert_close -> emit t W.Alert "\x01\x00"
 
 let absorb t data =
-  match W.decode_record ~unprotect:(t.crypto, C.Server_write) data with
+  match W.decode_protected t.crypto C.Server_write data with
   | Error _ -> None
   | Ok r ->
       (match r.W.content with
@@ -104,7 +106,9 @@ let absorb t data =
               match h.W.msg_type with
               | W.Hello_verify_request -> t.cookie <- h.W.body
               | W.Server_hello ->
-                  if String.length h.W.body > 3 && String.sub h.W.body 0 3 = "SR:"
+                  if
+                    String.length h.W.body > 3
+                    && String.starts_with ~prefix:"SR:" h.W.body
                   then
                     t.server_random <-
                       String.sub h.W.body 3 (String.length h.W.body - 3)

@@ -73,30 +73,46 @@ let phase_name t = phase_to_string t.phase
 let emit t content payload =
   let seq = t.write_seq in
   t.write_seq <- seq + 1;
-  W.encode_record ~protect:(t.crypto, C.Server_write)
-    { W.content; epoch = t.write_epoch; seq; payload }
+  W.encode_protected t.crypto C.Server_write content ~epoch:t.write_epoch ~seq
+    payload
 
 let emit_handshake t msg_type body =
-  let message_seq = t.message_seq in
+  let seq = t.write_seq and message_seq = t.message_seq in
+  t.write_seq <- seq + 1;
   t.message_seq <- message_seq + 1;
-  emit t W.Handshake (W.encode_handshake { W.msg_type; message_seq; body })
+  W.encode_handshake_record t.crypto C.Server_write ~epoch:t.write_epoch ~seq
+    msg_type ~message_seq body
 
-let fatal_alert t description =
+(* alert payloads: level fatal (2), then the description *)
+let unexpected_message = "\x02\x0a"
+let decrypt_error = "\x02\x33"
+
+let fatal_alert t alert =
   t.phase <- Closed;
-  [ emit t W.Alert (Printf.sprintf "\x02%c" (Char.chr description)) ]
+  [ emit t W.Alert alert ]
 
-(* ClientHello body: "CR:<random>;COOKIE:<cookie>". *)
+(* ClientHello body: "CR:<random>;COOKIE:<cookie>", exactly one ';',
+   read in place. *)
+let rec find body c i =
+  if i >= String.length body || String.unsafe_get body i = c then i
+  else find body c (i + 1)
+
+let rec has_at body off prefix i =
+  i = String.length prefix
+  || String.unsafe_get body (off + i) = String.unsafe_get prefix i
+     && has_at body off prefix (i + 1)
+
 let parse_client_hello body =
-  match String.split_on_char ';' body with
-  | [ cr; cookie ]
-    when String.length cr > 3
-         && String.sub cr 0 3 = "CR:"
-         && String.length cookie >= 7
-         && String.sub cookie 0 7 = "COOKIE:" ->
-      Some
-        ( String.sub cr 3 (String.length cr - 3),
-          String.sub cookie 7 (String.length cookie - 7) )
-  | _ -> None
+  let n = String.length body in
+  let semi = find body ';' 0 in
+  if
+    semi > 3 && semi < n
+    && has_at body 0 "CR:" 0
+    && n - (semi + 1) >= 7
+    && find body ';' (semi + 1) = n
+    && has_at body (semi + 1) "COOKIE:" 0
+  then Some (String.sub body 3 (semi - 3), String.sub body (semi + 8) (n - semi - 8))
+  else None
 
 let server_flight t =
   t.server_random <- Rng.hex t.rng 8;
@@ -134,7 +150,7 @@ let handle_client_hello t body =
 let handle_key_exchange t body =
   match t.phase with
   | Waiting_key_exchange
-    when String.length body > 4 && String.sub body 0 4 = "PMS:" ->
+    when String.length body > 4 && String.starts_with ~prefix:"PMS:" body ->
       let premaster = String.sub body 4 (String.length body - 4) in
       C.derive_master t.crypto ~client_random:t.client_random
         ~server_random:t.server_random ~premaster;
@@ -155,7 +171,7 @@ let handle_finished t body =
         in
         [ ccs; fin ]
       end
-      else fatal_alert t 51 (* decrypt_error *)
+      else fatal_alert t decrypt_error
   | _ -> []
 
 let handle_record t (r : W.record_) =
@@ -179,7 +195,7 @@ let handle_record t (r : W.record_) =
           t.phase <- Waiting_finished;
           []
       | Waiting_hello | Waiting_verified_hello | Waiting_key_exchange ->
-          if t.cfg.strict_ccs then fatal_alert t 10 (* unexpected_message *)
+          if t.cfg.strict_ccs then fatal_alert t unexpected_message
           else []
       | Waiting_finished | Established | Closed -> [])
   | W.Application_data -> (
@@ -196,7 +212,7 @@ let handle_record t (r : W.record_) =
           [ emit t W.Alert "\x01\x00" (* warning, close_notify *) ])
 
 let handle_datagram t data =
-  match W.decode_record ~unprotect:(t.crypto, C.Client_write) data with
+  match W.decode_protected t.crypto C.Client_write data with
   | Error _ -> []
   | Ok r ->
       (* Records must arrive in the current read epoch. *)

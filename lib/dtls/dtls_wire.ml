@@ -66,16 +66,20 @@ let set_u48 b off v =
   set_u16 b (off + 4) v
 
 (* DTLS handshake header: type(1) length(3) message_seq(2)
-   fragment_offset(3) fragment_length(3); fragments are whole. *)
+   fragment_offset(3) fragment_length(3); fragments are whole. The
+   message is written into [b] from [off]. *)
+let write_handshake b off msg_type ~message_seq body =
+  let n = String.length body in
+  Bytes.set_uint8 b off (handshake_type_byte msg_type);
+  set_u24 b (off + 1) n;
+  set_u16 b (off + 4) message_seq;
+  set_u24 b (off + 6) 0;
+  set_u24 b (off + 9) n;
+  Bytes.blit_string body 0 b (off + 12) n
+
 let encode_handshake h =
-  let n = String.length h.body in
-  let b = Bytes.create (12 + n) in
-  Bytes.set_uint8 b 0 (handshake_type_byte h.msg_type);
-  set_u24 b 1 n;
-  set_u16 b 4 h.message_seq;
-  set_u24 b 6 0;
-  set_u24 b 9 n;
-  Bytes.blit_string h.body 0 b 12 n;
+  let b = Bytes.create (12 + String.length h.body) in
+  write_handshake b 0 h.msg_type ~message_seq:h.message_seq h.body;
   Bytes.unsafe_to_string b
 
 let decode_handshake s =
@@ -94,6 +98,15 @@ let decode_handshake s =
         else Ok { msg_type; message_seq; body = String.sub s 12 length }
   end
 
+(* the checks of [decode_handshake], without copying the body *)
+let handshake_type s =
+  if String.length s < 12 then None
+  else
+    let length = get_u24 s 1 in
+    if get_u24 s 6 <> 0 || get_u24 s 9 <> length || String.length s < 12 + length
+    then None
+    else handshake_type_of_byte (Char.code s.[0])
+
 type record_ = {
   content : content_type;
   epoch : int;
@@ -108,32 +121,50 @@ let dtls_version = 0xFEFD (* DTLS 1.2 *)
    sealed in place behind the header, its tag in the last bytes. *)
 let header_len = 13
 
-let encode_record ?protect r =
-  let n = String.length r.payload in
-  let seal =
-    match protect with
-    | Some (crypto, _) when r.epoch >= 1 && Dtls_crypto.ready crypto -> protect
-    | Some _ | None -> None
-  in
-  let length =
-    match seal with Some _ -> n + Dtls_crypto.tag_length | None -> n
-  in
-  let b = Bytes.create (header_len + length) in
-  Bytes.set_uint8 b 0 (content_type_byte r.content);
+(* A record of [n] payload bytes, which the caller writes at
+   [header_len]; [protect] seals it when the epoch is >= 1 and the
+   schedule has keys, and [finish] writes the header and seals. *)
+let record_buffer ~protect crypto ~epoch n =
+  let sealed = protect && epoch >= 1 && Dtls_crypto.ready crypto in
+  Bytes.create (header_len + n + if sealed then Dtls_crypto.tag_length else 0)
+
+let finish b crypto direction content ~epoch ~seq n =
+  let length = Bytes.length b - header_len in
+  Bytes.set_uint8 b 0 (content_type_byte content);
   set_u16 b 1 dtls_version;
-  set_u16 b 3 r.epoch;
-  set_u48 b 5 r.seq;
+  set_u16 b 3 epoch;
+  set_u48 b 5 seq;
   set_u16 b 11 length;
-  Bytes.blit_string r.payload 0 b header_len n;
-  (match seal with
-  | Some (crypto, direction) ->
-      ignore
-        (Dtls_crypto.seal crypto direction ~epoch:r.epoch ~seq:r.seq b
-           header_len n)
-  | None -> ());
+  if length > n then
+    ignore (Dtls_crypto.seal crypto direction ~epoch ~seq b header_len n);
   Bytes.unsafe_to_string b
 
-let decode_record ?unprotect s =
+let encode ~protect crypto direction content ~epoch ~seq payload =
+  let n = String.length payload in
+  let b = record_buffer ~protect crypto ~epoch n in
+  Bytes.blit_string payload 0 b header_len n;
+  finish b crypto direction content ~epoch ~seq n
+
+let encode_protected crypto direction content ~epoch ~seq payload =
+  encode ~protect:true crypto direction content ~epoch ~seq payload
+
+let encode_handshake_record crypto direction ~epoch ~seq msg_type ~message_seq
+    body =
+  let n = 12 + String.length body in
+  let b = record_buffer ~protect:true crypto ~epoch n in
+  write_handshake b header_len msg_type ~message_seq body;
+  finish b crypto direction Handshake ~epoch ~seq n
+
+let encode_record ?protect r =
+  match protect with
+  | Some (crypto, direction) ->
+      encode_protected crypto direction r.content ~epoch:r.epoch ~seq:r.seq
+        r.payload
+  | None ->
+      encode ~protect:false (Dtls_crypto.create ()) Dtls_crypto.Client_write
+        r.content ~epoch:r.epoch ~seq:r.seq r.payload
+
+let decode ~unprotect crypto direction s =
   if String.length s < header_len then Error "record too short"
   else begin
     match content_type_of_byte (Char.code s.[0]) with
@@ -145,18 +176,21 @@ let decode_record ?unprotect s =
           let seq = get_u48 s 5 in
           let length = get_u16 s 11 in
           if String.length s < header_len + length then Error "truncated record"
-          else begin
-            let payload =
-              match unprotect with
-              | Some (crypto, direction) when epoch >= 1 ->
-                  (* opened straight from the datagram *)
-                  Dtls_crypto.open_ crypto direction ~epoch ~seq s header_len
-                    length
-              | Some _ | None -> Some (String.sub s header_len length)
-            in
-            match payload with
+          else if unprotect && epoch >= 1 then
+            (* opened straight from the datagram *)
+            match
+              Dtls_crypto.open_ crypto direction ~epoch ~seq s header_len length
+            with
             | Some payload -> Ok { content; epoch; seq; payload }
             | None -> Error "record protection failure"
-          end
+          else Ok { content; epoch; seq; payload = String.sub s header_len length }
         end
   end
+
+let decode_protected crypto direction s = decode ~unprotect:true crypto direction s
+
+let decode_record ?unprotect s =
+  match unprotect with
+  | Some (crypto, direction) -> decode_protected crypto direction s
+  | None ->
+      decode ~unprotect:false (Dtls_crypto.create ()) Dtls_crypto.Client_write s

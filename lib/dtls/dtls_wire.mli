@@ -32,6 +32,10 @@ type handshake = {
 val encode_handshake : handshake -> string
 val decode_handshake : string -> (handshake, string) result
 
+val handshake_type : string -> handshake_type option
+(** The type {!decode_handshake} reads, [None] where it fails, without
+    copying the body. *)
+
 type record_ = {
   content : content_type;
   epoch : int;
@@ -53,3 +57,34 @@ val decode_record :
 (** With [unprotect], the payload of an epoch >= 1 record is opened
     straight from the datagram; missing keys or a bad tag (wrong keys,
     tampering) make decoding fail. *)
+
+val encode_protected :
+  Dtls_crypto.t ->
+  Dtls_crypto.direction ->
+  content_type ->
+  epoch:int ->
+  seq:int ->
+  string ->
+  string
+(** [encode_record ~protect:(crypto, direction)] of the record with
+    these fields. *)
+
+val encode_handshake_record :
+  Dtls_crypto.t ->
+  Dtls_crypto.direction ->
+  epoch:int ->
+  seq:int ->
+  handshake_type ->
+  message_seq:int ->
+  string ->
+  string
+(** The protected handshake record carrying one message, written in one
+    buffer: [encode_protected] of the {!encode_handshake} of the
+    message. *)
+
+val decode_protected :
+  Dtls_crypto.t ->
+  Dtls_crypto.direction ->
+  string ->
+  (record_, string) result
+(** [decode_record ~unprotect:(crypto, direction)]. *)

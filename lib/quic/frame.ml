@@ -143,6 +143,14 @@ let pp fmt f =
   | Connection_close { error; _ } -> Format.fprintf fmt "CONNECTION_CLOSE(%d)" error
   | Handshake_done -> Format.fprintf fmt "HANDSHAKE_DONE"
 
+(* ACKs of one range without delay, shared for the packet numbers a
+   connection of a few dozen packets reaches *)
+let acks = Array.init 64 (fun largest -> Ack { largest; delay = 0; first_range = 0 })
+
+let ack largest =
+  if largest >= 0 && largest < Array.length acks then acks.(largest)
+  else Ack { largest; delay = 0; first_range = 0 }
+
 let is_ack_eliciting f =
   match kind f with
   | K_ack | K_padding | K_connection_close -> false

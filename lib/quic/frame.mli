@@ -61,6 +61,10 @@ val all_kinds : kind list
 
 val pp : Format.formatter -> t -> unit
 
+val ack : int -> t
+(** [ack largest]: [Ack { largest; delay = 0; first_range = 0 }], one
+    shared value per packet number below 64. *)
+
 val is_ack_eliciting : t -> bool
 (** Every frame except ACK, PADDING and CONNECTION_CLOSE elicits an
     acknowledgement (RFC 9002). *)

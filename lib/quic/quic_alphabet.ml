@@ -53,13 +53,14 @@ let output_to_string = function
 
 let pp_output fmt o = Format.pp_print_string fmt (output_to_string o)
 
+let rec kinds = function
+  | [] -> []
+  | f :: rest -> (
+      match Frame.kind f with
+      | Frame.K_padding -> kinds rest
+      | k -> k :: kinds rest)
+
 let abstract_packet (p : Quic_packet.t) =
-  let frames =
-    List.filter_map
-      (fun f ->
-        match Frame.kind f with Frame.K_padding -> None | k -> Some k)
-      p.Quic_packet.frames
-  in
-  { ptype = p.Quic_packet.ptype; frames }
+  { ptype = p.Quic_packet.ptype; frames = kinds p.Quic_packet.frames }
 
 let abstract_reset = { ptype = Quic_packet.Stateless_reset; frames = [] }

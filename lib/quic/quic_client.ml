@@ -23,13 +23,15 @@ type t = {
   mutable odcid : string;
   mutable crypto : C.t;
   mutable client_random : string;
+  mutable hello : string;  (** the ClientHello, built on first use *)
   mutable initial_pn : int;
   mutable handshake_pn : int;
   mutable app_pn : int;
-  mutable largest : (P.ptype * int) list;
+  mutable largest_initial : int;  (** largest pn received, -1 if none *)
+  mutable largest_handshake : int;
+  mutable largest_app : int;  (** 1-RTT and 0-RTT share a space *)
   mutable retry_token : string;
   mutable have_server_hello : bool;
-  mutable server_crypto : string;
   mutable handshake_done_ : bool;
   mutable closed : bool;
   mutable stream_sent : bool;
@@ -58,13 +60,15 @@ let reset t =
   t.crypto <- C.create ();
   C.install_initial t.crypto ~dcid:t.odcid;
   t.client_random <- Rng.hex t.rng 8;
+  t.hello <- "";
   t.initial_pn <- 0;
   t.handshake_pn <- 0;
   t.app_pn <- 0;
-  t.largest <- [];
+  t.largest_initial <- -1;
+  t.largest_handshake <- -1;
+  t.largest_app <- -1;
   t.retry_token <- "";
   t.have_server_hello <- false;
-  t.server_crypto <- "";
   t.handshake_done_ <- false;
   t.closed <- false;
   t.stream_sent <- false;
@@ -87,13 +91,15 @@ let create ?(config = default_config) rng =
       odcid = "";
       crypto = C.create ();
       client_random = "";
+      hello = "";
       initial_pn = 0;
       handshake_pn = 0;
       app_pn = 0;
-      largest = [];
+      largest_initial = -1;
+      largest_handshake = -1;
+      largest_app = -1;
       retry_token = "";
       have_server_hello = false;
-      server_crypto = "";
       handshake_done_ = false;
       closed = false;
       stream_sent = false;
@@ -114,16 +120,19 @@ let create ?(config = default_config) rng =
 
 let port t = t.port_
 
-let space_key (ptype : P.ptype) : P.ptype =
-  match ptype with P.Zero_rtt -> P.Short | other -> other
-
-let largest_received t ptype =
-  try List.assoc (space_key ptype) t.largest with Not_found -> -1
+let largest_received t (ptype : P.ptype) =
+  match ptype with
+  | P.Initial -> t.largest_initial
+  | P.Handshake -> t.largest_handshake
+  | P.Short | P.Zero_rtt -> t.largest_app
+  | P.Retry | P.Version_negotiation | P.Stateless_reset -> -1
 
 let note_received t (p : P.t) =
-  let key = space_key p.P.ptype in
-  let current = largest_received t key in
-  t.largest <- (key, max current p.P.pn) :: List.remove_assoc key t.largest
+  match p.P.ptype with
+  | P.Initial -> t.largest_initial <- max t.largest_initial p.P.pn
+  | P.Handshake -> t.largest_handshake <- max t.largest_handshake p.P.pn
+  | P.Short | P.Zero_rtt -> t.largest_app <- max t.largest_app p.P.pn
+  | P.Retry | P.Version_negotiation | P.Stateless_reset -> ()
 
 let next_pn t (ptype : P.ptype) =
   match ptype with
@@ -141,29 +150,34 @@ let next_pn t (ptype : P.ptype) =
       pn
   | P.Retry | P.Version_negotiation | P.Stateless_reset -> -1
 
-let ack_frame t ptype =
-  Frame.Ack { largest = max 0 (largest_received t ptype); delay = 0; first_range = 0 }
+let ack_frame t ptype = Frame.ack (max 0 (largest_received t ptype))
 
-let build t ptype ?(token = "") frames =
+let build_token t ptype ~token frames =
   let pn = next_pn t ptype in
-  let packet = P.make ptype ~dcid:t.dcid ~scid:t.scid ~token ~pn ~frames in
+  let packet =
+    { P.ptype; version = P.draft29; dcid = t.dcid; scid = t.scid; token; pn; frames }
+  in
   match P.encode ~crypto:t.crypto ~sender:C.Client_to_server packet with
   | Some wire -> Some (wire, packet)
   | None -> None
+
+let build t ptype frames = build_token t ptype ~token:"" frames
 
 (* the transport parameters the ClientHello carries never change *)
 let hello_params =
   Printf.sprintf ";md=%d;msd=%d" initial_max_data initial_max_stream_data
 
-let client_hello t = "CH:" ^ t.client_random ^ hello_params
+let client_hello t =
+  if t.hello = "" then t.hello <- String.concat "" [ "CH:"; t.client_random; hello_params ];
+  t.hello
 
 let concretize t symbol =
   match symbol with
   | Quic_alphabet.Initial_crypto ->
-      build t P.Initial ~token:t.retry_token
+      build_token t P.Initial ~token:t.retry_token
         [ Frame.Crypto { offset = 0; data = client_hello t } ]
   | Quic_alphabet.Initial_ack_hsd ->
-      build t P.Initial ~token:t.retry_token
+      build_token t P.Initial ~token:t.retry_token
         [ ack_frame t P.Initial; Frame.Handshake_done ]
   | Quic_alphabet.Handshake_ack_crypto ->
       if not t.have_server_hello then None
@@ -227,7 +241,7 @@ let key_phase t = C.application_phase t.crypto
 
 let send_frames t ptype frames =
   match ptype with
-  | P.Initial -> build t P.Initial ~token:t.retry_token frames
+  | P.Initial -> build_token t P.Initial ~token:t.retry_token frames
   | P.Handshake | P.Short | P.Zero_rtt -> build t ptype frames
   | P.Retry | P.Version_negotiation | P.Stateless_reset ->
       invalid_arg "Quic_client.send_frames: clients cannot send this packet type"
@@ -247,26 +261,30 @@ let reset_tokens t =
   then begin
     t.tokens_for_dcid <- t.dcid;
     t.tokens_for_odcid <- t.odcid;
+    (* sorted and deduplicated; one derivation when the server kept
+       the original cid *)
+    let a = C.stateless_reset_token ~dcid:t.dcid in
     t.tokens_ <-
-      List.sort_uniq compare
-        [
-          C.stateless_reset_token ~dcid:t.dcid;
-          C.stateless_reset_token ~dcid:t.odcid;
-        ]
+      (if String.equal t.dcid t.odcid then [ a ]
+       else
+         let b = C.stateless_reset_token ~dcid:t.odcid in
+         match String.compare a b with
+         | 0 -> [ a ]
+         | c when c < 0 -> [ a; b ]
+         | _ -> [ b; a ])
   end;
   t.tokens_
 
 let parse_server_hello data =
   (* The SH may share a packet with other frames; CRYPTO data begins
      with "SH:". *)
-  if String.length data >= 3 && String.sub data 0 3 = "SH:" then
+  if String.starts_with ~prefix:"SH:" data then
     Some (String.sub data 3 (String.length data - 3))
   else None
 
 let process_frame t (frame : Frame.t) =
   match frame with
   | Frame.Crypto { data; _ } -> (
-      t.server_crypto <- t.server_crypto ^ data;
       match parse_server_hello data with
       | Some server_random ->
           t.have_server_hello <- true;
@@ -291,6 +309,12 @@ let process_frame t (frame : Frame.t) =
   | Frame.Max_streams _ | Frame.Data_blocked _ | Frame.Streams_blocked _
   | Frame.Retire_connection_id _ | Frame.Path_response _ ->
       ()
+
+let rec process_frames t = function
+  | [] -> ()
+  | frame :: rest ->
+      process_frame t frame;
+      process_frames t rest
 
 let absorb t data =
   match
@@ -318,7 +342,7 @@ let absorb t data =
       | _ ->
           note_received t p;
           if p.P.scid <> "" then t.dcid <- p.P.scid;
-          List.iter (process_frame t) p.P.frames);
+          process_frames t p.P.frames);
       Packet p
 
 let handshake_complete t = t.handshake_done_

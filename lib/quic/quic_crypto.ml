@@ -31,7 +31,7 @@ let make_secrets base =
   { c2s = P.derive_key base "client"; s2c = P.derive_key base "server" }
 
 let install_initial t ~dcid =
-  let secret = P.fold_concat P.fnv_basis [ "initial:"; dcid ] in
+  let secret = P.fold_concat2 P.fnv_basis "initial:" dcid in
   t.initial <- Some (make_secrets (P.derive_key secret "base"))
 
 let install_handshake t ~client_random ~server_random =
@@ -119,7 +119,7 @@ let open_updated_application t direction ~pn data ~header_len ~len =
         ~pn data ~header_len ~len
 
 let stateless_reset_token ~dcid =
-  let half prefix =
-    P.derive_from (P.fold_concat P.fnv_basis [ prefix; dcid ]) "token"
-  in
-  half "srt:" ^ half "srt2:"
+  let b = Bytes.create 16 in
+  P.derive_into (P.fold_concat2 P.fnv_basis "srt:" dcid) "token" b 0;
+  P.derive_into (P.fold_concat2 P.fnv_basis "srt2:" dcid) "token" b 8;
+  Bytes.unsafe_to_string b

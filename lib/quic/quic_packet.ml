@@ -156,8 +156,12 @@ let encode_stateless_reset ~rand ~token =
   (* First byte mimics a short header; at least 22 unpredictable bytes
      precede the 16-byte token. *)
   let bits = rand 22 in
-  let first = Char.chr (0x40 lor (Char.code bits.[0] land 0x3F)) in
-  String.make 1 first ^ String.sub bits 1 (String.length bits - 1) ^ token
+  let n = String.length bits in
+  let b = Bytes.create (n + String.length token) in
+  Bytes.blit_string bits 0 b 0 n;
+  Bytes.set b 0 (Char.chr (0x40 lor (Char.code bits.[0] land 0x3F)));
+  Bytes.blit_string token 0 b n (String.length token);
+  Bytes.unsafe_to_string b
 
 exception Bad of string
 
@@ -175,13 +179,20 @@ let read_cid data off =
   need data n (off + 1);
   String.sub data (off + 1) n
 
-(* A datagram ending in one of [reset_tokens] is a stateless reset. *)
-let reset_token data reset_tokens =
-  let len = String.length data in
-  if len < 16 then None
-  else
-    let tail = String.sub data (len - 16) 16 in
-    if List.mem tail reset_tokens then Some tail else None
+(* A datagram ending in one of [reset_tokens] is a stateless reset; the
+   tail is compared in place. *)
+let rec tail_equal data off token i =
+  i = String.length token
+  || String.unsafe_get data (off + i) = String.unsafe_get token i
+     && tail_equal data off token (i + 1)
+
+let rec reset_token data = function
+  | [] -> None
+  | token :: rest ->
+      let off = String.length data - 16 in
+      if off >= 0 && String.length token = 16 && tail_equal data off token 0
+      then Some token
+      else reset_token data rest
 
 let decode ~crypto ~sender ~reset_tokens data =
   let len = String.length data in
@@ -201,7 +212,15 @@ let decode ~crypto ~sender ~reset_tokens data =
           need data 4 off;
           let supported = get_u32 data off in
           Decoded
-            (make Version_negotiation ~version:supported ~dcid ~scid)
+            {
+              ptype = Version_negotiation;
+              version = supported;
+              dcid;
+              scid;
+              token = "";
+              pn = -1;
+              frames = [];
+            }
         end
         else begin
           let ptype =
@@ -220,15 +239,19 @@ let decode ~crypto ~sender ~reset_tokens data =
                 Undecodable "retry integrity check failed"
               else Decoded (make Retry ~dcid ~scid ~token)
           | _ ->
-              let token, off =
+              let pos = ref off in
+              let token =
                 if ptype = Initial then begin
-                  let n, off = Varint.decode data off in
+                  let n = Varint.read data pos in
+                  let off = !pos in
                   need data n off;
-                  (String.sub data off n, off + n)
+                  pos := off + n;
+                  if n = 0 then "" else String.sub data off n
                 end
-                else ("", off)
+                else ""
               in
-              let length, off = Varint.decode data off in
+              let length = Varint.read data pos in
+              let off = !pos in
               need data length off;
               need data 4 off;
               let pn = get_u32 data off in
@@ -281,7 +304,17 @@ let decode ~crypto ~sender ~reset_tokens data =
           | Some payload -> (
               match Frame.decode_all payload with
               | Error e -> Undecodable ("bad frames: " ^ e)
-              | Ok frames -> Decoded (make Short ~dcid ~pn ~frames))
+              | Ok frames ->
+                  Decoded
+                    {
+                      ptype = Short;
+                      version = draft29;
+                      dcid;
+                      scid = "";
+                      token = "";
+                      pn;
+                      frames;
+                    })
           | None -> (
               match reset_token data reset_tokens with
               | Some token -> Reset_detected token

@@ -39,13 +39,17 @@ type t = {
   mutable initial_pn : int;
   mutable handshake_pn : int;
   mutable app_pn : int;
-  mutable largest_recv : (P.ptype * int) list;  (** largest pn per space *)
+  mutable largest_initial : int;  (** largest pn received, -1 if none *)
+  mutable largest_handshake : int;
+  mutable largest_app : int;  (** 1-RTT and 0-RTT share a space *)
   mutable conn_max_data : int;  (** client's MAX_DATA limit on our sending *)
   mutable total_sent : int;
   streams : (int, stream) Hashtbl.t;
   mutable ncid_seq : int;
   mutable active_port : int;  (** the currently validated path *)
   mutable outstanding_challenge : string option;
+  mutable reset_token : (string * string) option;
+      (** a connection id and its stateless-reset token *)
 }
 
 let create ?(profile = Quic_profile.quiche_like) rng =
@@ -64,13 +68,16 @@ let create ?(profile = Quic_profile.quiche_like) rng =
     initial_pn = 0;
     handshake_pn = 0;
     app_pn = 0;
-    largest_recv = [];
+    largest_initial = -1;
+    largest_handshake = -1;
+    largest_app = -1;
     conn_max_data = 0;
     total_sent = 0;
     streams = Hashtbl.create 4;
     ncid_seq = 0;
     active_port = -1;
     outstanding_challenge = None;
+    reset_token = None;
   }
 
 let reset t =
@@ -86,7 +93,9 @@ let reset t =
   t.initial_pn <- 0;
   t.handshake_pn <- 0;
   t.app_pn <- 0;
-  t.largest_recv <- [];
+  t.largest_initial <- -1;
+  t.largest_handshake <- -1;
+  t.largest_app <- -1;
   t.conn_max_data <- 0;
   t.total_sent <- 0;
   Hashtbl.reset t.streams;
@@ -100,17 +109,19 @@ let scid t = t.scid_
 
 (* --- packet-number bookkeeping --- *)
 
-let space_key (ptype : P.ptype) : P.ptype =
-  match ptype with P.Zero_rtt -> P.Short | other -> other
-
 let note_received t (p : P.t) =
-  let key = space_key p.P.ptype in
-  let current = try List.assoc key t.largest_recv with Not_found -> -1 in
-  t.largest_recv <-
-    (key, max current p.P.pn) :: List.remove_assoc key t.largest_recv
+  match p.P.ptype with
+  | P.Initial -> t.largest_initial <- max t.largest_initial p.P.pn
+  | P.Handshake -> t.largest_handshake <- max t.largest_handshake p.P.pn
+  | P.Short | P.Zero_rtt -> t.largest_app <- max t.largest_app p.P.pn
+  | P.Retry | P.Version_negotiation | P.Stateless_reset -> ()
 
-let largest_received t ptype =
-  try List.assoc (space_key ptype) t.largest_recv with Not_found -> -1
+let largest_received t (ptype : P.ptype) =
+  match ptype with
+  | P.Initial -> t.largest_initial
+  | P.Handshake -> t.largest_handshake
+  | P.Short | P.Zero_rtt -> t.largest_app
+  | P.Retry | P.Version_negotiation | P.Stateless_reset -> -1
 
 let next_pn t (ptype : P.ptype) =
   match ptype with
@@ -128,15 +139,22 @@ let next_pn t (ptype : P.ptype) =
       pn
   | P.Retry | P.Version_negotiation | P.Stateless_reset -> -1
 
-let ack_frame t ptype =
-  Frame.Ack { largest = max 0 (largest_received t ptype); delay = 0; first_range = 0 }
+let ack_frame t ptype = Frame.ack (max 0 (largest_received t ptype))
 
 (* --- response construction --- *)
 
 let send t ptype frames =
   let pn = next_pn t ptype in
   let packet =
-    P.make ptype ~dcid:t.client_cid ~scid:t.scid_ ~pn ~frames
+    {
+      P.ptype;
+      version = P.draft29;
+      dcid = t.client_cid;
+      scid = t.scid_;
+      token = "";
+      pn;
+      frames;
+    }
   in
   match P.encode ~crypto:t.crypto ~sender:C.Server_to_client packet with
   | Some wire -> [ wire ]
@@ -156,9 +174,18 @@ let connection_close t ?(space = P.Handshake) ~error ~reason () =
       if C.has_level t.crypto C.Handshake_level then send t P.Handshake [ frame ]
       else send t P.Initial [ frame ]
 
+(* Every datagram in Closing may draw a reset: the token is derived
+   once per connection id. *)
 let stateless_reset t =
   if Rng.bool t.rng t.prof.Quic_profile.reset_after_close_prob then begin
-    let token = C.stateless_reset_token ~dcid:t.scid_ in
+    let token =
+      match t.reset_token with
+      | Some (cid, token) when String.equal cid t.scid_ -> token
+      | Some _ | None ->
+          let token = C.stateless_reset_token ~dcid:t.scid_ in
+          t.reset_token <- Some (t.scid_, token);
+          token
+    in
     [ P.encode_stateless_reset ~rand:(Rng.bytes t.rng) ~token ]
   end
   else []
@@ -166,28 +193,62 @@ let stateless_reset t =
 (* --- handshake crypto payloads --- *)
 
 (* The transport parameters ride in the ClientHello in this
-   simulation: "CH:<random>;md=<max_data>;msd=<max_stream_data>". *)
-let parse_client_hello data =
-  match String.split_on_char ';' data with
-  | ch :: params when String.length ch > 3 && String.sub ch 0 3 = "CH:" ->
-      let random = String.sub ch 3 (String.length ch - 3) in
-      let lookup key =
-        List.fold_left
-          (fun acc p ->
-            match String.index_opt p '=' with
-            | Some i when String.sub p 0 i = key ->
-                int_of_string_opt (String.sub p (i + 1) (String.length p - i - 1))
-            | _ -> acc)
-          None params
-      in
-      Some (random, lookup "md", lookup "msd")
-  | _ -> None
+   simulation: "CH:<random>;md=<max_data>;msd=<max_stream_data>". The
+   parser walks the string in place: a parameter is the text between
+   two ';', its key the text before its first '=', and a later
+   parameter with the same key overrides an earlier one. *)
+(* [String.sub data off len = s], without the copy *)
+let rec equal_from data off len s i =
+  i = len
+  || String.unsafe_get data (off + i) = String.unsafe_get s i
+     && equal_from data off len s (i + 1)
 
-let crypto_data frames =
-  List.filter_map
-    (function Frame.Crypto { data; _ } -> Some data | _ -> None)
-    frames
-  |> String.concat ""
+let equal_at data off len s = len = String.length s && equal_from data off len s 0
+
+(* the first [c] in [data[i, stop)], or [stop] *)
+let rec find data c i stop =
+  if i >= stop || String.unsafe_get data i = c then i else find data c (i + 1) stop
+
+(* [int_of_string_opt] of [data[off, stop)]: plain decimals are read in
+   place, anything else goes through [int_of_string_opt] itself *)
+let rec digits data off stop i v =
+  if i = stop then Some v
+  else
+    match String.unsafe_get data i with
+    | '0' .. '9' as c -> digits data off stop (i + 1) ((v * 10) + Char.code c - 48)
+    | _ -> int_of_string_opt (String.sub data off (stop - off))
+
+let int_at data off stop =
+  if stop > off && stop - off <= 18 then digits data off stop off 0
+  else int_of_string_opt (String.sub data off (stop - off))
+
+(* the value of the last parameter named [key] from [off] on *)
+let rec lookup data off key acc =
+  if off > String.length data then acc
+  else
+    let stop = find data ';' off (String.length data) in
+    let eq = find data '=' off stop in
+    let acc =
+      if eq < stop && equal_at data off (eq - off) key then int_at data (eq + 1) stop
+      else acc
+    in
+    lookup data (stop + 1) key acc
+
+let parse_client_hello data =
+  let ch = find data ';' 0 (String.length data) in
+  if ch > 3 && String.starts_with ~prefix:"CH:" data then
+    Some
+      ( String.sub data 3 (ch - 3),
+        lookup data (ch + 1) "md" None,
+        lookup data (ch + 1) "msd" None )
+  else None
+
+(* the CRYPTO frames' data, concatenated *)
+let rec crypto_data = function
+  | [] -> ""
+  | Frame.Crypto { data; _ } :: rest -> (
+      match crypto_data rest with "" -> data | more -> data ^ more)
+  | _ :: rest -> crypto_data rest
 
 let has_handshake_done frames =
   List.exists (fun f -> Frame.kind f = Frame.K_handshake_done) frames
@@ -205,12 +266,14 @@ let begin_handshake t ~port (p : P.t) ch_random md msd =
     { recv_len = 0; sent = 0; send_limit = msd_value; fin_sent = false; blocked_at = -1 };
   t.phase <- Handshake_in_progress;
   let sh = "SH:" ^ server_random in
-  List.concat
-    [
-      send t P.Initial [ ack_frame t P.Initial; Frame.Crypto { offset = 0; data = sh } ];
-      send t P.Handshake [ Frame.Crypto { offset = 0; data = "EE;CERT" } ];
-      send t P.Handshake [ Frame.Crypto { offset = 7; data = ";FIN" } ];
-    ]
+  (* built last to first: the ";FIN" packet takes the first Handshake
+     packet number *)
+  let fin = send t P.Handshake [ Frame.Crypto { offset = 7; data = ";FIN" } ] in
+  let ee = send t P.Handshake [ Frame.Crypto { offset = 0; data = "EE;CERT" } ] in
+  let initial =
+    send t P.Initial [ ack_frame t P.Initial; Frame.Crypto { offset = 0; data = sh } ]
+  in
+  initial @ ee @ fin
 
 let make_retry t (p : P.t) ~port =
   t.retry_scid <- Rng.bytes t.rng P.cid_length;
@@ -356,36 +419,27 @@ let pump_stream t id stream =
     !frames
   end
 
-let handle_short t ~port (p : P.t) =
-  if has_handshake_done p.P.frames then
-    connection_close t ~space:P.Short ~error:0x0A
-      ~reason:"client sent HANDSHAKE_DONE" ()
-  else if t.phase <> Confirmed then
-    (* 1-RTT data before handshake confirmation is not processed. *)
-    []
-  else begin
-    let reply_frames = ref [] in
-    (* Connection migration (RFC 9000 §9): a packet from a new source
-       port triggers path validation; the new path is adopted once the
-       client echoes our challenge. *)
-    if port <> t.active_port && t.outstanding_challenge = None then begin
-      let data = Rng.bytes t.rng 8 in
-      t.outstanding_challenge <- Some data;
-      reply_frames := !reply_frames @ [ Frame.Path_challenge data ]
-    end;
-    List.iter
-      (fun frame ->
+(* The frames of a 1-RTT packet, in order; the reply frames they call
+   for are consed onto [rev], newest first. *)
+let rec short_frames t ~port rev = function
+  | [] -> rev
+  | frame :: rest ->
+      let rev =
         match frame with
         | Frame.Path_response data when t.outstanding_challenge = Some data ->
             t.outstanding_challenge <- None;
-            t.active_port <- port
-        | Frame.Max_data v -> t.conn_max_data <- max t.conn_max_data v
-        | Frame.Max_stream_data { stream_id; max } -> (
-            match Hashtbl.find_opt t.streams stream_id with
+            t.active_port <- port;
+            rev
+        | Frame.Max_data v ->
+            t.conn_max_data <- max t.conn_max_data v;
+            rev
+        | Frame.Max_stream_data { stream_id; max } ->
+            (match Hashtbl.find_opt t.streams stream_id with
             | Some s -> s.send_limit <- Stdlib.max s.send_limit max
-            | None -> ())
-        | Frame.Stream { id; offset; data; fin = _ } -> (
-            match Hashtbl.find_opt t.streams id with
+            | None -> ());
+            rev
+        | Frame.Stream { id; offset; data; fin = _ } ->
+            (match Hashtbl.find_opt t.streams id with
             | Some s ->
                 s.recv_len <- Stdlib.max s.recv_len (offset + String.length data)
             | None ->
@@ -396,29 +450,54 @@ let handle_short t ~port (p : P.t) =
                     send_limit = 0;
                     fin_sent = false;
                     blocked_at = -1;
-                  })
+                  });
+            rev
         | Frame.Path_challenge data ->
             (* Path validation: echo the 8 challenge bytes. *)
-            reply_frames := !reply_frames @ [ Frame.Path_response data ]
+            Frame.Path_response data :: rev
         | Frame.Stop_sending { stream_id; error } -> (
             (* The peer refuses our data: abandon the stream and
                declare its final size. *)
             match Hashtbl.find_opt t.streams stream_id with
             | Some s when not s.fin_sent ->
                 s.fin_sent <- true;
-                reply_frames :=
-                  !reply_frames
-                  @ [ Frame.Reset_stream { stream_id; error; final_size = s.sent } ]
-            | Some _ | None -> ())
-        | _ -> ())
-      p.P.frames;
-    Hashtbl.iter
-      (fun id s -> reply_frames := !reply_frames @ pump_stream t id s)
-      t.streams;
-    let ack_eliciting = List.exists Frame.is_ack_eliciting p.P.frames in
-    if !reply_frames <> [] then send t P.Short (ack_frame t P.Short :: !reply_frames)
-    else if ack_eliciting then send t P.Short [ ack_frame t P.Short ]
-    else []
+                Frame.Reset_stream { stream_id; error; final_size = s.sent } :: rev
+            | Some _ | None -> rev)
+        | _ -> rev
+      in
+      short_frames t ~port rev rest
+
+let handle_short t ~port (p : P.t) =
+  if has_handshake_done p.P.frames then
+    connection_close t ~space:P.Short ~error:0x0A
+      ~reason:"client sent HANDSHAKE_DONE" ()
+  else if t.phase <> Confirmed then
+    (* 1-RTT data before handshake confirmation is not processed. *)
+    []
+  else begin
+    (* Connection migration (RFC 9000 §9): a packet from a new source
+       port triggers path validation; the new path is adopted once the
+       client echoes our challenge. *)
+    let rev =
+      if port <> t.active_port && t.outstanding_challenge = None then begin
+        let data = Rng.bytes t.rng 8 in
+        t.outstanding_challenge <- Some data;
+        [ Frame.Path_challenge data ]
+      end
+      else []
+    in
+    let rev = short_frames t ~port rev p.P.frames in
+    let rev =
+      Hashtbl.fold
+        (fun id s rev -> List.rev_append (pump_stream t id s) rev)
+        t.streams rev
+    in
+    match rev with
+    | _ :: _ -> send t P.Short (ack_frame t P.Short :: List.rev rev)
+    | [] ->
+        if List.exists Frame.is_ack_eliciting p.P.frames then
+          send t P.Short [ ack_frame t P.Short ]
+        else []
   end
 
 let install_initial_keys_if_needed t data =
@@ -427,15 +506,15 @@ let install_initial_keys_if_needed t data =
   if String.length data > 6 && Char.code data.[0] land 0x80 <> 0 then begin
     let dcid_len = Char.code data.[5] in
     if String.length data >= 6 + dcid_len then begin
-      let dcid = String.sub data 6 dcid_len in
       match t.phase with
       | Idle ->
+          let dcid = String.sub data 6 dcid_len in
           t.odcid <- dcid;
           t.scid_ <- dcid;
           C.install_initial t.crypto ~dcid
-      | Address_validation when dcid = t.retry_scid ->
+      | Address_validation when equal_at data 6 dcid_len t.retry_scid ->
           t.scid_ <- t.retry_scid;
-          C.install_initial t.crypto ~dcid
+          C.install_initial t.crypto ~dcid:t.retry_scid
       | Address_validation | Handshake_in_progress | Confirmed | Closing -> ()
     end
   end

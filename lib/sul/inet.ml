@@ -103,33 +103,41 @@ module Ipv4 = struct
     write_header b ~src:t.src ~dst:t.dst ~ttl:t.ttl ~protocol:t.protocol;
     Bytes.unsafe_to_string b
 
-  (* Validates the header; [Ok total] is the datagram's total length. *)
+  (* Validates the header: the datagram's total length, or a negative
+     code that [error] names, so a good datagram allocates nothing. *)
   let check data =
-    if String.length data < header_len then Error "ipv4: too short"
-    else if Char.code data.[0] <> 0x45 then Error "ipv4: not v4/IHL5"
+    if String.length data < header_len then -1
+    else if Char.code data.[0] <> 0x45 then -2
     else
       let total = get_u16 data 2 in
       (* subtracting the stored checksum word from the raw sum is the
          same as summing with the field zeroed (both lie on a 16-bit
          word boundary) *)
       let received = get_u16 data 10 in
-      if total > String.length data then Error "ipv4: truncated"
-      else if finish (sum 0 data 0 header_len - received) <> received
-      then Error "ipv4: bad header checksum"
-      else if total < header_len then Error "ipv4: bad total length"
-      else Ok total
+      if total > String.length data then -3
+      else if finish (sum 0 data 0 header_len - received) <> received then -4
+      else if total < header_len then -5
+      else total
+
+  let error = function
+    | -1 -> Error "ipv4: too short"
+    | -2 -> Error "ipv4: not v4/IHL5"
+    | -3 -> Error "ipv4: truncated"
+    | -4 -> Error "ipv4: bad header checksum"
+    | _ -> Error "ipv4: bad total length"
 
   let decode data =
-    Result.map
-      (fun total ->
+    let total = check data in
+    if total < 0 then error total
+    else
+      Ok
         {
           src = get_u32 data 12;
           dst = get_u32 data 16;
           ttl = Char.code data.[8];
           protocol = Char.code data.[9];
           payload = String.sub data header_len (total - header_len);
-        })
-      (check data)
+        }
 end
 
 module Udp = struct
@@ -163,45 +171,50 @@ module Udp = struct
     write_header b 0 ~src_ip ~dst_ip ~src_port:t.src_port ~dst_port:t.dst_port;
     Bytes.unsafe_to_string b
 
-  (* Validates the datagram in [data[off, off + len)]; [Ok total] is its
-     UDP length. *)
+  (* Validates the datagram in [data[off, off + len)]: its UDP length,
+     or a negative code that [error] names. *)
   let check ~src_ip ~dst_ip data off len =
-    if len < header_len then Error "udp: too short"
+    if len < header_len then -1
     else
       let total = get_u16 data (off + 4) in
-      if total > len || total < header_len then Error "udp: bad length"
+      if total > len || total < header_len then -2
       else
         let received = get_u16 data (off + 6) in
         let pseudo = pseudo_sum ~src_ip ~dst_ip ~length:total in
         let sum = finish (sum pseudo data off total - received) in
         let sum = if sum = 0 then 0xFFFF else sum in
-        if received <> 0 && sum <> received then Error "udp: bad checksum"
-        else Ok total
+        if received <> 0 && sum <> received then -3 else total
+
+  let error = function
+    | -1 -> Error "udp: too short"
+    | -2 -> Error "udp: bad length"
+    | _ -> Error "udp: bad checksum"
 
   let decode ~src_ip ~dst_ip data =
-    Result.map
-      (fun total ->
+    let total = check ~src_ip ~dst_ip data 0 (String.length data) in
+    if total < 0 then error total
+    else
+      Ok
         {
           src_port = get_u16 data 0;
           dst_port = get_u16 data 2;
           payload = String.sub data header_len (total - header_len);
-        })
-      (check ~src_ip ~dst_ip data 0 (String.length data))
+        }
 end
 
+(* Both headers and the payload in one buffer, and on the way back the
+   headers checked in place: only the payload is copied. *)
 let wrap_tcp ~src ~dst payload =
-  Ipv4.encode
-    { Ipv4.src; dst; ttl = 64; protocol = Ipv4.tcp_protocol; payload }
+  let b = framed Ipv4.header_len payload in
+  Ipv4.write_header b ~src ~dst ~ttl:64 ~protocol:Ipv4.tcp_protocol;
+  Bytes.unsafe_to_string b
 
 let unwrap_tcp data =
-  match Ipv4.decode data with
-  | Error e -> Error e
-  | Ok ip ->
-      if ip.Ipv4.protocol <> Ipv4.tcp_protocol then Error "ipv4: not TCP"
-      else Ok ip.Ipv4.payload
+  let total = Ipv4.check data in
+  if total < 0 then Ipv4.error total
+  else if Char.code data.[9] <> Ipv4.tcp_protocol then Error "ipv4: not TCP"
+  else Ok (String.sub data Ipv4.header_len (total - Ipv4.header_len))
 
-(* Both headers and the payload in one buffer, and on the way back both
-   headers checked in place: only the payload is copied. *)
 let udp_at = Ipv4.header_len
 let udp_payload_at = Ipv4.header_len + Udp.header_len
 
@@ -212,16 +225,16 @@ let wrap_udp ~src ~dst ~src_port ~dst_port payload =
   Bytes.unsafe_to_string b
 
 let unwrap_udp data =
-  match Ipv4.check data with
-  | Error e -> Error e
-  | Ok _ when Char.code data.[9] <> Ipv4.udp_protocol -> Error "ipv4: not UDP"
-  | Ok total -> (
-      match
-        Udp.check ~src_ip:(get_u32 data 12) ~dst_ip:(get_u32 data 16) data
-          udp_at (total - udp_at)
-      with
-      | Error e -> Error e
-      | Ok length ->
-          Ok
-            ( get_u16 data udp_at,
-              String.sub data udp_payload_at (length - Udp.header_len) ))
+  let total = Ipv4.check data in
+  if total < 0 then Ipv4.error total
+  else if Char.code data.[9] <> Ipv4.udp_protocol then Error "ipv4: not UDP"
+  else
+    let length =
+      Udp.check ~src_ip:(get_u32 data 12) ~dst_ip:(get_u32 data 16) data udp_at
+        (total - udp_at)
+    in
+    if length < 0 then Udp.error length
+    else
+      Ok
+        ( get_u16 data udp_at,
+          String.sub data udp_payload_at (length - Udp.header_len) )

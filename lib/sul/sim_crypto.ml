@@ -76,6 +76,32 @@ let fold_concat h parts =
   in
   go h 0 0 parts
 
+(* [fold_concat h [a; b]] without the list: the same lanes, gathered
+   across the boundary byte by byte. *)
+let[@inline] byte2 a b la i =
+  if i < la then Char.code (String.unsafe_get a i)
+  else Char.code (String.unsafe_get b (i - la))
+
+let fold_concat2 h a b =
+  let la = String.length a in
+  let n = la + String.length b in
+  let h = ref h and i = ref 0 in
+  while !i + 8 <= n do
+    let lane = ref 0 in
+    for k = 0 to 6 do
+      lane := !lane lor (byte2 a b la (!i + k) lsl (8 * k))
+    done;
+    let top = byte2 a b la (!i + 7) in
+    h := (!h lxor (!lane lor ((top land 0x7F) lsl 56))) * fnv_prime;
+    if top >= 0x80 then h := (!h lxor 1) * fnv_prime;
+    i := !i + 8
+  done;
+  while !i < n do
+    h := (!h lxor byte2 a b la !i) * fnv_prime;
+    incr i
+  done;
+  !h
+
 let fold_int h v =
   (((h lxor (v land 0xFFFFFFFF)) * fnv_prime) lxor ((v lsr 32) land 0xFFFFFFFF))
   * fnv_prime
@@ -83,13 +109,16 @@ let fold_int h v =
 let fold_byte h b = (h lxor b) * fnv_prime
 let hash s = mix (fold_string fnv_basis s)
 
-let bytes_of_hash v =
-  String.init 8 (fun i -> Char.unsafe_chr ((v lsr (8 * (7 - i))) land 0xFF))
+(* hash(secret ^ "/" ^ label), from the secret's absorbed state: the
+   big-endian bytes of the 63-bit hash, written at [off] *)
+let derive_into secret label b off =
+  let v = mix (fold_string (fold_byte secret (Char.code '/')) label) in
+  Bytes.set_int64_be b off (Int64.logand (Int64.of_int v) Int64.max_int)
 
-(* hash(secret ^ "/" ^ label), from the secret's absorbed state *)
 let derive_from secret label =
-  let h = fold_byte secret (Char.code '/') in
-  bytes_of_hash (mix (fold_string h label))
+  let b = Bytes.create 8 in
+  derive_into secret label b 0;
+  Bytes.unsafe_to_string b
 
 (* [fold_string fnv_basis (derive_from h label)] without the 8 bytes:
    they are the big-endian bytes of the 63-bit hash, so their one

@@ -23,6 +23,9 @@ val fold_concat : int -> string list -> int
 (** [fold_concat h parts] is [fold_string h (String.concat "" parts)],
     without building the concatenation. *)
 
+val fold_concat2 : int -> string -> string -> int
+(** [fold_concat2 h a b] is [fold_concat h [a; b]], without the list. *)
+
 val fold_int : int -> int -> int
 (** Absorbs an int, all 63 bits, as two 32-bit halves. *)
 
@@ -36,6 +39,10 @@ val derive_from : int -> string -> string
     [secret ^ "/" ^ label], where [h] is the secret's absorbed state
     ([fold_string fnv_basis secret], or {!fold_concat} of its parts), so
     a secret is never materialized. *)
+
+val derive_into : int -> string -> Bytes.t -> int -> unit
+(** [derive_into h label b off] writes [derive_from h label] into
+    [b[off, off + 8)]. *)
 
 val derive_key : int -> string -> int
 (** [derive_key h label] is [fold_string fnv_basis (derive_from h label)]:

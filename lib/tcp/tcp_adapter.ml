@@ -1,6 +1,7 @@
 module Rng = Prognosis_sul.Rng
 module Network = Prognosis_sul.Network
 module Adapter = Prognosis_sul.Adapter
+module Inet = Prognosis_sul.Inet
 
 type concrete = Tcp_wire.segment
 
@@ -17,41 +18,58 @@ let create ?server_config ?(network = Network.reliable) ~seed () =
     Tcp_server.reset server;
     Tcp_client.reset client
   in
-  (* Segments travel inside real IPv4 datagrams (Example 3.1). *)
+  (* Segments travel inside real IPv4 datagrams (Example 3.1). The
+     loops below are built once per adapter: a step allocates the
+     datagrams, segments and lists it returns, and no closures. *)
   let client_ip = 0x0A000001 and server_ip = 0x0A000002 in
+  let rec serve = function
+    | [] -> []
+    | datagram :: rest -> (
+        match Inet.unwrap_tcp datagram with
+        | Ok segment_bytes -> (
+            let responses = Tcp_server.handle_bytes server segment_bytes in
+            match rest with [] -> responses | _ -> responses @ serve rest)
+        | Error _ -> serve rest)
+  in
+  let rec decode = function
+    | [] -> []
+    | datagram :: rest -> (
+        match Inet.unwrap_tcp datagram with
+        | Ok bytes -> (
+            match Tcp_wire.decode bytes with
+            | Ok seg -> seg :: decode rest
+            | Error _ -> decode rest)
+        | Error _ -> decode rest)
+  in
+  (* Responses also cross the network back to the client, in order. *)
+  let rec deliver = function
+    | [] -> []
+    | tcp_bytes :: rest -> (
+        let received =
+          decode
+            (Network.transmit channel
+               (Inet.wrap_tcp ~src:server_ip ~dst:client_ip tcp_bytes))
+        in
+        match rest with [] -> received | _ -> received @ deliver rest)
+  in
+  let rec absorb = function
+    | [] -> []
+    | seg :: rest -> (
+        Tcp_client.absorb client seg;
+        match Tcp_alphabet.abstract seg with
+        | Some symbol -> symbol :: absorb rest
+        | None -> absorb rest)
+  in
   let step symbol =
     let request = Tcp_client.concretize client symbol in
-    let deliveries =
-      Network.transmit channel
-        (Prognosis_sul.Inet.wrap_tcp ~src:client_ip ~dst:server_ip
-           (Tcp_wire.encode request))
-    in
-    let responses =
-      List.concat_map
-        (fun datagram ->
-          match Prognosis_sul.Inet.unwrap_tcp datagram with
-          | Ok segment_bytes -> Tcp_server.handle_bytes server segment_bytes
-          | Error _ -> [])
-        deliveries
-    in
-    (* Responses also cross the network back to the client. *)
     let received =
-      List.concat_map
-        (fun tcp_bytes ->
-          Network.transmit channel
-            (Prognosis_sul.Inet.wrap_tcp ~src:server_ip ~dst:client_ip tcp_bytes))
-        responses
-      |> List.filter_map (fun datagram ->
-             match Prognosis_sul.Inet.unwrap_tcp datagram with
-             | Ok bytes -> (
-                 match Tcp_wire.decode bytes with
-                 | Ok seg -> Some seg
-                 | Error _ -> None)
-             | Error _ -> None)
+      deliver
+        (serve
+           (Network.transmit channel
+              (Inet.wrap_tcp ~src:client_ip ~dst:server_ip
+                 (Tcp_wire.encode request))))
     in
-    List.iter (Tcp_client.absorb client) received;
-    let output = List.filter_map Tcp_alphabet.abstract received in
-    (output, [ request ], received)
+    (absorb received, [ request ], received)
   in
   Adapter.create ~description:"tcp" ~reset ~step ()
 

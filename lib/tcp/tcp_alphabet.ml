@@ -13,16 +13,23 @@ let to_string = function
 
 let pp fmt s = Format.pp_print_string fmt (to_string s)
 
-let flags s =
-  let open Tcp_wire in
-  match s with
-  | Syn -> { no_flags with syn = true }
-  | Syn_ack -> { no_flags with syn = true; ack = true }
-  | Ack -> { no_flags with ack = true }
-  | Ack_psh -> { no_flags with ack = true; psh = true }
-  | Fin_ack -> { no_flags with fin = true; ack = true }
-  | Rst -> { no_flags with rst = true }
-  | Ack_rst -> { no_flags with ack = true; rst = true }
+(* one shared record per symbol: concretizing a symbol builds no flags *)
+let syn = { Tcp_wire.no_flags with syn = true }
+let syn_ack = { Tcp_wire.no_flags with syn = true; ack = true }
+let ack = { Tcp_wire.no_flags with ack = true }
+let ack_psh = { Tcp_wire.no_flags with ack = true; psh = true }
+let fin_ack = { Tcp_wire.no_flags with fin = true; ack = true }
+let rst = { Tcp_wire.no_flags with rst = true }
+let ack_rst = { Tcp_wire.no_flags with ack = true; rst = true }
+
+let flags = function
+  | Syn -> syn
+  | Syn_ack -> syn_ack
+  | Ack -> ack
+  | Ack_psh -> ack_psh
+  | Fin_ack -> fin_ack
+  | Rst -> rst
+  | Ack_rst -> ack_rst
 
 type output = symbol list
 
@@ -32,14 +39,15 @@ let output_to_string = function
 
 let pp_output fmt o = Format.pp_print_string fmt (output_to_string o)
 
+(* Matches the header's flag bits (FIN 0x01, SYN 0x02, RST 0x04, PSH
+   0x08, ACK 0x10, URG 0x20) directly. *)
 let abstract (seg : Tcp_wire.segment) =
-  let f = seg.Tcp_wire.flags in
-  match Tcp_wire.flags_to_string f with
-  | "S" -> Some Syn
-  | "SA" -> Some Syn_ack
-  | "A" when seg.Tcp_wire.payload = "" -> Some Ack
-  | "A" | "AP" -> Some Ack_psh
-  | "AF" -> Some Fin_ack
-  | "R" -> Some Rst
-  | "AR" -> Some Ack_rst
+  match Tcp_wire.flag_bits seg.Tcp_wire.flags with
+  | 0x02 -> Some Syn
+  | 0x12 -> Some Syn_ack
+  | 0x10 when seg.Tcp_wire.payload = "" -> Some Ack
+  | 0x10 | 0x18 -> Some Ack_psh
+  | 0x11 -> Some Fin_ack
+  | 0x04 -> Some Rst
+  | 0x14 -> Some Ack_rst
   | _ -> None

@@ -39,8 +39,24 @@ let established t = t.established_
 let snd_nxt t = t.snd_nxt_
 let rcv_nxt t = t.rcv_nxt_
 
-let build t ?(payload = "") ~seq ~ack flags =
-  make ~payload ~src_port:t.src_port ~dst_port:t.dst_port ~seq ~ack flags
+(* The segment record written out: [make]'s optional arguments would
+   each box their value on every call. *)
+let segment t ~options ~payload ~seq ~ack flags =
+  {
+    src_port = t.src_port;
+    dst_port = t.dst_port;
+    seq = seq land 0xFFFFFFFF;
+    ack = ack land 0xFFFFFFFF;
+    flags;
+    window = 65535;
+    urgent = 0;
+    options;
+    payload;
+  }
+
+let build t ~seq ~ack flags = segment t ~options:[] ~payload:"" ~seq ~ack flags
+let build_data t ~seq ~ack flags = segment t ~options:[] ~payload:"D" ~seq ~ack flags
+let syn_options = [ Mss 1460; Sack_permitted ]
 
 let concretize t symbol =
   let flags = Tcp_alphabet.flags symbol in
@@ -53,9 +69,7 @@ let concretize t symbol =
         (* (Re)transmission of our opening SYN, offering MSS and
            SACK support. *)
         t.snd_nxt_ <- seq_add t.iss 1;
-        make
-          ~options:[ Mss 1460; Sack_permitted ]
-          ~src_port:t.src_port ~dst_port:t.dst_port ~seq:t.iss ~ack:0 flags
+        segment t ~options:syn_options ~payload:"" ~seq:t.iss ~ack:0 flags
       end
   | Tcp_alphabet.Syn_ack ->
       if t.established_ then build t ~seq:t.snd_nxt_ ~ack:t.rcv_nxt_ flags
@@ -64,16 +78,15 @@ let concretize t symbol =
       if t.established_ then build t ~seq:t.snd_nxt_ ~ack:t.rcv_nxt_ flags
       else build t ~seq:t.iss ~ack:0 flags
   | Tcp_alphabet.Ack_psh ->
-      let payload = "D" in
       if t.established_ && not t.fin_sent then begin
-        let seg = build t ~payload ~seq:t.snd_nxt_ ~ack:t.rcv_nxt_ flags in
-        t.snd_nxt_ <- seq_add t.snd_nxt_ (String.length payload);
+        let seg = build_data t ~seq:t.snd_nxt_ ~ack:t.rcv_nxt_ flags in
+        t.snd_nxt_ <- seq_add t.snd_nxt_ 1;
         seg
       end
       else if t.established_ then
         (* Data after our FIN: invalid, sent as-is without consuming. *)
-        build t ~payload ~seq:t.snd_nxt_ ~ack:t.rcv_nxt_ flags
-      else build t ~payload ~seq:t.iss ~ack:0 flags
+        build_data t ~seq:t.snd_nxt_ ~ack:t.rcv_nxt_ flags
+      else build_data t ~seq:t.iss ~ack:0 flags
   | Tcp_alphabet.Fin_ack ->
       if t.established_ && not t.fin_sent then begin
         let seg = build t ~seq:t.snd_nxt_ ~ack:t.rcv_nxt_ flags in

@@ -42,8 +42,30 @@ let create ?(config = default_config) rng =
 let state t = t.state
 let config t = t.cfg
 
-let reply t (peer : segment) ?(payload = "") ~seq ~ack flags =
-  make ~payload ~src_port:t.cfg.port ~dst_port:peer.src_port ~seq ~ack flags
+(* Replies carry no payload; the record is written out, since [make]'s
+   optional arguments would each box their value on every call. *)
+let segment t ~dst_port ~options ~seq ~ack flags =
+  {
+    src_port = t.cfg.port;
+    dst_port;
+    seq = seq land 0xFFFFFFFF;
+    ack = ack land 0xFFFFFFFF;
+    flags;
+    window = 65535;
+    urgent = 0;
+    options;
+    payload = "";
+  }
+
+let reply t (peer : segment) ~seq ~ack flags =
+  segment t ~dst_port:peer.src_port ~options:[] ~seq ~ack flags
+
+let rst_flags = { no_flags with rst = true }
+let rst_ack_flags = { no_flags with rst = true; ack = true }
+let ack_flags = { no_flags with ack = true }
+let fin_ack_flags = { no_flags with fin = true; ack = true }
+let syn_ack_flags = { no_flags with syn = true; ack = true }
+let mss_1400 = [ Mss 1400 ]
 
 (* RST in response to a segment that does not belong to any
    connection: RFC 793 resets carry the offending segment's ACK number
@@ -52,22 +74,17 @@ let reply t (peer : segment) ?(payload = "") ~seq ~ack flags =
 let refuse t (seg : segment) =
   if seg.flags.rst then []
   else if seg.flags.ack then
-    [ reply t seg ~seq:seg.ack ~ack:0 { no_flags with rst = true } ]
+    [ reply t seg ~seq:seg.ack ~ack:0 rst_flags ]
   else
     let seg_len =
       String.length seg.payload + (if seg.flags.syn then 1 else 0)
       + if seg.flags.fin then 1 else 0
     in
-    [
-      reply t seg ~seq:0 ~ack:(seq_add seg.seq seg_len)
-        { no_flags with rst = true; ack = true };
-    ]
+    [ reply t seg ~seq:0 ~ack:(seq_add seg.seq seg_len) rst_ack_flags ]
 
 let challenge t seg =
-  [ reply t seg ~seq:t.snd_nxt ~ack:t.rcv_nxt { no_flags with ack = true } ]
+  [ reply t seg ~seq:t.snd_nxt ~ack:t.rcv_nxt ack_flags ]
 
-let fin_ack_flags = { no_flags with fin = true; ack = true }
-let syn_ack_flags = { no_flags with syn = true; ack = true }
 
 (* Is this segment acceptable for the current connection? The
    simulated link never reorders, so we insist on exact sequence
@@ -84,10 +101,14 @@ let handle_listen t (seg : segment) =
     t.rcv_nxt <- seq_add seg.seq 1;
     t.snd_nxt <- t.iss;
     t.state <- Syn_rcvd;
-    let mss = match find_mss seg with Some peer -> min peer 1400 | None -> 1400 in
+    let options =
+      match find_mss seg with
+      | Some peer when peer < 1400 -> [ Mss peer ]
+      | Some _ | None -> mss_1400
+    in
     let response =
-      make ~options:[ Mss mss ] ~src_port:t.cfg.port ~dst_port:seg.src_port
-        ~seq:t.snd_nxt ~ack:t.rcv_nxt syn_ack_flags
+      segment t ~dst_port:seg.src_port ~options ~seq:t.snd_nxt ~ack:t.rcv_nxt
+        syn_ack_flags
     in
     t.snd_nxt <- seq_add t.snd_nxt 1;
     [ response ]
@@ -103,7 +124,7 @@ let handle_syn_rcvd t (seg : segment) =
   else if seg.flags.syn && seg.flags.ack then begin
     (* SYN+ACK in SYN_RCVD is not meaningful: abort with RST. *)
     t.state <- if t.cfg.one_shot then Closed else Listen;
-    [ reply t seg ~seq:seg.ack ~ack:0 { no_flags with rst = true } ]
+    [ reply t seg ~seq:seg.ack ~ack:0 rst_flags ]
   end
   else if seg.flags.syn then
     (* SYN retransmission: resend our SYN+ACK. *)
@@ -159,7 +180,7 @@ let handle_close_wait t (seg : segment) =
   else if String.length seg.payload > 0 then begin
     (* Data after the peer's FIN: protocol violation, abort. *)
     t.state <- if t.cfg.one_shot then Closed else Listen;
-    [ reply t seg ~seq:t.snd_nxt ~ack:0 { no_flags with rst = true } ]
+    [ reply t seg ~seq:t.snd_nxt ~ack:0 rst_flags ]
   end
   else if seg.flags.fin then
     (* FIN retransmission: our ACK was lost; re-acknowledge. *)
@@ -183,7 +204,7 @@ let handle_last_ack t (seg : segment) =
   else if ack_current t seg && in_window t seg then
     if String.length seg.payload > 0 then begin
       t.state <- if t.cfg.one_shot then Closed else Listen;
-      [ reply t seg ~seq:t.snd_nxt ~ack:0 { no_flags with rst = true } ]
+      [ reply t seg ~seq:t.snd_nxt ~ack:0 rst_flags ]
     end
     else begin
       (* Final ACK of our FIN: fully closed. *)

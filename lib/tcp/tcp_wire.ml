@@ -114,15 +114,20 @@ let flag_bits f =
   lor (if f.ack then 0x10 else 0)
   lor if f.urg then 0x20 else 0
 
-let flags_of_bits bits =
-  {
-    fin = bits land 0x01 <> 0;
-    syn = bits land 0x02 <> 0;
-    rst = bits land 0x04 <> 0;
-    psh = bits land 0x08 <> 0;
-    ack = bits land 0x10 <> 0;
-    urg = bits land 0x20 <> 0;
-  }
+(* One shared record per combination of the six flag bits, so decoding
+   a segment reads its flags without building them. *)
+let flag_table =
+  Array.init 64 (fun bits ->
+      {
+        fin = bits land 0x01 <> 0;
+        syn = bits land 0x02 <> 0;
+        rst = bits land 0x04 <> 0;
+        psh = bits land 0x08 <> 0;
+        ack = bits land 0x10 <> 0;
+        urg = bits land 0x20 <> 0;
+      })
+
+let flags_of_bits bits = Array.unsafe_get flag_table (bits land 0x3F)
 
 (* Options are written in place behind the fixed header and padded
    with NOPs to a 32-bit boundary. *)
@@ -153,39 +158,36 @@ let write_option b off opt =
       set_u32 b (off + 6) echo);
   off + option_length opt
 
-(* Parses the options in [data[off, stop)]. *)
-let decode_options data off stop =
-  let rec loop off acc =
-    if off >= stop then Ok (List.rev acc)
-    else
-      match Char.code data.[off] with
-      | 0 -> Ok (List.rev acc) (* end of options *)
-      | 1 -> loop (off + 1) acc (* NOP *)
-      | kind ->
-          if off + 1 >= stop then Error "truncated option"
-          else begin
-            let olen = Char.code data.[off + 1] in
-            if olen < 2 || off + olen > stop then Error "bad option length"
-            else begin
-              let next = off + olen in
-              match (kind, olen) with
-              | 2, 4 -> loop next (Mss (get_u16 data (off + 2)) :: acc)
-              | 3, 3 ->
-                  loop next (Window_scale (Char.code data.[off + 2]) :: acc)
-              | 4, 2 -> loop next (Sack_permitted :: acc)
-              | 8, 10 ->
-                  loop next
-                    (Timestamps
-                       {
-                         value = get_u32 data (off + 2);
-                         echo = get_u32 data (off + 6);
-                       }
-                    :: acc)
-              | _ -> loop next acc (* unknown option: skipped *)
-            end
-          end
-  in
-  loop off []
+(* Parses the options in [data[off, stop)]; a segment without any
+   (the data offset is 5) skips the walk. *)
+exception Bad_option of string
+
+let rec options_from data off stop =
+  if off >= stop then []
+  else
+    match Char.code data.[off] with
+    | 0 -> [] (* end of options *)
+    | 1 -> options_from data (off + 1) stop (* NOP *)
+    | kind ->
+        if off + 1 >= stop then raise (Bad_option "truncated option");
+        let olen = Char.code data.[off + 1] in
+        if olen < 2 || off + olen > stop then
+          raise (Bad_option "bad option length");
+        let next = off + olen in
+        match (kind, olen) with
+        | 2, 4 -> Mss (get_u16 data (off + 2)) :: options_from data next stop
+        | 3, 3 ->
+            Window_scale (Char.code data.[off + 2]) :: options_from data next stop
+        | 4, 2 -> Sack_permitted :: options_from data next stop
+        | 8, 10 ->
+            Timestamps
+              { value = get_u32 data (off + 2); echo = get_u32 data (off + 6) }
+            :: options_from data next stop
+        | _ -> options_from data next stop (* unknown option: skipped *)
+
+let rec write_options b off = function
+  | [] -> off
+  | o :: rest -> write_options b (write_option b off o) rest
 
 (* The segment is built in one buffer and checksummed in place: the
    checksum field is still zero when the sum runs. *)
@@ -206,7 +208,7 @@ let encode s =
   set_u16 b 14 s.window;
   set_u16 b 16 0;
   set_u16 b 18 s.urgent;
-  ignore (List.fold_left (write_option b) header_len s.options);
+  ignore (write_options b header_len s.options);
   Bytes.blit_string s.payload 0 b data (String.length s.payload);
   let view = Bytes.unsafe_to_string b in
   set_u16 b 16 (Inet.finish (Inet.sum 0 view 0 total));
@@ -225,10 +227,14 @@ let decode data =
       let received_sum = get_u16 data 16 in
       if Inet.finish (Inet.sum 0 data 0 len - received_sum) <> received_sum then
         Error "bad checksum"
-      else begin
-        match decode_options data header_len (offset * 4) with
-        | Error e -> Error e
-        | Ok options ->
+      else
+        let data_at = offset * 4 in
+        match
+          if data_at = header_len then []
+          else options_from data header_len data_at
+        with
+        | exception Bad_option e -> Error e
+        | options ->
             Ok
               {
                 src_port = get_u16 data 0;
@@ -239,8 +245,9 @@ let decode data =
                 window = get_u16 data 14;
                 urgent = get_u16 data 18;
                 options;
-                payload = String.sub data (offset * 4) (len - (offset * 4));
+                payload =
+                  (if data_at = len then ""
+                   else String.sub data data_at (len - data_at));
               }
-      end
     end
   end

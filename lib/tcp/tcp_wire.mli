@@ -23,6 +23,10 @@ val flags_of_string : string -> flags
 (** Inverse of {!flags_to_string}; unknown characters raise
     [Invalid_argument]. *)
 
+val flag_bits : flags -> int
+(** The header's flag bits: FIN 0x01, SYN 0x02, RST 0x04, PSH 0x08,
+    ACK 0x10, URG 0x20. *)
+
 (** TCP header options (RFC 793 §3.1, RFC 7323). Options ride in the
     variable part of the header; the data offset grows accordingly and
     the checksum covers them. *)
