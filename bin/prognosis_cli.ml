@@ -800,6 +800,20 @@ let ci_targets seed =
       ("dtls", "dtls.model");
     ]
 
+(* The learned model's input symbols the golden lacks ("-") and the
+   golden's the learned model lacks ("+"), or [None] when both hold the
+   same symbols. *)
+let alphabet_change learned golden =
+  let missing from other =
+    List.filter (fun s -> not (Array.mem s other)) (Array.to_list from)
+  in
+  match (missing learned golden, missing golden learned) with
+  | [], [] -> None
+  | removed, added ->
+      Some
+        (String.concat " "
+           (List.map (( ^ ) "-") removed @ List.map (( ^ ) "+") added))
+
 let do_ci () golden_dir seed update summary_out =
   let summary = Buffer.create 256 in
   let sline fmt =
@@ -852,6 +866,11 @@ let do_ci () golden_dir seed update summary_out =
               | Ok golden_m -> (
                   let module D = Prognosis_analysis.Model_diff in
                   let canon = Mealy.canonicalize (Mealy.minimize model) in
+                  match alphabet_change (Mealy.inputs canon) (Mealy.inputs golden_m) with
+                  | Some change ->
+                      Format.printf "       input alphabet changed: %s@." change;
+                      sline "  - input alphabet changed: `%s`" change
+                  | None -> (
                   match D.shortest_difference canon golden_m with
                   | exception Invalid_argument _ ->
                       Format.printf
@@ -874,7 +893,7 @@ let do_ci () golden_dir seed update summary_out =
                       sline "    - learned: `%s`"
                         (String.concat " " w.D.outputs_a);
                       sline "    - golden: `%s`"
-                        (String.concat " " w.D.outputs_b))
+                        (String.concat " " w.D.outputs_b)))
             end)
     (ci_targets seed);
   (match summary_out with

@@ -26,5 +26,9 @@ val create : ?config:config -> Prognosis_sul.Rng.t -> t
 val reset : t -> unit
 val phase_name : t -> string
 
+val parse_client_hello : string -> (string * string) option
+(** A ClientHello body, ["CR:<random>;COOKIE:<cookie>"] with exactly
+    one [';']: the random and the cookie. *)
+
 val handle_datagram : t -> string -> string list
 (** One record in, response records out (wire level). *)

@@ -31,6 +31,13 @@ val phase_name : t -> string
 val scid : t -> string
 (** The server's current connection id (empty before any packet). *)
 
+val parse_client_hello : string -> (string * int option * int option) option
+(** The ClientHello's CRYPTO data,
+    ["CH:<random>;md=<max_data>;msd=<max_stream_data>"]: the random and
+    the two transport parameters ([None] when absent or not an integer;
+    a later parameter overrides an earlier one). [None] when the data
+    does not start with a ClientHello. *)
+
 val handle_datagram : t -> port:int -> string -> string list
 (** Process one datagram arriving from the given UDP source port and
     return response datagrams. *)

@@ -336,9 +336,12 @@ let pooled_eq_identical () =
    into a codec) fails here instead of only slowing the benchmark:
    keying the QUIC client's reset-token memo by physical equality adds
    about 400 words to the handshake query, beyond its 25% margin. The
-   budgets are 1.25x the figures measured when they were set (QUIC
-   handshake 1451 words, DTLS scenario 1451 words; OCaml 5.1, dune's
-   default profile). *)
+   budgets are 1.25x the figures measured when they were set (OCaml
+   5.1, dune's default profile): QUIC handshake 971 words, DTLS
+   scenario 967, TCP query 516 and 266 per QUIC step after the
+   handshake, against 1451, 1451, 1113 and 344 before the endpoints
+   stopped building flag records, assoc lists, option boxes, closures
+   and substrings on every packet. *)
 let warm_minor_words sul word =
   ignore (Sul.query sul word);
   let before = Gc.minor_words () in
@@ -351,13 +354,29 @@ let check_budget name budget words =
       budget
 
 let quic_handshake_budget () =
-  check_budget "QUIC handshake" (1.25 *. 1451.)
+  check_budget "QUIC handshake" (1.25 *. 971.)
     (warm_minor_words
        (Prognosis_quic.Quic_adapter.sul ~seed:1L ())
        Quic_alphabet.[ Initial_crypto; Handshake_ack_crypto ])
 
+let tcp_query_budget () =
+  check_budget "TCP query" (1.25 *. 516.)
+    (warm_minor_words
+       (Prognosis_tcp.Tcp_adapter.sul ~seed:1L ())
+       Prognosis_tcp.Tcp_alphabet.[ Syn; Ack; Ack_psh; Fin_ack; Ack ])
+
+(* Minor words per step after the handshake: the handshake query
+   extended by three 1-RTT symbols, less the handshake query itself. *)
+let quic_later_step_budget () =
+  let sul = Prognosis_quic.Quic_adapter.sul ~seed:1L () in
+  let handshake = Quic_alphabet.[ Initial_crypto; Handshake_ack_crypto ] in
+  let later = Quic_alphabet.[ Short_ack_stream; Short_ack_flow; Short_ack_hsd ] in
+  let base = warm_minor_words sul handshake in
+  check_budget "QUIC later step" (1.25 *. 266.)
+    ((warm_minor_words sul (handshake @ later) -. base) /. 3.)
+
 let dtls_scenario_budget () =
-  check_budget "DTLS scenario" (1.25 *. 1451.)
+  check_budget "DTLS scenario" (1.25 *. 967.)
     (warm_minor_words
        (Prognosis_dtls.Dtls_adapter.sul ~seed:1L ())
        (List.hd Dtls_study.scenarios))
@@ -461,6 +480,8 @@ let () =
           Alcotest.test_case "DTLS scenario query" `Quick dtls_scenario_budget;
           Alcotest.test_case "TCP golden learn" `Quick tcp_learn_budget;
           Alcotest.test_case "W-method suites" `Quick suite_budgets;
+          Alcotest.test_case "TCP query" `Quick tcp_query_budget;
+          Alcotest.test_case "QUIC later step" `Quick quic_later_step_budget;
         ] );
       (* The longest group name sets the column Alcotest truncates case
          names to; "eq-sharding" keeps it at 11 characters, so the

@@ -1188,6 +1188,183 @@ let prop_pipeline_counters_match_cached_oracle =
           && report.test_words = s.test_words
           && report.equivalence_rounds = r.rounds)
 
+(* --- rewritten parsers and α against the code they replaced --- *)
+
+(* The references are the implementations as they stood before the
+   allocation-lean rewrite: every new function must agree with its
+   reference on every input. *)
+
+let tcp_abstract_reference (seg : Tcp_wire.segment) =
+  let open Prognosis_tcp.Tcp_alphabet in
+  match Tcp_wire.flags_to_string seg.Tcp_wire.flags with
+  | "S" -> Some Syn
+  | "SA" -> Some Syn_ack
+  | "A" when seg.Tcp_wire.payload = "" -> Some Ack
+  | "A" | "AP" -> Some Ack_psh
+  | "AF" -> Some Fin_ack
+  | "R" -> Some Rst
+  | "AR" -> Some Ack_rst
+  | _ -> None
+
+(* all 64 flag sets, with an empty and a non-empty payload, as the
+   decoder builds them *)
+let tcp_abstract_is_reference () =
+  for bits = 0 to 63 do
+    List.iter
+      (fun payload ->
+        let seg =
+          Tcp_wire.make ~payload ~src_port:443 ~dst_port:40000 ~seq:1 ~ack:2
+            Tcp_wire.no_flags
+        in
+        let wire = Bytes.of_string (Tcp_wire.encode seg) in
+        Bytes.set_uint8 wire 13 bits;
+        Bytes.set_uint16_be wire 16 0;
+        let view = Bytes.to_string wire in
+        Bytes.set_uint16_be wire 16 (Inet.finish (Inet.sum 0 view 0 (String.length view)));
+        match Tcp_wire.decode (Bytes.to_string wire) with
+        | Error e -> Alcotest.fail e
+        | Ok seg ->
+            Alcotest.(check int) "flag bits" bits (Tcp_wire.flag_bits seg.Tcp_wire.flags);
+            if Prognosis_tcp.Tcp_alphabet.abstract seg <> tcp_abstract_reference seg then
+              Alcotest.failf "flags 0x%02x, payload %S" bits payload)
+      [ ""; "D" ]
+  done
+
+let quic_abstract_reference (p : Quic_packet.t) =
+  let module A = Prognosis_quic.Quic_alphabet in
+  let frames =
+    List.filter_map
+      (fun f -> match Frame.kind f with Frame.K_padding -> None | k -> Some k)
+      p.Quic_packet.frames
+  in
+  { A.ptype = p.Quic_packet.ptype; frames }
+
+let prop_quic_abstract_is_reference =
+  QCheck2.Test.make ~count:500 ~name:"Quic_alphabet.abstract_packet == reference"
+    QCheck2.Gen.(
+      pair
+        (oneofl Quic_packet.all_ptypes)
+        (list_size (gen 0 6)
+           (oneof [ gen_frame; map (fun n -> Frame.Padding n) (gen 1 20) ])))
+    (fun (ptype, frames) ->
+      let p = Quic_packet.make ptype ~dcid:"" ~frames in
+      Prognosis_quic.Quic_alphabet.abstract_packet p = quic_abstract_reference p)
+
+let dtls_abstract_reference (r : Dtls_wire.record_) =
+  let open Prognosis_dtls.Dtls_alphabet in
+  match r.Dtls_wire.content with
+  | Dtls_wire.Change_cipher_spec -> Some A_change_cipher_spec
+  | Dtls_wire.Alert -> Some A_alert
+  | Dtls_wire.Application_data -> Some A_app_data
+  | Dtls_wire.Handshake -> (
+      match Dtls_wire.decode_handshake r.Dtls_wire.payload with
+      | Error _ -> None
+      | Ok h -> (
+          match h.Dtls_wire.msg_type with
+          | Dtls_wire.Hello_verify_request -> Some A_hello_verify_request
+          | Dtls_wire.Server_hello -> Some A_server_hello
+          | Dtls_wire.Certificate -> Some A_certificate
+          | Dtls_wire.Server_hello_done -> Some A_server_hello_done
+          | Dtls_wire.Finished -> Some A_finished
+          | Dtls_wire.Client_hello | Dtls_wire.Client_key_exchange -> None))
+
+(* handshake messages of every type, then cut, extended or with one
+   byte overwritten, so every check of the decoder is reached *)
+let gen_dtls_record =
+  QCheck2.Gen.(
+    let message =
+      map
+        (fun (msg_type, message_seq, body) ->
+          Dtls_wire.encode_handshake { Dtls_wire.msg_type; message_seq; body })
+        (triple
+           (oneofl
+              Dtls_wire.
+                [
+                  Client_hello; Server_hello; Hello_verify_request; Certificate;
+                  Server_hello_done; Client_key_exchange; Finished;
+                ])
+           (gen 0 5)
+           (string_size ~gen:printable (gen 0 20)))
+    in
+    let edit (m, (cut, (pos, byte))) =
+      match cut mod 4 with
+      | 0 -> m
+      | 1 -> String.sub m 0 (pos mod (String.length m + 1))
+      | 2 -> m ^ "xyz"
+      | _ ->
+          let b = Bytes.of_string m in
+          Bytes.set_uint8 b (pos mod Bytes.length b) byte;
+          Bytes.to_string b
+    in
+    map
+      (fun (content, payload) -> { Dtls_wire.content; epoch = 0; seq = 0; payload })
+      (pair
+         (oneofl Dtls_wire.[ Change_cipher_spec; Alert; Handshake; Application_data ])
+         (oneof
+            [
+              map edit (pair message (pair (gen 0 3) (pair (gen 0 40) (gen 0 255))));
+              string_size ~gen:char (gen 0 30);
+            ])))
+
+let prop_dtls_abstract_is_reference =
+  QCheck2.Test.make ~count:1000 ~name:"Dtls_alphabet.abstract == reference"
+    gen_dtls_record (fun r ->
+      Prognosis_dtls.Dtls_alphabet.abstract r = dtls_abstract_reference r)
+
+let quic_hello_reference data =
+  match String.split_on_char ';' data with
+  | ch :: params when String.length ch > 3 && String.sub ch 0 3 = "CH:" ->
+      let random = String.sub ch 3 (String.length ch - 3) in
+      let lookup key =
+        List.fold_left
+          (fun acc p ->
+            match String.index_opt p '=' with
+            | Some i when String.sub p 0 i = key ->
+                int_of_string_opt (String.sub p (i + 1) (String.length p - i - 1))
+            | _ -> acc)
+          None params
+      in
+      Some (random, lookup "md", lookup "msd")
+  | _ -> None
+
+let dtls_hello_reference body =
+  match String.split_on_char ';' body with
+  | [ cr; cookie ]
+    when String.length cr > 3
+         && String.sub cr 0 3 = "CR:"
+         && String.length cookie >= 7
+         && String.sub cookie 0 7 = "COOKIE:" ->
+      Some
+        ( String.sub cr 3 (String.length cr - 3),
+          String.sub cookie 7 (String.length cookie - 7) )
+  | _ -> None
+
+(* strings made of the pieces the formats are built from, so that
+   well-formed, nearly well-formed and odd inputs all occur *)
+let gen_pieces pieces =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (gen 0 8)
+         (oneof
+            [
+              oneofl pieces;
+              map string_of_int (gen (-5) 100000);
+              string_size ~gen:printable (gen 0 3);
+            ])))
+
+let prop_quic_hello_is_reference =
+  QCheck2.Test.make ~count:3000 ~name:"Quic_server.parse_client_hello == reference"
+    (gen_pieces
+       [ "CH:"; "CH:ab"; ";"; "md="; "msd="; "="; "m"; "0x1f"; "_"; "+"; "99999999999999999999" ])
+    (fun data ->
+      Prognosis_quic.Quic_server.parse_client_hello data = quic_hello_reference data)
+
+let prop_dtls_hello_is_reference =
+  QCheck2.Test.make ~count:3000 ~name:"Dtls_server.parse_client_hello == reference"
+    (gen_pieces [ "CR:"; "CR:ab"; ";"; "COOKIE:"; "COOKIE"; "C" ])
+    (fun body ->
+      Prognosis_dtls.Dtls_server.parse_client_hello body = dtls_hello_reference body)
+
 let () =
   Alcotest.run "properties"
     [
@@ -1234,6 +1411,16 @@ let () =
             prop_inet_unwrap_udp_matches_layers;
             prop_inet_sum_lanes;
           ] );
+      ( "references",
+        Alcotest.test_case "Tcp_alphabet.abstract == reference, 64 flag sets"
+          `Quick tcp_abstract_is_reference
+        :: List.map QCheck_alcotest.to_alcotest
+             [
+               prop_quic_abstract_is_reference;
+               prop_dtls_abstract_is_reference;
+               prop_quic_hello_is_reference;
+               prop_dtls_hello_is_reference;
+             ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
           [
