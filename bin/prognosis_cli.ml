@@ -871,29 +871,29 @@ let do_ci () golden_dir seed update summary_out =
                       Format.printf "       input alphabet changed: %s@." change;
                       sline "  - input alphabet changed: `%s`" change
                   | None -> (
-                  match D.shortest_difference canon golden_m with
-                  | exception Invalid_argument _ ->
-                      Format.printf
-                        "       input alphabet changed — refresh the golden \
-                         deliberately@.";
-                      sline "  - input alphabet changed"
-                  | None ->
-                      Format.printf
-                        "       models are equivalent; the serialization \
-                         itself drifted (format change?)@.";
-                      sline "  - equivalent models, serialization drift"
-                  | Some w ->
-                      let word = String.concat " " w.D.word in
-                      Format.printf "       distinguishing word: %s@." word;
-                      Format.printf "         learned: %s@."
-                        (String.concat " " w.D.outputs_a);
-                      Format.printf "         golden : %s@."
-                        (String.concat " " w.D.outputs_b);
-                      sline "  - distinguishing word: `%s`" word;
-                      sline "    - learned: `%s`"
-                        (String.concat " " w.D.outputs_a);
-                      sline "    - golden: `%s`"
-                        (String.concat " " w.D.outputs_b)))
+                    match D.shortest_difference canon golden_m with
+                    | exception Invalid_argument _ ->
+                        Format.printf
+                          "       input alphabet changed — refresh the golden \
+                           deliberately@.";
+                        sline "  - input alphabet changed"
+                    | None ->
+                        Format.printf
+                          "       models are equivalent; the serialization \
+                           itself drifted (format change?)@.";
+                        sline "  - equivalent models, serialization drift"
+                    | Some w ->
+                        let word = String.concat " " w.D.word in
+                        Format.printf "       distinguishing word: %s@." word;
+                        Format.printf "         learned: %s@."
+                          (String.concat " " w.D.outputs_a);
+                        Format.printf "         golden : %s@."
+                          (String.concat " " w.D.outputs_b);
+                        sline "  - distinguishing word: `%s`" word;
+                        sline "    - learned: `%s`"
+                          (String.concat " " w.D.outputs_a);
+                        sline "    - golden: `%s`"
+                          (String.concat " " w.D.outputs_b)))
             end)
     (ci_targets seed);
   (match summary_out with

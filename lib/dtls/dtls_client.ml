@@ -4,7 +4,9 @@ module C = Dtls_crypto
 
 type t = {
   rng : Rng.t;
-  mutable crypto : C.t;
+  crypto : C.t;
+  protect : (C.t * C.direction) option;  (** [crypto] as we write *)
+  unprotect : (C.t * C.direction) option;  (** [crypto] as we read *)
   mutable client_random : string;
   mutable premaster : string;
   mutable cookie : string;
@@ -19,7 +21,7 @@ type t = {
 }
 
 let reset t =
-  t.crypto <- C.create ();
+  C.clear t.crypto;
   t.client_random <- Rng.hex t.rng 8;
   t.premaster <- Rng.hex t.rng 8;
   t.cookie <- "";
@@ -33,10 +35,13 @@ let reset t =
   t.echoed_ <- ""
 
 let create rng =
+  let crypto = C.create () in
   let t =
     {
       rng;
-      crypto = C.create ();
+      crypto;
+      protect = Some (crypto, C.Client_write);
+      unprotect = Some (crypto, C.Server_write);
       client_random = "";
       premaster = "";
       cookie = "";
@@ -60,10 +65,8 @@ let echoed t = t.echoed_
 let emit t content payload =
   let seq = t.write_seq in
   t.write_seq <- seq + 1;
-  let epoch = t.write_epoch in
-  Some
-    ( W.encode_protected t.crypto C.Client_write content ~epoch ~seq payload,
-      { W.content; epoch; seq; payload } )
+  let record = { W.content; epoch = t.write_epoch; seq; payload } in
+  Some (W.encode_record ?protect:t.protect record, record)
 
 let emit_handshake t msg_type body =
   let message_seq = t.message_seq in
@@ -74,7 +77,7 @@ let concretize t symbol =
   match symbol with
   | Dtls_alphabet.Client_hello ->
       emit_handshake t W.Client_hello
-        (String.concat "" [ "CR:"; t.client_random; ";COOKIE:"; t.cookie ])
+        ("CR:" ^ t.client_random ^ ";COOKIE:" ^ t.cookie)
   | Dtls_alphabet.Client_key_exchange ->
       (* Key derivation happens at send time with whatever server
          random is known — the reference implementation's state rules. *)
@@ -95,27 +98,27 @@ let concretize t symbol =
   | Dtls_alphabet.Alert_close -> emit t W.Alert "\x01\x00"
 
 let absorb t data =
-  match W.decode_protected t.crypto C.Server_write data with
+  match W.decode_record ?unprotect:t.unprotect data with
   | Error _ -> None
   | Ok r ->
       (match r.W.content with
       | W.Handshake -> (
-          match W.decode_handshake r.W.payload with
-          | Error _ -> ()
-          | Ok h -> (
-              match h.W.msg_type with
-              | W.Hello_verify_request -> t.cookie <- h.W.body
-              | W.Server_hello ->
-                  if
-                    String.length h.W.body > 3
-                    && String.starts_with ~prefix:"SR:" h.W.body
-                  then
-                    t.server_random <-
-                      String.sub h.W.body 3 (String.length h.W.body - 3)
-              | W.Finished -> t.server_finished <- true
-              | W.Certificate | W.Server_hello_done | W.Client_hello
-              | W.Client_key_exchange ->
-                  ()))
+          (* only the messages whose body we keep are copied out *)
+          match W.handshake_type r.W.payload with
+          | Some (W.Hello_verify_request | W.Server_hello) -> (
+              match W.decode_handshake r.W.payload with
+              | Ok { W.msg_type = W.Hello_verify_request; body; _ } ->
+                  t.cookie <- body
+              | Ok { W.msg_type = W.Server_hello; body; _ } ->
+                  if String.length body > 3 && String.starts_with ~prefix:"SR:" body
+                  then t.server_random <- String.sub body 3 (String.length body - 3)
+              | Ok _ | Error _ -> ())
+          | Some W.Finished -> t.server_finished <- true
+          | Some
+              ( W.Certificate | W.Server_hello_done | W.Client_hello
+              | W.Client_key_exchange )
+          | None ->
+              ())
       | W.Change_cipher_spec -> t.read_epoch <- 1
       | W.Application_data -> t.echoed_ <- t.echoed_ ^ r.W.payload
       | W.Alert -> t.closed_ <- true);

@@ -15,6 +15,7 @@ type keys = {
 type t = { mutable keys : keys option }
 
 let create () = { keys = None }
+let clear t = t.keys <- None
 
 let derive_master t ~client_random ~server_random ~premaster =
   let inputs =

@@ -13,6 +13,9 @@ type t
 
 val create : unit -> t
 
+val clear : t -> unit
+(** Drop the installed keys: [t] is as {!create} made it. *)
+
 val derive_master :
   t -> client_random:string -> server_random:string -> premaster:string -> unit
 (** Install epoch-1 keys from the handshake inputs: both direction keys

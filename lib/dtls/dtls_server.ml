@@ -27,7 +27,9 @@ let phase_to_string = function
 type t = {
   cfg : config;
   rng : Rng.t;
-  mutable crypto : C.t;
+  crypto : C.t;
+  protect : (C.t * C.direction) option;  (** [crypto] as we write *)
+  unprotect : (C.t * C.direction) option;  (** [crypto] as we read *)
   mutable phase : phase;
   mutable cookie : string;
   mutable client_random : string;
@@ -39,7 +41,7 @@ type t = {
 }
 
 let reset t =
-  t.crypto <- C.create ();
+  C.clear t.crypto;
   t.phase <- Waiting_hello;
   t.cookie <- "";
   t.client_random <- "";
@@ -50,11 +52,14 @@ let reset t =
   t.message_seq <- 0
 
 let create ?(config = default_config) rng =
+  let crypto = C.create () in
   let t =
     {
       cfg = config;
       rng;
-      crypto = C.create ();
+      crypto;
+      protect = Some (crypto, C.Server_write);
+      unprotect = Some (crypto, C.Client_write);
       phase = Waiting_hello;
       cookie = "";
       client_random = "";
@@ -73,14 +78,14 @@ let phase_name t = phase_to_string t.phase
 let emit t content payload =
   let seq = t.write_seq in
   t.write_seq <- seq + 1;
-  W.encode_protected t.crypto C.Server_write content ~epoch:t.write_epoch ~seq
-    payload
+  W.encode_record ?protect:t.protect
+    { W.content; epoch = t.write_epoch; seq; payload }
 
 let emit_handshake t msg_type body =
   let seq = t.write_seq and message_seq = t.message_seq in
   t.write_seq <- seq + 1;
   t.message_seq <- message_seq + 1;
-  W.encode_handshake_record t.crypto C.Server_write ~epoch:t.write_epoch ~seq
+  W.encode_handshake_record ?protect:t.protect ~epoch:t.write_epoch ~seq
     msg_type ~message_seq body
 
 (* alert payloads: level fatal (2), then the description *)
@@ -212,7 +217,7 @@ let handle_record t (r : W.record_) =
           [ emit t W.Alert "\x01\x00" (* warning, close_notify *) ])
 
 let handle_datagram t data =
-  match W.decode_protected t.crypto C.Client_write data with
+  match W.decode_record ?unprotect:t.unprotect data with
   | Error _ -> []
   | Ok r ->
       (* Records must arrive in the current read epoch. *)

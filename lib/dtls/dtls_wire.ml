@@ -122,49 +122,43 @@ let dtls_version = 0xFEFD (* DTLS 1.2 *)
 let header_len = 13
 
 (* A record of [n] payload bytes, which the caller writes at
-   [header_len]; [protect] seals it when the epoch is >= 1 and the
-   schedule has keys, and [finish] writes the header and seals. *)
-let record_buffer ~protect crypto ~epoch n =
-  let sealed = protect && epoch >= 1 && Dtls_crypto.ready crypto in
+   [header_len]. With [protect], a record of epoch >= 1 is sealed in
+   place when the schedule has keys; [finish] writes the header and
+   seals. *)
+let record_buffer ?protect ~epoch n =
+  let sealed =
+    match protect with
+    | Some (crypto, _) -> epoch >= 1 && Dtls_crypto.ready crypto
+    | None -> false
+  in
   Bytes.create (header_len + n + if sealed then Dtls_crypto.tag_length else 0)
 
-let finish b crypto direction content ~epoch ~seq n =
+let finish ?protect b content ~epoch ~seq n =
   let length = Bytes.length b - header_len in
   Bytes.set_uint8 b 0 (content_type_byte content);
   set_u16 b 1 dtls_version;
   set_u16 b 3 epoch;
   set_u48 b 5 seq;
   set_u16 b 11 length;
-  if length > n then
-    ignore (Dtls_crypto.seal crypto direction ~epoch ~seq b header_len n);
+  (match protect with
+  | Some (crypto, direction) when length > n ->
+      ignore (Dtls_crypto.seal crypto direction ~epoch ~seq b header_len n)
+  | Some _ | None -> ());
   Bytes.unsafe_to_string b
 
-let encode ~protect crypto direction content ~epoch ~seq payload =
-  let n = String.length payload in
-  let b = record_buffer ~protect crypto ~epoch n in
-  Bytes.blit_string payload 0 b header_len n;
-  finish b crypto direction content ~epoch ~seq n
-
-let encode_protected crypto direction content ~epoch ~seq payload =
-  encode ~protect:true crypto direction content ~epoch ~seq payload
-
-let encode_handshake_record crypto direction ~epoch ~seq msg_type ~message_seq
-    body =
-  let n = 12 + String.length body in
-  let b = record_buffer ~protect:true crypto ~epoch n in
-  write_handshake b header_len msg_type ~message_seq body;
-  finish b crypto direction Handshake ~epoch ~seq n
-
 let encode_record ?protect r =
-  match protect with
-  | Some (crypto, direction) ->
-      encode_protected crypto direction r.content ~epoch:r.epoch ~seq:r.seq
-        r.payload
-  | None ->
-      encode ~protect:false (Dtls_crypto.create ()) Dtls_crypto.Client_write
-        r.content ~epoch:r.epoch ~seq:r.seq r.payload
+  let n = String.length r.payload in
+  let b = record_buffer ?protect ~epoch:r.epoch n in
+  Bytes.blit_string r.payload 0 b header_len n;
+  finish ?protect b r.content ~epoch:r.epoch ~seq:r.seq n
 
-let decode ~unprotect crypto direction s =
+let encode_handshake_record ?protect ~epoch ~seq msg_type ~message_seq body =
+  let n = 12 + String.length body in
+  let b = record_buffer ?protect ~epoch n in
+  write_handshake b header_len msg_type ~message_seq body;
+  finish ?protect b Handshake ~epoch ~seq n
+
+let decode_record ?unprotect s =
   if String.length s < header_len then Error "record too short"
   else begin
     match content_type_of_byte (Char.code s.[0]) with
@@ -176,21 +170,18 @@ let decode ~unprotect crypto direction s =
           let seq = get_u48 s 5 in
           let length = get_u16 s 11 in
           if String.length s < header_len + length then Error "truncated record"
-          else if unprotect && epoch >= 1 then
-            (* opened straight from the datagram *)
-            match
-              Dtls_crypto.open_ crypto direction ~epoch ~seq s header_len length
-            with
+          else begin
+            let payload =
+              match unprotect with
+              | Some (crypto, direction) when epoch >= 1 ->
+                  (* opened straight from the datagram *)
+                  Dtls_crypto.open_ crypto direction ~epoch ~seq s header_len
+                    length
+              | Some _ | None -> Some (String.sub s header_len length)
+            in
+            match payload with
             | Some payload -> Ok { content; epoch; seq; payload }
             | None -> Error "record protection failure"
-          else Ok { content; epoch; seq; payload = String.sub s header_len length }
+          end
         end
   end
-
-let decode_protected crypto direction s = decode ~unprotect:true crypto direction s
-
-let decode_record ?unprotect s =
-  match unprotect with
-  | Some (crypto, direction) -> decode_protected crypto direction s
-  | None ->
-      decode ~unprotect:false (Dtls_crypto.create ()) Dtls_crypto.Client_write s

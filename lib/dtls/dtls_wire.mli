@@ -58,33 +58,14 @@ val decode_record :
     straight from the datagram; missing keys or a bad tag (wrong keys,
     tampering) make decoding fail. *)
 
-val encode_protected :
-  Dtls_crypto.t ->
-  Dtls_crypto.direction ->
-  content_type ->
-  epoch:int ->
-  seq:int ->
-  string ->
-  string
-(** [encode_record ~protect:(crypto, direction)] of the record with
-    these fields. *)
-
 val encode_handshake_record :
-  Dtls_crypto.t ->
-  Dtls_crypto.direction ->
+  ?protect:Dtls_crypto.t * Dtls_crypto.direction ->
   epoch:int ->
   seq:int ->
   handshake_type ->
   message_seq:int ->
   string ->
   string
-(** The protected handshake record carrying one message, written in one
-    buffer: [encode_protected] of the {!encode_handshake} of the
-    message. *)
-
-val decode_protected :
-  Dtls_crypto.t ->
-  Dtls_crypto.direction ->
-  string ->
-  (record_, string) result
-(** [decode_record ~unprotect:(crypto, direction)]. *)
+(** The handshake record carrying one message, written in one buffer:
+    [encode_record ?protect] of the record whose payload is the
+    {!encode_handshake} of the message. *)

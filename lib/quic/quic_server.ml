@@ -192,11 +192,6 @@ let stateless_reset t =
 
 (* --- handshake crypto payloads --- *)
 
-(* The transport parameters ride in the ClientHello in this
-   simulation: "CH:<random>;md=<max_data>;msd=<max_stream_data>". The
-   parser walks the string in place: a parameter is the text between
-   two ';', its key the text before its first '=', and a later
-   parameter with the same key overrides an earlier one. *)
 (* [String.sub data off len = s], without the copy *)
 let rec equal_from data off len s i =
   i = len
@@ -234,6 +229,11 @@ let rec lookup data off key acc =
     in
     lookup data (stop + 1) key acc
 
+(* The transport parameters ride in the ClientHello in this
+   simulation: "CH:<random>;md=<max_data>;msd=<max_stream_data>". The
+   parser walks the string in place: a parameter is the text between
+   two ';', its key the text before its first '=', and a later
+   parameter with the same key overrides an earlier one. *)
 let parse_client_hello data =
   let ch = find data ';' 0 (String.length data) in
   if ch > 3 && String.starts_with ~prefix:"CH:" data then

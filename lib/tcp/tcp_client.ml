@@ -39,23 +39,12 @@ let established t = t.established_
 let snd_nxt t = t.snd_nxt_
 let rcv_nxt t = t.rcv_nxt_
 
-(* The segment record written out: [make]'s optional arguments would
-   each box their value on every call. *)
-let segment t ~options ~payload ~seq ~ack flags =
-  {
-    src_port = t.src_port;
-    dst_port = t.dst_port;
-    seq = seq land 0xFFFFFFFF;
-    ack = ack land 0xFFFFFFFF;
-    flags;
-    window = 65535;
-    urgent = 0;
-    options;
-    payload;
-  }
+let build_payload t ~payload ~seq ~ack flags =
+  segment ~src_port:t.src_port ~dst_port:t.dst_port ~options:[] ~payload ~seq
+    ~ack flags
 
-let build t ~seq ~ack flags = segment t ~options:[] ~payload:"" ~seq ~ack flags
-let build_data t ~seq ~ack flags = segment t ~options:[] ~payload:"D" ~seq ~ack flags
+let build t ~seq ~ack flags = build_payload t ~payload:"" ~seq ~ack flags
+let build_data t ~seq ~ack flags = build_payload t ~payload:"D" ~seq ~ack flags
 let syn_options = [ Mss 1460; Sack_permitted ]
 
 let concretize t symbol =
@@ -69,7 +58,8 @@ let concretize t symbol =
         (* (Re)transmission of our opening SYN, offering MSS and
            SACK support. *)
         t.snd_nxt_ <- seq_add t.iss 1;
-        segment t ~options:syn_options ~payload:"" ~seq:t.iss ~ack:0 flags
+        segment ~src_port:t.src_port ~dst_port:t.dst_port ~options:syn_options
+          ~payload:"" ~seq:t.iss ~ack:0 flags
       end
   | Tcp_alphabet.Syn_ack ->
       if t.established_ then build t ~seq:t.snd_nxt_ ~ack:t.rcv_nxt_ flags

@@ -42,23 +42,12 @@ let create ?(config = default_config) rng =
 let state t = t.state
 let config t = t.cfg
 
-(* Replies carry no payload; the record is written out, since [make]'s
-   optional arguments would each box their value on every call. *)
-let segment t ~dst_port ~options ~seq ~ack flags =
-  {
-    src_port = t.cfg.port;
-    dst_port;
-    seq = seq land 0xFFFFFFFF;
-    ack = ack land 0xFFFFFFFF;
-    flags;
-    window = 65535;
-    urgent = 0;
-    options;
-    payload = "";
-  }
+(* replies carry no payload *)
+let reply_with t (peer : segment) ~options ~seq ~ack flags =
+  segment ~src_port:t.cfg.port ~dst_port:peer.src_port ~options ~payload:""
+    ~seq ~ack flags
 
-let reply t (peer : segment) ~seq ~ack flags =
-  segment t ~dst_port:peer.src_port ~options:[] ~seq ~ack flags
+let reply t peer ~seq ~ack flags = reply_with t peer ~options:[] ~seq ~ack flags
 
 let rst_flags = { no_flags with rst = true }
 let rst_ack_flags = { no_flags with rst = true; ack = true }
@@ -107,8 +96,7 @@ let handle_listen t (seg : segment) =
       | Some _ | None -> mss_1400
     in
     let response =
-      segment t ~dst_port:seg.src_port ~options ~seq:t.snd_nxt ~ack:t.rcv_nxt
-        syn_ack_flags
+      reply_with t seg ~options ~seq:t.snd_nxt ~ack:t.rcv_nxt syn_ack_flags
     in
     t.snd_nxt <- seq_add t.snd_nxt 1;
     [ response ]

@@ -54,19 +54,24 @@ type segment = {
 let mask32 = 0xFFFFFFFF
 let seq_add a b = (a + b) land mask32
 
-let make ?(window = 65535) ?(urgent = 0) ?(options = []) ?(payload = "")
-    ~src_port ~dst_port ~seq ~ack flags =
+let default_window = 65535
+
+let segment ~src_port ~dst_port ~options ~payload ~seq ~ack flags =
   {
     src_port;
     dst_port;
     seq = seq land mask32;
     ack = ack land mask32;
     flags;
-    window;
-    urgent;
+    window = default_window;
+    urgent = 0;
     options;
     payload;
   }
+
+let make ?(window = default_window) ?(urgent = 0) ?(options = [])
+    ?(payload = "") ~src_port ~dst_port ~seq ~ack flags =
+  { (segment ~src_port ~dst_port ~options ~payload ~seq ~ack flags) with window; urgent }
 
 let find_mss seg =
   List.fold_left

@@ -48,6 +48,19 @@ type segment = {
   payload : string;
 }
 
+val segment :
+  src_port:int ->
+  dst_port:int ->
+  options:option_ list ->
+  payload:string ->
+  seq:int ->
+  ack:int ->
+  flags ->
+  segment
+(** A segment with window 65535 and urgent pointer 0; [seq] and [ack]
+    are taken modulo 2^32. Every argument is given, so a call boxes
+    none (the endpoints build one per step). *)
+
 val make :
   ?window:int ->
   ?urgent:int ->
@@ -59,6 +72,8 @@ val make :
   ack:int ->
   flags ->
   segment
+(** {!segment} with its defaults as optional arguments: no options, no
+    payload. *)
 
 val find_mss : segment -> int option
 

@@ -338,7 +338,7 @@ let pooled_eq_identical () =
    about 400 words to the handshake query, beyond its 25% margin. The
    budgets are 1.25x the figures measured when they were set (OCaml
    5.1, dune's default profile): QUIC handshake 971 words, DTLS
-   scenario 967, TCP query 516 and 266 per QUIC step after the
+   scenario 954, TCP query 516 and 266 per QUIC step after the
    handshake, against 1451, 1451, 1113 and 344 before the endpoints
    stopped building flag records, assoc lists, option boxes, closures
    and substrings on every packet. *)
@@ -376,7 +376,7 @@ let quic_later_step_budget () =
     ((warm_minor_words sul (handshake @ later) -. base) /. 3.)
 
 let dtls_scenario_budget () =
-  check_budget "DTLS scenario" (1.25 *. 967.)
+  check_budget "DTLS scenario" (1.25 *. 954.)
     (warm_minor_words
        (Prognosis_dtls.Dtls_adapter.sul ~seed:1L ())
        (List.hd Dtls_study.scenarios))
