@@ -53,7 +53,7 @@ let measure name (d : ('i, 'o) Protocol.t) =
   let w0 = Gc.minor_words () in
   replay ();
   let words = Gc.minor_words () -. w0 in
-  (* resets and first steps apart; [words.(3)] is the bracket itself *)
+  (* resets and first steps apart; [part.(3)] is the bracket itself *)
   let part = Array.make 4 0.0 in
   let counted i f =
     let a = Gc.minor_words () in

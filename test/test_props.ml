@@ -374,8 +374,12 @@ let prop_fold_concat =
     ~name:"fold_concat == fold_string of the concatenation"
     QCheck2.Gen.(pair int (list_size (gen 0 5) (gen_bytes 20)))
     (fun (h, parts) ->
-      Sim_crypto.fold_concat h parts
-      = Sim_crypto.fold_string h (String.concat "" parts))
+      let whole = Sim_crypto.fold_string h (String.concat "" parts) in
+      Sim_crypto.fold_concat h parts = whole
+      &&
+      match parts with
+      | a :: rest -> Sim_crypto.fold_concat2 h a (String.concat "" rest) = whole
+      | [] -> true)
 
 (* --- DTLS record protection --- *)
 
