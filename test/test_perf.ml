@@ -339,9 +339,7 @@ let pooled_eq_identical () =
    budgets are 1.25x the figures measured when they were set (OCaml
    5.1, dune's default profile): QUIC handshake 971 words, DTLS
    scenario 954, TCP query 516 and 266 per QUIC step after the
-   handshake, against 1451, 1451, 1113 and 344 before the endpoints
-   stopped building flag records, assoc lists, option boxes, closures
-   and substrings on every packet. *)
+   handshake. *)
 let warm_minor_words sul word =
   ignore (Sul.query sul word);
   let before = Gc.minor_words () in
